@@ -1,13 +1,10 @@
 """Combinatorial and rational-function machinery behind the closed forms.
 
-Four jobs live here:
+Two jobs live here:
 
-* enumeration of multi-index sets with slot bounds that may depend on earlier
-  slots (the index sets of the product-of-sums expansions),
 * expansion of a K-th power of a term sum into a flat merged term list,
 * partial-fraction decomposition of 1/prod(x+b_j)^(m_j) (optionally with a
-  polynomial numerator) via truncated power series around each pole,
-* grouping of repeated pole values.
+  polynomial numerator) via truncated power series around each pole.
 
 The module also owns the canonical carrier for every closed-form CDF:
 ``TermSum`` holds ``constant - sum of RationalExpTerm`` where each term is
@@ -25,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import mpmath
 
@@ -40,55 +37,16 @@ class CapacityError(RuntimeError):
     """Raised when an expansion would exceed the configured term cap."""
 
 
-@dataclass(frozen=True)
-class MultiIndexSpec:
-    """Vector length plus per-slot inclusive upper bounds.
-
-    A bound is either an int or a callable receiving the prefix of already
-    fixed slots (needed for the triangular sets where slot q+1 is bounded by
-    a function of slot q).
-    """
-
-    kappa: int
-    per_slot_bounds: tuple
-
-    def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError("kappa must be at least 1")
-        if len(self.per_slot_bounds) != self.kappa:
-            raise ValueError("per_slot_bounds must have exactly kappa entries")
-
-
-def enumerate_multi_indices(spec: MultiIndexSpec) -> Iterator[tuple]:
-    """Lexicographic stream of all index vectors admitted by the bounds."""
-
-    def walk(prefix: tuple) -> Iterator[tuple]:
-        depth = len(prefix)
-        if depth == spec.kappa:
-            yield prefix
-            return
-        bound = spec.per_slot_bounds[depth]
-        if callable(bound):
-            bound = bound(prefix)
-        if bound < 0:
-            raise ValueError(f"slot {depth} resolved to a negative bound {bound}")
-        for value in range(bound + 1):
-            yield from walk(prefix + (value,))
-
-    yield from walk(())
-
-
 def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int,
                         cap: int = EXPANSION_TERM_CAP) -> list[tuple]:
     """Expand (sum of inner terms)^kappa into a flat, merged term list.
 
     Each inner term is ``(coeff, e1, e2, ...)`` with integer exponent slots
     (the two-slot case is a coefficient with an x power and a y power).
-    Coefficients only need ``*`` and ``+`` between themselves, so the same
-    expansion runs on SignedLogValue (log-domain floats) and on exact
-    Fractions. Like terms (identical exponent vectors) merge as they appear;
-    exceeding ``cap`` raw products raises CapacityError instead of silently
-    truncating.
+    Coefficients only need ``*`` and ``+`` between themselves: the recipe
+    builders pass exact Fractions, and floats work too. Like terms
+    (identical exponent vectors) merge as they appear; exceeding ``cap``
+    raw products raises CapacityError instead of silently truncating.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -196,46 +154,6 @@ def _series_invert(p: list[float], keep: int) -> list[float]:
             s += p[t] * inv[i - t]
         inv[i] = -s / p[0]
     return inv
-
-
-@dataclass(frozen=True)
-class PoleGrouping:
-    """Partition of pole indices (1-based) by repeated value.
-
-    Z counts the distinct values occurring more than once; Q_sets holds the
-    index sets of those values (each with >= 2 members, ordered by first
-    occurrence); Q_bar holds the indices of values occurring exactly once.
-    """
-
-    Z: int
-    Q_sets: tuple
-    Q_bar: tuple
-
-    def __post_init__(self):
-        if self.Z != len(self.Q_sets):
-            raise ValueError("Z must equal the number of repeated-value groups")
-        flat: list = []
-        for group in self.Q_sets:
-            if len(group) < 2:
-                raise ValueError("every repeated-value group needs at least 2 members")
-            flat.extend(group)
-        flat.extend(self.Q_bar)
-        if len(flat) != len(set(flat)):
-            raise ValueError("groups and singletons must be pairwise disjoint")
-
-
-def group_poles(n_values: Sequence[int]) -> PoleGrouping:
-    """Group 1-based indices of equal values; singletons go to Q_bar."""
-    first_seen: dict[int, list[int]] = {}
-    order: list[int] = []
-    for idx, value in enumerate(n_values, start=1):
-        if value not in first_seen:
-            first_seen[value] = []
-            order.append(value)
-        first_seen[value].append(idx)
-    q_sets = tuple(tuple(first_seen[v]) for v in order if len(first_seen[v]) > 1)
-    q_bar = tuple(idx for v in order for idx in first_seen[v] if len(first_seen[v]) == 1)
-    return PoleGrouping(Z=len(q_sets), Q_sets=q_sets, Q_bar=tuple(sorted(q_bar)))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,11 @@ one; integrate_term handles the resulting shapes:
   x^(p-1) is re-expanded around each pole; every piece is again a kernel.
 
 The high-SNR variant integrates the unity-dropped TermSum (a = 0
-throughout); the asymptotic variant additionally sends the poles to
-infinity, leaving an expression affine in ln(lambda_D/lambda_E).
+throughout); the asymptotic variant integrates the same TermSum with every
+1 + b collapsed to its pole b, the leading behavior as the poles grow, which
+leaves an expression affine in ln(lambda_D/lambda_E). All three rates share
+one path: zeta = 0, the gate-after-selection rescaling, the term sum and
+the log-space reduction.
 """
 
 from __future__ import annotations
@@ -21,23 +24,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 
 from .algebra import (
-    PoleGrouping,
     RationalExpTerm,
     TermSum,
     _partial_fractions_power,
     partial_fractions,
 )
 from .channel import SystemConfig
-from .sop import _eve_survivor_factors, build_cdf_term_sum, build_high_snr_term_sum
-from .specialfn import (
-    binomial,
-    harmonic,
-    log_upper_incomplete_gamma_int,
-    pairwise_sum,
-)
+from .sop import build_cdf_term_sum, build_high_snr_term_sum
+from .specialfn import binomial, log_upper_incomplete_gamma_int, pairwise_sum
 
 _LOG = logging.getLogger(__name__)
 _LN2 = math.log(2.0)
@@ -99,26 +95,12 @@ def t_kernel(theta: int, k: int, n_q: int, cfg: SystemConfig) -> float:
                    (n_q + 1) * cfg.lambda_D / cfg.lambda_E, theta)
 
 
-def _check_grouping(grouping: PoleGrouping, poles) -> None:
-    repeated = sorted(m for _, m in poles if m >= 2)
-    singles = sum(1 for _, m in poles if m == 1)
-    if (sorted(len(g) for g in grouping.Q_sets) != repeated
-            or len(grouping.Q_bar) != singles):
-        raise ValueError(
-            "pole grouping is inconsistent with the term's pole multiplicities")
-
-
-def integrate_term(term: RationalExpTerm,
-                   grouping: PoleGrouping | None = None) -> float:
+def integrate_term(term: RationalExpTerm) -> float:
     """integral_1^inf x^(p-1) e^(-a x) / prod(x+b_q)^(m_q) dx, unit coefficient.
 
     p, a and the poles come from the term; its coefficient is NOT applied
-    (callers fold it in log space). The optional grouping is validated
-    against the pole multiplicities; the partial-fraction engine derives the
-    structure from the poles themselves.
+    (callers fold it in log space).
     """
-    if grouping is not None:
-        _check_grouping(grouping, term.poles)
     a = term.exp_rate
     p = term.poly_power
     poles = tuple(term.poles)
@@ -200,92 +182,40 @@ def _sum_integrated(term_sum: TermSum, integrator) -> float:
     return pairwise_sum(contributions) / _LN2
 
 
-def esr_exact(cfg: SystemConfig) -> EsrResult:
-    """Exact ergodic secrecy rate in bits per channel use."""
+def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult:
     if cfg.zeta == 0.0:
-        return EsrResult(value=0.0, form=_FORM_EXACT, term_count=0)
+        return EsrResult(value=0.0, form=form, term_count=0)
     if cfg.knowledge == "KU":
         # gate after selection scales the rate linearly: zeta times the
         # always-on rate, exactly.
-        base = esr_exact(replace(cfg, zeta=1.0, knowledge="KA"))
-        return EsrResult(value=cfg.zeta * base.value, form=_FORM_EXACT,
+        base = _rate(replace(cfg, zeta=1.0, knowledge="KA"), form,
+                     build_term_sum, integrator)
+        return EsrResult(value=cfg.zeta * base.value, form=form,
                          term_count=base.term_count)
-    term_sum = build_cdf_term_sum(cfg)
-    value = _sum_integrated(term_sum, integrate_term)
-    return EsrResult(value=max(0.0, value), form=_FORM_EXACT,
+    term_sum = build_term_sum(cfg)
+    value = _sum_integrated(term_sum, integrator)
+    return EsrResult(value=max(0.0, value), form=form,
                      term_count=len(term_sum.terms))
+
+
+def _integrate_asymptotic(term: RationalExpTerm) -> float:
+    return _integrate_rational(term.poly_power, tuple(term.poles), asymptotic=True)
+
+
+def esr_exact(cfg: SystemConfig) -> EsrResult:
+    """Exact ergodic secrecy rate in bits per channel use."""
+    return _rate(cfg, _FORM_EXACT, build_cdf_term_sum, integrate_term)
 
 
 def esr_high_snr(cfg: SystemConfig) -> EsrResult:
     """Rate of the unity-dropped CDF: every term integrates without kernels."""
-    if cfg.zeta == 0.0:
-        return EsrResult(value=0.0, form=_FORM_HIGH_SNR, term_count=0)
-    if cfg.knowledge == "KU":
-        base = esr_high_snr(replace(cfg, zeta=1.0, knowledge="KA"))
-        return EsrResult(value=cfg.zeta * base.value, form=_FORM_HIGH_SNR,
-                         term_count=base.term_count)
-    term_sum = build_high_snr_term_sum(cfg)
-    value = _sum_integrated(term_sum, integrate_term)
-    return EsrResult(value=max(0.0, value), form=_FORM_HIGH_SNR,
-                     term_count=len(term_sum.terms))
-
-
-def _asymptotic_max_snr(cfg: SystemConfig) -> tuple[float, int]:
-    """Log-affine limit for the max-destination-SNR scheme.
-
-    Every pole grows like lambda_D/lambda_E; the zero-destination-power terms
-    contribute ln(pole) - H_(phi-1) and the rest a finite alternating sum.
-    The lambda powers cancel exactly, so coefficients are safe in floats.
-    """
-    pieces = []
-    count = 0
-    for k in range(1, cfg.K + 1):
-        pick = binomial(cfg.K, k) * cfg.zeta ** k
-        if k % 2 == 0:
-            pick = -pick
-        for combo in product(range(cfg.M_D), repeat=k):
-            m_hat = sum(combo)
-            dest = pick
-            for m in combo:
-                dest /= math.factorial(m)
-            for n, me_vec, eve_frac in _eve_survivor_factors(cfg.N, cfg.M_E):
-                me_hat = sum(me_vec)
-                phi = cfg.M_E + m_hat + me_hat
-                coeff = (dest * float(eve_frac) * math.gamma(phi)
-                         / (k ** m_hat * (n + 1) ** (cfg.M_E + me_hat)))
-                if m_hat == 0:
-                    bracket = (math.log((n + 1) * cfg.lambda_D
-                                        / (k * cfg.lambda_E))
-                               - harmonic(cfg.M_E + me_hat - 1))
-                else:
-                    bracket = math.fsum(
-                        (-1.0) ** (m_hat - j - 1) * binomial(m_hat - 1, j)
-                        / (phi - j - 1)
-                        for j in range(m_hat))
-                pieces.append(coeff * bracket)
-                count += 1
-    return math.fsum(pieces) / _LN2, count
+    return _rate(cfg, _FORM_HIGH_SNR, build_high_snr_term_sum, integrate_term)
 
 
 def esr_asymptotic(cfg: SystemConfig) -> EsrResult:
     """Large lambda_D/lambda_E limit: slope log2(10) per decade at zeta = 1."""
-    if cfg.zeta == 0.0:
-        return EsrResult(value=0.0, form=_FORM_ASYMPTOTIC, term_count=0)
-    if cfg.knowledge == "KU":
-        base = esr_asymptotic(replace(cfg, zeta=1.0, knowledge="KA"))
-        return EsrResult(value=cfg.zeta * base.value, form=_FORM_ASYMPTOTIC,
-                         term_count=base.term_count)
-    if cfg.scheme == "SS":
-        value, count = _asymptotic_max_snr(cfg)
-    else:
-        term_sum = build_high_snr_term_sum(cfg)
-        value = _sum_integrated(
-            term_sum,
-            lambda t: _integrate_rational(t.poly_power, tuple(t.poles),
-                                          asymptotic=True))
-        count = len(term_sum.terms)
-    return EsrResult(value=max(0.0, value), form=_FORM_ASYMPTOTIC,
-                     term_count=count)
+    return _rate(cfg, _FORM_ASYMPTOTIC, build_high_snr_term_sum,
+                 _integrate_asymptotic)
 
 
 def esr_term_audit(cfg: SystemConfig) -> float:

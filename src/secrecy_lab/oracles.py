@@ -45,15 +45,12 @@ class QuadratureSettings:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 2000
-    tail_transform: str = "exp_map"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be positive")
-        if self.tail_transform != "exp_map":
-            raise ValueError(f"unknown tail_transform {self.tail_transform!r}")
 
 
 class QuadratureError(RuntimeError):
@@ -203,11 +200,6 @@ def _rates_with_rng(cfg: SystemConfig, rng: np.random.Generator, count: int) -> 
     chosen_ratio = np.take_along_axis(ratio, chosen[:, None], axis=1)[:, 0]
     rates = np.where(transmitting, np.maximum(np.log2(chosen_ratio), 0.0), 0.0)
     return rates
-
-
-def mc_trial(cfg: SystemConfig, rng_state: np.random.Generator) -> float:
-    """One simulated selection round; returns the achieved secrecy rate."""
-    return float(_rates_with_rng(cfg, rng_state, 1)[0])
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

@@ -1,17 +1,22 @@
 """Closed-form CDF of the secrecy ratio and the secrecy outage probability.
 
 The CDF complement is assembled as a TermSum for each of the four
-scheme/knowledge combinations:
+scheme/knowledge combinations, from one pipeline: the destination-side
+slot sum of one link, the eavesdropper-survivor groups, the k-th power by
+the generic product expansion, and inclusion-exclusion over the k active
+links.
 
 * SS, selection over active links: conditioning on the strongest
   eavesdropper SNR y, the selected-link CDF is the K-th power of the gated
-  mixture; binomial expansion of the power, a per-link split of
-  (x(1+y)-1)^m into x- and y-powers, and the closed moment integral over y
-  leave one rational-exponential term per multi-index.
+  mixture; the k-th power of the slot sum (a per-link split of
+  (x(1+y)-1)^m into x- and y-powers) meets the closed moment integral over
+  y once per eavesdropper group.
 * OS, selection over active links: the K-th power of the single-link ratio
   CDF bracket; the bracket's complement is expanded to a term list once and
-  raised to the k-th power by the generic product expansion, accumulating
-  pole multiplicities per eavesdropher-survivor index.
+  raised to the k-th power, accumulating pole multiplicities per
+  eavesdropper-survivor index.
+* The unity-dropped (high-SNR) forms are the same recipes restricted to
+  the slots that keep the whole x(1+y) power, without the exponential.
 * Gate-after-selection variants are exactly 1 - zeta + zeta * (ungated CDF),
   so their term sums are the zeta=1 sums rescaled.
 
@@ -29,9 +34,7 @@ from itertools import product
 
 from .algebra import (
     ExactTermRecipe,
-    MultiIndexSpec,
     TermSum,
-    enumerate_multi_indices,
     expand_power_of_sum,
     materialize_recipes,
 )
@@ -51,28 +54,24 @@ class SopResult:
 
 
 @lru_cache(maxsize=None)
-def _dest_slot_indices(M_D: int) -> tuple:
-    """Triples (m, mu, drop) with mu <= m, drop <= m - mu, m < M_D.
+def _dest_slots(M_D: int, unity_dropped: bool) -> tuple:
+    """Destination-side summands as (Fraction, x power, y power, m).
 
-    One triple per destination-side summand: m indexes the Poisson term of
-    the link CDF, mu the y-power picked from (x(1+y)-1)^m, drop the unit
-    dropped from the remaining (x-1) factor (carrying the sign (-1)^drop and
-    lowering the x power to m - drop).
+    m indexes the Poisson term of the link CDF, mu the y-power picked from
+    (x(1+y)-1)^m, drop the unit dropped from the remaining (x-1) factor
+    (carrying the sign (-1)^drop and lowering the x power to m - drop). The
+    unity-dropped form (ratio ~ dest/eve) keeps only mu = m, drop = 0.
     """
-    spec = MultiIndexSpec(
-        kappa=3,
-        per_slot_bounds=(M_D - 1, lambda p: p[0], lambda p: p[0] - p[1]),
-    )
-    return tuple(enumerate_multi_indices(spec))
-
-
-@lru_cache(maxsize=None)
-def _eve_vectors(n: int, M_E: int) -> tuple:
-    """All length-n vectors over {0..M_E-1} (empty vector for n = 0)."""
-    if n == 0:
-        return ((),)
-    spec = MultiIndexSpec(kappa=n, per_slot_bounds=(M_E - 1,) * n)
-    return tuple(enumerate_multi_indices(spec))
+    slots = []
+    for m in range(M_D):
+        for mu in range(m + 1):
+            for drop in range(m - mu + 1):
+                if unity_dropped and (mu != m or drop):
+                    continue
+                frac = Fraction(binomial(m, mu) * binomial(m - mu, drop),
+                                math.factorial(m))
+                slots.append((-frac if drop % 2 else frac, m - drop, mu, m))
+    return tuple(slots)
 
 
 def _eve_survivor_factors(N: int, M_E: int):
@@ -87,7 +86,7 @@ def _eve_survivor_factors(N: int, M_E: int):
         outer = base * binomial(N - 1, n)
         if n % 2:
             outer = -outer
-        for vec in _eve_vectors(n, M_E):
+        for vec in product(range(M_E), repeat=n):
             denom = 1
             for m_e in vec:
                 denom *= math.factorial(m_e)
@@ -95,42 +94,59 @@ def _eve_survivor_factors(N: int, M_E: int):
 
 
 @lru_cache(maxsize=None)
-def _ss_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
-    """Exact term recipes for the max-destination-SNR scheme, gated links."""
-    slots = _dest_slot_indices(M_D)
-    eve_parts = tuple(_eve_survivor_factors(N, M_E))
+def _eve_groups(N: int, M_E: int) -> tuple:
+    """Eavesdropper factors summed per (n, sum of m_E): (n, me_hat, Fraction).
+
+    Every recipe depends on the m_E vector only through its sum.
+    """
+    acc: dict[tuple, Fraction] = {}
+    for n, me_vec, eve_frac in _eve_survivor_factors(N, M_E):
+        key = (n, sum(me_vec))
+        acc[key] = acc.get(key, Fraction(0)) + eve_frac
+    return tuple((n, me_hat, frac) for (n, me_hat), frac in acc.items())
+
+
+def _select_over_links(K: int, link_terms, unity_dropped: bool) -> tuple:
+    """Inclusion-exclusion over the k active links, merged into recipes.
+
+    link_terms(k) yields (Fraction, x power, lambda_D power, lambda_E power,
+    poles) for the k-link product; the exact form keeps e^(k(1-x)/lambda_D).
+    """
     acc: dict[tuple, Fraction] = {}
     for k in range(1, K + 1):
         pick = Fraction(binomial(K, k))
         if k % 2 == 0:
             pick = -pick
-        for combo in product(slots, repeat=k):
-            dest_frac = Fraction(1)
-            m_hat = mu_hat = drop_hat = 0
-            for m, mu, drop in combo:
-                m_hat += m
-                mu_hat += mu
-                drop_hat += drop
-                piece = Fraction(binomial(m, mu) * binomial(m - mu, drop),
-                                 math.factorial(m))
-                if drop % 2:
-                    piece = -piece
-                dest_frac *= piece
-            for n, me_vec, eve_frac in eve_parts:
-                me_hat = sum(me_vec)
-                theta = M_E + mu_hat + me_hat
-                frac = (pick * dest_frac * eve_frac
-                        * math.factorial(theta - 1)
-                        / Fraction(k ** theta))
-                key = (m_hat - drop_hat, k, k,
-                       theta - m_hat, -(M_E + me_hat),
-                       ((Fraction(n + 1, k), theta),))
-                acc[key] = acc.get(key, Fraction(0)) + frac
+        exp_k = 0 if unity_dropped else k
+        for coeff, poly, ld_pow, le_pow, poles in link_terms(k):
+            key = (poly, k, exp_k, ld_pow, le_pow, poles)
+            acc[key] = acc.get(key, Fraction(0)) + pick * coeff
     return _recipes_from_acc(acc)
 
 
 @lru_cache(maxsize=None)
-def _os_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
+def _ss_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tuple:
+    """Exact term recipes for the max-destination-SNR scheme, gated links.
+
+    The k-th power of the destination slot sum is expanded once per k; the
+    closed moment integral over the strongest eavesdropper SNR then attaches
+    each eavesdropper group with a single pole of multiplicity theta.
+    """
+    slots = _dest_slots(M_D, unity_dropped)
+    eve = _eve_groups(N, M_E)
+
+    def link_terms(k):
+        for coeff, poly, mu_hat, m_hat in expand_power_of_sum(slots, k):
+            for n, me_hat, eve_frac in eve:
+                theta = M_E + mu_hat + me_hat
+                yield (coeff * eve_frac * math.factorial(theta - 1) / Fraction(k ** theta),
+                       poly, theta - m_hat, -(M_E + me_hat),
+                       ((Fraction(n + 1, k), theta),))
+    return _select_over_links(K, link_terms, unity_dropped)
+
+
+@lru_cache(maxsize=None)
+def _os_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tuple:
     """Exact term recipes for the max-secrecy-ratio scheme, gated links.
 
     The single-link ratio-CDF complement expands into terms carried as
@@ -138,99 +154,19 @@ def _os_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
     survivor count); the k-link product accumulates exponents additively.
     """
     inner: list[tuple] = []
-    for m, mu, drop in _dest_slot_indices(M_D):
-        dest_frac = Fraction(binomial(m, mu) * binomial(m - mu, drop),
-                             math.factorial(m))
-        if drop % 2:
-            dest_frac = -dest_frac
-        for n, me_vec, eve_frac in _eve_survivor_factors(N, M_E):
-            me_hat = sum(me_vec)
+    for dest_frac, poly, mu, m in _dest_slots(M_D, unity_dropped):
+        for n, me_hat, eve_frac in _eve_groups(N, M_E):
             alpha = M_E + mu + me_hat
             frac = dest_frac * eve_frac * math.factorial(alpha - 1)
             mults = tuple(alpha if j == n else 0 for j in range(N))
-            inner.append((frac, m - drop, alpha - m, -(M_E + me_hat)) + mults)
-    acc: dict[tuple, Fraction] = {}
-    for k in range(1, K + 1):
-        pick = Fraction(binomial(K, k))
-        if k % 2 == 0:
-            pick = -pick
+            inner.append((frac, poly, alpha - m, -(M_E + me_hat)) + mults)
+
+    def link_terms(k):
         for coeff, poly, ld_pow, le_pow, *mults in expand_power_of_sum(inner, k):
             poles = tuple((Fraction(j + 1), mult)
                           for j, mult in enumerate(mults) if mult)
-            key = (poly, k, k, ld_pow, le_pow, poles)
-            acc[key] = acc.get(key, Fraction(0)) + pick * coeff
-    return _recipes_from_acc(acc)
-
-
-@lru_cache(maxsize=None)
-def _ss_high_snr_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
-    """Unity-dropped variant: ratio ~ dest/eve, so no exponential in x.
-
-    Per-link CDF complement at argument x*y keeps only the Poisson index m;
-    no binomial split arises because there is no -1 inside the power.
-    """
-    eve_parts = tuple(_eve_survivor_factors(N, M_E))
-    acc: dict[tuple, Fraction] = {}
-    for k in range(1, K + 1):
-        pick = Fraction(binomial(K, k))
-        if k % 2 == 0:
-            pick = -pick
-        for combo in product(range(M_D), repeat=k):
-            m_hat = sum(combo)
-            dest_frac = Fraction(1)
-            for m in combo:
-                dest_frac /= math.factorial(m)
-            for n, me_vec, eve_frac in eve_parts:
-                me_hat = sum(me_vec)
-                phi = M_E + m_hat + me_hat
-                frac = (pick * dest_frac * eve_frac
-                        * math.factorial(phi - 1) / Fraction(k ** phi))
-                key = (m_hat, k, 0, M_E + me_hat, -(M_E + me_hat),
-                       ((Fraction(n + 1, k), phi),))
-                acc[key] = acc.get(key, Fraction(0)) + frac
-    return _recipes_from_acc(acc)
-
-
-@lru_cache(maxsize=None)
-def _os_high_snr_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
-    inner: list[tuple] = []
-    for m in range(M_D):
-        for n, me_vec, eve_frac in _eve_survivor_factors(N, M_E):
-            me_hat = sum(me_vec)
-            beta = M_E + m + me_hat
-            frac = eve_frac * math.factorial(beta - 1) / math.factorial(m)
-            mults = tuple(beta if j == n else 0 for j in range(N))
-            inner.append((frac, m, M_E + me_hat, -(M_E + me_hat)) + mults)
-    acc: dict[tuple, Fraction] = {}
-    for k in range(1, K + 1):
-        pick = Fraction(binomial(K, k))
-        if k % 2 == 0:
-            pick = -pick
-        for coeff, poly, ld_pow, le_pow, *mults in expand_power_of_sum(inner, k):
-            poles = tuple((Fraction(j + 1), mult)
-                          for j, mult in enumerate(mults) if mult)
-            key = (poly, k, 0, ld_pow, le_pow, poles)
-            acc[key] = acc.get(key, Fraction(0)) + pick * coeff
-    return _recipes_from_acc(acc)
-
-
-@lru_cache(maxsize=512)
-def _high_snr_term_sum_for_key(key: tuple) -> TermSum:
-    K, N, M_D, M_E, lam_d, lam_e, zeta, scheme, knowledge = key
-    scales = (lam_d, lam_e, zeta)
-    if zeta == 0.0:
-        return TermSum(terms=(), constant=1.0, recipes=(), scales=scales)
-    recipes = (_ss_high_snr_recipes(K, N, M_D, M_E) if scheme == "SS"
-               else _os_high_snr_recipes(K, N, M_D, M_E))
-    if knowledge == "KU":
-        recipes = tuple(replace(r, zeta_pow=1) for r in recipes)
-    terms = materialize_recipes(recipes, lam_d, lam_e, zeta)
-    return TermSum(terms=terms, constant=1.0, recipes=recipes, scales=scales)
-
-
-def build_high_snr_term_sum(cfg: SystemConfig) -> TermSum:
-    """TermSum of the unity-dropped CDF (pure rational terms, no exp)."""
-    return _high_snr_term_sum_for_key(_config_key(cfg))
+            yield coeff, poly, ld_pow, le_pow, poles
+    return _select_over_links(K, link_terms, unity_dropped)
 
 
 def _recipes_from_acc(acc: dict) -> tuple:
@@ -257,13 +193,14 @@ def _config_key(cfg: SystemConfig) -> tuple:
             cfg.zeta, cfg.scheme, cfg.knowledge)
 
 
-@lru_cache(maxsize=512)
-def _term_sum_for_key(key: tuple) -> TermSum:
+@lru_cache(maxsize=1024)
+def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
     K, N, M_D, M_E, lam_d, lam_e, zeta, scheme, knowledge = key
     scales = (lam_d, lam_e, zeta)
     if zeta == 0.0:
         return TermSum(terms=(), constant=1.0, recipes=(), scales=scales)
-    recipes = _ss_recipes(K, N, M_D, M_E) if scheme == "SS" else _os_recipes(K, N, M_D, M_E)
+    build = _ss_recipes if scheme == "SS" else _os_recipes
+    recipes = build(K, N, M_D, M_E, unity_dropped)
     if knowledge == "KU":
         # gate applied after selection: F = 1 - zeta * (complement at zeta=1)
         recipes = tuple(replace(r, zeta_pow=1) for r in recipes)
@@ -273,7 +210,12 @@ def _term_sum_for_key(key: tuple) -> TermSum:
 
 def build_cdf_term_sum(cfg: SystemConfig) -> TermSum:
     """The TermSum carrying F(x) for cfg's scheme/knowledge (cached)."""
-    return _term_sum_for_key(_config_key(cfg))
+    return _term_sum_for_key(_config_key(cfg), False)
+
+
+def build_high_snr_term_sum(cfg: SystemConfig) -> TermSum:
+    """TermSum of the unity-dropped CDF (pure rational terms, no exp)."""
+    return _term_sum_for_key(_config_key(cfg), True)
 
 
 def cdf_ratio(x: float, cfg: SystemConfig) -> float:

@@ -1,8 +1,8 @@
 """Scalar special functions shared by the closed-form and integration layers.
 
-Everything here is pure float math on scalars: complete and upper incomplete
-gamma of integer order (including negative orders, which the tail kernels
-evaluate routinely), generalized exponential integrals with a series /
+Everything here is pure float math on scalars: upper incomplete gamma of
+integer order (including negative orders, which the tail kernels evaluate
+routinely), generalized exponential integrals with a series /
 continued-fraction regime split, harmonic numbers, exact binomials, and a
 signed log-domain value type used to carry alternating-series coefficients
 that would overflow or lose their sign structure in plain floats.
@@ -24,9 +24,9 @@ class SignedLogValue:
     """A real number stored as (ln |value|, sign) to survive huge magnitudes.
 
     sign == 0 encodes exact zero; log_magnitude is ignored in that case.
-    Multiplication adds logs, addition is signed log-sum-exp, so products of
-    hundreds of binomials and gamma factors never leave the representable
-    range even when the materialized value would overflow a double.
+    Term coefficients are built as logs, so products of hundreds of binomials
+    and gamma factors never leave the representable range even when the
+    materialized value would overflow a double.
     """
 
     log_magnitude: float
@@ -53,57 +53,12 @@ class SignedLogValue:
             return 0.0
         return self.sign * math.exp(self.log_magnitude)
 
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        sign = self.sign * other.sign
-        if sign == 0:
-            return SignedLogValue(float("-inf"), 0)
-        return SignedLogValue(self.log_magnitude + other.log_magnitude, sign)
-
-    def __neg__(self) -> "SignedLogValue":
-        return SignedLogValue(self.log_magnitude, -self.sign)
-
-    def __add__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = self, other
-        if lo.log_magnitude > hi.log_magnitude:
-            hi, lo = lo, hi
-        diff = lo.log_magnitude - hi.log_magnitude
-        if hi.sign == lo.sign:
-            return SignedLogValue(hi.log_magnitude + math.log1p(math.exp(diff)), hi.sign)
-        if diff == 0.0:
-            return SignedLogValue(float("-inf"), 0)
-        # ln(1 - e^diff) for diff < 0, split at -ln2 to keep either the
-        # expm1 or the log1p form in its accurate regime
-        if diff > -math.log(2.0):
-            delta = math.log(-math.expm1(diff))
-        else:
-            delta = math.log1p(-math.exp(diff))
-        return SignedLogValue(hi.log_magnitude + delta, hi.sign)
-
-
-def complete_gamma(z: float) -> float:
-    """Gamma(z) for z > 0; exact factorials at integer arguments."""
-    if z <= 0.0:
-        raise ValueError("z must be positive: the complete gamma here is only needed on (0, inf)")
-    return math.gamma(z)
-
 
 def binomial(n: int, k: int) -> int:
     """Exact integer C(n, k); k > n yields 0."""
     if k > n:
         return 0
     return math.comb(n, k)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) computed from the exact integer (valid for any size)."""
-    c = binomial(n, k)
-    if c == 0:
-        return float("-inf")
-    return math.log(c)
 
 
 def harmonic(n: int) -> float:

@@ -7,69 +7,42 @@ import pytest
 from secrecy_lab.algebra import (
     CapacityError,
     ExactTermRecipe,
-    MultiIndexSpec,
-    PoleGrouping,
     RationalExpTerm,
     TermSum,
-    enumerate_multi_indices,
     expand_power_of_sum,
-    group_poles,
     materialize_recipes,
     partial_fractions,
 )
 from secrecy_lab.specialfn import SignedLogValue
 
 
-class TestMultiIndexEnumeration:
-    def test_single_slot(self):
-        spec = MultiIndexSpec(kappa=1, per_slot_bounds=(1,))
-        assert list(enumerate_multi_indices(spec)) == [(0,), (1,)]
-
-    def test_independent_bounds_count(self):
-        spec = MultiIndexSpec(kappa=2, per_slot_bounds=(1, 1))
-        vectors = list(enumerate_multi_indices(spec))
-        assert len(vectors) == 4
-        assert vectors == sorted(vectors)  # lexicographic
-
-    def test_dependent_triangular_bounds(self):
-        spec = MultiIndexSpec(kappa=2, per_slot_bounds=(1, lambda p: p[0]))
-        assert list(enumerate_multi_indices(spec)) == [(0, 0), (1, 0), (1, 1)]
-
-    def test_cardinality_formula(self):
-        # independent slots multiply; kappa slots of bound tau give (tau+1)^kappa
-        spec = MultiIndexSpec(kappa=3, per_slot_bounds=(2, 2, 2))
-        assert len(list(enumerate_multi_indices(spec))) == 27
-
-
 class TestExpandPowerOfSum:
     def test_single_term_is_raised_componentwise(self):
-        term = (SignedLogValue.from_real(2.0), 1, 3)
+        term = (2.0, 1, 3)
         out = expand_power_of_sum([term], kappa=4)
         assert len(out) == 1
         coeff, xp, yp = out[0]
         assert xp == 4 and yp == 12
-        assert coeff.value() == pytest.approx(16.0, rel=1e-12)
+        assert coeff == pytest.approx(16.0, rel=1e-12)
 
     def test_binomial_square(self):
-        one = (SignedLogValue.from_real(1.0), 0, 0)
-        y = (SignedLogValue.from_real(1.0), 0, 1)
+        one = (1.0, 0, 0)
+        y = (1.0, 0, 1)
         out = expand_power_of_sum([one, y], kappa=2)
-        got = {t[1:]: t[0].value() for t in out}
+        got = {t[1:]: t[0] for t in out}
         assert got == {(0, 0): pytest.approx(1.0), (0, 1): pytest.approx(2.0),
                        (0, 2): pytest.approx(1.0)}
 
     def test_matches_direct_power_numerically(self):
         rng = random.Random(7)
         for _ in range(6):
-            inner = [(SignedLogValue.from_real(rng.uniform(-2.0, 2.0)),
-                      rng.randint(0, 2), rng.randint(0, 2)) for _ in range(3)]
+            inner = [(rng.uniform(-2.0, 2.0), rng.randint(0, 2),
+                      rng.randint(0, 2)) for _ in range(3)]
             out = expand_power_of_sum(inner, kappa=3)
             for _ in range(20):
                 x, y = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-                direct = sum(c.value() * x ** i * y ** j
-                             for c, i, j in inner) ** 3
-                expanded = sum(c.value() * x ** i * y ** j
-                               for c, i, j in out)
+                direct = sum(c * x ** i * y ** j for c, i, j in inner) ** 3
+                expanded = sum(c * x ** i * y ** j for c, i, j in out)
                 assert expanded == pytest.approx(direct, rel=1e-10)
 
     def test_works_on_exact_fractions(self):
@@ -121,38 +94,6 @@ class TestPartialFractions:
     def test_coincident_locations_rejected(self):
         with pytest.raises(ValueError, match="grouped"):
             partial_fractions([(1.0, 1), (1.0, 2)])
-
-
-class TestGroupPoles:
-    def test_one_repeat(self):
-        g = group_poles([1, 1, 2])
-        assert g.Z == 1
-        assert g.Q_sets == ((1, 2),)
-        assert g.Q_bar == (3,)
-
-    def test_all_distinct(self):
-        g = group_poles([0, 1, 2])
-        assert g.Z == 0
-        assert g.Q_sets == ()
-        assert g.Q_bar == (1, 2, 3)
-
-    def test_all_equal(self):
-        g = group_poles([3, 3, 3])
-        assert g.Z == 1
-        assert g.Q_sets == ((1, 2, 3),)
-        assert g.Q_bar == ()
-
-    def test_partition_is_disjoint_and_complete(self):
-        values = [2, 5, 2, 7, 5, 5, 9]
-        g = group_poles(values)
-        indices = sorted(i for group in g.Q_sets for i in group) + list(g.Q_bar)
-        assert sorted(indices) == list(range(1, len(values) + 1))
-
-    def test_grouping_validation(self):
-        with pytest.raises(ValueError):
-            PoleGrouping(Z=1, Q_sets=((1,),), Q_bar=())
-        with pytest.raises(ValueError):
-            PoleGrouping(Z=0, Q_sets=(), Q_bar=(1, 1))
 
 
 class TestRationalExpTerm:

@@ -6,6 +6,7 @@ closed forms existed; see the module docstring of oracles for the recording
 protocol.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 from itertools import product
@@ -15,6 +16,7 @@ import pytest
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.sop import (
     build_cdf_term_sum,
+    build_high_snr_term_sum,
     cdf_ratio,
     diversity_order,
     sop,
@@ -24,6 +26,43 @@ from secrecy_lab.sop import (
 
 # quad_cdf_ratio(x=2) at K=2, N=2, M_D=M_E=2, lam_D=10, lam_E=1, zeta=1, SS/KA
 GOLDEN_RATIO_CDF = 0.030717715588085443
+
+# sha256 of repr((exact recipes, unity-dropped recipes)) at zeta = 0.9,
+# recorded with separate exact and unity-dropped builders per scheme
+RECIPE_DIGESTS = {
+    ((2, 2, 2, 2), "SS", "KA"):
+        "135da12b1a9d5faea3faa03419232c16f3dcde21ccc15c2c81fb44d87b459350",
+    ((2, 2, 2, 2), "SS", "KU"):
+        "654cdddac60d988f99761ef39451c83eda80e85eda46b80f3d97ec358ca4d119",
+    ((2, 2, 2, 2), "OS", "KA"):
+        "ebabc599500666ffc72e305f054246e5e125e9e2bebd7b41e6c6511b72b2b8dc",
+    ((2, 2, 2, 2), "OS", "KU"):
+        "bac9afcba824e95917c95646a8019393d8c5da6f135793c443013e9da29ea43b",
+    ((3, 3, 3, 3), "SS", "KA"):
+        "a34f699e1495e44ca2b58e2e64078ff4a8cff862d69174a933335eb4643bba4c",
+    ((3, 3, 3, 3), "SS", "KU"):
+        "2a0a6ea008e311880e5d96cfc358d435bed0d1ff844a5cb2dc4c19949a2e38dd",
+    ((3, 3, 3, 3), "OS", "KA"):
+        "d9fca7a63bad7ee9fe959e6e566f6643696315d80a5f45f270797ac586bd3c51",
+    ((3, 3, 3, 3), "OS", "KU"):
+        "4e292c7bc2cffc07796c925167e50ca0048e2e79d809eaf666dc22cfff4f099e",
+    ((4, 2, 3, 2), "SS", "KA"):
+        "93a0d35e0df3901574dddfba9264d56cc8cf34663b90b3bd6e51e933ac322047",
+    ((4, 2, 3, 2), "SS", "KU"):
+        "9b5d77e6d68aa5aae1f47d0ffffb4f198e4f4a52876195ac847739d5a57e7c85",
+    ((4, 2, 3, 2), "OS", "KA"):
+        "757f1fdf71dbabb21bbfe7b454984a5514d3edf1393bafee15ce62a058133c67",
+    ((4, 2, 3, 2), "OS", "KU"):
+        "98971c952bf21ed345dfdc6a7d84f9d360c0b8a35b6e787dddec0068b9c5e87e",
+    ((4, 3, 3, 3), "SS", "KA"):
+        "8f12b0bff68989f32535a1df24c5ceedb9a0d890a284c4916011a8dc039297a5",
+    ((4, 3, 3, 3), "SS", "KU"):
+        "66a823707704e244c7f5d299e05f5afe0b98069ed77b18cb4059582f5057685d",
+    ((4, 3, 3, 3), "OS", "KA"):
+        "8cde8f86e30e22107a73ab5f3f202e3a78b493125d81b30a870463f864960c9b",
+    ((4, 3, 3, 3), "OS", "KU"):
+        "9fade3daa4fbfd0759420711a217a20b64247e6ebb69ceed66d0b15cc6864c74",
+}
 
 
 def _cfg(**overrides):
@@ -79,6 +118,17 @@ class TestRatioCdf:
         ts = build_cdf_term_sum(_cfg(K=3, N=2, scheme="OS"))
         for x in (1.0, 1.1, 2.0, 10.0, 200.0):
             assert -1e-9 <= ts.eval(x) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("shape, scheme, knowledge", sorted(RECIPE_DIGESTS))
+def test_recipes_pinned(shape, scheme, knowledge):
+    K, N, M_D, M_E = shape
+    cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
+               zeta=0.9, scheme=scheme, knowledge=knowledge)
+    recipes = (build_cdf_term_sum(cfg).recipes,
+               build_high_snr_term_sum(cfg).recipes)
+    digest = hashlib.sha256(repr(recipes).encode()).hexdigest()
+    assert digest == RECIPE_DIGESTS[shape, scheme, knowledge]
 
 
 class TestSop:
