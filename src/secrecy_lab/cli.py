@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 from .channel import SystemConfig
 from .esr import esr_asymptotic, esr_exact, esr_high_snr
-from .oracles import _mc_moments, quad_cdf_ratio, quad_esr
+from .oracles import _mc_moments, default_threads, quad_cdf_ratio, quad_esr
 from .sop import sop, sop_asymptotic, sop_asymptotic_perfect_backhaul
 
 _AXES = ("lambda_D_dB",)
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--strict", action="store_true",
                        help="exit nonzero if any oracle tolerance fails")
     run_p.add_argument("--threads", type=int,
-                       default=min(8, os.cpu_count() or 1))
+                       default=default_threads())
     run_p.add_argument("--seed", type=int, default=None,
                        help="override config and SECRECY_LAB_SEED")
     run_p.add_argument("--svg", metavar="DIR",
@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="analytic vs quadrature and Monte Carlo report")
     cmp_p.add_argument("--config", required=True)
     cmp_p.add_argument("--threads", type=int,
-                       default=min(8, os.cpu_count() or 1))
+                       default=default_threads())
     cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.set_defaults(func=_cmd_compare)
 

@@ -6,12 +6,14 @@ Monte Carlo determinism: trials are split into fixed 65536-trial chunks and
 each chunk gets its own counter-based (Philox) stream keyed by (seed, chunk
 index). Per-chunk reductions happen inside the chunk and the cross-chunk
 reduction runs in chunk order, so the estimate is bit-identical for any
-worker count.
+worker count. The draws depend only on (K, N, M_D, M_E), so configs of one
+such shape can share a pass and still get the bits of a pass of their own.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -62,16 +64,8 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
-def _tail_integral(fn, scale: float, settings: QuadratureSettings) -> float:
-    # integral_0^inf fn(y) dy via y = -scale*log(1-u), u in [0, 1); the map
-    # turns exponential decay into an O(1) integrand and keeps adaptivity
-    # concentrated near y = 0 where the densities peak.
-    def mapped(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        y = -scale * math.log1p(-u)
-        return fn(y) * scale / (1.0 - u)
-
+def _quad_unit(mapped, settings: QuadratureSettings) -> float:
+    # integral_0^1 mapped(u) du, raising when QUADPACK misses the tolerance
     value, err = quad(mapped, 0.0, 1.0,
                       epsabs=settings.abs_tol, epsrel=settings.rel_tol,
                       limit=settings.max_subdivisions)
@@ -83,6 +77,54 @@ def _tail_integral(fn, scale: float, settings: QuadratureSettings) -> float:
 def _eve_scale(cfg: SystemConfig) -> float:
     # roughly the mean of the strongest eavesdropper SNR
     return cfg.lambda_E * (cfg.M_E + math.log(cfg.N + 1.0))
+
+
+# Eavesdropper nodes per (N, M_E, lambda_E), which also fix the map's scale:
+# u -> (1+y, f_E(y), 1-u).
+# QUADPACK bisects [0, 1] the same way for every integrand, so the inner
+# integrals of all thresholds and rows of one eavesdropper law keep landing
+# on the same u; the density is evaluated once per node. Values depend only
+# on their keys, so a race between threads at worst repeats work.
+_NODE_TABLES: dict = {}
+_NODE_TABLES_MAX = 64
+_NODES_PER_TABLE_MAX = 1 << 16
+
+
+def _node_table(cfg: SystemConfig) -> tuple[float, dict]:
+    scale = _eve_scale(cfg)
+    key = (cfg.N, cfg.M_E, cfg.lambda_E)
+    table = _NODE_TABLES.get(key)
+    if table is None:
+        if len(_NODE_TABLES) >= _NODE_TABLES_MAX:
+            _NODE_TABLES.pop(next(iter(_NODE_TABLES)), None)
+        table = _NODE_TABLES.setdefault(key, {})
+    return scale, table
+
+
+def _eve_average(dest, x: float, cfg: SystemConfig,
+                 settings: QuadratureSettings) -> float:
+    """integral_0^inf dest(x(1+y)-1) f_E(y) dy over the strongest eavesdropper.
+
+    y = -scale*log(1-u), u in [0, 1): the map turns exponential decay into an
+    O(1) integrand and keeps adaptivity concentrated near y = 0 where the
+    densities peak.
+    """
+    scale, table = _node_table(cfg)
+    N, M_E, lambda_E = cfg.N, cfg.M_E, cfg.lambda_E
+
+    def mapped(u: float) -> float:
+        if u >= 1.0:
+            return 0.0
+        node = table.get(u)
+        if node is None:
+            y = -scale * math.log1p(-u)
+            node = (1.0 + y, pdf_snr_eve_max(y, N, M_E, lambda_E), 1.0 - u)
+            if len(table) < _NODES_PER_TABLE_MAX:
+                table[u] = node
+        one_plus_y, density, one_minus_u = node
+        return dest(x * one_plus_y - 1.0) * density * scale / one_minus_u
+
+    return _quad_unit(mapped, settings)
 
 
 def quad_cdf_ratio(x: float, cfg: SystemConfig,
@@ -99,31 +141,25 @@ def quad_cdf_ratio(x: float, cfg: SystemConfig,
     settings = settings or QuadratureSettings()
     if cfg.zeta == 0.0:
         return 1.0
-    scale = _eve_scale(cfg)
-
-    def eve_pdf(y: float) -> float:
-        return pdf_snr_eve_max(y, cfg.N, cfg.M_E, cfg.lambda_E)
+    K, M_D, lambda_D = cfg.K, cfg.M_D, cfg.lambda_D
 
     if cfg.scheme == "SS":
         if cfg.knowledge == "KA":
-            def integrand(y: float) -> float:
-                return (cdf_snr_dest_mixture_ka(x * (1.0 + y) - 1.0, cfg) ** cfg.K
-                        * eve_pdf(y))
-            value = _tail_integral(integrand, scale, settings)
+            def dest(arg: float) -> float:
+                return cdf_snr_dest_mixture_ka(arg, cfg) ** K
+            value = _eve_average(dest, x, cfg, settings)
         else:
-            def integrand(y: float) -> float:
-                return (cdf_snr_dest(x * (1.0 + y) - 1.0, cfg.M_D, cfg.lambda_D) ** cfg.K
-                        * eve_pdf(y))
-            value = (1.0 - cfg.zeta) + cfg.zeta * _tail_integral(integrand, scale, settings)
+            def dest(arg: float) -> float:
+                return cdf_snr_dest(arg, M_D, lambda_D) ** K
+            value = (1.0 - cfg.zeta) + cfg.zeta * _eve_average(dest, x, cfg, settings)
     else:
-        def integrand(y: float) -> float:
-            return (cdf_snr_dest(x * (1.0 + y) - 1.0, cfg.M_D, cfg.lambda_D)
-                    * eve_pdf(y))
-        single = _tail_integral(integrand, scale, settings)
+        def dest(arg: float) -> float:
+            return cdf_snr_dest(arg, M_D, lambda_D)
+        single = _eve_average(dest, x, cfg, settings)
         if cfg.knowledge == "KA":
-            value = ((1.0 - cfg.zeta) + cfg.zeta * single) ** cfg.K
+            value = ((1.0 - cfg.zeta) + cfg.zeta * single) ** K
         else:
-            value = (1.0 - cfg.zeta) + cfg.zeta * single ** cfg.K
+            value = (1.0 - cfg.zeta) + cfg.zeta * single ** K
     return min(1.0, max(0.0, value))
 
 
@@ -131,29 +167,20 @@ def _quad_survival_ratio(x: float, cfg: SystemConfig,
                          settings: QuadratureSettings) -> float:
     # 1 - F(x) computed as its own integral (no 1 - (1 - eps) loss), needed
     # by the ESR integrand which weights the far tail logarithmically.
-    scale = _eve_scale(cfg)
-
-    def eve_pdf(y: float) -> float:
-        return pdf_snr_eve_max(y, cfg.N, cfg.M_E, cfg.lambda_E)
-
+    K, M_D, lambda_D = cfg.K, cfg.M_D, cfg.lambda_D
+    gate = cfg.zeta if cfg.knowledge == "KA" else 1.0
     if cfg.scheme == "SS":
-        gate = cfg.zeta if cfg.knowledge == "KA" else 1.0
+        def dest(arg: float) -> float:
+            gated = gate * sf_snr_dest(arg, M_D, lambda_D)
+            return 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
 
-        def integrand(y: float) -> float:
-            sf = sf_snr_dest(x * (1.0 + y) - 1.0, cfg.M_D, cfg.lambda_D)
-            gated = gate * sf
-            survived = 1.0 if gated >= 1.0 else -math.expm1(cfg.K * math.log1p(-gated))
-            return survived * eve_pdf(y)
-
-        value = _tail_integral(integrand, scale, settings)
+        value = _eve_average(dest, x, cfg, settings)
     else:
-        def integrand(y: float) -> float:
-            return (sf_snr_dest(x * (1.0 + y) - 1.0, cfg.M_D, cfg.lambda_D)
-                    * eve_pdf(y))
-        single = min(1.0, max(0.0, _tail_integral(integrand, scale, settings)))
-        gate = cfg.zeta if cfg.knowledge == "KA" else 1.0
+        def dest(arg: float) -> float:
+            return sf_snr_dest(arg, M_D, lambda_D)
+        single = min(1.0, max(0.0, _eve_average(dest, x, cfg, settings)))
         gated = gate * single
-        value = 1.0 if gated >= 1.0 else -math.expm1(cfg.K * math.log1p(-gated))
+        value = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
     if cfg.knowledge == "KU":
         value *= cfg.zeta
     return min(1.0, max(0.0, value))
@@ -162,43 +189,66 @@ def _quad_survival_ratio(x: float, cfg: SystemConfig,
 def quad_esr(cfg: SystemConfig, settings: QuadratureSettings | None = None) -> float:
     """Ergodic secrecy rate by nested adaptive quadrature.
 
-    (1/ln 2) * integral_1^inf (1 - F(x))/x dx with the outer tail exp-mapped;
-    the inner survival probability is itself an adaptive quadrature.
+    (1/ln 2) * integral_1^inf (1 - F(x))/x dx with the outer tail mapped like
+    the inner one, t = x-1 = -scale*log(1-u); the inner survival probability
+    is itself an adaptive quadrature.
     """
     settings = settings or QuadratureSettings()
     if cfg.zeta == 0.0:
         return 0.0
     outer_scale = cfg.lambda_D * (cfg.M_D + math.log(cfg.K + 1.0)) + cfg.lambda_E
 
-    def integrand(t: float) -> float:
+    def mapped(u: float) -> float:
+        if u >= 1.0:
+            return 0.0
+        t = -outer_scale * math.log1p(-u)
         x = 1.0 + t
-        return _quad_survival_ratio(x, cfg, settings) / x
+        return _quad_survival_ratio(x, cfg, settings) / x * outer_scale / (1.0 - u)
 
-    return _tail_integral(integrand, outer_scale, settings) / _LN2
+    return _quad_unit(mapped, settings) / _LN2
 
 
-def _rates_with_rng(cfg: SystemConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    # Draw order is part of the reproducibility contract: destination SNRs,
-    # then eavesdropper SNRs, then backhaul gates.
-    dest = rng.standard_exponential((count, cfg.K, cfg.M_D)).sum(axis=2) * cfg.lambda_D
-    eve = (rng.standard_exponential((count, cfg.K, cfg.N, cfg.M_E)).sum(axis=3)
-           * cfg.lambda_E).max(axis=2)
-    active = rng.random((count, cfg.K)) < cfg.zeta
+def _shape(cfg: SystemConfig) -> tuple[int, int, int, int]:
+    # what the Monte Carlo draws depend on, besides the seed and the chunk
+    return cfg.K, cfg.N, cfg.M_D, cfg.M_E
 
-    ratio = (1.0 + dest) / (1.0 + eve)
-    if cfg.scheme == "SS":
-        score = dest
-    else:
-        score = ratio
-    if cfg.knowledge == "KA":
-        masked = np.where(active, score, -np.inf)
-        chosen = np.argmax(masked, axis=1)
-        transmitting = active.any(axis=1)
-    else:
-        chosen = np.argmax(score, axis=1)
-        transmitting = np.take_along_axis(active, chosen[:, None], axis=1)[:, 0]
-    chosen_ratio = np.take_along_axis(ratio, chosen[:, None], axis=1)[:, 0]
-    rates = np.where(transmitting, np.maximum(np.log2(chosen_ratio), 0.0), 0.0)
+
+def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
+                    count: int) -> list[np.ndarray]:
+    """Per-trial secrecy rates of every config, all from one set of draws.
+
+    The configs share (K, N, M_D, M_E); the rest of each config is applied to
+    the unit-scale draws afterwards, so every rate array is bit-identical to
+    a draw made for its config alone. Draw order is part of the
+    reproducibility contract: destination SNRs, then eavesdropper SNRs, then
+    backhaul gates.
+    """
+    K, N, M_D, M_E = _shape(cfgs[0])
+    dest_sum = rng.standard_exponential((count, K, M_D)).sum(axis=2)
+    # scaling by lambda_E > 0 is monotone under rounding, so the scaled
+    # maximum over eavesdroppers equals the maximum of the scaled sums
+    eve_max = rng.standard_exponential((count, K, N, M_E)).sum(axis=3).max(axis=2)
+    gate_u = rng.random((count, K))
+
+    snrs: dict = {}  # (lambda_D, lambda_E) -> (destination SNR, ratio)
+    rates = []
+    for cfg in cfgs:
+        key = (cfg.lambda_D, cfg.lambda_E)
+        if key not in snrs:
+            dest = dest_sum * cfg.lambda_D
+            snrs[key] = dest, (1.0 + dest) / (1.0 + eve_max * cfg.lambda_E)
+        dest, ratio = snrs[key]
+        active = gate_u < cfg.zeta
+        score = dest if cfg.scheme == "SS" else ratio
+        if cfg.knowledge == "KA":
+            masked = np.where(active, score, -np.inf)
+            chosen = np.argmax(masked, axis=1)
+            transmitting = active.any(axis=1)
+        else:
+            chosen = np.argmax(score, axis=1)
+            transmitting = np.take_along_axis(active, chosen[:, None], axis=1)[:, 0]
+        chosen_ratio = np.take_along_axis(ratio, chosen[:, None], axis=1)[:, 0]
+        rates.append(np.where(transmitting, np.maximum(np.log2(chosen_ratio), 0.0), 0.0))
     return rates
 
 
@@ -207,40 +257,69 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mc_moments(cfg: SystemConfig, trials: int, seed: int,
-                threads: int = 1) -> tuple[MonteCarloEstimate, MonteCarloEstimate]:
+def _mc_moments_many(cfgs: tuple[SystemConfig, ...], trials: int, seed: int,
+                     threads: int = 1) -> list[tuple[MonteCarloEstimate, MonteCarloEstimate]]:
+    """(outage, rate) estimates of every config from one Monte Carlo pass.
+
+    The configs must share (K, N, M_D, M_E). Each pair is bit-identical to a
+    pass over its config alone, for any thread count.
+    """
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be at least {_MIN_TRIALS} (got {trials})")
+    if not cfgs or any(_shape(c) != _shape(cfgs[0]) for c in cfgs):
+        raise ValueError("a Monte Carlo pass needs configs of one (K, N, M_D, M_E)")
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
         sizes.append(trials % _CHUNK)
 
-    def chunk_stats(index_size: tuple[int, int]) -> tuple[float, float, float]:
+    def chunk_stats(index_size: tuple[int, int]) -> list[tuple[float, float, float]]:
         index, size = index_size
-        rates = _rates_with_rng(cfg, _chunk_rng(seed, index), size)
-        outage = rates <= cfg.R_th
-        return (float(outage.sum()), float(rates.sum()), float((rates * rates).sum()))
+        stats = []
+        for cfg, rates in zip(cfgs, _rates_with_rng(cfgs, _chunk_rng(seed, index), size)):
+            outage = rates <= cfg.R_th
+            stats.append((float(outage.sum()), float(rates.sum()),
+                          float((rates * rates).sum())))
+        return stats
 
     jobs = list(enumerate(sizes))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(chunk_stats, jobs))
+            chunks = list(pool.map(chunk_stats, jobs))
     else:
-        rows = [chunk_stats(j) for j in jobs]
+        chunks = [chunk_stats(j) for j in jobs]
 
-    outage_count = math.fsum(r[0] for r in rows)
-    rate_sum = math.fsum(r[1] for r in rows)
-    rate_sq_sum = math.fsum(r[2] for r in rows)
     n = float(trials)
+    pairs = []
+    for rows in zip(*chunks):  # one config's per-chunk sums, in chunk order
+        outage_count = math.fsum(r[0] for r in rows)
+        rate_sum = math.fsum(r[1] for r in rows)
+        rate_sq_sum = math.fsum(r[2] for r in rows)
 
-    p = outage_count / n
-    var_p = max(0.0, (outage_count - outage_count * outage_count / n) / (n - 1.0))
-    sop = MonteCarloEstimate(p, math.sqrt(var_p / n), trials, seed)
+        p = outage_count / n
+        var_p = max(0.0, (outage_count - outage_count * outage_count / n) / (n - 1.0))
+        sop = MonteCarloEstimate(p, math.sqrt(var_p / n), trials, seed)
 
-    mean = rate_sum / n
-    var_r = max(0.0, (rate_sq_sum - rate_sum * rate_sum / n) / (n - 1.0))
-    esr = MonteCarloEstimate(mean, math.sqrt(var_r / n), trials, seed)
-    return sop, esr
+        mean = rate_sum / n
+        var_r = max(0.0, (rate_sq_sum - rate_sum * rate_sum / n) / (n - 1.0))
+        esr = MonteCarloEstimate(mean, math.sqrt(var_r / n), trials, seed)
+        pairs.append((sop, esr))
+    return pairs
+
+
+def _mc_moments(cfg: SystemConfig, trials: int, seed: int,
+                threads: int = 1) -> tuple[MonteCarloEstimate, MonteCarloEstimate]:
+    return _mc_moments_many((cfg,), trials, seed, threads)[0]
+
+
+def default_threads() -> int:
+    """Monte Carlo worker threads: the CPUs this process may run on, at most 8.
+
+    os.cpu_count() counts every CPU of the machine, which oversubscribes a
+    process limited by an affinity mask (taskset, cgroup cpusets).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
+    return min(8, os.cpu_count() or 1)
 
 
 def mc_sop(cfg: SystemConfig, trials: int, seed: int, threads: int = 1) -> MonteCarloEstimate:

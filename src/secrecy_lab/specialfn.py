@@ -3,9 +3,9 @@
 Everything here is pure float math on scalars: upper incomplete gamma of
 integer order (including negative orders, which the tail kernels evaluate
 routinely), generalized exponential integrals with a series /
-continued-fraction regime split, harmonic numbers, exact binomials, and a
-signed log-domain value type used to carry alternating-series coefficients
-that would overflow or lose their sign structure in plain floats.
+continued-fraction regime split, exact binomials, and a signed log-domain
+value type used to carry alternating-series coefficients that would
+overflow or lose their sign structure in plain floats.
 """
 
 from __future__ import annotations
@@ -59,13 +59,6 @@ def binomial(n: int, k: int) -> int:
     if k > n:
         return 0
     return math.comb(n, k)
-
-
-def harmonic(n: int) -> float:
-    """H_n = sum_{i=1..n} 1/i, with H_0 = 0. Summed small-to-large."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return math.fsum(1.0 / i for i in range(n, 0, -1))
 
 
 def _exp_integral_one_series(x: float) -> float:

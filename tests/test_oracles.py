@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from secrecy_lab import oracles
 from secrecy_lab.channel import SystemConfig, cdf_snr_dest
 from secrecy_lab.oracles import (
     QuadratureError,
     QuadratureSettings,
     _chunk_rng,
+    _mc_moments,
+    _mc_moments_many,
     _rates_with_rng,
     mc_esr,
     mc_sop,
@@ -47,6 +54,44 @@ class TestSimulatorDeterminism:
             mc_sop(_cfg(), 5000, seed=1)
 
 
+class TestSharedDraws:
+    # every row of one (K, N, M_D, M_E) shape; 70000 trials make a full
+    # chunk and a ragged one
+    ROWS = tuple(_cfg(M_E=1, lambda_D=lam, zeta=zeta, scheme=scheme,
+                      knowledge=knowledge, R_th=r_th)
+                 for lam, zeta, scheme, knowledge, r_th in product(
+                     (2.0, 50.0), (0.0, 0.5, 1.0), ("SS", "OS"), ("KA", "KU"),
+                     (0.5, 1.5)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batched_equals_row_by_row(self, threads):
+        batched = _mc_moments_many(self.ROWS, 70000, seed=17, threads=threads)
+        assert len(batched) == len(self.ROWS)
+        for cfg, pair in zip(self.ROWS, batched):
+            alone = _mc_moments(cfg, 70000, seed=17, threads=1)
+            for shared, single in zip(pair, alone):
+                assert shared.mean == single.mean
+                assert shared.stderr == single.stderr
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            _mc_moments_many((_cfg(), _cfg(K=3)), 20000, seed=1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity masks")
+    def test_default_threads_follow_the_affinity_mask(self):
+        # a process pinned to one CPU gets one Monte Carlo thread, however
+        # many CPUs the machine has
+        cpu = min(os.sched_getaffinity(0))
+        code = ("import os; os.sched_setaffinity(0, {%d}); "
+                "from secrecy_lab.oracles import default_threads; "
+                "print(default_threads())" % cpu)
+        out = subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "1"
+
+
 class TestSimulatorDistributions:
     def test_gamma_sampling_against_cdf(self):
         # the simulator draws each link SNR as a sum of M exponentials; the
@@ -65,7 +110,7 @@ class TestSimulatorDistributions:
         assert abs(samples.mean() - lam) <= 3.0 * stderr
 
     def test_single_trial_surface(self):
-        rates = _rates_with_rng(_cfg(), _chunk_rng(seed=0, chunk_index=0), 1)
+        (rates,) = _rates_with_rng((_cfg(),), _chunk_rng(seed=0, chunk_index=0), 1)
         assert rates.shape == (1,) and rates[0] >= 0.0
 
     def test_no_backhaul_trivials(self):
@@ -122,3 +167,40 @@ class TestQuadratureOracle:
         assert abs(quad_cdf_ratio(cfg.rho(), cfg) - est.mean) <= 3.0 * est.stderr
         rate = mc_esr(cfg, 400000, seed=21)
         assert abs(quad_esr(cfg) - rate.mean) <= max(3.0 * rate.stderr, 0.02)
+
+
+# float.hex() of quad_esr and quad_cdf_ratio(rho) for K = N = 2, M_D = M_E = M,
+# lambda_D = 10, lambda_E = 10^0.5, zeta = 0.9, R_th = 1, recorded before the
+# eavesdropper node cache existed
+_QUAD_BITS = (
+    ("SS", "KA", 1, "0x1.649b244f2668ep+0", "0x1.af79340014873p-2"),
+    ("SS", "KA", 2, "0x1.76e4785daa9eap+0", "0x1.609b718ee4af0p-2"),
+    ("SS", "KU", 1, "0x1.58cb484b21c40p+0", "0x1.c3e189c60c752p-2"),
+    ("SS", "KU", 2, "0x1.6764911e0697ep+0", "0x1.7c3da59eb8d26p-2"),
+    ("OS", "KA", 1, "0x1.795374eac6a43p+0", "0x1.8ae51071842b5p-2"),
+    ("OS", "KA", 2, "0x1.8cde1219bf42ap+0", "0x1.3696919e68b5ep-2"),
+    ("OS", "KU", 1, "0x1.6fd0f730f0400p+0", "0x1.9b3cf07cfa483p-2"),
+    ("OS", "KU", 2, "0x1.7fcf3bef01153p+0", "0x1.4d8d905aa0dcep-2"),
+)
+
+
+class TestQuadratureBits:
+    @pytest.mark.parametrize("scheme,knowledge,M,esr_hex,sop_hex", _QUAD_BITS)
+    def test_pinned_on_cold_and_warm_node_cache(self, monkeypatch, scheme,
+                                                knowledge, M, esr_hex, sop_hex):
+        cfg = _cfg(M_D=M, M_E=M, lambda_E=10.0 ** 0.5, zeta=0.9,
+                   scheme=scheme, knowledge=knowledge)
+        monkeypatch.setattr(oracles, "_NODE_TABLES", {})
+        assert quad_esr(cfg).hex() == esr_hex
+        monkeypatch.setattr(oracles, "_NODE_TABLES", {})
+        assert quad_cdf_ratio(cfg.rho(), cfg).hex() == sop_hex
+        assert oracles._NODE_TABLES  # the calls above filled it
+        assert quad_esr(cfg).hex() == esr_hex
+        assert quad_cdf_ratio(cfg.rho(), cfg).hex() == sop_hex
+
+    @pytest.mark.parametrize("scheme", ["SS", "OS"])
+    def test_gate_after_selection_at_full_reliability_is_bitwise_ka(self, scheme):
+        # the acceptance gate computes the zeta = 1 KU rate as the KA one
+        ka = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme=scheme, knowledge="KA")
+        ku = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme=scheme, knowledge="KU")
+        assert quad_esr(ku).hex() == quad_esr(ka).hex()

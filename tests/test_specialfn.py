@@ -7,7 +7,6 @@ from secrecy_lab.specialfn import (
     SignedLogValue,
     binomial,
     exp_integral,
-    harmonic,
     pairwise_sum,
     upper_incomplete_gamma_int,
 )
@@ -15,7 +14,6 @@ from secrecy_lab.specialfn import (
 GAMMA_0_1 = 0.21938393439552027
 GAMMA_M1_1 = 0.14849550677592205
 E1_10 = 4.1569689296853243e-06
-EULER_GAMMA = 0.5772156649015329
 
 
 class TestUpperIncompleteGamma:
@@ -80,23 +78,6 @@ class TestExpIntegral:
             exp_integral(1, 0.0)
         with pytest.raises(ValueError):
             exp_integral(1, -3.0)
-
-
-class TestHarmonic:
-    def test_small_values(self):
-        assert harmonic(0) == 0.0
-        assert harmonic(1) == 1.0
-        assert harmonic(3) == pytest.approx(11.0 / 6.0, rel=1e-15)
-
-    def test_approaches_log_plus_euler_gamma(self):
-        # classical bracket: 1/(2(n+1)) < H_n - ln n - gamma < 1/(2n),
-        # so each gap is the 1/2n remainder up to a higher-order correction
-        gaps = [harmonic(n) - math.log(n) - EULER_GAMMA
-                for n in (10, 100, 1000)]
-        for n, gap, tol in zip((10, 100, 1000), gaps, (1e-2, 1e-3, 1e-4)):
-            assert 1.0 / (2.0 * (n + 1)) < gap < 1.0 / (2.0 * n)
-            assert abs(gap - 1.0 / (2.0 * n)) < tol
-        assert gaps[0] > gaps[1] > gaps[2]
 
 
 class TestBinomial:
