@@ -19,16 +19,15 @@ A sweep config is a single JSON object:
     }
 
 dB values are converted to linear scale once at ingestion. Seed precedence:
---seed flag, then SECRECY_LAB_SEED, then the config value. Rows are computed
-by a thread pool but buffered and written in config order, with every float
-rendered at 17 significant digits, so output bytes depend only on (config,
-seed).
+--seed flag, then SECRECY_LAB_SEED, then the config value. One Monte Carlo
+pass on --threads worker threads serves every row; rows are evaluated and
+written in config order, with every float rendered at 17 significant
+digits, so output bytes depend only on (config, seed).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -37,10 +36,13 @@ from dataclasses import dataclass, replace
 
 from .channel import SystemConfig
 from .esr import esr_asymptotic, esr_exact, esr_high_snr
-from .oracles import _mc_moments, default_threads, quad_cdf_ratio, quad_esr
+from .oracles import (_MIN_TRIALS, _mc_moments_many, default_threads,
+                      quad_cdf_ratio, quad_esr)
 from .sop import sop, sop_asymptotic, sop_asymptotic_perfect_backhaul
 
 _AXES = ("lambda_D_dB",)
+_ID_COLUMNS = ("variant_id", "scheme", "knowledge", "K", "N", "M_D", "M_E",
+               "zeta", "lambda_D_dB", "lambda_E_dB", "R_th")
 _OUTPUTS = ("sop_exact", "sop_asymptotic", "esr_exact", "esr_high_snr",
             "esr_asymptotic", "mc", "quad")
 _VARIANT_KEYS = ("scheme", "knowledge", "K", "N", "M_D", "M_E", "zeta")
@@ -51,6 +53,19 @@ _BASE_KEYS = ("K", "N", "M_D", "M_E", "lambda_D_dB", "lambda_E_dB",
 _SOP_QUAD_TOL = 1e-6
 _ESR_QUAD_TOL = 1e-5
 _ESR_MC_FLOOR = 0.02
+
+# analytic-minus-oracle columns: name, analytic column, oracle column, and
+# the tolerance of a row given the sweep's trial count
+_DELTAS = (
+    ("sop_exact_quad_delta", "sop_exact", "quad_sop", lambda row, trials: _SOP_QUAD_TOL),
+    ("esr_exact_quad_delta", "esr_exact", "quad_esr", lambda row, trials: _ESR_QUAD_TOL),
+    # zero observed outages leave stderr = 0; 9/trials keeps the gate at the
+    # simulation's resolution
+    ("sop_exact_mc_delta", "sop_exact", "mc_sop",
+     lambda row, trials: max(3.0 * row["mc_sop_stderr"], 9.0 / trials)),
+    ("esr_exact_mc_delta", "esr_exact", "mc_esr",
+     lambda row, trials: max(3.0 * row["mc_esr_stderr"], _ESR_MC_FLOOR)),
+)
 
 
 class ConfigError(ValueError):
@@ -65,6 +80,18 @@ class SweepSpec:
     outputs: tuple[str, ...]
     trials: int
     seed: int
+
+    def __post_init__(self):
+        # checked here, so a seed from the flag or the environment and the
+        # outputs that compare adds are checked like the config's own
+        trials, seed = self.trials, self.seed
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
+            raise ConfigError(f"trials: expected a positive integer (got {trials!r})")
+        if "mc" in self.outputs and trials < _MIN_TRIALS:
+            raise ConfigError(f"trials: Monte Carlo output needs at least "
+                              f"{_MIN_TRIALS} (got {trials})")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"seed: expected an unsigned 64-bit integer (got {seed!r})")
 
     def rows(self):
         """Yield (variant_id, config, axis_dB) in output order."""
@@ -99,6 +126,15 @@ def _require(mapping: dict, field: str, kinds, what: str):
     return value
 
 
+def _finite(value, field: str) -> float:
+    # NaN fails the comparison; ints past the double range are caught before
+    # float() overflows
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{field}: expected a finite number (got {value!r})")
+    return float(value)
+
+
 def parse_sweep_spec(doc: dict) -> SweepSpec:
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -119,10 +155,10 @@ def parse_sweep_spec(doc: dict) -> SweepSpec:
         "M_D": base_doc["M_D"], "M_E": base_doc["M_E"],
         # the sweep axis supplies lambda_D per row; a base value, if given,
         # only seeds the placeholder
-        "lambda_D": _db_to_linear(float(base_doc.get("lambda_D_dB", 0.0))),
-        "lambda_E": _db_to_linear(float(base_doc["lambda_E_dB"])),
-        "zeta": float(base_doc.get("zeta", 1.0)),
-        "R_th": float(base_doc.get("R_th", 1.0)),
+        "lambda_D": _db_to_linear(_finite(base_doc.get("lambda_D_dB", 0.0), "lambda_D_dB")),
+        "lambda_E": _db_to_linear(_finite(base_doc["lambda_E_dB"], "lambda_E_dB")),
+        "zeta": _finite(base_doc.get("zeta", 1.0), "zeta"),
+        "R_th": _finite(base_doc.get("R_th", 1.0), "R_th"),
         "scheme": base_doc.get("scheme", "SS"),
         "knowledge": base_doc.get("knowledge", "KA"),
     }
@@ -137,11 +173,7 @@ def parse_sweep_spec(doc: dict) -> SweepSpec:
     values = _require(doc, "axis_values", list, "a list of numbers")
     if not values:
         raise ConfigError("axis_values: must be nonempty")
-    axis_values = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"axis_values[{i}]: expected a number (got {v!r})")
-        axis_values.append(float(v))
+    axis_values = [_finite(v, f"axis_values[{i}]") for i, v in enumerate(values)]
     if any(b <= a for a, b in zip(axis_values, axis_values[1:])):
         raise ConfigError("axis_values: must be strictly increasing")
 
@@ -157,7 +189,7 @@ def parse_sweep_spec(doc: dict) -> SweepSpec:
                 raise ConfigError(f"variants[{i}].{key}: unknown override")
         overrides = dict(entry)
         if "zeta" in overrides:
-            overrides["zeta"] = float(overrides["zeta"])
+            overrides["zeta"] = _finite(overrides["zeta"], f"variants[{i}].zeta")
         _apply_overrides(base, overrides)  # validate now, not mid-sweep
         variants.append(tuple(sorted(overrides.items())))
 
@@ -169,18 +201,9 @@ def parse_sweep_spec(doc: dict) -> SweepSpec:
             raise ConfigError(f"outputs: unknown output {name!r}")
     outputs = tuple(n for n in _OUTPUTS if n in outputs_doc)
 
-    trials = doc.get("trials", 1_000_000)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
-        raise ConfigError(f"trials: expected a positive integer (got {trials!r})")
-    if "mc" in outputs and trials < 10_000:
-        raise ConfigError(f"trials: Monte Carlo output needs at least 10000 (got {trials})")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed: expected an unsigned 64-bit integer (got {seed!r})")
-
     return SweepSpec(base=base, axis_values=tuple(axis_values),
                      variants=tuple(variants), outputs=outputs,
-                     trials=trials, seed=seed)
+                     trials=doc.get("trials", 1_000_000), seed=doc.get("seed", 0))
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
@@ -195,25 +218,13 @@ def load_sweep_spec(path: str) -> SweepSpec:
 
 
 def _columns(outputs) -> list[str]:
-    cols = ["variant_id", "scheme", "knowledge", "K", "N", "M_D", "M_E",
-            "zeta", "lambda_D_dB", "lambda_E_dB", "R_th"]
-    for name in ("sop_exact", "sop_asymptotic", "esr_exact", "esr_high_snr",
-                 "esr_asymptotic"):
-        if name in outputs:
-            cols.append(name)
-    if "mc" in outputs:
-        cols += ["mc_sop", "mc_sop_stderr", "mc_esr", "mc_esr_stderr"]
-    if "quad" in outputs:
-        cols += ["quad_sop", "quad_esr"]
-    if "quad" in outputs and "sop_exact" in outputs:
-        cols.append("sop_exact_quad_delta")
-    if "quad" in outputs and "esr_exact" in outputs:
-        cols.append("esr_exact_quad_delta")
-    if "mc" in outputs and "sop_exact" in outputs:
-        cols.append("sop_exact_mc_delta")
-    if "mc" in outputs and "esr_exact" in outputs:
-        cols.append("esr_exact_mc_delta")
-    return cols
+    oracle_columns = {"mc": ("mc_sop", "mc_sop_stderr", "mc_esr", "mc_esr_stderr"),
+                      "quad": ("quad_sop", "quad_esr")}
+    cols = list(_ID_COLUMNS)
+    for name in outputs:  # in _OUTPUTS order
+        cols += oracle_columns.get(name, (name,))
+    return cols + [delta for delta, analytic, oracle, _tol in _DELTAS
+                   if analytic in cols and oracle in cols]
 
 
 def _sop_asymptote(cfg: SystemConfig) -> float:
@@ -226,6 +237,7 @@ def _sop_asymptote(cfg: SystemConfig) -> float:
 
 def _evaluate_row(variant_id: str, cfg: SystemConfig, axis_db: float,
                   spec: SweepSpec) -> dict:
+    """Identity, closed-form and quadrature cells of one row."""
     row = {
         "variant_id": variant_id, "scheme": cfg.scheme,
         "knowledge": cfg.knowledge, "K": cfg.K, "N": cfg.N,
@@ -244,23 +256,9 @@ def _evaluate_row(variant_id: str, cfg: SystemConfig, axis_db: float,
         row["esr_high_snr"] = esr_high_snr(cfg).value
     if "esr_asymptotic" in outputs:
         row["esr_asymptotic"] = esr_asymptotic(cfg).value
-    if "mc" in outputs:
-        sop_est, esr_est = _mc_moments(cfg, spec.trials, spec.seed, threads=1)
-        row["mc_sop"] = sop_est.mean
-        row["mc_sop_stderr"] = sop_est.stderr
-        row["mc_esr"] = esr_est.mean
-        row["mc_esr_stderr"] = esr_est.stderr
     if "quad" in outputs:
         row["quad_sop"] = quad_cdf_ratio(cfg.rho(), cfg)
         row["quad_esr"] = quad_esr(cfg)
-    if "quad" in outputs and "sop_exact" in outputs:
-        row["sop_exact_quad_delta"] = row["sop_exact"] - row["quad_sop"]
-    if "quad" in outputs and "esr_exact" in outputs:
-        row["esr_exact_quad_delta"] = row["esr_exact"] - row["quad_esr"]
-    if "mc" in outputs and "sop_exact" in outputs:
-        row["sop_exact_mc_delta"] = row["sop_exact"] - row["mc_sop"]
-    if "mc" in outputs and "esr_exact" in outputs:
-        row["esr_exact_mc_delta"] = row["esr_exact"] - row["mc_esr"]
     return row
 
 
@@ -273,20 +271,27 @@ def _format_cell(value) -> str:
 
 
 def evaluate_sweep(spec: SweepSpec, threads: int) -> list[dict]:
-    """All rows, config order, computed by a worker pool."""
+    """All rows in config order; one Monte Carlo pass on `threads` workers."""
     jobs = list(spec.rows())
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [pool.submit(_evaluate_row, vid, cfg, db, spec)
-                   for vid, cfg, db in jobs]
-        rows = []
-        for (vid, cfg, _db), fut in zip(jobs, futures):
-            try:
-                rows.append(fut.result())
-            except ArithmeticError as exc:
-                raise ArithmeticError(
-                    f"row {vid} ({cfg.scheme}/{cfg.knowledge} K={cfg.K} N={cfg.N} "
-                    f"M_D={cfg.M_D} M_E={cfg.M_E} zeta={cfg.zeta:g} "
-                    f"lambda_D={cfg.lambda_D:g}): {exc}") from exc
+    mc = [()] * len(jobs)
+    if "mc" in spec.outputs:
+        mc = _mc_moments_many(tuple(cfg for _vid, cfg, _db in jobs),
+                              spec.trials, spec.seed, threads)
+    rows = []
+    for (vid, cfg, db), estimates in zip(jobs, mc):
+        try:
+            row = _evaluate_row(vid, cfg, db, spec)
+        except ArithmeticError as exc:
+            raise ArithmeticError(
+                f"row {vid} ({cfg.scheme}/{cfg.knowledge} K={cfg.K} N={cfg.N} "
+                f"M_D={cfg.M_D} M_E={cfg.M_E} zeta={cfg.zeta:g} "
+                f"lambda_D={cfg.lambda_D:g}): {exc}") from exc
+        for name, est in zip(("mc_sop", "mc_esr"), estimates):
+            row[name], row[f"{name}_stderr"] = est.mean, est.stderr
+        for delta, analytic, oracle, _tol in _DELTAS:
+            if analytic in row and oracle in row:
+                row[delta] = row[analytic] - row[oracle]
+        rows.append(row)
     return rows
 
 
@@ -303,34 +308,20 @@ def _tolerance_failures(rows: list[dict], spec: SweepSpec) -> list[str]:
     failures = []
     for row in rows:
         where = f"{row['variant_id']} lambda_D_dB={row['lambda_D_dB']:g}"
-        if "sop_exact_quad_delta" in row:
-            if abs(row["sop_exact_quad_delta"]) > _SOP_QUAD_TOL:
-                failures.append(f"{where}: |sop_exact - quad_sop| = "
-                                f"{abs(row['sop_exact_quad_delta']):.3e} > {_SOP_QUAD_TOL:g}")
-        if "esr_exact_quad_delta" in row:
-            if abs(row["esr_exact_quad_delta"]) > _ESR_QUAD_TOL:
-                failures.append(f"{where}: |esr_exact - quad_esr| = "
-                                f"{abs(row['esr_exact_quad_delta']):.3e} > {_ESR_QUAD_TOL:g}")
-        if "sop_exact_mc_delta" in row:
-            tol = max(3.0 * row["mc_sop_stderr"], 9.0 / spec.trials)
-            if abs(row["sop_exact_mc_delta"]) > tol:
-                failures.append(f"{where}: |sop_exact - mc_sop| = "
-                                f"{abs(row['sop_exact_mc_delta']):.3e} > {tol:.3e}")
-        if "esr_exact_mc_delta" in row:
-            tol = max(3.0 * row["mc_esr_stderr"], _ESR_MC_FLOOR)
-            if abs(row["esr_exact_mc_delta"]) > tol:
-                failures.append(f"{where}: |esr_exact - mc_esr| = "
-                                f"{abs(row['esr_exact_mc_delta']):.3e} > {tol:.3e}")
+        for delta, analytic, oracle, tolerance in _DELTAS:
+            if delta not in row:
+                continue
+            tol = tolerance(row, spec.trials)
+            if abs(row[delta]) > tol:
+                failures.append(f"{where}: |{analytic} - {oracle}| = "
+                                f"{abs(row[delta]):.3e} > {tol:.3e}")
     return failures
 
 
 def _svg_for_variant(variant_id: str, rows: list[dict], outputs) -> str:
     """Polyline chart of each requested value column against the sweep axis."""
     width, height, margin = 640, 420, 50
-    series_cols = [c for c in _columns(outputs)
-                   if c not in ("variant_id", "scheme", "knowledge", "K", "N",
-                                "M_D", "M_E", "zeta", "lambda_D_dB",
-                                "lambda_E_dB", "R_th")
+    series_cols = [c for c in _columns(outputs) if c not in _ID_COLUMNS
                    and not c.endswith("_stderr") and not c.endswith("_delta")]
     xs = [row["lambda_D_dB"] for row in rows]
     x_lo, x_hi = min(xs), max(xs)
@@ -396,20 +387,11 @@ def _resolve_seed(spec: SweepSpec, flag_seed) -> SweepSpec:
         except ValueError as exc:
             raise ConfigError(f"seed: SECRECY_LAB_SEED must be an integer "
                               f"(got {env!r})") from exc
-        if not 0 <= value < 2 ** 64:
-            raise ConfigError(f"seed: SECRECY_LAB_SEED out of unsigned 64-bit "
-                              f"range (got {env!r})")
         return replace(spec, seed=value)
     return spec
 
 
 def _cmd_run(args) -> int:
-    if args.selftest:
-        return _cmd_selftest(args)
-    if not args.config or not args.out:
-        print("run: --config and --out are required (or use --selftest)",
-              file=sys.stderr)
-        return 2
     spec = _resolve_seed(load_sweep_spec(args.config), args.seed)
     rows = evaluate_sweep(spec, args.threads)
     write_csv(rows, spec.outputs, args.out)
@@ -494,7 +476,7 @@ def _cmd_compare(args) -> int:
 def _cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(quick=getattr(args, "quick", False))
+    results = run_all(quick=args.quick)
     for result in results:
         print(result.line())
     passed = sum(r.passed for r in results)
@@ -509,28 +491,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "oracle cross-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    threads_help = ("Monte Carlo worker threads (default: the CPUs this "
+                    "process may run on, at most 8)")
     run_p = sub.add_parser("run", help="evaluate a sweep config and write CSV")
-    run_p.add_argument("--config", help="path to JSON sweep config")
-    run_p.add_argument("--out", help="path of the CSV to write")
+    run_p.add_argument("--config", required=True, help="path to JSON sweep config")
+    run_p.add_argument("--out", required=True, help="path of the CSV to write")
     run_p.add_argument("--strict", action="store_true",
                        help="exit nonzero if any oracle tolerance fails")
-    run_p.add_argument("--threads", type=int,
-                       default=default_threads())
+    run_p.add_argument("--threads", type=int, default=default_threads(),
+                       help=threads_help)
     run_p.add_argument("--seed", type=int, default=None,
                        help="override config and SECRECY_LAB_SEED")
     run_p.add_argument("--svg", metavar="DIR",
                        help="also write one SVG line chart per variant")
-    run_p.add_argument("--selftest", action="store_true",
-                       help="run the acceptance checks instead of a sweep")
-    run_p.add_argument("--quick", action="store_true",
-                       help="with --selftest: reduced grids and trials")
     run_p.set_defaults(func=_cmd_run)
 
     cmp_p = sub.add_parser("compare",
                            help="analytic vs quadrature and Monte Carlo report")
     cmp_p.add_argument("--config", required=True)
-    cmp_p.add_argument("--threads", type=int,
-                       default=default_threads())
+    cmp_p.add_argument("--threads", type=int, default=default_threads(),
+                       help=threads_help)
     cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.set_defaults(func=_cmd_compare)
 

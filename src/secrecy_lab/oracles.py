@@ -7,7 +7,7 @@ each chunk gets its own counter-based (Philox) stream keyed by (seed, chunk
 index). Per-chunk reductions happen inside the chunk and the cross-chunk
 reduction runs in chunk order, so the estimate is bit-identical for any
 worker count. The draws depend only on (K, N, M_D, M_E), so configs of one
-such shape can share a pass and still get the bits of a pass of their own.
+such shape share draws and still get the bits of a pass of their own.
 """
 
 from __future__ import annotations
@@ -259,26 +259,31 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _mc_moments_many(cfgs: tuple[SystemConfig, ...], trials: int, seed: int,
                      threads: int = 1) -> list[tuple[MonteCarloEstimate, MonteCarloEstimate]]:
-    """(outage, rate) estimates of every config from one Monte Carlo pass.
+    """(outage, rate) estimates of every config, in input order.
 
-    The configs must share (K, N, M_D, M_E). Each pair is bit-identical to a
-    pass over its config alone, for any thread count.
+    Configs of one (K, N, M_D, M_E) shape share draws; every chunk of a shape
+    comes from the stream a pass of its own would use, and only one shape's
+    rate arrays are held at a time, so each pair is bit-identical to a pass
+    over its config alone, for any mix of shapes and any thread count.
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be at least {_MIN_TRIALS} (got {trials})")
-    if not cfgs or any(_shape(c) != _shape(cfgs[0]) for c in cfgs):
-        raise ValueError("a Monte Carlo pass needs configs of one (K, N, M_D, M_E)")
+    groups: dict = {}  # shape -> indices of its configs
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_shape(cfg), []).append(i)
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
         sizes.append(trials % _CHUNK)
 
     def chunk_stats(index_size: tuple[int, int]) -> list[tuple[float, float, float]]:
         index, size = index_size
-        stats = []
-        for cfg, rates in zip(cfgs, _rates_with_rng(cfgs, _chunk_rng(seed, index), size)):
-            outage = rates <= cfg.R_th
-            stats.append((float(outage.sum()), float(rates.sum()),
-                          float((rates * rates).sum())))
+        stats = [None] * len(cfgs)
+        for members in groups.values():
+            group = tuple(cfgs[i] for i in members)
+            for i, rates in zip(members, _rates_with_rng(group, _chunk_rng(seed, index), size)):
+                outage = rates <= cfgs[i].R_th
+                stats[i] = (float(outage.sum()), float(rates.sum()),
+                            float((rates * rates).sum()))
         return stats
 
     jobs = list(enumerate(sizes))

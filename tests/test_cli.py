@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from secrecy_lab import cli
 from secrecy_lab.acceptance import CheckResult
 from secrecy_lab.channel import SystemConfig
+from secrecy_lab.oracles import _mc_moments
 from secrecy_lab.sop import sop
 
 
@@ -54,6 +56,26 @@ class TestRun:
         cli.main(["run", "--config", str(config), "--out", str(c),
                   "--threads", "4"])
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mc_cells_of_two_shapes_equal_a_pass_per_row(self, tmp_path,
+                                                          monkeypatch, threads):
+        # rows of two (K, N, M_D, M_E) shapes share one Monte Carlo call
+        config = _write_config(tmp_path / "sweep.json", outputs=["mc"],
+                               trials=70000,
+                               variants=[{}, {"K": 3, "N": 1, "scheme": "OS"},
+                                         {"knowledge": "KU", "zeta": 0.5}])
+        out = tmp_path / "out.csv"
+        monkeypatch.delenv("SECRECY_LAB_SEED", raising=False)
+        assert cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--threads", threads]) == 0
+        spec = cli.load_sweep_spec(str(config))
+        for row, (_vid, cfg, _db) in zip(_rows(out), spec.rows(), strict=True):
+            sop_est, esr_est = _mc_moments(cfg, spec.trials, spec.seed)
+            assert float(row["mc_sop"]) == sop_est.mean
+            assert float(row["mc_sop_stderr"]) == sop_est.stderr
+            assert float(row["mc_esr"]) == esr_est.mean
+            assert float(row["mc_esr_stderr"]) == esr_est.stderr
 
     def test_empty_variants_sweeps_the_base(self, tmp_path):
         config = _write_config(tmp_path / "sweep.json", variants=[])
@@ -119,6 +141,38 @@ class TestValidation:
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_low_trial_count_rejected_by_compare(self, tmp_path, capsys):
+        # compare adds the Monte Carlo output the config does not ask for
+        config = _write_config(tmp_path / "bad.json", trials=100)
+        assert cli.main(["compare", "--config", str(config)]) == 2
+        assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("base", "zeta"), "abc", "zeta"),
+        (("base", "zeta"), None, "zeta"),
+        (("base", "zeta"), True, "zeta"),
+        (("base", "R_th"), "1.5", "R_th"),
+        (("base", "lambda_D_dB"), math.inf, "lambda_D_dB"),
+        (("base", "lambda_E_dB"), -math.inf, "lambda_E_dB"),
+        (("variants", 1, "zeta"), "abc", "variants[1].zeta"),
+        (("variants", 1, "zeta"), math.nan, "variants[1].zeta"),
+        (("axis_values", 1), math.nan, "axis_values[1]"),
+        (("axis_values", 2), math.inf, "axis_values[2]"),
+    ])
+    def test_bad_number_names_the_field(self, tmp_path, capsys, path, value,
+                                        field):
+        config = _write_config(tmp_path / "bad.json")
+        doc = json.loads(config.read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        config.write_text(json.dumps(doc))  # NaN and Infinity as JSON allows
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{field}: expected a finite number" in capsys.readouterr().err
+
 
 class TestSeedPrecedence:
     def test_env_overrides_config_and_flag_overrides_env(self, tmp_path,
@@ -135,6 +189,14 @@ class TestSeedPrecedence:
                   "--seed", "1"])
         assert env.read_bytes() != base.read_bytes()
         assert flag.read_bytes() == base.read_bytes()
+
+    @pytest.mark.parametrize("seed", [str(-1), str(2 ** 64)])
+    def test_out_of_range_flag_seed_is_a_config_error(self, tmp_path, capsys,
+                                                      seed):
+        config = _write_config(tmp_path / "sweep.json", outputs=["mc"])
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "x.csv"), "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_env_seed_is_a_config_error(self, tmp_path, monkeypatch,
                                             capsys):
@@ -176,9 +238,7 @@ class TestSelftestWiring:
         assert "[FAIL] beta" in out
         assert "1/2 checks passed" in out
 
-    def test_run_selftest_alias(self, capsys, monkeypatch):
-        fake = [CheckResult("alpha", True, "fine")]
-        import secrecy_lab.acceptance as acceptance
-        monkeypatch.setattr(acceptance, "run_all", lambda quick: fake)
-        assert cli.main(["run", "--selftest"]) == 0
-        assert "[PASS] alpha" in capsys.readouterr().out
+    def test_run_has_no_selftest_alias(self):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", "--selftest"])
+        assert info.value.code == 2

@@ -55,13 +55,13 @@ class TestSimulatorDeterminism:
 
 
 class TestSharedDraws:
-    # every row of one (K, N, M_D, M_E) shape; 70000 trials make a full
-    # chunk and a ragged one
-    ROWS = tuple(_cfg(M_E=1, lambda_D=lam, zeta=zeta, scheme=scheme,
-                      knowledge=knowledge, R_th=r_th)
-                 for lam, zeta, scheme, knowledge, r_th in product(
+    # every row of two interleaved (K, N, M_D, M_E) shapes; 70000 trials
+    # make a full chunk and a ragged one
+    ROWS = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam, zeta=zeta,
+                      scheme=scheme, knowledge=knowledge, R_th=r_th)
+                 for lam, zeta, scheme, knowledge, r_th, (K, N, M_D, M_E) in product(
                      (2.0, 50.0), (0.0, 0.5, 1.0), ("SS", "OS"), ("KA", "KU"),
-                     (0.5, 1.5)))
+                     (0.5, 1.5), ((2, 2, 2, 1), (3, 1, 1, 2))))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_batched_equals_row_by_row(self, threads):
@@ -72,10 +72,6 @@ class TestSharedDraws:
             for shared, single in zip(pair, alone):
                 assert shared.mean == single.mean
                 assert shared.stderr == single.stderr
-
-    def test_mixed_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            _mc_moments_many((_cfg(), _cfg(K=3)), 20000, seed=1)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity masks")
