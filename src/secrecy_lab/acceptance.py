@@ -78,10 +78,6 @@ def _esr_closed(cfg: SystemConfig) -> float:
 
 @lru_cache(maxsize=None)
 def _esr_quad(cfg: SystemConfig) -> float:
-    if cfg.zeta == 1.0 and cfg.knowledge == "KU":
-        # gating after selection with a backhaul that never fails is KA:
-        # quad_esr returns the same bits for both
-        return _esr_quad(replace(cfg, knowledge="KA"))
     return quad_esr(cfg)
 
 

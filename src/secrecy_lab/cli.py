@@ -98,12 +98,23 @@ class SweepSpec:
         variant_maps = [dict(v) for v in self.variants] or [{}]
         for idx, overrides in enumerate(variant_maps):
             cfg = _apply_overrides(self.base, overrides)
-            for db in self.axis_values:
-                yield f"v{idx}", replace(cfg, lambda_D=_db_to_linear(db)), db
+            for i, db in enumerate(self.axis_values):
+                lambda_D = _db_to_linear(db, f"axis_values[{i}]")
+                yield f"v{idx}", replace(cfg, lambda_D=lambda_D), db
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _db_to_linear(db, field: str) -> float:
+    # a finite dB value can still leave the double range in linear scale:
+    # 10^(dB/10) overflows above about 3083 dB and is 0 below about -3233 dB
+    db = _finite(db, field)
+    try:
+        value = 10.0 ** (db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{field}: expected a finite number with a positive, "
+                          f"finite linear value (got {db!r} dB)")
+    return value
 
 
 def _linear_to_db(lam: float) -> float:
@@ -155,8 +166,8 @@ def parse_sweep_spec(doc: dict) -> SweepSpec:
         "M_D": base_doc["M_D"], "M_E": base_doc["M_E"],
         # the sweep axis supplies lambda_D per row; a base value, if given,
         # only seeds the placeholder
-        "lambda_D": _db_to_linear(_finite(base_doc.get("lambda_D_dB", 0.0), "lambda_D_dB")),
-        "lambda_E": _db_to_linear(_finite(base_doc["lambda_E_dB"], "lambda_E_dB")),
+        "lambda_D": _db_to_linear(base_doc.get("lambda_D_dB", 0.0), "lambda_D_dB"),
+        "lambda_E": _db_to_linear(base_doc["lambda_E_dB"], "lambda_E_dB"),
         "zeta": _finite(base_doc.get("zeta", 1.0), "zeta"),
         "R_th": _finite(base_doc.get("R_th", 1.0), "R_th"),
         "scheme": base_doc.get("scheme", "SS"),
@@ -173,7 +184,10 @@ def parse_sweep_spec(doc: dict) -> SweepSpec:
     values = _require(doc, "axis_values", list, "a list of numbers")
     if not values:
         raise ConfigError("axis_values: must be nonempty")
-    axis_values = [_finite(v, f"axis_values[{i}]") for i, v in enumerate(values)]
+    axis_values = []
+    for i, value in enumerate(values):
+        _db_to_linear(value, f"axis_values[{i}]")  # fail now, not mid-sweep
+        axis_values.append(float(value))
     if any(b <= a for a, b in zip(axis_values, axis_values[1:])):
         raise ConfigError("axis_values: must be strictly increasing")
 

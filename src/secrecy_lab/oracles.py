@@ -8,6 +8,18 @@ index). Per-chunk reductions happen inside the chunk and the cross-chunk
 reduction runs in chunk order, so the estimate is bit-identical for any
 worker count. The draws depend only on (K, N, M_D, M_E), so configs of one
 such shape share draws and still get the bits of a pass of their own.
+
+Quadrature sharing: `quad_esr` integrates the survival probability, itself
+an integral over the strongest eavesdropper SNR, at outer nodes x. That
+inner integral depends on x, the eavesdropper law and the settings, and
+only on part of the row: for SS on (K, gate, M_D, lambda_D), where the gate
+is zeta under KA and 1 under KU; for OS on (M_D, lambda_D) alone. Rows that
+agree there and share K, M_D, lambda_D and lambda_E (and so the outer map)
+meet the same x, and the first row's inner value serves the others. QUADPACK
+is deterministic and every input of the inner integral is in its key, so a
+stored value is the exact float a fresh quadrature would return: every
+result is bit-identical to one computed on empty tables, in any row order.
+The eavesdropper density is likewise stored per node.
 """
 
 from __future__ import annotations
@@ -79,26 +91,33 @@ def _eve_scale(cfg: SystemConfig) -> float:
     return cfg.lambda_E * (cfg.M_E + math.log(cfg.N + 1.0))
 
 
+# Memo tables {point: value} keyed by what their values depend on: at most
+# _TABLES_MAX tables, the oldest evicted first, each holding at most
+# _ENTRIES_PER_TABLE_MAX points. Values depend only on their keys, so a race
+# between threads at worst repeats work.
+_TABLES_MAX = 64
+_ENTRIES_PER_TABLE_MAX = 1 << 16
+
+
+def _table(tables: dict, key) -> dict:
+    table = tables.get(key)
+    if table is None:
+        if len(tables) >= _TABLES_MAX:
+            tables.pop(next(iter(tables)), None)
+        table = tables.setdefault(key, {})
+    return table
+
+
 # Eavesdropper nodes per (N, M_E, lambda_E), which also fix the map's scale:
 # u -> (1+y, f_E(y), 1-u).
 # QUADPACK bisects [0, 1] the same way for every integrand, so the inner
 # integrals of all thresholds and rows of one eavesdropper law keep landing
-# on the same u; the density is evaluated once per node. Values depend only
-# on their keys, so a race between threads at worst repeats work.
+# on the same u; the density is evaluated once per node.
 _NODE_TABLES: dict = {}
-_NODE_TABLES_MAX = 64
-_NODES_PER_TABLE_MAX = 1 << 16
 
 
 def _node_table(cfg: SystemConfig) -> tuple[float, dict]:
-    scale = _eve_scale(cfg)
-    key = (cfg.N, cfg.M_E, cfg.lambda_E)
-    table = _NODE_TABLES.get(key)
-    if table is None:
-        if len(_NODE_TABLES) >= _NODE_TABLES_MAX:
-            _NODE_TABLES.pop(next(iter(_NODE_TABLES)), None)
-        table = _NODE_TABLES.setdefault(key, {})
-    return scale, table
+    return _eve_scale(cfg), _table(_NODE_TABLES, (cfg.N, cfg.M_E, cfg.lambda_E))
 
 
 def _eve_average(dest, x: float, cfg: SystemConfig,
@@ -119,7 +138,7 @@ def _eve_average(dest, x: float, cfg: SystemConfig,
         if node is None:
             y = -scale * math.log1p(-u)
             node = (1.0 + y, pdf_snr_eve_max(y, N, M_E, lambda_E), 1.0 - u)
-            if len(table) < _NODES_PER_TABLE_MAX:
+            if len(table) < _ENTRIES_PER_TABLE_MAX:
                 table[u] = node
         one_plus_y, density, one_minus_u = node
         return dest(x * one_plus_y - 1.0) * density * scale / one_minus_u
@@ -163,27 +182,49 @@ def quad_cdf_ratio(x: float, cfg: SystemConfig,
     return min(1.0, max(0.0, value))
 
 
-def _quad_survival_ratio(x: float, cfg: SystemConfig,
-                         settings: QuadratureSettings) -> float:
-    # 1 - F(x) computed as its own integral (no 1 - (1 - eps) loss), needed
-    # by the ESR integrand which weights the far tail logarithmically.
+# Inner survival integrals {x: value} per integrand family and eavesdropper
+# law (see the module docstring). The OS tables hold the single-link
+# integral as QUADPACK returns it; it is clamped where it is read.
+_SURVIVAL_TABLES: dict = {}
+
+
+def _survival_ratio(cfg: SystemConfig, settings: QuadratureSettings):
+    """x -> 1 - F(x), with each inner integral computed once per family and x.
+
+    The survival probability is its own integral (no 1 - (1 - eps) loss),
+    because the ESR integrand weights the far tail logarithmically.
+    """
     K, M_D, lambda_D = cfg.K, cfg.M_D, cfg.lambda_D
     gate = cfg.zeta if cfg.knowledge == "KA" else 1.0
     if cfg.scheme == "SS":
+        family = ("SS", K, gate, M_D, lambda_D)
+
         def dest(arg: float) -> float:
             gated = gate * sf_snr_dest(arg, M_D, lambda_D)
             return 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
-
-        value = _eve_average(dest, x, cfg, settings)
     else:
+        family = ("OS", M_D, lambda_D)
+
         def dest(arg: float) -> float:
             return sf_snr_dest(arg, M_D, lambda_D)
-        single = min(1.0, max(0.0, _eve_average(dest, x, cfg, settings)))
-        gated = gate * single
-        value = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
-    if cfg.knowledge == "KU":
-        value *= cfg.zeta
-    return min(1.0, max(0.0, value))
+    table = _table(_SURVIVAL_TABLES, family + (cfg.N, cfg.M_E, cfg.lambda_E, settings))
+
+    def survival(x: float) -> float:
+        inner = table.get(x)
+        if inner is None:
+            inner = _eve_average(dest, x, cfg, settings)
+            if len(table) < _ENTRIES_PER_TABLE_MAX:
+                table[x] = inner
+        if cfg.scheme == "SS":
+            value = inner
+        else:
+            gated = gate * min(1.0, max(0.0, inner))
+            value = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
+        if cfg.knowledge == "KU":
+            value *= cfg.zeta
+        return min(1.0, max(0.0, value))
+
+    return survival
 
 
 def quad_esr(cfg: SystemConfig, settings: QuadratureSettings | None = None) -> float:
@@ -197,13 +238,14 @@ def quad_esr(cfg: SystemConfig, settings: QuadratureSettings | None = None) -> f
     if cfg.zeta == 0.0:
         return 0.0
     outer_scale = cfg.lambda_D * (cfg.M_D + math.log(cfg.K + 1.0)) + cfg.lambda_E
+    survival = _survival_ratio(cfg, settings)
 
     def mapped(u: float) -> float:
         if u >= 1.0:
             return 0.0
         t = -outer_scale * math.log1p(-u)
         x = 1.0 + t
-        return _quad_survival_ratio(x, cfg, settings) / x * outer_scale / (1.0 - u)
+        return survival(x) / x * outer_scale / (1.0 - u)
 
     return _quad_unit(mapped, settings) / _LN2
 

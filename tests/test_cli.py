@@ -158,6 +158,13 @@ class TestValidation:
         (("variants", 1, "zeta"), math.nan, "variants[1].zeta"),
         (("axis_values", 1), math.nan, "axis_values[1]"),
         (("axis_values", 2), math.inf, "axis_values[2]"),
+        # finite, but 0 or past the double range in linear scale
+        (("base", "lambda_D_dB"), 4000, "lambda_D_dB"),
+        (("base", "lambda_D_dB"), -4000, "lambda_D_dB"),
+        (("base", "lambda_E_dB"), 4000, "lambda_E_dB"),
+        (("base", "lambda_E_dB"), -4000, "lambda_E_dB"),
+        (("axis_values", 0), -4000, "axis_values[0]"),
+        (("axis_values", 2), 4000, "axis_values[2]"),
     ])
     def test_bad_number_names_the_field(self, tmp_path, capsys, path, value,
                                         field):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from secrecy_lab import oracles
+from secrecy_lab import acceptance, oracles
 from secrecy_lab.channel import SystemConfig, cdf_snr_dest
 from secrecy_lab.oracles import (
     QuadratureError,
@@ -180,23 +181,79 @@ _QUAD_BITS = (
 )
 
 
+# sha256 of the newline-joined float.hex() of acceptance._esr_quad over the
+# quick rate grid, in _esr_grid(True) order, recorded before quad_esr shared
+# inner integrals across rows
+_QUICK_ESR_GRID_SHA256 = "0d7c1584d20dc302c04b909c2c3bd0855a08c138055791c9d0a873fd9a180e08"
+
+
+def _empty_tables(monkeypatch):
+    monkeypatch.setattr(oracles, "_NODE_TABLES", {})
+    monkeypatch.setattr(oracles, "_SURVIVAL_TABLES", {})
+
+
 class TestQuadratureBits:
+    # every rate row of one (K, N, M_D, M_E) shape: SS/OS x KA/KU x 3 zeta x
+    # 2 lambda_D
+    SHAPE_ROWS = tuple(_cfg(lambda_D=lam, lambda_E=10.0 ** 0.5, zeta=zeta,
+                            scheme=scheme, knowledge=knowledge)
+                       for scheme, knowledge, zeta, lam in product(
+                           ("SS", "OS"), ("KA", "KU"), (0.5, 0.9, 1.0), (1.0, 10.0)))
+
     @pytest.mark.parametrize("scheme,knowledge,M,esr_hex,sop_hex", _QUAD_BITS)
     def test_pinned_on_cold_and_warm_node_cache(self, monkeypatch, scheme,
                                                 knowledge, M, esr_hex, sop_hex):
         cfg = _cfg(M_D=M, M_E=M, lambda_E=10.0 ** 0.5, zeta=0.9,
                    scheme=scheme, knowledge=knowledge)
-        monkeypatch.setattr(oracles, "_NODE_TABLES", {})
+        _empty_tables(monkeypatch)
         assert quad_esr(cfg).hex() == esr_hex
-        monkeypatch.setattr(oracles, "_NODE_TABLES", {})
+        _empty_tables(monkeypatch)
         assert quad_cdf_ratio(cfg.rho(), cfg).hex() == sop_hex
         assert oracles._NODE_TABLES  # the calls above filled it
         assert quad_esr(cfg).hex() == esr_hex
         assert quad_cdf_ratio(cfg.rho(), cfg).hex() == sop_hex
 
+    def test_rows_of_one_shape_equal_a_row_alone(self, monkeypatch):
+        alone = []
+        for cfg in self.SHAPE_ROWS:
+            _empty_tables(monkeypatch)
+            alone.append(quad_esr(cfg).hex())
+        _empty_tables(monkeypatch)
+        cold = [quad_esr(cfg).hex() for cfg in self.SHAPE_ROWS]
+        # SS: one family per (gate, lambda_D), the KU gate being 1; OS: one
+        # per lambda_D
+        assert len(oracles._SURVIVAL_TABLES) == 3 * 2 + 2
+        warm = [quad_esr(cfg).hex() for cfg in self.SHAPE_ROWS]
+        _empty_tables(monkeypatch)
+        backward = [quad_esr(cfg).hex() for cfg in reversed(self.SHAPE_ROWS)][::-1]
+        assert cold == alone
+        assert warm == alone
+        assert backward == alone
+
+    def test_tables_stay_within_their_bounds(self, monkeypatch):
+        # at most 64 tables of at most 65,536 points each; filled past
+        # smaller bounds, the tables stop there and the bits stay the same
+        assert (oracles._TABLES_MAX, oracles._ENTRIES_PER_TABLE_MAX) == (64, 1 << 16)
+        rows = self.SHAPE_ROWS[::5]
+        _empty_tables(monkeypatch)
+        expected = [quad_esr(cfg).hex() for cfg in rows]
+        monkeypatch.setattr(oracles, "_TABLES_MAX", 2)
+        monkeypatch.setattr(oracles, "_ENTRIES_PER_TABLE_MAX", 16)
+        _empty_tables(monkeypatch)
+        assert [quad_esr(cfg).hex() for cfg in rows] == expected
+        for tables in (oracles._SURVIVAL_TABLES, oracles._NODE_TABLES):
+            assert 0 < len(tables) <= 2
+            assert all(len(table) <= 16 for table in tables.values())
+        assert max(map(len, oracles._SURVIVAL_TABLES.values())) == 16
+
+    def test_quick_rate_grid_pinned(self):
+        hexes = "\n".join(acceptance._esr_quad(cfg).hex()
+                          for cfg in acceptance._esr_grid(True))
+        assert hashlib.sha256(hexes.encode()).hexdigest() == _QUICK_ESR_GRID_SHA256
+
     @pytest.mark.parametrize("scheme", ["SS", "OS"])
     def test_gate_after_selection_at_full_reliability_is_bitwise_ka(self, scheme):
-        # the acceptance gate computes the zeta = 1 KU rate as the KA one
+        # with a backhaul that never fails, gating after selection is KA
         ka = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme=scheme, knowledge="KA")
         ku = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme=scheme, knowledge="KU")
         assert quad_esr(ku).hex() == quad_esr(ka).hex()
