@@ -14,7 +14,9 @@ carries an exact rational "recipe" per term (integer-fraction coefficient,
 integer powers of the two scale parameters). The recipes allow the evaluator
 to redo a catastrophically cancelling sum in arbitrary precision: the deep
 tail of the outage CDF is ~1e-20 while individual terms are O(1), which no
-double-precision summation can resolve.
+double-precision summation can resolve. When even the deepest precision rung
+cannot lift the sum clear of its rounding floor, evaluation raises
+ArithmeticError instead of returning an uncertified float.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import mpmath
@@ -84,22 +87,26 @@ def _merge_inner(inner_terms: Sequence[tuple]) -> list[tuple]:
     return [(coeff,) + exps for exps, coeff in merged.items()]
 
 
-def partial_fractions(poles: Sequence[tuple]) -> list[list[float]]:
+def partial_fractions(poles: Sequence[tuple]) -> tuple[tuple[float, ...], ...]:
     """Coefficients c_{j,t} with 1/prod(x+b_q)^(m_q) = sum_j sum_t c_{j,t}/(x+b_j)^t.
 
-    ``poles`` is a list of (location b, multiplicity m); locations must be
+    ``poles`` is a sequence of (location b, multiplicity m); locations must be
     pairwise distinct (group first) and may include 0 for the extra simple
     pole that the logarithmic integrals introduce. The j-th row of the result
-    has m_j entries ordered t = 1..m_j.
+    has m_j entries ordered t = 1..m_j. Rows are tuples because they are
+    memoized and shared between callers.
     """
-    return _partial_fractions_power(poles, 0)
+    return _partial_fractions_power(tuple(poles), 0)
 
 
-def _partial_fractions_power(poles: Sequence[tuple], num_power: int) -> list[list[float]]:
+@lru_cache(maxsize=4096)
+def _partial_fractions_power(poles: tuple, num_power: int) -> tuple[tuple[float, ...], ...]:
     # Around pole j substitute x = u - b_j; the coefficient of 1/(x+b_j)^t is
     # the coefficient of u^(m_j - t) in  u^0..: (u - b_j)^num_power *
     # prod_{q != j} (u + b_q - b_j)^(-m_q), i.e. a truncated product series
-    # followed by one series inversion (synthetic division).
+    # followed by one series inversion (synthetic division). The rows depend
+    # only on the arguments, so a memoized row is the float a fresh call
+    # returns.
     locations = [b for b, _ in poles]
     total_degree = sum(m for _, m in poles)
     if total_degree < 1:
@@ -111,7 +118,7 @@ def _partial_fractions_power(poles: Sequence[tuple], num_power: int) -> list[lis
         for other in locations[i + 1:]:
             if b == other:
                 raise ValueError(f"coincident pole locations must be grouped first (b={b})")
-    rows: list[list[float]] = []
+    rows = []
     for j, (b_j, m_j) in enumerate(poles):
         cofactor = [1.0] + [0.0] * (m_j - 1)
         for q, (b_q, m_q) in enumerate(poles):
@@ -126,8 +133,8 @@ def _partial_fractions_power(poles: Sequence[tuple], num_power: int) -> list[lis
             for _ in range(num_power):
                 numer = _poly_mul_trunc(numer, [-b_j, 1.0], m_j)
             series = _poly_mul_trunc(series, numer, m_j)
-        rows.append([series[m_j - t] for t in range(1, m_j + 1)])
-    return rows
+        rows.append(tuple(series[m_j - t] for t in range(1, m_j + 1)))
+    return tuple(rows)
 
 
 def _poly_mul_trunc(a: list[float], b: list[float], keep: int) -> list[float]:
@@ -309,4 +316,7 @@ def _eval_recipes_mp(recipes: Sequence[ExactTermRecipe], constant: float,
             # enough headroom left between the result and the rounding floor?
             if abs(total) > gross * mpmath.mpf(10) ** (15 - dps):
                 return float(total)
-    return float(total)
+    raise ArithmeticError(
+        f"term sum at x={x!r} cancels below the {dps}-digit rounding floor "
+        f"(|sum| {mpmath.nstr(abs(total), 3)}, gross {mpmath.nstr(gross, 3)}); "
+        "no certified value")

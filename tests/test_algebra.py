@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from secrecy_lab import algebra
 from secrecy_lab.algebra import (
     CapacityError,
     ExactTermRecipe,
     RationalExpTerm,
     TermSum,
+    _partial_fractions_power,
     expand_power_of_sum,
     materialize_recipes,
     partial_fractions,
 )
+from secrecy_lab.channel import SystemConfig
+from secrecy_lab.sop import sop
 from secrecy_lab.specialfn import SignedLogValue
 
 
@@ -95,6 +99,26 @@ class TestPartialFractions:
         with pytest.raises(ValueError, match="grouped"):
             partial_fractions([(1.0, 1), (1.0, 2)])
 
+    def test_memo_cannot_be_poisoned(self):
+        poles = [(0.0, 1), (2.0, 2), (5.0, 3)]
+        numer_poles = tuple(poles[1:])
+        _partial_fractions_power.cache_clear()
+        cold = partial_fractions(poles)
+        cold_numer = _partial_fractions_power(numer_poles, 2)
+        # what a caller receives is immutable at every level, so no caller
+        # can rewrite the memoized rows that later calls share
+        for rows in (partial_fractions(poles),
+                     _partial_fractions_power(numer_poles, 2)):
+            with pytest.raises(TypeError):
+                rows[0] = (99.0,)
+            with pytest.raises(TypeError):
+                rows[1][0] = 99.0
+            with pytest.raises(AttributeError):
+                rows[1].append(99.0)
+        assert partial_fractions(poles) == cold
+        assert _partial_fractions_power(numer_poles, 2) == cold_numer
+        assert _partial_fractions_power.cache_info().hits >= 3
+
 
 class TestRationalExpTerm:
     def test_value_at(self):
@@ -143,3 +167,21 @@ class TestTermSumAndRecipes:
         x = 2.0
         assert ts.eval(x) == pytest.approx(
             1.0 - 0.25 * math.exp(-x) / (x + 1.0), rel=1e-12)
+
+
+class TestPrecisionLadder:
+    # SS K=N=M=3 at lambda_D = 60 dB: the outage CDF at rho = 2 is ~5e-42
+    # while its terms sum to ~50 in magnitude, so only the mpmath path can
+    # certify it. The default ladder does (60 digits suffice); a ladder cut
+    # to one 20-digit rung cannot, and must say so rather than return noise.
+    DEEP_TAIL = SystemConfig(K=3, N=3, M_D=3, M_E=3, lambda_D=1e6,
+                             lambda_E=10.0 ** 0.5, zeta=1.0, R_th=1.0,
+                             scheme="SS", knowledge="KA")
+
+    def test_deep_tail_certified_by_the_default_ladder(self):
+        assert sop(self.DEEP_TAIL).value == pytest.approx(5.036e-42, rel=1e-3)
+
+    def test_exhausted_ladder_raises(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_MP_DPS_LADDER", (20,))
+        with pytest.raises(ArithmeticError, match="20-digit rounding floor"):
+            sop(self.DEEP_TAIL)

@@ -12,11 +12,12 @@ from itertools import product
 import pytest
 from scipy.integrate import quad
 
-from secrecy_lab.algebra import RationalExpTerm
+from secrecy_lab.algebra import RationalExpTerm, _partial_fractions_power
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.esr import (
     DivergenceError,
     EsrResult,
+    _kernel,
     esr_asymptotic,
     esr_exact,
     esr_high_snr,
@@ -35,6 +36,29 @@ GOLDEN_RATE = 5.0294816453969297
 E_GAMMA_0_2 = 0.1329253696600895     # e * Gamma(0, 2)
 E2_GAMMA_0_2P2 = 0.27480739805974807  # e^2 * Gamma(0, 2.2)
 LN_2 = 0.69314718055994531
+
+# float.hex of (esr_exact, esr_high_snr, esr_asymptotic) at zeta = 0.9,
+# recorded before the kernels and partial-fraction rows were memoized; keys
+# (K, N, M_D, M_E), lambda_D, lambda_E, scheme, knowledge. The last two rows
+# are closed_ladder's OS (2, 3, 3, 3) row, off quadrature by 3.5e-3 (ROADMAP
+# item 2): these pin bits, not correctness.
+LADDER_LAMBDA_E = 10.0 ** 0.5
+PINNED_RATE_HEXES = {
+    ((2, 2, 2, 2), 10.0, 2.0, "SS", "KA"): (
+        "0x1.fa3dada2423b7p+0", "0x1.1ade76525111fp+1", "0x1.178130d93a419p+1"),
+    ((2, 2, 2, 2), 10.0, 2.0, "SS", "KU"): (
+        "0x1.e1ba7ab00dab6p+0", "0x1.0cb2eb4b5550cp+1", "0x1.0b7c72220acb2p+1"),
+    ((2, 2, 2, 2), 10.0, 2.0, "OS", "KA"): (
+        "0x1.0790fd8b3cafdp+1", "0x1.29db6f41c8eebp+1", "0x1.26f9c8564f1cdp+1"),
+    ((2, 2, 2, 2), 10.0, 2.0, "OS", "KU"): (
+        "0x1.f8f109a2f59b2p+0", "0x1.1d5a38c72fd46p+1", "0x1.1cad1a7421f77p+1"),
+    ((3, 2, 2, 3), 100.0, LADDER_LAMBDA_E, "SS", "KA"): (
+        "0x1.1cf3eb8652692p+2", "0x1.2526e2d942ab0p+2", "0x1.2523f2b6b6223p+2"),
+    ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KA"): (
+        "0x1.24abe3c4e9fbbp+2", "0x1.29e8d506381d9p+2", "0x1.29e4108f8ec09p+2"),
+    ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KU"): (
+        "0x1.101f32da13f72p+2", "0x1.1497767a18256p+2", "0x1.14932d6b18c89p+2"),
+}
 
 # SS esr_asymptotic at lambda_D = 1e4, lambda_E = 2, recorded with a direct
 # float sum of the log-affine limit; keys (K, N, M_D, M_E), knowledge, zeta
@@ -91,6 +115,16 @@ class TestIntegrateTerm:
         no_poles = _unit_term(poly_power=1, exp_rate=0.0, poles=())
         with pytest.raises(DivergenceError):
             integrate_term(no_poles)
+
+    def test_sub_floor_rate_diverges_like_zero(self):
+        # a rate below the support floor takes the rational branch, so it
+        # must meet the same convergence test as rate 0
+        for rate in (0.0, 1e-301):
+            bad = _unit_term(poly_power=3, exp_rate=rate, poles=((1.0, 1),))
+            with pytest.raises(DivergenceError):
+                integrate_term(bad)
+        fine = _unit_term(poly_power=0, exp_rate=1e-301, poles=((1.0, 1),))
+        assert integrate_term(fine) == pytest.approx(LN_2, rel=1e-12)
 
     def test_matches_quadrature_random_terms(self):
         rng = random.Random(99)
@@ -286,3 +320,34 @@ class TestAsymptoticRate:
         on = esr_asymptotic(_cfg(knowledge="KU", lambda_D=1e4, zeta=1.0)).value
         part = esr_asymptotic(_cfg(knowledge="KU", lambda_D=1e4, zeta=0.6)).value
         assert part == pytest.approx(0.6 * on, rel=1e-12)
+
+
+class TestMemoizedKernels:
+    @staticmethod
+    def _hexes(rows):
+        out = {}
+        for key in rows:
+            (K, N, M_D, M_E), lam_d, lam_e, scheme, knowledge = key
+            cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam_d,
+                       lambda_E=lam_e, zeta=0.9, scheme=scheme,
+                       knowledge=knowledge)
+            out[key] = tuple(rate(cfg).value.hex() for rate in
+                             (esr_exact, esr_high_snr, esr_asymptotic))
+        return out
+
+    def test_pinned_bits_cold_warm_and_reversed(self):
+        rows = list(PINNED_RATE_HEXES)
+        _kernel.cache_clear()
+        _partial_fractions_power.cache_clear()
+        assert self._hexes(rows) == PINNED_RATE_HEXES
+        assert _kernel.cache_info().hits > 0
+        assert _partial_fractions_power.cache_info().hits > 0
+        assert self._hexes(rows) == PINNED_RATE_HEXES
+        _kernel.cache_clear()
+        _partial_fractions_power.cache_clear()
+        assert self._hexes(rows[::-1]) == PINNED_RATE_HEXES
+
+    def test_memos_are_bounded(self):
+        for memo in (_kernel, _partial_fractions_power):
+            maxsize = memo.cache_parameters()["maxsize"]
+            assert maxsize is not None and 0 < maxsize <= 65536
