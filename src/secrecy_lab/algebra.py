@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import mpmath
-
 from .specialfn import SignedLogValue, pairwise_sum
 
 EXPANSION_TERM_CAP = 10_000_000
@@ -46,8 +44,10 @@ def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int,
 
     Each inner term is ``(coeff, e1, e2, ...)`` with integer exponent slots
     (the two-slot case is a coefficient with an x power and a y power).
-    Coefficients only need ``*`` and ``+`` between themselves: the recipe
-    builders pass exact Fractions, and floats work too. Like terms
+    Coefficients only need ``*`` and ``+`` between themselves. The recipe
+    builders pass integers, their exact Fractions scaled over a common
+    denominator D, and divide the k-th power by D^k; Fractions and floats
+    work too. Like terms
     (identical exponent vectors) merge as they appear; exceeding ``cap``
     raw products raises CapacityError instead of silently truncating.
     """
@@ -286,6 +286,9 @@ def materialize_recipes(recipes: Sequence[ExactTermRecipe],
 
 def _eval_recipes_mp(recipes: Sequence[ExactTermRecipe], constant: float,
                      x: float, scales: tuple) -> float:
+    # mpmath loads on the first fallback only; most processes make none
+    import mpmath
+
     lam_dest, lam_eve, zeta = scales
     for dps in _MP_DPS_LADDER:
         with mpmath.workdps(dps):

@@ -44,14 +44,16 @@ class SystemConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer (got {value!r})")
-        if not (self.lambda_D > 0.0):
-            raise ValueError(f"lambda_D must be positive (got {self.lambda_D!r})")
-        if not (self.lambda_E > 0.0):
-            raise ValueError(f"lambda_E must be positive (got {self.lambda_E!r})")
+        # the comparisons also reject NaN; an infinite SNR or threshold has
+        # no closed form and would come out as 0, a NaN or a stray error
+        if not (0.0 < self.lambda_D < math.inf):
+            raise ValueError(f"lambda_D must be positive and finite (got {self.lambda_D!r})")
+        if not (0.0 < self.lambda_E < math.inf):
+            raise ValueError(f"lambda_E must be positive and finite (got {self.lambda_E!r})")
         if not (0.0 <= self.zeta <= 1.0):
             raise ValueError(f"zeta must lie in [0, 1] (got {self.zeta!r})")
-        if not (self.R_th >= 0.0):
-            raise ValueError(f"R_th must be nonnegative (got {self.R_th!r})")
+        if not (0.0 <= self.R_th < math.inf):
+            raise ValueError(f"R_th must be nonnegative and finite (got {self.R_th!r})")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES} (got {self.scheme!r})")
         if self.knowledge not in _KNOWLEDGE:

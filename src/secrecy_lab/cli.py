@@ -498,6 +498,17 @@ def _cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+def _thread_count(text: str) -> int:
+    # below 1 is a usage error rather than a silent serial run
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer (got {text!r})")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secrecy-lab",
@@ -512,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="path of the CSV to write")
     run_p.add_argument("--strict", action="store_true",
                        help="exit nonzero if any oracle tolerance fails")
-    run_p.add_argument("--threads", type=int, default=default_threads(),
+    run_p.add_argument("--threads", type=_thread_count, default=default_threads(),
                        help=threads_help)
     run_p.add_argument("--seed", type=int, default=None,
                        help="override config and SECRECY_LAB_SEED")
@@ -523,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare",
                            help="analytic vs quadrature and Monte Carlo report")
     cmp_p.add_argument("--config", required=True)
-    cmp_p.add_argument("--threads", type=int, default=default_threads(),
+    cmp_p.add_argument("--threads", type=_thread_count, default=default_threads(),
                        help=threads_help)
     cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.set_defaults(func=_cmd_compare)

@@ -20,6 +20,12 @@ is deterministic and every input of the inner integral is in its key, so a
 stored value is the exact float a fresh quadrature would return: every
 result is bit-identical to one computed on empty tables, in any row order.
 The eavesdropper density is likewise stored per node.
+
+Imports: numpy and scipy load on the first oracle call, inside `_quad_unit`,
+`_rates_with_rng` and `_chunk_rng`, so a process that evaluates only closed
+forms never pays for them. The import sits in those entry points, never in
+an integrand: a repeated import is a cached dictionary lookup, but a
+per-node one would run hundreds of thousands of times per sweep.
 """
 
 from __future__ import annotations
@@ -28,9 +34,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.integrate import quad
 
 from .channel import (
     SystemConfig,
@@ -78,6 +81,8 @@ class QuadratureError(RuntimeError):
 
 def _quad_unit(mapped, settings: QuadratureSettings) -> float:
     # integral_0^1 mapped(u) du, raising when QUADPACK misses the tolerance
+    from scipy.integrate import quad
+
     value, err = quad(mapped, 0.0, 1.0,
                       epsabs=settings.abs_tol, epsrel=settings.rel_tol,
                       limit=settings.max_subdivisions)
@@ -265,6 +270,8 @@ def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
     reproducibility contract: destination SNRs, then eavesdropper SNRs, then
     backhaul gates.
     """
+    import numpy as np
+
     K, N, M_D, M_E = _shape(cfgs[0])
     dest_sum = rng.standard_exponential((count, K, M_D)).sum(axis=2)
     # scaling by lambda_E > 0 is monotone under rounding, so the scaled
@@ -295,6 +302,8 @@ def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

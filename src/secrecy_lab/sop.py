@@ -22,6 +22,16 @@ links.
 
 Every builder emits exact rational recipes (see algebra.ExactTermRecipe);
 floats are materialized from those, never accumulated independently.
+
+The recipes are built in integer arithmetic. The slot coefficients are
+scaled to integers over their least common denominator D, the k-th power is
+expanded on those integers, and the k-link terms are accumulated as integer
+numerators over one shared denominator per k (D^k times the factors the
+eavesdropper groups add). Each recipe then forms one Fraction from its
+numerator and that denominator. Every step is exact, and a Fraction is
+reduced to lowest terms, so each recipe equals the one that Fraction
+arithmetic throughout would give. Skipping the per-operation gcd of
+Fraction arithmetic is what makes this faster.
 """
 
 from __future__ import annotations
@@ -106,22 +116,55 @@ def _eve_groups(N: int, M_E: int) -> tuple:
     return tuple((n, me_hat, frac) for (n, me_hat), frac in acc.items())
 
 
+def _over_common_denominator(fracs) -> tuple[int, list[int]]:
+    """(D, [f*D for f in fracs]) with D the least common denominator."""
+    denom = math.lcm(*(f.denominator for f in fracs))
+    return denom, [f.numerator * (denom // f.denominator) for f in fracs]
+
+
+def _integer_power(terms, k: int) -> tuple[int, list[tuple]]:
+    """(D^k, (sum of terms)^k expanded on integer coefficients).
+
+    terms are (Fraction, exponents...) and D is their least common
+    denominator. Each coefficient c enters as the integer c*D, so every
+    expanded coefficient over D^k is exactly the Fraction expansion's.
+    """
+    denom, nums = _over_common_denominator([t[0] for t in terms])
+    scaled = [(num,) + tuple(t[1:]) for num, t in zip(nums, terms)]
+    return denom ** k, expand_power_of_sum(scaled, k)
+
+
 def _select_over_links(K: int, link_terms, unity_dropped: bool) -> tuple:
     """Inclusion-exclusion over the k active links, merged into recipes.
 
-    link_terms(k) yields (Fraction, x power, lambda_D power, lambda_E power,
-    poles) for the k-link product; the exact form keeps e^(k(1-x)/lambda_D).
+    link_terms(k) returns (L, terms) for the k-link product. Each term is
+    (integer numerator over L, x power, lambda_D power, lambda_E power,
+    poles), each pole ((p, q), multiplicity) at the ratio p/q, written so
+    that equal ratios of one k have equal pairs. The exact form keeps
+    e^(k(1-x)/lambda_D). Every key holds its k, so like terms merge as
+    integers over that k's L, and each recipe forms one Fraction.
     """
-    acc: dict[tuple, Fraction] = {}
+    nums: dict[tuple, int] = {}
+    picks = {}  # k -> (signed binomial, denominator of the k-link numerators)
     for k in range(1, K + 1):
-        pick = Fraction(binomial(K, k))
-        if k % 2 == 0:
-            pick = -pick
+        pick = binomial(K, k)
         exp_k = 0 if unity_dropped else k
-        for coeff, poly, ld_pow, le_pow, poles in link_terms(k):
+        denom, terms = link_terms(k)
+        picks[k] = (pick if k % 2 else -pick, denom)
+        for num, poly, ld_pow, le_pow, poles in terms:
             key = (poly, k, exp_k, ld_pow, le_pow, poles)
-            acc[key] = acc.get(key, Fraction(0)) + pick * coeff
-    return _recipes_from_acc(acc)
+            nums[key] = nums.get(key, 0) + num
+    recipes = []
+    for key in sorted(nums, key=_key_sort):
+        if not nums[key]:
+            continue
+        poly, k, exp_k, ld_pow, le_pow, poles = key
+        pick, denom = picks[k]
+        recipes.append(ExactTermRecipe(
+            frac=Fraction(pick * nums[key], denom), zeta_pow=k,
+            lam_dest_pow=ld_pow, lam_eve_pow=le_pow, exp_k=exp_k, poly_power=poly,
+            poles=tuple((Fraction(p, q), mult) for (p, q), mult in poles)))
+    return tuple(recipes)
 
 
 @lru_cache(maxsize=None)
@@ -130,18 +173,30 @@ def _ss_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tupl
 
     The k-th power of the destination slot sum is expanded once per k; the
     closed moment integral over the strongest eavesdropper SNR then attaches
-    each eavesdropper group with a single pole of multiplicity theta.
+    each eavesdropper group with a single pole of multiplicity theta. The
+    moment integral contributes (theta-1)!/k^theta, and theta is at most
+    theta_top, so the k-link terms share the denominator
+    D^k * E * k^theta_top, where D^k comes with the power (see
+    _integer_power) and E is the eavesdropper coefficients' common
+    denominator.
     """
     slots = _dest_slots(M_D, unity_dropped)
-    eve = _eve_groups(N, M_E)
+    groups = _eve_groups(N, M_E)
+    eve_denom, eve_nums = _over_common_denominator([frac for _n, _me, frac in groups])
+    eve = [(n, me_hat, num) for (n, me_hat, _frac), num in zip(groups, eve_nums)]
 
     def link_terms(k):
-        for coeff, poly, mu_hat, m_hat in expand_power_of_sum(slots, k):
-            for n, me_hat, eve_frac in eve:
+        dest_denom, expanded = _integer_power(slots, k)
+        theta_top = M_E + k * (M_D - 1) + max(me_hat for _n, me_hat, _num in eve)
+        terms = []
+        for num, poly, mu_hat, m_hat in expanded:
+            for n, me_hat, eve_num in eve:
                 theta = M_E + mu_hat + me_hat
-                yield (coeff * eve_frac * math.factorial(theta - 1) / Fraction(k ** theta),
-                       poly, theta - m_hat, -(M_E + me_hat),
-                       ((Fraction(n + 1, k), theta),))
+                terms.append((num * eve_num * math.factorial(theta - 1)
+                              * k ** (theta_top - theta),
+                              poly, theta - m_hat, -(M_E + me_hat),
+                              (((n + 1, k), theta),)))
+        return dest_denom * eve_denom * k ** theta_top, terms
     return _select_over_links(K, link_terms, unity_dropped)
 
 
@@ -152,6 +207,8 @@ def _os_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tupl
     The single-link ratio-CDF complement expands into terms carried as
     (coeff, x_power, lambda_D power, lambda_E power, pole multiplicity per
     survivor count); the k-link product accumulates exponents additively.
+    The k-th power is expanded in integers over the denominator D^k (see
+    _integer_power), which all k-link terms share.
     """
     inner: list[tuple] = []
     for dest_frac, poly, mu, m in _dest_slots(M_D, unity_dropped):
@@ -162,30 +219,17 @@ def _os_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tupl
             inner.append((frac, poly, alpha - m, -(M_E + me_hat)) + mults)
 
     def link_terms(k):
-        for coeff, poly, ld_pow, le_pow, *mults in expand_power_of_sum(inner, k):
-            poles = tuple((Fraction(j + 1), mult)
-                          for j, mult in enumerate(mults) if mult)
-            yield coeff, poly, ld_pow, le_pow, poles
+        denom, expanded = _integer_power(inner, k)
+        return denom, ((num, poly, ld_pow, le_pow,
+                        tuple(((j + 1, 1), mult) for j, mult in enumerate(mults) if mult))
+                       for num, poly, ld_pow, le_pow, *mults in expanded)
     return _select_over_links(K, link_terms, unity_dropped)
-
-
-def _recipes_from_acc(acc: dict) -> tuple:
-    recipes = []
-    for key in sorted(acc, key=_key_sort):
-        frac = acc[key]
-        if frac == 0:
-            continue
-        poly, zeta_pow, exp_k, ld_pow, le_pow, poles = key
-        recipes.append(ExactTermRecipe(
-            frac=frac, zeta_pow=zeta_pow, lam_dest_pow=ld_pow,
-            lam_eve_pow=le_pow, exp_k=exp_k, poly_power=poly, poles=poles))
-    return tuple(recipes)
 
 
 def _key_sort(key):
     poly, zeta_pow, exp_k, ld_pow, le_pow, poles = key
     return (exp_k, poly, ld_pow, le_pow,
-            tuple((float(r), m) for r, m in poles), zeta_pow)
+            tuple((p / q, m) for (p, q), m in poles), zeta_pow)
 
 
 def _config_key(cfg: SystemConfig) -> tuple:

@@ -16,7 +16,7 @@ from secrecy_lab.algebra import (
     partial_fractions,
 )
 from secrecy_lab.channel import SystemConfig
-from secrecy_lab.sop import sop
+from secrecy_lab.sop import _integer_power, sop
 from secrecy_lab.specialfn import SignedLogValue
 
 
@@ -56,6 +56,22 @@ class TestExpandPowerOfSum:
         assert got[(2, 0)] == Fraction(1, 4)
         assert got[(1, 1)] == Fraction(-1, 3)
         assert got[(0, 2)] == Fraction(1, 9)
+
+    @pytest.mark.parametrize("inner", [
+        [(Fraction(1, 2), 1, 0), (Fraction(-1, 3), 0, 1)],
+        [(Fraction(3, 4), 0, 0), (Fraction(-5, 6), 1, 0), (Fraction(7, 10), 1, 1),
+         (Fraction(1, 15), 0, 0)],
+        [(Fraction(2), 2, 1), (Fraction(-1, 6), 0, 2), (Fraction(5, 12), 1, 2)],
+        [(Fraction(-9, 14), 1, 0, 3), (Fraction(4, 21), 0, 3, 0)],
+    ])
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+    def test_integer_scaled_expansion_is_the_fraction_expansion(self, inner, kappa):
+        # the recipe builders expand integers over a common denominator D
+        # and divide by D^kappa; that must be the Fraction expansion exactly
+        denom_power, expanded = _integer_power(inner, kappa)
+        assert all(isinstance(t[0], int) for t in expanded)
+        scaled_back = [(Fraction(t[0], denom_power),) + t[1:] for t in expanded]
+        assert scaled_back == expand_power_of_sum(inner, kappa)
 
     def test_capacity_error(self):
         inner = [(Fraction(1), i, 0) for i in range(10)]

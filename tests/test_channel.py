@@ -135,3 +135,18 @@ class TestSystemConfigValidation:
     def test_errors_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             _cfg(**{field: value})
+
+    # an infinite SNR or threshold used to come out as a silent 0.0, a
+    # misleading DivergenceError, a pole error or a NaN deep inside
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_D", math.inf), ("lambda_D", math.nan),
+        ("lambda_E", math.inf), ("lambda_E", math.nan),
+        ("R_th", math.inf), ("R_th", math.nan),
+    ])
+    def test_non_finite_values_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            _cfg(**{field: value})
+
+    def test_large_finite_values_pass(self):
+        cfg = _cfg(lambda_D=1e300, lambda_E=1e-300, R_th=100.0)
+        assert cfg.rho() == 2.0 ** 100

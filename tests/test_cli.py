@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -179,6 +181,67 @@ class TestValidation:
         assert cli.main(["run", "--config", str(config),
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert f"{field}: expected a finite number" in capsys.readouterr().err
+
+
+class TestThreads:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_below_one_is_a_usage_error(self, tmp_path, capsys, command,
+                                        threads):
+        # these used to run serially without a word
+        config = _write_config(tmp_path / "sweep.json")
+        argv = [command, "--config", str(config), "--threads", threads]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "--threads: expected a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+_HEAVY = ("numpy", "scipy", "mpmath")
+
+
+def _heavy_modules_after(code: str) -> list[str]:
+    """The heavy libraries a fresh interpreter has loaded after running code."""
+    probe = (f"{code}\nimport sys\n"
+             f"print(','.join(m for m in {_HEAVY!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, timeout=300,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    last = out.stdout.splitlines()[-1]
+    return last.split(",") if last else []
+
+
+def _cli_run(config, out) -> str:
+    return (f"from secrecy_lab import cli\n"
+            f"assert cli.main(['run', '--config', {str(config)!r}, "
+            f"'--out', {str(out)!r}, '--threads', '1']) == 0")
+
+
+class TestImportHygiene:
+    # numpy, scipy and mpmath load on the first oracle call or precision
+    # fallback; a closed-form process needs only the standard library
+    def test_importing_the_cli_loads_none(self):
+        assert _heavy_modules_after("import secrecy_lab.cli") == []
+
+    def test_closed_form_run_loads_none(self, tmp_path):
+        config = _write_config(tmp_path / "sweep.json",
+                               outputs=["sop_exact", "esr_exact", "esr_high_snr"])
+        out = tmp_path / "out.csv"
+        assert _heavy_modules_after(_cli_run(config, out)) == []
+        assert len(_rows(out)) == 6
+
+    def test_oracle_run_loads_numpy_and_scipy(self, tmp_path):
+        config = _write_config(tmp_path / "sweep.json", outputs=["quad", "mc"],
+                               axis_values=[10], variants=[])
+        out = tmp_path / "out.csv"
+        loaded = _heavy_modules_after(_cli_run(config, out))
+        assert {"numpy", "scipy"} <= set(loaded)
+        (row,) = _rows(out)
+        assert 0.0 < float(row["quad_sop"]) < 1.0
+        assert 0.0 < float(row["mc_esr"])
 
 
 class TestSeedPrecedence:
