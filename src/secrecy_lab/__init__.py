@@ -23,8 +23,6 @@ from .esr import (
     esr_high_snr,
     esr_term_audit,
     integrate_term,
-    t_kernel,
-    w_kernel,
 )
 from .oracles import (
     MonteCarloEstimate,
@@ -71,8 +69,6 @@ __all__ = [
     "esr_asymptotic",
     "esr_term_audit",
     "integrate_term",
-    "w_kernel",
-    "t_kernel",
     "MonteCarloEstimate",
     "QuadratureError",
     "QuadratureSettings",

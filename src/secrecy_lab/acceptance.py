@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .channel import SystemConfig
-from .esr import esr_asymptotic, esr_exact, esr_high_snr, t_kernel, w_kernel
+from .esr import _kernel, esr_asymptotic, esr_exact, esr_high_snr
 from .oracles import _mc_moments_many, default_threads, quad_cdf_ratio, quad_esr
 from .sop import sop
 from .specialfn import exp_integral, upper_incomplete_gamma_int
@@ -366,10 +366,12 @@ def check_special_functions(quick: bool = False) -> CheckResult:
         theta = rng.randint(0, 4)
         k = rng.randint(1, 3)
         n = rng.randint(0, 2)
-        for kernel, pole in ((w_kernel, (n + 1) * cfg.lambda_D / (k * cfg.lambda_E)),
-                             (t_kernel, (n + 1) * cfg.lambda_D / cfg.lambda_E)):
+        # the SS recipes put the pole at (n+1)/k times lambda_D/lambda_E,
+        # the OS recipes at n+1 times it
+        for scheme, pole in (("SS", (n + 1) * cfg.lambda_D / (k * cfg.lambda_E)),
+                             ("OS", (n + 1) * cfg.lambda_D / cfg.lambda_E)):
             a = k / cfg.lambda_D
-            closed = kernel(theta, k, n, cfg)
+            closed = _kernel(a, pole, theta)
             # pure relative tolerance: these integrals can sit near 1e-12
             # where scipy's default absolute floor would swamp the comparison
             est, _ = quad(lambda x: math.exp(-a * x) / (x + pole) ** (theta + 1),
@@ -377,7 +379,7 @@ def check_special_functions(quick: bool = False) -> CheckResult:
             rel = abs(closed - est) / max(abs(est), 1e-300)
             if rel > kernel_worst:
                 kernel_worst, worst_what = rel, (
-                    f"{kernel.__name__} theta={theta} k={k} n={n}")
+                    f"{scheme}-pole kernel theta={theta} k={k} n={n}")
     passed = kernel_worst <= 1e-9
     return CheckResult(
         name="special-function suite",

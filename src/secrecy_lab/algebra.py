@@ -7,9 +7,9 @@ Two jobs live here:
   polynomial numerator) via truncated power series around each pole.
 
 The module also owns the canonical carrier for every closed-form CDF:
-``TermSum`` holds ``constant - sum of RationalExpTerm`` where each term is
+``TermSum`` holds ``1 - sum of RationalExpTerm`` where each term is
 ``c * x^p * e^(-a x) / prod (x+b_q)^(m_q)``. Terms are materialized as floats
-with SignedLogValue coefficients, but each TermSum built by this package also
+with the coefficient kept as ln |c| and its sign, and each TermSum also
 carries an exact rational "recipe" per term (integer-fraction coefficient,
 integer powers of the two scale parameters). The recipes allow the evaluator
 to redo a catastrophically cancelling sum in arbitrary precision: the deep
@@ -22,12 +22,13 @@ ArithmeticError instead of returning an uncertified float.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .specialfn import SignedLogValue, pairwise_sum
+from .specialfn import pairwise_sum
 
 EXPANSION_TERM_CAP = 10_000_000
 
@@ -60,6 +61,7 @@ def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int,
         if len(t) - 1 != width:
             raise ValueError("inner terms must share one exponent-vector width")
     acc: dict[tuple, object] = {tuple(t[1:]): t[0] for t in _merge_inner(inner_terms)}
+    inner = [(t[0], tuple(t[1:])) for t in inner_terms]
     for _ in range(kappa - 1):
         if len(acc) * len(inner_terms) > cap:
             raise CapacityError(
@@ -67,9 +69,9 @@ def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int,
                 f"(cap {cap}); reduce K, N, or the multipath orders")
         nxt: dict[tuple, object] = {}
         for exps_a, coeff_a in acc.items():
-            for term in inner_terms:
-                key = tuple(a + b for a, b in zip(exps_a, term[1:]))
-                coeff = coeff_a * term[0]
+            for coeff_b, exps_b in inner:
+                key = tuple(map(operator.add, exps_a, exps_b))
+                coeff = coeff_a * coeff_b
                 prev = nxt.get(key)
                 nxt[key] = coeff if prev is None else prev + coeff
         acc = nxt
@@ -87,26 +89,22 @@ def _merge_inner(inner_terms: Sequence[tuple]) -> list[tuple]:
     return [(coeff,) + exps for exps, coeff in merged.items()]
 
 
-def partial_fractions(poles: Sequence[tuple]) -> tuple[tuple[float, ...], ...]:
-    """Coefficients c_{j,t} with 1/prod(x+b_q)^(m_q) = sum_j sum_t c_{j,t}/(x+b_j)^t.
-
-    ``poles`` is a sequence of (location b, multiplicity m); locations must be
-    pairwise distinct (group first) and may include 0 for the extra simple
-    pole that the logarithmic integrals introduce. The j-th row of the result
-    has m_j entries ordered t = 1..m_j. Rows are tuples because they are
-    memoized and shared between callers.
-    """
-    return _partial_fractions_power(tuple(poles), 0)
-
-
 @lru_cache(maxsize=4096)
-def _partial_fractions_power(poles: tuple, num_power: int) -> tuple[tuple[float, ...], ...]:
+def partial_fractions(poles: tuple, num_power: int = 0) -> tuple[tuple[float, ...], ...]:
+    """Coefficients c_{j,t} with x^n/prod(x+b_q)^(m_q) = sum_j sum_t c_{j,t}/(x+b_j)^t.
+
+    ``poles`` is a tuple of (location b, multiplicity m); locations must be
+    pairwise distinct (group first) and may include 0 for the extra simple
+    pole that the logarithmic integrals introduce. n is ``num_power``; the
+    rows hold only the pole parts. The j-th row of the result has m_j
+    entries ordered t = 1..m_j. Rows are tuples because they are memoized
+    and shared between callers; a memoized row is the float a fresh call
+    returns.
+    """
     # Around pole j substitute x = u - b_j; the coefficient of 1/(x+b_j)^t is
     # the coefficient of u^(m_j - t) in  u^0..: (u - b_j)^num_power *
     # prod_{q != j} (u + b_q - b_j)^(-m_q), i.e. a truncated product series
-    # followed by one series inversion (synthetic division). The rows depend
-    # only on the arguments, so a memoized row is the float a fresh call
-    # returns.
+    # followed by one series inversion (synthetic division).
     locations = [b for b, _ in poles]
     total_degree = sum(m for _, m in poles)
     if total_degree < 1:
@@ -167,17 +165,23 @@ def _series_invert(p: list[float], keep: int) -> list[float]:
 class RationalExpTerm:
     """One summand c * x^p * e^(-a x) / prod (x+b_q)^(m_q).
 
-    Pole locations are strictly positive (every pole arising from the fading
-    algebra sits at a positive multiple of the SNR-scale ratio, so the term
-    is analytic on [1, inf)).
+    The coefficient is carried as ln |c| and the sign of c, so products of
+    hundreds of binomials and gamma factors never leave the float range even
+    when c itself would overflow a double; c is never zero. Pole locations
+    are strictly positive (every pole arising from the fading algebra sits at
+    a positive multiple of the SNR-scale ratio, so the term is analytic on
+    [1, inf)).
     """
 
-    coeff: SignedLogValue
+    log_coeff: float
+    sign: int
     poly_power: int
     exp_rate: float
     poles: tuple
 
     def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1 (got {self.sign!r})")
         if self.poly_power < 0:
             raise ValueError("poly_power must be nonnegative")
         if self.exp_rate < 0:
@@ -189,14 +193,12 @@ class RationalExpTerm:
                 raise ValueError(f"pole multiplicities must be positive (got {m})")
 
     def value_at(self, x: float) -> float:
-        if self.coeff.sign == 0:
-            return 0.0
-        log_val = self.coeff.log_magnitude - self.exp_rate * x
+        log_val = self.log_coeff - self.exp_rate * x
         if self.poly_power:
             log_val += self.poly_power * math.log(x)
         for b, m in self.poles:
             log_val -= m * math.log(x + b)
-        return self.coeff.sign * math.exp(log_val)
+        return self.sign * math.exp(log_val)
 
 
 @dataclass(frozen=True)
@@ -219,30 +221,23 @@ class ExactTermRecipe:
 
 @dataclass(frozen=True)
 class TermSum:
-    """constant - sum of terms; the canonical closed-form CDF carrier.
+    """1 - sum of terms; the canonical closed-form CDF carrier.
 
-    Zero-coefficient terms are dropped on construction. When ``recipes`` and
-    ``scales`` are present (every sum built by this package), evaluation
-    detects catastrophic cancellation and redoes the sum in arbitrary
-    precision from the exact recipes.
+    Evaluation detects catastrophic cancellation and redoes the sum in
+    arbitrary precision from the exact recipes, one per term.
     """
 
     terms: tuple
-    constant: float
-    recipes: tuple | None = field(default=None, repr=False)
-    scales: tuple | None = field(default=None, repr=False)  # (lambda_D, lambda_E, zeta)
-
-    def __post_init__(self):
-        kept = tuple(t for t in self.terms if t.coeff.sign != 0)
-        object.__setattr__(self, "terms", kept)
+    recipes: tuple = field(repr=False)
+    scales: tuple = field(repr=False)  # (lambda_D, lambda_E, zeta)
 
     def eval(self, x: float) -> float:
         values = [t.value_at(x) for t in self.terms]
-        total = self.constant - pairwise_sum(values)
-        if self.recipes is not None and values:
-            gross = math.fsum(abs(v) for v in values) + abs(self.constant)
+        total = 1.0 - pairwise_sum(values)
+        if values:
+            gross = math.fsum(abs(v) for v in values) + 1.0
             if abs(total) < 1e-9 * gross:
-                total = _eval_recipes_mp(self.recipes, self.constant, x, self.scales)
+                total = _eval_recipes_mp(self.recipes, x, self.scales)
         return total
 
 
@@ -277,15 +272,15 @@ def materialize_recipes(recipes: Sequence[ExactTermRecipe],
             (ratio.numerator * lam_dest / (ratio.denominator * lam_eve), mult)
             for ratio, mult in r.poles)
         out.append(RationalExpTerm(
-            coeff=SignedLogValue.from_log(log_mag, sign),
+            log_coeff=log_mag, sign=sign,
             poly_power=r.poly_power,
             exp_rate=r.exp_k / lam_dest,
             poles=poles))
     return tuple(out)
 
 
-def _eval_recipes_mp(recipes: Sequence[ExactTermRecipe], constant: float,
-                     x: float, scales: tuple) -> float:
+def _eval_recipes_mp(recipes: Sequence[ExactTermRecipe], x: float,
+                     scales: tuple) -> float:
     # mpmath loads on the first fallback only; most processes make none
     import mpmath
 
@@ -296,11 +291,9 @@ def _eval_recipes_mp(recipes: Sequence[ExactTermRecipe], constant: float,
             le = mpmath.mpf(lam_eve)
             zt = mpmath.mpf(zeta)
             xx = mpmath.mpf(x)
-            total = mpmath.mpf(constant)
+            total = mpmath.mpf(1)
             gross = abs(total)
             for r in recipes:
-                if r.frac == 0 or (zeta == 0.0 and r.zeta_pow > 0):
-                    continue
                 v = mpmath.mpf(r.frac.numerator) / r.frac.denominator
                 if r.zeta_pow:
                     v *= zt ** r.zeta_pow

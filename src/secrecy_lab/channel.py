@@ -52,8 +52,9 @@ class SystemConfig:
             raise ValueError(f"lambda_E must be positive and finite (got {self.lambda_E!r})")
         if not (0.0 <= self.zeta <= 1.0):
             raise ValueError(f"zeta must lie in [0, 1] (got {self.zeta!r})")
-        if not (0.0 <= self.R_th < math.inf):
-            raise ValueError(f"R_th must be nonnegative and finite (got {self.R_th!r})")
+        if not (0.0 <= self.R_th < 1024.0):
+            raise ValueError(f"R_th must be nonnegative, finite and below 1024, "
+                             f"so that 2^R_th fits a double (got {self.R_th!r})")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES} (got {self.scheme!r})")
         if self.knowledge not in _KNOWLEDGE:

@@ -15,15 +15,15 @@ The high-SNR variant integrates the unity-dropped TermSum (a = 0
 throughout); the asymptotic variant integrates the same TermSum with every
 1 + b collapsed to its pole b, the leading behavior as the poles grow, which
 leaves an expression affine in ln(lambda_D/lambda_E). All three rates share
-one path: zeta = 0, the gate-after-selection rescaling, the term sum and
-the log-space reduction.
+one path: zeta = 0, the gate-after-selection rescaling (sop.gated_base),
+the term sum and the log-space reduction.
 
 Terms of one rate share their kernels: the exact OS rate at K=3, N=2,
 M_D=M_E=3 calls _kernel about 66,000 times over 91 distinct (a, b, theta),
 because a is k/lam_D, b one of a few pole locations and theta a small order.
 With the high-SNR rate it makes 2,700 partial-fraction decompositions over
 290 pole sets. The kernel and the partial-fraction rows
-(algebra._partial_fractions_power) are therefore memoized in bounded
+(algebra.partial_fractions) are therefore memoized in bounded
 per-process LRU caches. Both are pure functions of floats and ints that are
 all in the cache key, so a cached value is the exact float a fresh call
 returns, and every rate keeps its bits in any call order.
@@ -33,18 +33,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (
-    RationalExpTerm,
-    TermSum,
-    _partial_fractions_power,
-    partial_fractions,
-)
+from .algebra import RationalExpTerm, TermSum, partial_fractions
 from .channel import SystemConfig
-from .sop import build_cdf_term_sum, build_high_snr_term_sum
-from .specialfn import binomial, log_upper_incomplete_gamma_int, pairwise_sum
+from .sop import build_cdf_term_sum, build_high_snr_term_sum, gated_base
+from .specialfn import log_upper_incomplete_gamma_int, pairwise_sum
 
 _LOG = logging.getLogger(__name__)
 _LN2 = math.log(2.0)
@@ -86,28 +81,6 @@ def _kernel(a: float, b: float, theta: int) -> float:
     return math.exp(theta * math.log(a) + a * b + log_gamma)
 
 
-def w_kernel(theta: int, k: int, n: int, cfg: SystemConfig) -> float:
-    """integral_1^inf e^(-k x/lam_D) / (x + (n+1) lam_D/(k lam_E))^(theta+1) dx.
-
-    The pole location couples the two SNR scales through the backhaul index
-    k and the eavesdropper-survivor count n; the exponential prefactor of the
-    closed form is e^((n+1)/lam_E).
-    """
-    return _kernel(k / cfg.lambda_D,
-                   (n + 1) * cfg.lambda_D / (k * cfg.lambda_E), theta)
-
-
-def t_kernel(theta: int, k: int, n_q: int, cfg: SystemConfig) -> float:
-    """Kernel with pole (n_q+1) lam_D/lam_E at rate k/lam_D.
-
-    Arises from k-fold products of single-link terms: the pole location does
-    not divide by k, so the prefactor is e^(k (n_q+1)/lam_E). Coincides with
-    w_kernel at k = 1.
-    """
-    return _kernel(k / cfg.lambda_D,
-                   (n_q + 1) * cfg.lambda_D / cfg.lambda_E, theta)
-
-
 def integrate_term(term: RationalExpTerm) -> float:
     """integral_1^inf x^(p-1) e^(-a x) / prod(x+b_q)^(m_q) dx, unit coefficient.
 
@@ -130,7 +103,7 @@ def integrate_term(term: RationalExpTerm) -> float:
         return _integrate_rational(p, poles, asymptotic=False)
     if p == 0:
         full = ((0.0, 1),) + poles
-        rows = partial_fractions(full)
+        rows = partial_fractions(full, 0)
         pieces = []
         for (b, _m), row in zip(full, rows):
             for t, c in enumerate(row, start=1):
@@ -139,7 +112,7 @@ def integrate_term(term: RationalExpTerm) -> float:
         return math.fsum(pieces)
     if not poles:
         return _kernel(a, 0.0, -p)
-    rows = partial_fractions(poles)
+    rows = partial_fractions(poles, 0)
     pieces = []
     for (b, _m), row in zip(poles, rows):
         for t, c in enumerate(row, start=1):
@@ -147,7 +120,7 @@ def integrate_term(term: RationalExpTerm) -> float:
                 continue
             # x^(p-1) = sum_jj C(p-1,jj) (x+b)^jj (-b)^(p-1-jj)
             for jj in range(p):
-                weight = binomial(p - 1, jj) * (-b) ** (p - 1 - jj)
+                weight = math.comb(p - 1, jj) * (-b) ** (p - 1 - jj)
                 pieces.append(c * weight * _kernel(a, b, t - jj - 1))
     return math.fsum(pieces)
 
@@ -162,10 +135,10 @@ def _integrate_rational(p: int, poles: tuple, asymptotic: bool) -> float:
     """
     if p == 0:
         full = ((0.0, 1),) + poles
-        rows = _partial_fractions_power(full, 0)
+        rows = partial_fractions(full, 0)
     else:
         full = poles
-        rows = _partial_fractions_power(full, p - 1)
+        rows = partial_fractions(full, p - 1)
     pieces = []
     for (b, _m), row in zip(full, rows):
         for t, c in enumerate(row, start=1):
@@ -187,10 +160,10 @@ def _sum_integrated(term_sum: TermSum, integrator) -> float:
     contributions = []
     for term in term_sum.terms:
         integral = integrator(term)
-        if integral == 0.0 or term.coeff.is_zero:
+        if integral == 0.0:
             continue
-        log_mag = term.coeff.log_magnitude + math.log(abs(integral))
-        sign = term.coeff.sign * math.copysign(1.0, integral)
+        log_mag = term.log_coeff + math.log(abs(integral))
+        sign = term.sign * math.copysign(1.0, integral)
         contributions.append(sign * math.exp(log_mag))
     return pairwise_sum(contributions) / _LN2
 
@@ -201,8 +174,7 @@ def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult
     if cfg.knowledge == "KU":
         # gate after selection scales the rate linearly: zeta times the
         # always-on rate, exactly.
-        base = _rate(replace(cfg, zeta=1.0, knowledge="KA"), form,
-                     build_term_sum, integrator)
+        base = _rate(gated_base(cfg), form, build_term_sum, integrator)
         return EsrResult(value=cfg.zeta * base.value, form=form,
                          term_count=base.term_count)
     term_sum = build_term_sum(cfg)
@@ -235,12 +207,13 @@ def esr_term_audit(cfg: SystemConfig) -> float:
     """Max relative gap between closed term integrals and quadrature.
 
     The alternating term sum hides per-term mistakes; this audits each term
-    of the config's TermSum independently against adaptive quadrature of the
-    same integrand and returns the worst relative discrepancy.
+    of the config's base TermSum (sop.gated_base) independently against
+    adaptive quadrature of the same integrand and returns the worst relative
+    discrepancy.
     """
     from scipy.integrate import quad
 
-    term_sum = build_cdf_term_sum(cfg)
+    term_sum = build_cdf_term_sum(gated_base(cfg))
     worst = 0.0
     for term in term_sum.terms:
         closed = integrate_term(term)

@@ -17,8 +17,11 @@ links.
   eavesdropper-survivor index.
 * The unity-dropped (high-SNR) forms are the same recipes restricted to
   the slots that keep the whole x(1+y) power, without the exponential.
-* Gate-after-selection variants are exactly 1 - zeta + zeta * (ungated CDF),
-  so their term sums are the zeta=1 sums rescaled.
+* Gate after selection (KU) has no term sum of its own. The always-on
+  selection runs first and one backhaul gate then blocks the selected link
+  with probability 1 - zeta, so F_KU = 1 - zeta + zeta * F_on, where F_on
+  is the KA CDF at zeta = 1 (see gated_base). Every KU value goes through
+  that identity, and esr scales every KU rate by zeta the same way.
 
 Every builder emits exact rational recipes (see algebra.ExactTermRecipe);
 floats are materialized from those, never accumulated independently.
@@ -49,7 +52,6 @@ from .algebra import (
     materialize_recipes,
 )
 from .channel import SystemConfig
-from .specialfn import binomial
 
 _FORM_EXACT = "exact"
 _FORM_ASYMPTOTIC = "asymptotic"
@@ -78,7 +80,7 @@ def _dest_slots(M_D: int, unity_dropped: bool) -> tuple:
             for drop in range(m - mu + 1):
                 if unity_dropped and (mu != m or drop):
                     continue
-                frac = Fraction(binomial(m, mu) * binomial(m - mu, drop),
+                frac = Fraction(math.comb(m, mu) * math.comb(m - mu, drop),
                                 math.factorial(m))
                 slots.append((-frac if drop % 2 else frac, m - drop, mu, m))
     return tuple(slots)
@@ -93,7 +95,7 @@ def _eve_survivor_factors(N: int, M_E: int):
     """
     base = Fraction(N, math.factorial(M_E - 1))
     for n in range(N):
-        outer = base * binomial(N - 1, n)
+        outer = base * math.comb(N - 1, n)
         if n % 2:
             outer = -outer
         for vec in product(range(M_E), repeat=n):
@@ -147,7 +149,7 @@ def _select_over_links(K: int, link_terms, unity_dropped: bool) -> tuple:
     nums: dict[tuple, int] = {}
     picks = {}  # k -> (signed binomial, denominator of the k-link numerators)
     for k in range(1, K + 1):
-        pick = binomial(K, k)
+        pick = math.comb(K, k)
         exp_k = 0 if unity_dropped else k
         denom, terms = link_terms(k)
         picks[k] = (pick if k % 2 else -pick, denom)
@@ -232,33 +234,48 @@ def _key_sort(key):
             tuple((p / q, m) for (p, q), m in poles), zeta_pow)
 
 
+def gated_base(cfg: SystemConfig) -> SystemConfig:
+    """The KA config whose term sum carries cfg's CDF and rates.
+
+    A KA config is its own base. A KU config gates the always-on selection
+    after the fact: F_KU = 1 - zeta + zeta * F_on and rate_KU = zeta *
+    rate_on, where the base is KA at zeta = 1. At zeta = 0 no link ever
+    transmits, and the base keeps zeta = 0 so that its term sum is empty.
+    """
+    if cfg.knowledge == "KA":
+        return cfg
+    return replace(cfg, zeta=1.0 if cfg.zeta > 0.0 else 0.0, knowledge="KA")
+
+
 def _config_key(cfg: SystemConfig) -> tuple:
+    if cfg.knowledge == "KU":
+        raise ValueError(
+            "gate after selection (KU) has no term sum of its own: "
+            "F_KU = 1 - zeta + zeta * F_on, with F_on the always-on KA sum "
+            "of gated_base(cfg)")
     return (cfg.K, cfg.N, cfg.M_D, cfg.M_E, cfg.lambda_D, cfg.lambda_E,
-            cfg.zeta, cfg.scheme, cfg.knowledge)
+            cfg.zeta, cfg.scheme)
 
 
 @lru_cache(maxsize=1024)
 def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
-    K, N, M_D, M_E, lam_d, lam_e, zeta, scheme, knowledge = key
+    K, N, M_D, M_E, lam_d, lam_e, zeta, scheme = key
     scales = (lam_d, lam_e, zeta)
     if zeta == 0.0:
-        return TermSum(terms=(), constant=1.0, recipes=(), scales=scales)
+        return TermSum(terms=(), recipes=(), scales=scales)
     build = _ss_recipes if scheme == "SS" else _os_recipes
     recipes = build(K, N, M_D, M_E, unity_dropped)
-    if knowledge == "KU":
-        # gate applied after selection: F = 1 - zeta * (complement at zeta=1)
-        recipes = tuple(replace(r, zeta_pow=1) for r in recipes)
     terms = materialize_recipes(recipes, lam_d, lam_e, zeta)
-    return TermSum(terms=terms, constant=1.0, recipes=recipes, scales=scales)
+    return TermSum(terms=terms, recipes=recipes, scales=scales)
 
 
 def build_cdf_term_sum(cfg: SystemConfig) -> TermSum:
-    """The TermSum carrying F(x) for cfg's scheme/knowledge (cached)."""
+    """The TermSum carrying F(x) for a KA config (cached); KU raises."""
     return _term_sum_for_key(_config_key(cfg), False)
 
 
 def build_high_snr_term_sum(cfg: SystemConfig) -> TermSum:
-    """TermSum of the unity-dropped CDF (pure rational terms, no exp)."""
+    """TermSum of the unity-dropped CDF (pure rational terms, no exp); KU raises."""
     return _term_sum_for_key(_config_key(cfg), True)
 
 
@@ -266,12 +283,11 @@ def cdf_ratio(x: float, cfg: SystemConfig) -> float:
     """F(x) = P(secrecy ratio <= x) for x >= 1."""
     if x < 1.0:
         raise ValueError("x must be at least 1: the ratio CDF is only assembled on [1, inf)")
-    if cfg.knowledge == "KU" and 0.0 < cfg.zeta < 1.0:
-        # gate-after-selection keeps zeta as a single outer multiplier, so
-        # evaluate the mixture with the zeta=1 curve literally; folding zeta
-        # into the term coefficients instead leaves ~1e-12 relative noise
-        # after cancellation on deep K/N grids
-        base = cdf_ratio(x, replace(cfg, zeta=1.0, knowledge="KA"))
+    if cfg.knowledge == "KU":
+        # zeta stays a single outer multiplier of the always-on curve;
+        # folding it into the term coefficients instead leaves ~1e-12
+        # relative noise after cancellation on deep K/N grids
+        base = cdf_ratio(x, gated_base(cfg))
         return min(1.0, 1.0 - cfg.zeta + cfg.zeta * base)
     value = build_cdf_term_sum(cfg).eval(x)
     if not (-1e-9 <= value <= 1.0 + 1e-9):
@@ -281,8 +297,11 @@ def cdf_ratio(x: float, cfg: SystemConfig) -> float:
 
 
 def sop(cfg: SystemConfig) -> SopResult:
-    """Exact outage probability: the ratio CDF at 2^R_th."""
-    term_sum = build_cdf_term_sum(cfg)
+    """Exact outage probability: the ratio CDF at 2^R_th.
+
+    term_count is the size of the base term sum (see gated_base).
+    """
+    term_sum = build_cdf_term_sum(gated_base(cfg))
     value = cdf_ratio(cfg.rho(), cfg)
     return SopResult(value=value, form=_FORM_EXACT, term_count=len(term_sum.terms))
 
@@ -321,7 +340,7 @@ def _perfect_backhaul_bracket(links: int, dest_factorial_count: int,
         for n, me_vec, eve_frac in _eve_survivor_factors(cfg.N, cfg.M_E):
             me_hat = sum(me_vec)
             phi = cfg.M_E + mu + me_hat
-            frac = (eve_frac * binomial(lam, mu) * math.factorial(phi - 1)
+            frac = (eve_frac * math.comb(lam, mu) * math.factorial(phi - 1)
                     / Fraction((n + 1) ** phi))
             log_mag = (math.log(abs(frac.numerator)) - math.log(frac.denominator)
                        + mu * (log_lam_e + log_rho))

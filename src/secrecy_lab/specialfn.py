@@ -3,62 +3,18 @@
 Everything here is pure float math on scalars: upper incomplete gamma of
 integer order (including negative orders, which the tail kernels evaluate
 routinely), generalized exponential integrals with a series /
-continued-fraction regime split, exact binomials, and a signed log-domain
-value type used to carry alternating-series coefficients that would
-overflow or lose their sign structure in plain floats.
+continued-fraction regime split, and a deterministic pairwise sum for the
+alternating term series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 EULER_GAMMA = 0.5772156649015328606
 
 _CF_MAX_ITER = 500
 _TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as (ln |value|, sign) to survive huge magnitudes.
-
-    sign == 0 encodes exact zero; log_magnitude is ignored in that case.
-    Term coefficients are built as logs, so products of hundreds of binomials
-    and gamma factors never leave the representable range even when the
-    materialized value would overflow a double.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    @staticmethod
-    def from_real(value: float) -> "SignedLogValue":
-        if value == 0.0:
-            return SignedLogValue(float("-inf"), 0)
-        return SignedLogValue(math.log(abs(value)), 1 if value > 0 else -1)
-
-    @staticmethod
-    def from_log(log_magnitude: float, sign: int) -> "SignedLogValue":
-        if sign == 0:
-            return SignedLogValue(float("-inf"), 0)
-        return SignedLogValue(log_magnitude, 1 if sign > 0 else -1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact integer C(n, k); k > n yields 0."""
-    if k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def _exp_integral_one_series(x: float) -> float:

@@ -10,14 +10,12 @@ from secrecy_lab.algebra import (
     ExactTermRecipe,
     RationalExpTerm,
     TermSum,
-    _partial_fractions_power,
     expand_power_of_sum,
     materialize_recipes,
     partial_fractions,
 )
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.sop import _integer_power, sop
-from secrecy_lab.specialfn import SignedLogValue
 
 
 class TestExpandPowerOfSum:
@@ -81,12 +79,12 @@ class TestExpandPowerOfSum:
 
 class TestPartialFractions:
     def test_two_simple_poles_telescope(self):
-        rows = partial_fractions([(1.0, 1), (2.0, 1)])
+        rows = partial_fractions(((1.0, 1), (2.0, 1)))
         assert rows[0][0] == pytest.approx(1.0, rel=1e-12)
         assert rows[1][0] == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_pole_with_double_pole(self):
-        rows = partial_fractions([(0.0, 1), (2.0, 2)])
+        rows = partial_fractions(((0.0, 1), (2.0, 2)))
         assert rows[0][0] == pytest.approx(0.25, rel=1e-12)
         assert rows[1][0] == pytest.approx(-0.25, rel=1e-12)
         assert rows[1][1] == pytest.approx(-0.5, rel=1e-12)
@@ -96,7 +94,7 @@ class TestPartialFractions:
         for _ in range(12):
             count = rng.randint(1, 4)
             locations = rng.sample([0.5, 1.0, 1.5, 2.5, 4.0, 7.0], count)
-            poles = [(b, rng.randint(1, 3)) for b in locations]
+            poles = tuple((b, rng.randint(1, 3)) for b in locations)
             if sum(m for _, m in poles) > 12:
                 continue
             rows = partial_fractions(poles)
@@ -113,18 +111,18 @@ class TestPartialFractions:
 
     def test_coincident_locations_rejected(self):
         with pytest.raises(ValueError, match="grouped"):
-            partial_fractions([(1.0, 1), (1.0, 2)])
+            partial_fractions(((1.0, 1), (1.0, 2)))
 
     def test_memo_cannot_be_poisoned(self):
-        poles = [(0.0, 1), (2.0, 2), (5.0, 3)]
-        numer_poles = tuple(poles[1:])
-        _partial_fractions_power.cache_clear()
+        poles = ((0.0, 1), (2.0, 2), (5.0, 3))
+        numer_poles = poles[1:]
+        partial_fractions.cache_clear()
         cold = partial_fractions(poles)
-        cold_numer = _partial_fractions_power(numer_poles, 2)
+        cold_numer = partial_fractions(numer_poles, 2)
         # what a caller receives is immutable at every level, so no caller
         # can rewrite the memoized rows that later calls share
         for rows in (partial_fractions(poles),
-                     _partial_fractions_power(numer_poles, 2)):
+                     partial_fractions(numer_poles, 2)):
             with pytest.raises(TypeError):
                 rows[0] = (99.0,)
             with pytest.raises(TypeError):
@@ -132,13 +130,13 @@ class TestPartialFractions:
             with pytest.raises(AttributeError):
                 rows[1].append(99.0)
         assert partial_fractions(poles) == cold
-        assert _partial_fractions_power(numer_poles, 2) == cold_numer
-        assert _partial_fractions_power.cache_info().hits >= 3
+        assert partial_fractions(numer_poles, 2) == cold_numer
+        assert partial_fractions.cache_info().hits >= 3
 
 
 class TestRationalExpTerm:
     def test_value_at(self):
-        term = RationalExpTerm(coeff=SignedLogValue.from_real(2.0),
+        term = RationalExpTerm(log_coeff=math.log(2.0), sign=1,
                                poly_power=1, exp_rate=0.5,
                                poles=((1.0, 2),))
         x = 3.0
@@ -147,8 +145,15 @@ class TestRationalExpTerm:
 
     def test_positive_pole_locations_enforced(self):
         with pytest.raises(ValueError):
-            RationalExpTerm(coeff=SignedLogValue.from_real(1.0),
+            RationalExpTerm(log_coeff=0.0, sign=1,
                             poly_power=0, exp_rate=1.0, poles=((-1.0, 1),))
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_is_plus_or_minus_one(self, sign):
+        # materialized terms never carry a zero coefficient
+        with pytest.raises(ValueError, match="sign"):
+            RationalExpTerm(log_coeff=0.0, sign=sign,
+                            poly_power=0, exp_rate=1.0, poles=((1.0, 1),))
 
 
 class TestTermSumAndRecipes:
@@ -177,9 +182,9 @@ class TestTermSumAndRecipes:
         assert materialize_recipes([recipe], 1.0, 1.0, 1.0) == ()
 
     def test_eval_is_constant_minus_terms(self):
-        term = RationalExpTerm(coeff=SignedLogValue.from_real(0.25),
+        term = RationalExpTerm(log_coeff=math.log(0.25), sign=1,
                                poly_power=0, exp_rate=1.0, poles=((1.0, 1),))
-        ts = TermSum(terms=(term,), constant=1.0, recipes=(), scales=(1.0, 1.0, 1.0))
+        ts = TermSum(terms=(term,), recipes=(), scales=(1.0, 1.0, 1.0))
         x = 2.0
         assert ts.eval(x) == pytest.approx(
             1.0 - 0.25 * math.exp(-x) / (x + 1.0), rel=1e-12)

@@ -150,3 +150,13 @@ class TestSystemConfigValidation:
     def test_large_finite_values_pass(self):
         cfg = _cfg(lambda_D=1e300, lambda_E=1e-300, R_th=100.0)
         assert cfg.rho() == 2.0 ** 100
+
+    # 2^R_th used to overflow with a bare OverflowError inside sop()
+    @pytest.mark.parametrize("r_th", [1024.0, 2000.0, 1e300])
+    def test_threshold_past_the_double_range_names_the_field(self, r_th):
+        with pytest.raises(ValueError, match="R_th must be .*below 1024"):
+            _cfg(R_th=r_th)
+
+    def test_largest_threshold_has_a_finite_ratio(self):
+        r_th = math.nextafter(1024.0, 0.0)
+        assert math.isfinite(_cfg(R_th=r_th).rho())

@@ -183,6 +183,18 @@ class TestValidation:
         assert f"{field}: expected a finite number" in capsys.readouterr().err
 
 
+def test_threshold_past_the_double_range_is_a_config_error(tmp_path, capsys):
+    # 2^R_th used to overflow and surface as an unnamed numeric error
+    config = _write_config(tmp_path / "bad.json")
+    doc = json.loads(config.read_text())
+    doc["base"]["R_th"] = 2000.0
+    config.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config error: R_th must be" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 class TestThreads:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("threads", ["0", "-1"])

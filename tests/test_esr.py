@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 from scipy.integrate import quad
 
-from secrecy_lab.algebra import RationalExpTerm, _partial_fractions_power
+from secrecy_lab.algebra import RationalExpTerm, partial_fractions
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.esr import (
     DivergenceError,
@@ -23,11 +23,8 @@ from secrecy_lab.esr import (
     esr_high_snr,
     esr_term_audit,
     integrate_term,
-    t_kernel,
-    w_kernel,
 )
 from secrecy_lab.oracles import quad_esr
-from secrecy_lab.specialfn import SignedLogValue
 
 # double quadrature of the defining rate integral at K=N=1, M_D=M_E=1,
 # lam_D=100, lam_E=1, zeta=1; equals (e^(1/lam)/ln2)(E1(1/lam) - e E1((1+lam)/lam))
@@ -86,7 +83,7 @@ def _cfg(**overrides):
 
 
 def _unit_term(poly_power, exp_rate, poles):
-    return RationalExpTerm(coeff=SignedLogValue.from_real(1.0),
+    return RationalExpTerm(log_coeff=0.0, sign=1,
                            poly_power=poly_power, exp_rate=exp_rate,
                            poles=poles)
 
@@ -150,35 +147,29 @@ class TestIntegrateTerm:
 
 
 class TestKernels:
-    def test_w_kernel_frozen_value(self):
-        cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=1.0)
-        assert w_kernel(0, 1, 0, cfg) == pytest.approx(E_GAMMA_0_2, rel=1e-12)
+    # rate a = k/lam_D; the SS recipes put the pole at (n+1) lam_D/(k lam_E),
+    # the OS recipes at (n+1) lam_D/lam_E
+    def test_ss_pole_frozen_value(self):
+        # lam_D = lam_E = 1, k = 1, n = 0
+        assert _kernel(1.0, 1.0, 0) == pytest.approx(E_GAMMA_0_2, rel=1e-12)
 
-    def test_t_kernel_frozen_value(self):
-        cfg = _cfg(K=2, lambda_D=10.0, lambda_E=1.0)
-        assert t_kernel(0, 2, 0, cfg) == pytest.approx(
-            E2_GAMMA_0_2P2, rel=1e-12)
+    def test_os_pole_frozen_value(self):
+        # lam_D = 10, lam_E = 1, k = 2, n = 0
+        assert _kernel(0.2, 10.0, 0) == pytest.approx(E2_GAMMA_0_2P2, rel=1e-12)
 
-    def test_kernels_coincide_at_one_active_link(self):
-        cfg = _cfg(lambda_D=7.0, lambda_E=2.0)
-        for theta in range(-2, 4):
-            for n in range(3):
-                assert t_kernel(theta, 1, n, cfg) == pytest.approx(
-                    w_kernel(theta, 1, n, cfg), rel=1e-14)
-
-    @pytest.mark.parametrize("kernel", [w_kernel, t_kernel])
-    def test_gamma_recurrence(self, kernel):
+    @pytest.mark.parametrize("pole", ["SS", "OS"])
+    def test_gamma_recurrence(self, pole):
         # a K(theta-1) + theta K(theta) = e^-a (1+b)^-theta for the kernel's
         # own rate a and pole b
         cfg = _cfg(K=3, lambda_D=5.0, lambda_E=1.5)
         k, n = 2, 1
         a = k / cfg.lambda_D
-        if kernel is w_kernel:
+        if pole == "SS":
             b = (n + 1) * cfg.lambda_D / (k * cfg.lambda_E)
         else:
             b = (n + 1) * cfg.lambda_D / cfg.lambda_E
         for theta in range(0, 5):
-            lhs = a * kernel(theta - 1, k, n, cfg) + theta * kernel(theta, k, n, cfg)
+            lhs = a * _kernel(a, b, theta - 1) + theta * _kernel(a, b, theta)
             rhs = math.exp(-a) / (1.0 + b) ** theta
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -192,11 +183,11 @@ class TestKernels:
             k = rng.randint(1, 3)
             n = rng.randint(0, 2)
             a = k / cfg.lambda_D
-            for kernel, b in ((w_kernel, (n + 1) * cfg.lambda_D / (k * cfg.lambda_E)),
-                              (t_kernel, (n + 1) * cfg.lambda_D / cfg.lambda_E)):
+            for b in ((n + 1) * cfg.lambda_D / (k * cfg.lambda_E),
+                      (n + 1) * cfg.lambda_D / cfg.lambda_E):
                 est, _ = quad(lambda x: math.exp(-a * x) / (x + b) ** (theta + 1),
                               1.0, math.inf, limit=800, epsabs=0.0, epsrel=1e-12)
-                assert kernel(theta, k, n, cfg) == pytest.approx(est, rel=1e-9)
+                assert _kernel(a, b, theta) == pytest.approx(est, rel=1e-9)
 
 
 class TestExactRate:
@@ -338,16 +329,16 @@ class TestMemoizedKernels:
     def test_pinned_bits_cold_warm_and_reversed(self):
         rows = list(PINNED_RATE_HEXES)
         _kernel.cache_clear()
-        _partial_fractions_power.cache_clear()
+        partial_fractions.cache_clear()
         assert self._hexes(rows) == PINNED_RATE_HEXES
         assert _kernel.cache_info().hits > 0
-        assert _partial_fractions_power.cache_info().hits > 0
+        assert partial_fractions.cache_info().hits > 0
         assert self._hexes(rows) == PINNED_RATE_HEXES
         _kernel.cache_clear()
-        _partial_fractions_power.cache_clear()
+        partial_fractions.cache_clear()
         assert self._hexes(rows[::-1]) == PINNED_RATE_HEXES
 
     def test_memos_are_bounded(self):
-        for memo in (_kernel, _partial_fractions_power):
+        for memo in (_kernel, partial_fractions):
             maxsize = memo.cache_parameters()["maxsize"]
             assert maxsize is not None and 0 < maxsize <= 65536

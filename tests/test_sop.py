@@ -14,6 +14,7 @@ from itertools import product
 import pytest
 
 from secrecy_lab.channel import SystemConfig
+from secrecy_lab.esr import esr_exact
 from secrecy_lab.sop import (
     build_cdf_term_sum,
     build_high_snr_term_sum,
@@ -28,40 +29,132 @@ from secrecy_lab.sop import (
 GOLDEN_RATIO_CDF = 0.030717715588085443
 
 # sha256 of repr((exact recipes, unity-dropped recipes)) at zeta = 0.9,
-# recorded with separate exact and unity-dropped builders per scheme
+# recorded with separate exact and unity-dropped builders per scheme. KU
+# reads these KA recipes through F_KU = 1 - zeta + zeta * F_on, so its cells
+# check that the builders reject a KU config.
 RECIPE_DIGESTS = {
     ((2, 2, 2, 2), "SS", "KA"):
         "135da12b1a9d5faea3faa03419232c16f3dcde21ccc15c2c81fb44d87b459350",
-    ((2, 2, 2, 2), "SS", "KU"):
-        "654cdddac60d988f99761ef39451c83eda80e85eda46b80f3d97ec358ca4d119",
     ((2, 2, 2, 2), "OS", "KA"):
         "ebabc599500666ffc72e305f054246e5e125e9e2bebd7b41e6c6511b72b2b8dc",
-    ((2, 2, 2, 2), "OS", "KU"):
-        "bac9afcba824e95917c95646a8019393d8c5da6f135793c443013e9da29ea43b",
     ((3, 3, 3, 3), "SS", "KA"):
         "a34f699e1495e44ca2b58e2e64078ff4a8cff862d69174a933335eb4643bba4c",
-    ((3, 3, 3, 3), "SS", "KU"):
-        "2a0a6ea008e311880e5d96cfc358d435bed0d1ff844a5cb2dc4c19949a2e38dd",
     ((3, 3, 3, 3), "OS", "KA"):
         "d9fca7a63bad7ee9fe959e6e566f6643696315d80a5f45f270797ac586bd3c51",
-    ((3, 3, 3, 3), "OS", "KU"):
-        "4e292c7bc2cffc07796c925167e50ca0048e2e79d809eaf666dc22cfff4f099e",
     ((4, 2, 3, 2), "SS", "KA"):
         "93a0d35e0df3901574dddfba9264d56cc8cf34663b90b3bd6e51e933ac322047",
-    ((4, 2, 3, 2), "SS", "KU"):
-        "9b5d77e6d68aa5aae1f47d0ffffb4f198e4f4a52876195ac847739d5a57e7c85",
     ((4, 2, 3, 2), "OS", "KA"):
         "757f1fdf71dbabb21bbfe7b454984a5514d3edf1393bafee15ce62a058133c67",
-    ((4, 2, 3, 2), "OS", "KU"):
-        "98971c952bf21ed345dfdc6a7d84f9d360c0b8a35b6e787dddec0068b9c5e87e",
     ((4, 3, 3, 3), "SS", "KA"):
         "8f12b0bff68989f32535a1df24c5ceedb9a0d890a284c4916011a8dc039297a5",
-    ((4, 3, 3, 3), "SS", "KU"):
-        "66a823707704e244c7f5d299e05f5afe0b98069ed77b18cb4059582f5057685d",
     ((4, 3, 3, 3), "OS", "KA"):
         "8cde8f86e30e22107a73ab5f3f202e3a78b493125d81b30a870463f864960c9b",
-    ((4, 3, 3, 3), "OS", "KU"):
-        "9fade3daa4fbfd0759420711a217a20b64247e6ebb69ceed66d0b15cc6864c74",
+}
+
+RECIPE_CELLS = sorted(set(RECIPE_DIGESTS)
+                      | {(shape, scheme, "KU") for shape, scheme, _ in RECIPE_DIGESTS})
+
+# float.hex of (sop, cdf_ratio(3.0), esr_exact) and sop's term_count on KU
+# rows at lambda_E = 3, recorded while KU still had zeta-folded term sums of
+# its own; keys (K, N, M_D, M_E), scheme, zeta, lambda_D. Values are
+# (sop hex, term_count, cdf_ratio hex, esr_exact hex).
+KU_PINNED_HEXES = {
+    ((2, 2, 2, 2), "SS", 0.0, 1.0): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((2, 2, 2, 2), "SS", 0.0, 100.0): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((2, 2, 2, 2), "SS", 0.0, 1e6): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((2, 2, 2, 2), "SS", 0.5, 1.0): (
+        "0x1.fe639c672b582p-1", 42, "0x1.ffcc6b41cc3b8p-1", "0x1.136f10f420727p-6"),
+    ((2, 2, 2, 2), "SS", 0.5, 100.0): (
+        "0x1.0021c4fcb475ep-1", 42, "0x1.008ed0388da49p-1", "0x1.3669b10d3174cp+1"),
+    ((2, 2, 2, 2), "SS", 0.5, 1e6): (
+        "0x1.0000000000000p-1", 42, "0x1.0000000000000p-1", "0x1.221769449d61ap+3"),
+    ((2, 2, 2, 2), "SS", 0.9, 1.0): (
+        "0x1.fd19b3201ad1cp-1", 42, "0x1.ffa327766f9e4p-1", "0x1.efc7eb5107346p-6"),
+    ((2, 2, 2, 2), "SS", 0.9, 100.0): (
+        "0x1.9b7fe16a26a0ep-4", 42, "0x1.a1a21cc7f7a80p-4", "0x1.175f1f58ac82bp+2"),
+    ((2, 2, 2, 2), "SS", 0.9, 1e6): (
+        "0x1.9999999999998p-4", 42, "0x1.9999999999998p-4", "0x1.051511f0f40b1p+4"),
+    ((2, 2, 2, 2), "SS", 1.0, 1.0): (
+        "0x1.fcc738ce56b03p-1", 42, "0x1.ff98d6839876fp-1", "0x1.136f10f420727p-5"),
+    ((2, 2, 2, 2), "SS", 1.0, 100.0): (
+        "0x1.0e27e5a3aec00p-11", 42, "0x1.1da0711b49200p-9", "0x1.3669b10d3174cp+2"),
+    ((2, 2, 2, 2), "SS", 1.0, 1e6): (
+        "0x1.8669aeb982f10p-64", 42, "0x1.018ad10feb8d8p-61", "0x1.221769449d61ap+4"),
+    ((2, 2, 2, 2), "OS", 0.0, 1.0): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((2, 2, 2, 2), "OS", 0.0, 100.0): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((2, 2, 2, 2), "OS", 0.0, 1e6): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((2, 2, 2, 2), "OS", 0.5, 1.0): (
+        "0x1.fe4d87deff984p-1", 78, "0x1.ffcb43745abd6p-1", "0x1.2f6c09fc54bfap-6"),
+    ((2, 2, 2, 2), "OS", 0.5, 100.0): (
+        "0x1.0011280472c0dp-1", 78, "0x1.004dd4c791c8cp-1", "0x1.3d9e6c4f03ab7p+1"),
+    ((2, 2, 2, 2), "OS", 0.5, 1e6): (
+        "0x1.0000000000000p-1", 78, "0x1.0000000000000p-1", "0x1.23e1d96a008b9p+3"),
+    ((2, 2, 2, 2), "OS", 0.9, 1.0): (
+        "0x1.fcf1f49165abbp-1", 78, "0x1.ffa11304a354fp-1", "0x1.11146f631912ep-5"),
+    ((2, 2, 2, 2), "OS", 0.9, 100.0): (
+        "0x1.9a90a6a674720p-4", 78, "0x1.9dfa5e6d0017fp-4", "0x1.1ddb617a501a5p+2"),
+    ((2, 2, 2, 2), "OS", 0.9, 1e6): (
+        "0x1.9999999999998p-4", 78, "0x1.9999999999998p-4", "0x1.06b1aa129a173p+4"),
+    ((2, 2, 2, 2), "OS", 1.0, 1.0): (
+        "0x1.fc9b0fbdff309p-1", 78, "0x1.ff9686e8b57adp-1", "0x1.2f6c09fc54bfap-5"),
+    ((2, 2, 2, 2), "OS", 1.0, 100.0): (
+        "0x1.1280472c0d000p-12", 78, "0x1.37531e4723200p-10", "0x1.3d9e6c4f03ab7p+2"),
+    ((2, 2, 2, 2), "OS", 1.0, 1e6): (
+        "0x1.5df94ea7517f2p-65", 78, "0x1.d6711bf1226eap-63", "0x1.23e1d96a008b9p+4"),
+    ((3, 2, 2, 3), "SS", 0.0, 1.0): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((3, 2, 2, 3), "SS", 0.0, 100.0): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((3, 2, 2, 3), "SS", 0.0, 1e6): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((3, 2, 2, 3), "SS", 0.5, 1.0): (
+        "0x1.ffd492e2fad66p-1", 136, "0x1.fffd40106d0d2p-1", "0x1.d27a69fa19afap-9"),
+    ((3, 2, 2, 3), "SS", 0.5, 100.0): (
+        "0x1.000611d0a9ce4p-1", 136, "0x1.002d6295527aep-1", "0x1.27968fd1557b9p+1"),
+    ((3, 2, 2, 3), "SS", 0.5, 1e6): (
+        "0x1.0000000000000p-1", 136, "0x1.0000000000000p-1", "0x1.1e693010e01d5p+3"),
+    ((3, 2, 2, 3), "SS", 0.9, 1.0): (
+        "0x1.ffb1d53229e84p-1", 136, "0x1.fffb0cea5de46p-1", "0x1.a3d492944a514p-8"),
+    ((3, 2, 2, 3), "SS", 0.9, 100.0): (
+        "0x1.99f100898d331p-4", 136, "0x1.9c2725330a1c8p-4", "0x1.0a07816f99bc0p+2"),
+    ((3, 2, 2, 3), "SS", 0.9, 1e6): (
+        "0x1.9999999999998p-4", 136, "0x1.9999999999998p-4", "0x1.01c511a8c9b40p+4"),
+    ((3, 2, 2, 3), "SS", 1.0, 1.0): (
+        "0x1.ffa925c5f5accp-1", 136, "0x1.fffa8020da1a3p-1", "0x1.d27a69fa19afap-8"),
+    ((3, 2, 2, 3), "SS", 1.0, 100.0): (
+        "0x1.84742a738e000p-14", 136, "0x1.6b14aa93d7000p-11", "0x1.27968fd1557b9p+2"),
+    ((3, 2, 2, 3), "SS", 1.0, 1e6): (
+        "0x1.459be07007641p-92", 136, "0x1.e2ad46cf0a78ap-89", "0x1.1e693010e01d5p+4"),
+    ((3, 2, 2, 3), "OS", 0.0, 1.0): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((3, 2, 2, 3), "OS", 0.0, 100.0): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((3, 2, 2, 3), "OS", 0.0, 1e6): (
+        "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    ((3, 2, 2, 3), "OS", 0.5, 1.0): (
+        "0x1.ffd2df758e00ap-1", 507, "0x1.fffd35a0949f2p-1", "0x1.ff06d09df2e52p-9"),
+    ((3, 2, 2, 3), "OS", 0.5, 100.0): (
+        "0x1.00019083186fdp-1", 507, "0x1.000ddee69e926p-1", "0x1.3050b4b314352p+1"),
+    ((3, 2, 2, 3), "OS", 0.5, 1e6): (
+        "0x1.0000000000000p-1", 507, "0x1.0000000000000p-1", "0x1.2095250f1a42cp+3"),
+    ((3, 2, 2, 3), "OS", 0.9, 1.0): (
+        "0x1.ffaec56d32ce0p-1", 507, "0x1.fffafa210b84ep-1", "0x1.cbec888e2767dp-8"),
+    ((3, 2, 2, 3), "OS", 0.9, 100.0): (
+        "0x1.99b020f95fe3ap-4", 507, "0x1.9a61569285088p-4", "0x1.11e23c3ac5630p+2"),
+    ((3, 2, 2, 3), "OS", 0.9, 1e6): (
+        "0x1.9999999999998p-4", 507, "0x1.9999999999998p-4", "0x1.03b96e27313c1p+4"),
+    ((3, 2, 2, 3), "OS", 1.0, 1.0): (
+        "0x1.ffa5beeb1c015p-1", 507, "0x1.fffa6b41293e5p-1", "0x1.ff06d09df2e52p-8"),
+    ((3, 2, 2, 3), "OS", 1.0, 100.0): (
+        "0x1.9083186fd0000p-16", 507, "0x1.bbdcd3d24c000p-13", "0x1.3050b4b314352p+2"),
+    ((3, 2, 2, 3), "OS", 1.0, 1e6): (
+        "0x1.d23ff98635a4ep-95", 507, "0x1.636bfa26ecde6p-91", "0x1.2095250f1a42cp+4"),
 }
 
 
@@ -120,15 +213,43 @@ class TestRatioCdf:
             assert -1e-9 <= ts.eval(x) <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("shape, scheme, knowledge", sorted(RECIPE_DIGESTS))
+@pytest.mark.parametrize("shape, scheme, knowledge", RECIPE_CELLS)
 def test_recipes_pinned(shape, scheme, knowledge):
     K, N, M_D, M_E = shape
     cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
                zeta=0.9, scheme=scheme, knowledge=knowledge)
+    if knowledge == "KU":
+        for build in (build_cdf_term_sum, build_high_snr_term_sum):
+            with pytest.raises(ValueError, match="KU"):
+                build(cfg)
+        return
     recipes = (build_cdf_term_sum(cfg).recipes,
                build_high_snr_term_sum(cfg).recipes)
     digest = hashlib.sha256(repr(recipes).encode()).hexdigest()
     assert digest == RECIPE_DIGESTS[shape, scheme, knowledge]
+
+
+@pytest.mark.parametrize("build", [build_cdf_term_sum, build_high_snr_term_sum])
+@pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0])
+def test_builders_reject_gate_after_selection(build, zeta):
+    # a KU config has no term sum of its own; the error names the identity
+    with pytest.raises(ValueError, match=r"F_KU = 1 - zeta \+ zeta \* F_on"):
+        build(_cfg(zeta=zeta, knowledge="KU"))
+
+
+@pytest.mark.parametrize("shape, scheme",
+                         sorted({key[:2] for key in KU_PINNED_HEXES}))
+def test_gate_after_selection_bits_pinned(shape, scheme):
+    K, N, M_D, M_E = shape
+    for (shape_, scheme_, zeta, lam_d), pinned in KU_PINNED_HEXES.items():
+        if (shape_, scheme_) != (shape, scheme):
+            continue
+        cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam_d, lambda_E=3.0,
+                   zeta=zeta, scheme=scheme, knowledge="KU")
+        result = sop(cfg)
+        got = (result.value.hex(), result.term_count,
+               cdf_ratio(3.0, cfg).hex(), esr_exact(cfg).value.hex())
+        assert got == pinned, (zeta, lam_d)
 
 
 class TestSop:

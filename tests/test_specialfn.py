@@ -4,8 +4,6 @@ import pytest
 from scipy.integrate import quad
 
 from secrecy_lab.specialfn import (
-    SignedLogValue,
-    binomial,
     exp_integral,
     pairwise_sum,
     upper_incomplete_gamma_int,
@@ -78,32 +76,6 @@ class TestExpIntegral:
             exp_integral(1, 0.0)
         with pytest.raises(ValueError):
             exp_integral(1, -3.0)
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(10, 10) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(3, 5) == 0
-
-
-class TestSignedLogValue:
-    def test_round_trip(self):
-        for v in (3.5, -1e-200, 2e200, -7.25):
-            encoded = SignedLogValue.from_real(v)
-            again = SignedLogValue.from_real(encoded.value())
-            assert again.sign == encoded.sign
-            assert again.log_magnitude == pytest.approx(
-                encoded.log_magnitude, rel=1e-12)
-
-    def test_zero_has_sign_zero(self):
-        zero = SignedLogValue.from_real(0.0)
-        assert zero.sign == 0
-        assert zero.is_zero
-        assert zero.value() == 0.0
 
 
 def test_pairwise_sum_matches_fsum():
