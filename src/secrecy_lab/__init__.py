@@ -27,7 +27,6 @@ from .esr import (
 from .oracles import (
     MonteCarloEstimate,
     QuadratureError,
-    QuadratureSettings,
     mc_esr,
     mc_sop,
     quad_cdf_ratio,
@@ -71,7 +70,6 @@ __all__ = [
     "integrate_term",
     "MonteCarloEstimate",
     "QuadratureError",
-    "QuadratureSettings",
     "mc_sop",
     "mc_esr",
     "quad_cdf_ratio",

@@ -2,11 +2,11 @@
 
 Every check returns a CheckResult and never raises on a numeric miss; the
 detail string carries the worst offending configuration so a failure is
-diagnosable from the one-line report. Expensive artifacts (Monte Carlo
-passes, quadrature values, closed forms) are cached per config and shared
-between checks; one fixed seed gives common random numbers across grid rows,
-so MC-backed comparisons of neighboring rows are pathwise consistent, and
-one Monte Carlo pass serves every grid row.
+diagnosable from the one-line report. Monte Carlo passes and closed forms
+are cached per config and shared between checks; each quadrature value is
+read by one check only. One fixed seed gives common random numbers across
+grid rows, so MC-backed comparisons of neighboring rows are pathwise
+consistent, and one Monte Carlo pass serves every grid row.
 """
 
 from __future__ import annotations
@@ -67,18 +67,8 @@ def _sop_closed(cfg: SystemConfig) -> float:
 
 
 @lru_cache(maxsize=None)
-def _sop_quad(cfg: SystemConfig) -> float:
-    return quad_cdf_ratio(cfg.rho(), cfg)
-
-
-@lru_cache(maxsize=None)
 def _esr_closed(cfg: SystemConfig) -> float:
     return esr_exact(cfg).value
-
-
-@lru_cache(maxsize=None)
-def _esr_quad(cfg: SystemConfig) -> float:
-    return quad_esr(cfg)
 
 
 def _sop_grid(quick: bool):
@@ -152,7 +142,7 @@ def check_sop_triple_oracle(quick: bool = False) -> CheckResult:
     for cfg in _sop_grid(quick):
         rows += 1
         closed = _sop_closed(cfg)
-        gap_q = abs(closed - _sop_quad(cfg))
+        gap_q = abs(closed - quad_cdf_ratio(cfg.rho(), cfg))
         if gap_q > worst_quad:
             worst_quad, worst_quad_cfg = gap_q, cfg
         est = _mc_pair(cfg, quick)[0]
@@ -181,7 +171,7 @@ def check_esr_triple_oracle(quick: bool = False) -> CheckResult:
     for cfg in _esr_grid(quick):
         rows += 1
         closed = _esr_closed(cfg)
-        gap_q = abs(closed - _esr_quad(cfg))
+        gap_q = abs(closed - quad_esr(cfg))
         if gap_q > worst_quad:
             worst_quad, worst_quad_cfg = gap_q, cfg
         est = _mc_pair(cfg, quick)[1]

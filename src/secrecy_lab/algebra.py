@@ -251,17 +251,14 @@ def materialize_recipes(recipes: Sequence[ExactTermRecipe],
     """Float RationalExpTerms from exact recipes (single source of truth).
 
     Pole locations are computed once per reduced ratio so terms that merged
-    exactly stay bitwise consistent.
+    exactly stay bitwise consistent. zeta and every coefficient must be
+    nonzero (math.log raises otherwise): a zeta = 0 row has no terms.
     """
     log_ld = math.log(lam_dest)
     log_le = math.log(lam_eve)
-    log_z = math.log(zeta) if zeta > 0.0 else float("-inf")
+    log_z = math.log(zeta)
     out = []
     for r in recipes:
-        if r.frac == 0:
-            continue
-        if zeta == 0.0 and r.zeta_pow > 0:
-            continue
         log_mag = (log_abs_fraction(r.frac)
                    + r.zeta_pow * log_z
                    + r.lam_dest_pow * log_ld

@@ -102,14 +102,8 @@ def integrate_term(term: RationalExpTerm) -> float:
     if a == 0.0:
         return _integrate_rational(p, poles, asymptotic=False)
     if p == 0:
-        full = ((0.0, 1),) + poles
-        rows = partial_fractions(full, 0)
-        pieces = []
-        for (b, _m), row in zip(full, rows):
-            for t, c in enumerate(row, start=1):
-                if c != 0.0:
-                    pieces.append(c * _kernel(a, b, t - 1))
-        return math.fsum(pieces)
+        # x^-1 is a simple pole at zero; its weight below is exactly 1.0
+        p, poles = 1, ((0.0, 1),) + poles
     if not poles:
         return _kernel(a, 0.0, -p)
     rows = partial_fractions(poles, 0)
@@ -134,13 +128,10 @@ def _integrate_rational(p: int, poles: tuple, asymptotic: bool) -> float:
     keeps ln 1 = 0), which is the leading behavior as the poles grow.
     """
     if p == 0:
-        full = ((0.0, 1),) + poles
-        rows = partial_fractions(full, 0)
-    else:
-        full = poles
-        rows = partial_fractions(full, p - 1)
+        p, poles = 1, ((0.0, 1),) + poles  # x^-1 is a simple pole at zero
+    rows = partial_fractions(poles, p - 1)
     pieces = []
-    for (b, _m), row in zip(full, rows):
+    for (b, _m), row in zip(poles, rows):
         for t, c in enumerate(row, start=1):
             if c == 0.0:
                 continue

@@ -9,17 +9,23 @@ reduction runs in chunk order, so the estimate is bit-identical for any
 worker count. The draws depend only on (K, N, M_D, M_E), so configs of one
 such shape share draws and still get the bits of a pass of their own.
 
+Gate after selection (KU): the always-on selection runs first and one
+backhaul gate then blocks the selected link, so a KU row is its always-on KA
+row gated once: F = 1 - zeta + zeta*F_on and 1 - F = zeta*(1 - F_on). The
+oracle restates that identity here instead of sharing the closed forms'
+mapping, so one wrong mapping cannot pass both sides of a check.
+
 Quadrature sharing: `quad_esr` integrates the survival probability, itself
 an integral over the strongest eavesdropper SNR, at outer nodes x. That
-inner integral depends on x, the eavesdropper law and the settings, and
-only on part of the row: for SS on (K, gate, M_D, lambda_D), where the gate
-is zeta under KA and 1 under KU; for OS on (M_D, lambda_D) alone. Rows that
-agree there and share K, M_D, lambda_D and lambda_E (and so the outer map)
-meet the same x, and the first row's inner value serves the others. QUADPACK
-is deterministic and every input of the inner integral is in its key, so a
-stored value is the exact float a fresh quadrature would return: every
-result is bit-identical to one computed on empty tables, in any row order.
-The eavesdropper density is likewise stored per node.
+inner integral depends on x and the eavesdropper law, and only on part of
+the row: for SS on (K, zeta, M_D, lambda_D); for OS on (M_D, lambda_D)
+alone. A KU row reads the tables of its always-on row, whose zeta is 1.
+Rows that agree there and share K, M_D, lambda_D and lambda_E (and so the
+outer map) meet the same x, and the first row's inner value serves the
+others. QUADPACK is deterministic and every input of the inner integral is
+in its key, so a stored value is the exact float a fresh quadrature would
+return: every result is bit-identical to one computed on empty tables, in
+any row order. The eavesdropper density is likewise stored per node.
 
 Imports: numpy and scipy load on the first oracle call, inside `_quad_unit`,
 `_rates_with_rng` and `_chunk_rng`, so a process that evaluates only closed
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import (
     SystemConfig,
@@ -48,6 +54,11 @@ _MIN_TRIALS = 10_000
 _LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
 
+# QUADPACK tolerances and subdivision limit of every oracle integral
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 2000
+
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
@@ -55,19 +66,6 @@ class MonteCarloEstimate:
     stderr: float
     trials: int
     seed: int
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
 
 
 class QuadratureError(RuntimeError):
@@ -79,14 +77,13 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
-def _quad_unit(mapped, settings: QuadratureSettings) -> float:
+def _quad_unit(mapped) -> float:
     # integral_0^1 mapped(u) du, raising when QUADPACK misses the tolerance
     from scipy.integrate import quad
 
-    value, err = quad(mapped, 0.0, 1.0,
-                      epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                      limit=settings.max_subdivisions)
-    if err > max(settings.abs_tol, settings.rel_tol * abs(value)) * 1.01:
+    value, err = quad(mapped, 0.0, 1.0, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+                      limit=_MAX_SUBDIVISIONS)
+    if err > max(_ABS_TOL, _REL_TOL * abs(value)) * 1.01:
         raise QuadratureError("tail quadrature failed to reach tolerance", value, err)
     return value
 
@@ -125,8 +122,7 @@ def _node_table(cfg: SystemConfig) -> tuple[float, dict]:
     return _eve_scale(cfg), _table(_NODE_TABLES, (cfg.N, cfg.M_E, cfg.lambda_E))
 
 
-def _eve_average(dest, x: float, cfg: SystemConfig,
-                 settings: QuadratureSettings) -> float:
+def _eve_average(dest, x: float, cfg: SystemConfig) -> float:
     """integral_0^inf dest(x(1+y)-1) f_E(y) dy over the strongest eavesdropper.
 
     y = -scale*log(1-u), u in [0, 1): the map turns exponential decay into an
@@ -148,42 +144,40 @@ def _eve_average(dest, x: float, cfg: SystemConfig,
         one_plus_y, density, one_minus_u = node
         return dest(x * one_plus_y - 1.0) * density * scale / one_minus_u
 
-    return _quad_unit(mapped, settings)
+    return _quad_unit(mapped)
 
 
-def quad_cdf_ratio(x: float, cfg: SystemConfig,
-                   settings: QuadratureSettings | None = None) -> float:
+def _always_on(cfg: SystemConfig) -> SystemConfig:
+    # the KA row whose selection a KU row gates: a backhaul that never fails
+    return replace(cfg, zeta=1.0, knowledge="KA")
+
+
+def quad_cdf_ratio(x: float, cfg: SystemConfig) -> float:
     """CDF of the secrecy ratio at x >= 1 by direct adaptive quadrature.
 
-    Conditioning on the strongest eavesdropper SNR y, the selected link's
-    gated CDF enters at argument x(1+y)-1; selection over K links raises the
-    per-link CDF to the K-th power (max of i.i.d.), and the gate-after-
-    selection variant wraps the ungated result in 1-zeta+zeta*(.).
+    Conditioning on the strongest eavesdropper SNR y, a link's CDF enters at
+    argument x(1+y)-1. SS selects on the destination SNR alone, so the K
+    links share one y and the K-th power of one link's gated CDF is
+    averaged; under OS each link has its own eavesdroppers, so one link's
+    average is gated and raised to the K-th power. A KU row gates its
+    always-on row once: 1-zeta+zeta*F_on.
     """
     if x < 1.0:
         raise ValueError("x must be at least 1: the ratio never falls below 1")
-    settings = settings or QuadratureSettings()
     if cfg.zeta == 0.0:
         return 1.0
+    if cfg.knowledge == "KU":
+        return min(1.0, 1.0 - cfg.zeta + cfg.zeta * quad_cdf_ratio(x, _always_on(cfg)))
     K, M_D, lambda_D = cfg.K, cfg.M_D, cfg.lambda_D
 
     if cfg.scheme == "SS":
-        if cfg.knowledge == "KA":
-            def dest(arg: float) -> float:
-                return cdf_snr_dest_mixture_ka(arg, cfg) ** K
-            value = _eve_average(dest, x, cfg, settings)
-        else:
-            def dest(arg: float) -> float:
-                return cdf_snr_dest(arg, M_D, lambda_D) ** K
-            value = (1.0 - cfg.zeta) + cfg.zeta * _eve_average(dest, x, cfg, settings)
+        def dest(arg: float) -> float:
+            return cdf_snr_dest_mixture_ka(arg, cfg) ** K
+        value = _eve_average(dest, x, cfg)
     else:
         def dest(arg: float) -> float:
             return cdf_snr_dest(arg, M_D, lambda_D)
-        single = _eve_average(dest, x, cfg, settings)
-        if cfg.knowledge == "KA":
-            value = ((1.0 - cfg.zeta) + cfg.zeta * single) ** K
-        else:
-            value = (1.0 - cfg.zeta) + cfg.zeta * single ** K
+        value = ((1.0 - cfg.zeta) + cfg.zeta * _eve_average(dest, x, cfg)) ** K
     return min(1.0, max(0.0, value))
 
 
@@ -193,14 +187,16 @@ def quad_cdf_ratio(x: float, cfg: SystemConfig,
 _SURVIVAL_TABLES: dict = {}
 
 
-def _survival_ratio(cfg: SystemConfig, settings: QuadratureSettings):
+def _survival_ratio(cfg: SystemConfig):
     """x -> 1 - F(x), with each inner integral computed once per family and x.
 
     The survival probability is its own integral (no 1 - (1 - eps) loss),
     because the ESR integrand weights the far tail logarithmically.
     """
-    K, M_D, lambda_D = cfg.K, cfg.M_D, cfg.lambda_D
-    gate = cfg.zeta if cfg.knowledge == "KA" else 1.0
+    if cfg.knowledge == "KU":
+        on, zeta = _survival_ratio(_always_on(cfg)), cfg.zeta
+        return lambda x: min(1.0, max(0.0, zeta * on(x)))
+    K, M_D, lambda_D, gate = cfg.K, cfg.M_D, cfg.lambda_D, cfg.zeta
     if cfg.scheme == "SS":
         family = ("SS", K, gate, M_D, lambda_D)
 
@@ -212,12 +208,12 @@ def _survival_ratio(cfg: SystemConfig, settings: QuadratureSettings):
 
         def dest(arg: float) -> float:
             return sf_snr_dest(arg, M_D, lambda_D)
-    table = _table(_SURVIVAL_TABLES, family + (cfg.N, cfg.M_E, cfg.lambda_E, settings))
+    table = _table(_SURVIVAL_TABLES, family + (cfg.N, cfg.M_E, cfg.lambda_E))
 
     def survival(x: float) -> float:
         inner = table.get(x)
         if inner is None:
-            inner = _eve_average(dest, x, cfg, settings)
+            inner = _eve_average(dest, x, cfg)
             if len(table) < _ENTRIES_PER_TABLE_MAX:
                 table[x] = inner
         if cfg.scheme == "SS":
@@ -225,25 +221,22 @@ def _survival_ratio(cfg: SystemConfig, settings: QuadratureSettings):
         else:
             gated = gate * min(1.0, max(0.0, inner))
             value = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
-        if cfg.knowledge == "KU":
-            value *= cfg.zeta
         return min(1.0, max(0.0, value))
 
     return survival
 
 
-def quad_esr(cfg: SystemConfig, settings: QuadratureSettings | None = None) -> float:
+def quad_esr(cfg: SystemConfig) -> float:
     """Ergodic secrecy rate by nested adaptive quadrature.
 
     (1/ln 2) * integral_1^inf (1 - F(x))/x dx with the outer tail mapped like
     the inner one, t = x-1 = -scale*log(1-u); the inner survival probability
     is itself an adaptive quadrature.
     """
-    settings = settings or QuadratureSettings()
     if cfg.zeta == 0.0:
         return 0.0
     outer_scale = cfg.lambda_D * (cfg.M_D + math.log(cfg.K + 1.0)) + cfg.lambda_E
-    survival = _survival_ratio(cfg, settings)
+    survival = _survival_ratio(cfg)
 
     def mapped(u: float) -> float:
         if u >= 1.0:
@@ -252,7 +245,7 @@ def quad_esr(cfg: SystemConfig, settings: QuadratureSettings | None = None) -> f
         x = 1.0 + t
         return survival(x) / x * outer_scale / (1.0 - u)
 
-    return _quad_unit(mapped, settings) / _LN2
+    return _quad_unit(mapped) / _LN2
 
 
 def _shape(cfg: SystemConfig) -> tuple[int, int, int, int]:

@@ -175,12 +175,6 @@ class TestTermSumAndRecipes:
         assert term.value_at(x) == pytest.approx(expected, rel=1e-12)
         assert term.exp_rate == pytest.approx(2.0 / lam_d, rel=1e-15)
 
-    def test_zero_coefficient_recipes_materialize_to_nothing(self):
-        recipe = ExactTermRecipe(frac=Fraction(0), zeta_pow=1,
-                                 lam_dest_pow=0, lam_eve_pow=0, exp_k=1,
-                                 poly_power=0, poles=((Fraction(1), 1),))
-        assert materialize_recipes([recipe], 1.0, 1.0, 1.0) == ()
-
     def test_eval_is_constant_minus_terms(self):
         term = RationalExpTerm(log_coeff=math.log(0.25), sign=1,
                                poly_power=0, exp_rate=1.0, poles=((1.0, 1),))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -13,7 +14,6 @@ from secrecy_lab import acceptance, oracles
 from secrecy_lab.channel import SystemConfig, cdf_snr_dest
 from secrecy_lab.oracles import (
     QuadratureError,
-    QuadratureSettings,
     _chunk_rng,
     _mc_moments,
     _mc_moments_many,
@@ -142,18 +142,13 @@ class TestQuadratureOracle:
         os_ = quad_cdf_ratio(2.0, _cfg(K=1, scheme="OS"))
         assert ss == pytest.approx(os_, abs=1e-10)
 
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(max_subdivisions=0)
-
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_tolerance_failure_carries_diagnostics(self):
-        strangled = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14,
-                                       max_subdivisions=1)
+    def test_tolerance_failure_carries_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_ABS_TOL", 1e-14)
+        monkeypatch.setattr(oracles, "_REL_TOL", 1e-14)
+        monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(QuadratureError) as info:
-            quad_cdf_ratio(2.0, _cfg(K=3, N=3, M_D=2, M_E=2), strangled)
+            quad_cdf_ratio(2.0, _cfg(K=3, N=3, M_D=2, M_E=2))
         err = info.value
         assert math.isfinite(err.estimate)
         assert err.error_bound > 0.0
@@ -181,10 +176,16 @@ _QUAD_BITS = (
 )
 
 
-# sha256 of the newline-joined float.hex() of acceptance._esr_quad over the
-# quick rate grid, in _esr_grid(True) order, recorded before quad_esr shared
-# inner integrals across rows
+# sha256 of the newline-joined float.hex() of quad_esr over the quick rate
+# grid, in _esr_grid(True) order, recorded before quad_esr shared inner
+# integrals across rows
 _QUICK_ESR_GRID_SHA256 = "0d7c1584d20dc302c04b909c2c3bd0855a08c138055791c9d0a873fd9a180e08"
+
+# sha256 of the newline-joined float.hex() of quad_cdf_ratio(rho) over the
+# full outage grid (1,728 rows, K = 3 KU rows at zeta 0.5 and 0.9 among
+# them), in _sop_grid(False) order, recorded while quad_cdf_ratio still had
+# a branch of its own for each scheme under KU
+_FULL_SOP_GRID_SHA256 = "b104ac74fff11acfc0bef62f966888f4129935187bba3f513970c7c4a0422dfa"
 
 
 def _empty_tables(monkeypatch):
@@ -247,9 +248,13 @@ class TestQuadratureBits:
         assert max(map(len, oracles._SURVIVAL_TABLES.values())) == 16
 
     def test_quick_rate_grid_pinned(self):
-        hexes = "\n".join(acceptance._esr_quad(cfg).hex()
-                          for cfg in acceptance._esr_grid(True))
+        hexes = "\n".join(quad_esr(cfg).hex() for cfg in acceptance._esr_grid(True))
         assert hashlib.sha256(hexes.encode()).hexdigest() == _QUICK_ESR_GRID_SHA256
+
+    def test_full_outage_grid_pinned(self):
+        hexes = "\n".join(quad_cdf_ratio(cfg.rho(), cfg).hex()
+                          for cfg in acceptance._sop_grid(False))
+        assert hashlib.sha256(hexes.encode()).hexdigest() == _FULL_SOP_GRID_SHA256
 
     @pytest.mark.parametrize("scheme", ["SS", "OS"])
     def test_gate_after_selection_at_full_reliability_is_bitwise_ka(self, scheme):
@@ -257,3 +262,18 @@ class TestQuadratureBits:
         ka = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme=scheme, knowledge="KA")
         ku = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme=scheme, knowledge="KU")
         assert quad_esr(ku).hex() == quad_esr(ka).hex()
+
+
+def test_oracles_import_only_the_channel_model():
+    # the oracles certify the closed forms, so they restate the gate-after-
+    # selection identity instead of importing the closed forms' mapping: one
+    # shared bug would pass both sides of every check
+    tree = ast.parse(open(oracles.__file__, encoding="utf-8").read())
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"channel"}
+    assert not {name for name in absolute if name.split(".")[0] == "secrecy_lab"}
