@@ -39,8 +39,7 @@ class CapacityError(RuntimeError):
     """Raised when an expansion would exceed the configured term cap."""
 
 
-def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int,
-                        cap: int = EXPANSION_TERM_CAP) -> list[tuple]:
+def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int) -> list[tuple]:
     """Expand (sum of inner terms)^kappa into a flat, merged term list.
 
     Each inner term is ``(coeff, e1, e2, ...)`` with integer exponent slots
@@ -48,9 +47,9 @@ def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int,
     Coefficients only need ``*`` and ``+`` between themselves. The recipe
     builders pass integers, their exact Fractions scaled over a common
     denominator D, and divide the k-th power by D^k; Fractions and floats
-    work too. Like terms
-    (identical exponent vectors) merge as they appear; exceeding ``cap``
-    raw products raises CapacityError instead of silently truncating.
+    work too. The expansion multiplies the unit term kappa times, so like
+    terms (identical exponent vectors) merge as they appear; more than
+    EXPANSION_TERM_CAP raw products raise CapacityError, never truncate.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -60,13 +59,13 @@ def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int,
     for t in inner_terms:
         if len(t) - 1 != width:
             raise ValueError("inner terms must share one exponent-vector width")
-    acc: dict[tuple, object] = {tuple(t[1:]): t[0] for t in _merge_inner(inner_terms)}
+    acc: dict[tuple, object] = {(0,) * width: 1}
     inner = [(t[0], tuple(t[1:])) for t in inner_terms]
-    for _ in range(kappa - 1):
-        if len(acc) * len(inner_terms) > cap:
+    for _ in range(kappa):
+        if len(acc) * len(inner) > EXPANSION_TERM_CAP:
             raise CapacityError(
-                f"expansion would create {len(acc) * len(inner_terms)} raw terms "
-                f"(cap {cap}); reduce K, N, or the multipath orders")
+                f"expansion would create {len(acc) * len(inner)} raw terms "
+                f"(cap {EXPANSION_TERM_CAP}); reduce K, N, or the multipath orders")
         nxt: dict[tuple, object] = {}
         for exps_a, coeff_a in acc.items():
             for coeff_b, exps_b in inner:
@@ -78,15 +77,6 @@ def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int,
     out = [(coeff,) + exps for exps, coeff in acc.items()]
     out.sort(key=lambda t: t[1:])
     return out
-
-
-def _merge_inner(inner_terms: Sequence[tuple]) -> list[tuple]:
-    merged: dict[tuple, object] = {}
-    for t in inner_terms:
-        key = tuple(t[1:])
-        prev = merged.get(key)
-        merged[key] = t[0] if prev is None else prev + t[0]
-    return [(coeff,) + exps for exps, coeff in merged.items()]
 
 
 @lru_cache(maxsize=4096)

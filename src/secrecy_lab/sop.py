@@ -15,8 +15,8 @@ links.
   CDF bracket; the bracket's complement is expanded to a term list once and
   raised to the k-th power, accumulating pole multiplicities per
   eavesdropper-survivor index.
-* The unity-dropped (high-SNR) forms are the same recipes restricted to
-  the slots that keep the whole x(1+y) power, without the exponential.
+* The unity-dropped (high-SNR) form keeps the exact recipes whose lambda_D
+  and lambda_E powers cancel, without the exponential (see _term_sum_for_key).
 * Gate after selection (KU) has no term sum of its own. The always-on
   selection runs first and one backhaul gate then blocks the selected link
   with probability 1 - zeta, so F_KU = 1 - zeta + zeta * F_on, where F_on
@@ -26,15 +26,12 @@ links.
 Every builder emits exact rational recipes (see algebra.ExactTermRecipe);
 floats are materialized from those, never accumulated independently.
 
-The recipes are built in integer arithmetic. The slot coefficients are
+The recipes are built in integer arithmetic: the slot coefficients are
 scaled to integers over their least common denominator D, the k-th power is
 expanded on those integers, and the k-link terms are accumulated as integer
 numerators over one shared denominator per k (D^k times the factors the
-eavesdropper groups add). Each recipe then forms one Fraction from its
-numerator and that denominator. Every step is exact, and a Fraction is
-reduced to lowest terms, so each recipe equals the one that Fraction
-arithmetic throughout would give. Skipping the per-operation gcd of
-Fraction arithmetic is what makes this faster.
+eavesdropper groups add). Each recipe then forms one reduced Fraction, equal
+to what Fraction arithmetic throughout gives without its per-operation gcd.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 
 from .algebra import (
     ExactTermRecipe,
@@ -66,20 +64,17 @@ class SopResult:
 
 
 @lru_cache(maxsize=None)
-def _dest_slots(M_D: int, unity_dropped: bool) -> tuple:
+def _dest_slots(M_D: int) -> tuple:
     """Destination-side summands as (Fraction, x power, y power, m).
 
     m indexes the Poisson term of the link CDF, mu the y-power picked from
     (x(1+y)-1)^m, drop the unit dropped from the remaining (x-1) factor
-    (carrying the sign (-1)^drop and lowering the x power to m - drop). The
-    unity-dropped form (ratio ~ dest/eve) keeps only mu = m, drop = 0.
+    (carrying the sign (-1)^drop and lowering the x power to m - drop).
     """
     slots = []
     for m in range(M_D):
         for mu in range(m + 1):
             for drop in range(m - mu + 1):
-                if unity_dropped and (mu != m or drop):
-                    continue
                 frac = Fraction(math.comb(m, mu) * math.comb(m - mu, drop),
                                 math.factorial(m))
                 slots.append((-frac if drop % 2 else frac, m - drop, mu, m))
@@ -136,42 +131,48 @@ def _integer_power(terms, k: int) -> tuple[int, list[tuple]]:
     return denom ** k, expand_power_of_sum(scaled, k)
 
 
-def _select_over_links(K: int, link_terms, unity_dropped: bool) -> tuple:
+def _select_over_links(K: int, link_terms) -> tuple:
     """Inclusion-exclusion over the k active links, merged into recipes.
 
     link_terms(k) returns (L, terms) for the k-link product. Each term is
     (integer numerator over L, x power, lambda_D power, lambda_E power,
     poles), each pole ((p, q), multiplicity) at the ratio p/q, written so
-    that equal ratios of one k have equal pairs. The exact form keeps
+    that equal ratios of one k have equal pairs. Every recipe keeps
     e^(k(1-x)/lambda_D). Every key holds its k, so like terms merge as
-    integers over that k's L, and each recipe forms one Fraction.
+    integers over that k's L, and each recipe forms one Fraction. The
+    recipes come ordered by x power, lambda_D power, lambda_E power, pole
+    ratios and k.
     """
     nums: dict[tuple, int] = {}
     picks = {}  # k -> (signed binomial, denominator of the k-link numerators)
     for k in range(1, K + 1):
         pick = math.comb(K, k)
-        exp_k = 0 if unity_dropped else k
         denom, terms = link_terms(k)
         picks[k] = (pick if k % 2 else -pick, denom)
         for num, poly, ld_pow, le_pow, poles in terms:
-            key = (poly, k, exp_k, ld_pow, le_pow, poles)
+            key = (poly, k, ld_pow, le_pow, poles)
             nums[key] = nums.get(key, 0) + num
+
+    def order(key):  # no two recipes of one shape tie
+        poly, k, ld_pow, le_pow, poles = key
+        return (poly, ld_pow, le_pow, tuple((p / q, m) for (p, q), m in poles), k)
+    # sort the keys before any recipe exists: sorting the built recipes
+    # leaves the garbage collector more to scan
     recipes = []
-    for key in sorted(nums, key=_key_sort):
-        if not nums[key]:
-            continue
-        poly, k, exp_k, ld_pow, le_pow, poles = key
-        pick, denom = picks[k]
-        recipes.append(ExactTermRecipe(
-            frac=Fraction(pick * nums[key], denom), zeta_pow=k,
-            lam_dest_pow=ld_pow, lam_eve_pow=le_pow, exp_k=exp_k, poly_power=poly,
-            poles=tuple((Fraction(p, q), mult) for (p, q), mult in poles)))
+    for key in sorted(nums, key=order):
+        poly, k, ld_pow, le_pow, poles = key
+        if nums[key]:
+            pick, denom = picks[k]
+            recipes.append(ExactTermRecipe(
+                frac=Fraction(pick * nums[key], denom), zeta_pow=k,
+                lam_dest_pow=ld_pow, lam_eve_pow=le_pow, exp_k=k, poly_power=poly,
+                poles=tuple((Fraction(p, q), mult) for (p, q), mult in poles)))
     return tuple(recipes)
 
 
 @lru_cache(maxsize=None)
-def _ss_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tuple:
-    """Exact term recipes for the max-destination-SNR scheme, gated links.
+def _ss_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
+    """Exact SS (max destination SNR) recipes over the given slots, gated links.
 
     The k-th power of the destination slot sum is expanded once per k; the
     closed moment integral over the strongest eavesdropper SNR then attaches
@@ -182,14 +183,14 @@ def _ss_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tupl
     _integer_power) and E is the eavesdropper coefficients' common
     denominator.
     """
-    slots = _dest_slots(M_D, unity_dropped)
+    top_mu = max(mu for _frac, _poly, mu, _m in slots)
     groups = _eve_groups(N, M_E)
     eve_denom, eve_nums = _over_common_denominator([frac for _n, _me, frac in groups])
     eve = [(n, me_hat, num) for (n, me_hat, _frac), num in zip(groups, eve_nums)]
 
     def link_terms(k):
         dest_denom, expanded = _integer_power(slots, k)
-        theta_top = M_E + k * (M_D - 1) + max(me_hat for _n, me_hat, _num in eve)
+        theta_top = M_E + k * top_mu + max(me_hat for _n, me_hat, _num in eve)
         terms = []
         for num, poly, mu_hat, m_hat in expanded:
             for n, me_hat, eve_num in eve:
@@ -199,12 +200,12 @@ def _ss_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tupl
                               poly, theta - m_hat, -(M_E + me_hat),
                               (((n + 1, k), theta),)))
         return dest_denom * eve_denom * k ** theta_top, terms
-    return _select_over_links(K, link_terms, unity_dropped)
+    return _select_over_links(K, link_terms)
 
 
 @lru_cache(maxsize=None)
-def _os_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tuple:
-    """Exact term recipes for the max-secrecy-ratio scheme, gated links.
+def _os_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
+    """Exact OS (max secrecy ratio) recipes over the given slots, gated links.
 
     The single-link ratio-CDF complement expands into terms carried as
     (coeff, x_power, lambda_D power, lambda_E power, pole multiplicity per
@@ -213,7 +214,7 @@ def _os_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tupl
     _integer_power), which all k-link terms share.
     """
     inner: list[tuple] = []
-    for dest_frac, poly, mu, m in _dest_slots(M_D, unity_dropped):
+    for dest_frac, poly, mu, m in slots:
         for n, me_hat, eve_frac in _eve_groups(N, M_E):
             alpha = M_E + mu + me_hat
             frac = dest_frac * eve_frac * math.factorial(alpha - 1)
@@ -225,13 +226,7 @@ def _os_recipes(K: int, N: int, M_D: int, M_E: int, unity_dropped: bool) -> tupl
         return denom, ((num, poly, ld_pow, le_pow,
                         tuple(((j + 1, 1), mult) for j, mult in enumerate(mults) if mult))
                        for num, poly, ld_pow, le_pow, *mults in expanded)
-    return _select_over_links(K, link_terms, unity_dropped)
-
-
-def _key_sort(key):
-    poly, zeta_pow, exp_k, ld_pow, le_pow, poles = key
-    return (exp_k, poly, ld_pow, le_pow,
-            tuple((p / q, m) for (p, q), m in poles), zeta_pow)
+    return _select_over_links(K, link_terms)
 
 
 def gated_base(cfg: SystemConfig) -> SystemConfig:
@@ -259,12 +254,23 @@ def _config_key(cfg: SystemConfig) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
+    """The exact or the unity-dropped term sum of one KA config.
+
+    A slot adds mu - m <= 0 to lam_dest_pow + lam_eve_pow, so the exact
+    recipes where that sum is 0 are the products of the mu == m slots
+    alone: the unity-dropped form builds from those and drops the exp. The
+    exact form groups the builders' order by k (a stable sort).
+    """
     K, N, M_D, M_E, lam_d, lam_e, zeta, scheme = key
     scales = (lam_d, lam_e, zeta)
     if zeta == 0.0:
         return TermSum(terms=(), recipes=(), scales=scales)
     build = _ss_recipes if scheme == "SS" else _os_recipes
-    recipes = build(K, N, M_D, M_E, unity_dropped)
+    if unity_dropped:
+        slots = tuple(s for s in _dest_slots(M_D) if s[2] == s[3])
+        recipes = tuple(replace(r, exp_k=0) for r in build(K, N, M_E, slots))
+    else:
+        recipes = tuple(sorted(build(K, N, M_E, _dest_slots(M_D)), key=attrgetter("exp_k")))
     terms = materialize_recipes(recipes, lam_d, lam_e, zeta)
     return TermSum(terms=terms, recipes=recipes, scales=scales)
 

@@ -71,10 +71,11 @@ class TestExpandPowerOfSum:
         scaled_back = [(Fraction(t[0], denom_power),) + t[1:] for t in expanded]
         assert scaled_back == expand_power_of_sum(inner, kappa)
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
+        monkeypatch.setattr(algebra, "EXPANSION_TERM_CAP", 100)
         inner = [(Fraction(1), i, 0) for i in range(10)]
         with pytest.raises(CapacityError):
-            expand_power_of_sum(inner, kappa=5, cap=100)
+            expand_power_of_sum(inner, kappa=5)
 
 
 class TestPartialFractions:

@@ -229,6 +229,37 @@ def test_recipes_pinned(shape, scheme, knowledge):
     assert digest == RECIPE_DIGESTS[shape, scheme, knowledge]
 
 
+# sha256 over every small shape, one line repr((exact, unity-dropped)) + "\n"
+# per (K, N, M_D, M_E) in product(range(1, 4), repeat=4) and scheme (SS, then
+# OS), at the RECIPE_DIGESTS point; recorded while the builders still took a
+# unity_dropped flag
+SMALL_SHAPES_DIGEST = "bca731da1e155b11f329aa9ac401fbede43a7a0c38ade87a1bd714fced14a931"
+
+
+def test_recipes_pinned_on_every_small_shape():
+    digest = hashlib.sha256()
+    for (K, N, M_D, M_E), scheme in product(product(range(1, 4), repeat=4), ("SS", "OS")):
+        cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
+                   zeta=0.9, scheme=scheme)
+        recipes = (build_cdf_term_sum(cfg).recipes, build_high_snr_term_sum(cfg).recipes)
+        digest.update((repr(recipes) + "\n").encode())
+    assert digest.hexdigest() == SMALL_SHAPES_DIGEST
+
+
+def test_unity_dropped_recipes_are_the_scale_free_exact_ones():
+    # built from the mu == m slots alone, they are the exact recipes whose
+    # lambda_D and lambda_E powers cancel, without the exponential
+    for (K, N, M_D, M_E), scheme in product(product(range(1, 4), repeat=4), ("SS", "OS")):
+        cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
+                   zeta=0.9, scheme=scheme)
+        scale_free = sorted(
+            (replace(r, exp_k=0) for r in build_cdf_term_sum(cfg).recipes
+             if r.lam_dest_pow + r.lam_eve_pow == 0),
+            key=lambda r: (r.poly_power, r.lam_dest_pow, r.lam_eve_pow,
+                           [(float(ratio), mult) for ratio, mult in r.poles], r.zeta_pow))
+        assert build_high_snr_term_sum(cfg).recipes == tuple(scale_free)
+
+
 @pytest.mark.parametrize("build", [build_cdf_term_sum, build_high_snr_term_sum])
 @pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0])
 def test_builders_reject_gate_after_selection(build, zeta):
