@@ -89,6 +89,38 @@ class TestSharedDraws:
         assert out.stdout.strip() == "1"
 
 
+def _moments_sha256(pairs) -> str:
+    lines = "\n".join(f"{o.mean.hex()} {o.stderr.hex()} {r.mean.hex()} {r.stderr.hex()}"
+                      for o, r in pairs)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+class TestSimulatorBits:
+    # sha256 of the (outage, rate) means and stderrs of _mc_moments_many at
+    # one thread, one float.hex() line per row, recorded while each config
+    # still made its own selection from the shared draws
+    QUICK_OUTAGE_GRID_SHA256 = "89ccc0e8936d7e6688d9ab84893e3da92749b1f686ec7b86c43a664d7e38164e"
+    SHAPES_SHA256 = "453e87e35594e2aedabdc58a37834889303e185cf5e595d8ebd7702378f5d9a4"
+    # K up to 4 and M_D up to 4, every zeta branch; 70000 trials make a full
+    # chunk and a ragged one
+    SHAPE_ROWS = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam,
+                            lambda_E=10.0 ** 0.5, zeta=zeta, scheme=scheme,
+                            knowledge=knowledge)
+                       for (K, N, M_D, M_E), lam, zeta, scheme, knowledge in product(
+                           ((3, 2, 3, 2), (4, 1, 4, 3), (4, 3, 2, 2)), (2.0, 50.0),
+                           (0.0, 0.5, 1.0), ("SS", "OS"), ("KA", "KU")))
+
+    def test_quick_outage_grid_pinned(self):
+        pairs = _mc_moments_many(tuple(acceptance._sop_grid(True)), acceptance.QUICK_TRIALS,
+                                 acceptance.ACCEPT_SEED, threads=1)
+        assert _moments_sha256(pairs) == self.QUICK_OUTAGE_GRID_SHA256
+
+    def test_larger_shapes_pinned(self):
+        assert len(self.SHAPE_ROWS) == 72
+        pairs = _mc_moments_many(self.SHAPE_ROWS, 70000, seed=17, threads=1)
+        assert _moments_sha256(pairs) == self.SHAPES_SHA256
+
+
 class TestSimulatorDistributions:
     def test_gamma_sampling_against_cdf(self):
         # the simulator draws each link SNR as a sum of M exponentials; the
@@ -250,6 +282,24 @@ class TestQuadratureBits:
     def test_quick_rate_grid_pinned(self):
         hexes = "\n".join(quad_esr(cfg).hex() for cfg in acceptance._esr_grid(True))
         assert hashlib.sha256(hexes.encode()).hexdigest() == _QUICK_ESR_GRID_SHA256
+
+    # sha256 of the newline-joined float.hex() of quad_esr and of
+    # quad_cdf_ratio(rho) over K >= 3, M_D >= 3 rows, recorded while the inner
+    # integrands still called the channel functions
+    LARGE_ROWS = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam,
+                            lambda_E=10.0 ** 0.5, zeta=0.9, scheme=scheme,
+                            knowledge=knowledge)
+                       for (K, N, M_D, M_E), lam, scheme, knowledge in product(
+                           ((3, 2, 3, 2), (4, 1, 4, 3)), (10.0, 100.0), ("SS", "OS"),
+                           ("KA", "KU")))
+    LARGE_ESR_SHA256 = "0224070733c52e11fed934c91473dc66a6fe592fe0f3c9d1987d37cee82695dd"
+    LARGE_SOP_SHA256 = "840a85769f94431bd43958306df19af394efc22f4e8b4fe481125d2f62614ab0"
+
+    def test_larger_shapes_pinned(self):
+        esr_hexes = "\n".join(quad_esr(cfg).hex() for cfg in self.LARGE_ROWS)
+        sop_hexes = "\n".join(quad_cdf_ratio(cfg.rho(), cfg).hex() for cfg in self.LARGE_ROWS)
+        assert hashlib.sha256(esr_hexes.encode()).hexdigest() == self.LARGE_ESR_SHA256
+        assert hashlib.sha256(sop_hexes.encode()).hexdigest() == self.LARGE_SOP_SHA256
 
     def test_full_outage_grid_pinned(self):
         hexes = "\n".join(quad_cdf_ratio(cfg.rho(), cfg).hex()
