@@ -170,6 +170,13 @@ def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult
                          term_count=base.term_count)
     term_sum = build_term_sum(cfg)
     value = _sum_integrated(term_sum, integrator)
+    if value < 0.0 and form != _FORM_ASYMPTOTIC:
+        # a rate is never negative, so the alternating terms cancelled past
+        # double precision; the asymptote is affine in ln(lambda_D) and
+        # legitimately negative at low lambda_D, so only it is clamped
+        raise ArithmeticError(
+            f"{form} rate term sum is negative ({value!r}) over "
+            f"{len(term_sum.terms)} terms: cancellation exceeded double precision")
     return EsrResult(value=max(0.0, value), form=form,
                      term_count=len(term_sum.terms))
 

@@ -9,6 +9,17 @@ reduction runs in chunk order, so the estimate is bit-identical for any
 worker count. The draws depend only on (K, N, M_D, M_E), so configs of one
 such shape share draws and still get the bits of a pass of their own.
 
+Monte Carlo selection: once a chunk's three draws are made, each is copied
+to one contiguous row per link. A shape's configs are grouped by (lambda_D,
+lambda_E, scheme); a group builds its destination SNRs and ratios once and
+frees them before the next group. The KU selection ignores the gates, so it
+runs once per group; the KA selection runs once per zeta, on masks computed
+once per zeta. Links are compared one row at a time with a strict >, which
+keeps np.argmax's first maximum on ties; a trial with every link masked
+picks link 0 and transmits nothing. The log2 rate is taken once per
+selection, on a contiguous array, so every rate array has the bits of a
+per-config argmax over links.
+
 Gate after selection (KU): the always-on selection runs first and one
 backhaul gate then blocks the selected link, so a KU row is its always-on KA
 row gated once: F = 1 - zeta + zeta*F_on and 1 - F = zeta*(1 - F_on). The
@@ -27,10 +38,16 @@ in its key, so a stored value is the exact float a fresh quadrature would
 return: every result is bit-identical to one computed on empty tables, in
 any row order. The eavesdropper density is likewise stored per node.
 
-Imports: numpy and scipy load on the first oracle call, inside `_quad_unit`,
-`_rates_with_rng` and `_chunk_rng`, so a process that evaluates only closed
-forms never pays for them. The import sits in those entry points, never in
-an integrand: a repeated import is a cached dictionary lookup, but a
+Inner integrand: both quadrature oracles integrate one Python function per
+node, `_eve_integrand`. It restates the Gamma survival sum of
+`channel.sf_snr_dest` and the CDF forms built on it with the same
+operations in the same order, instead of calling them through nested
+frames, so every node value is the float the channel functions give.
+
+Imports: numpy and scipy load on the first oracle call, inside `_quad_unit`
+and the Monte Carlo functions, so a process that evaluates only closed
+forms never pays for them. The import sits in those functions, never in an
+integrand: a repeated import is a cached dictionary lookup, but a
 per-node one would run hundreds of thousands of times per sweep.
 """
 
@@ -41,13 +58,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .channel import (
-    SystemConfig,
-    cdf_snr_dest,
-    cdf_snr_dest_mixture_ka,
-    pdf_snr_eve_max,
-    sf_snr_dest,
-)
+from .channel import SystemConfig, pdf_snr_eve_max
 
 _CHUNK = 65536
 _MIN_TRIALS = 10_000
@@ -122,15 +133,28 @@ def _node_table(cfg: SystemConfig) -> tuple[float, dict]:
     return _eve_scale(cfg), _table(_NODE_TABLES, (cfg.N, cfg.M_E, cfg.lambda_E))
 
 
-def _eve_average(dest, x: float, cfg: SystemConfig) -> float:
-    """integral_0^inf dest(x(1+y)-1) f_E(y) dy over the strongest eavesdropper.
+def _eve_integrand(x: float, cfg: SystemConfig, survival: bool):
+    """u -> integrand on [0, 1) of integral_0^inf g(x(1+y)-1) f_E(y) dy.
 
+    f_E is the density of the strongest eavesdropper SNR y and g(arg) what
+    the links contribute at destination SNR arg: one link's survival
+    function (survival=True) or CDF under OS; under SS, where the K links
+    share y, the gated K-link forms 1-(1-zeta*sf)^K and (1-zeta+zeta*cdf)^K.
     y = -scale*log(1-u), u in [0, 1): the map turns exponential decay into an
     O(1) integrand and keeps adaptivity concentrated near y = 0 where the
     densities peak.
+
+    The integrand is one Python frame per node: the Gamma(M_D, lambda_D)
+    survival sum is `sf_snr_dest`'s, restated with the same operations in
+    the same order, and g follows `cdf_snr_dest` and
+    `cdf_snr_dest_mixture_ka` the same way, so every value is the float the
+    channel functions give (tests check this bit for bit).
     """
     scale, table = _node_table(cfg)
     N, M_E, lambda_E = cfg.N, cfg.M_E, cfg.lambda_E
+    K, lambda_D, zeta = cfg.K, cfg.lambda_D, cfg.zeta
+    orders = range(1, cfg.M_D)
+    ss = cfg.scheme == "SS"
 
     def mapped(u: float) -> float:
         if u >= 1.0:
@@ -142,9 +166,30 @@ def _eve_average(dest, x: float, cfg: SystemConfig) -> float:
             if len(table) < _ENTRIES_PER_TABLE_MAX:
                 table[u] = node
         one_plus_y, density, one_minus_u = node
-        return dest(x * one_plus_y - 1.0) * density * scale / one_minus_u
+        arg = x * one_plus_y - 1.0
+        if arg <= 0.0:
+            sf = 1.0
+        else:
+            v = arg / lambda_D
+            term = math.exp(-v)
+            total = term
+            for m in orders:
+                term *= v / m
+                total += term
+            sf = total if total < 1.0 else 1.0  # min(1.0, total)
+        if survival:
+            if ss:
+                gated = zeta * sf
+                sf = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
+            value = sf
+        else:
+            value = 1.0 - sf
+            value = value if value > 0.0 else 0.0  # max(0.0, 1.0 - sf)
+            if ss:
+                value = 0.0 if arg < 0.0 else ((1.0 - zeta) + zeta * value) ** K
+        return value * density * scale / one_minus_u
 
-    return _quad_unit(mapped)
+    return mapped
 
 
 def _always_on(cfg: SystemConfig) -> SystemConfig:
@@ -168,16 +213,9 @@ def quad_cdf_ratio(x: float, cfg: SystemConfig) -> float:
         return 1.0
     if cfg.knowledge == "KU":
         return min(1.0, 1.0 - cfg.zeta + cfg.zeta * quad_cdf_ratio(x, _always_on(cfg)))
-    K, M_D, lambda_D = cfg.K, cfg.M_D, cfg.lambda_D
-
-    if cfg.scheme == "SS":
-        def dest(arg: float) -> float:
-            return cdf_snr_dest_mixture_ka(arg, cfg) ** K
-        value = _eve_average(dest, x, cfg)
-    else:
-        def dest(arg: float) -> float:
-            return cdf_snr_dest(arg, M_D, lambda_D)
-        value = ((1.0 - cfg.zeta) + cfg.zeta * _eve_average(dest, x, cfg)) ** K
+    value = _quad_unit(_eve_integrand(x, cfg, survival=False))
+    if cfg.scheme == "OS":
+        value = ((1.0 - cfg.zeta) + cfg.zeta * value) ** cfg.K
     return min(1.0, max(0.0, value))
 
 
@@ -196,24 +234,17 @@ def _survival_ratio(cfg: SystemConfig):
     if cfg.knowledge == "KU":
         on, zeta = _survival_ratio(_always_on(cfg)), cfg.zeta
         return lambda x: min(1.0, max(0.0, zeta * on(x)))
-    K, M_D, lambda_D, gate = cfg.K, cfg.M_D, cfg.lambda_D, cfg.zeta
+    K, gate = cfg.K, cfg.zeta
     if cfg.scheme == "SS":
-        family = ("SS", K, gate, M_D, lambda_D)
-
-        def dest(arg: float) -> float:
-            gated = gate * sf_snr_dest(arg, M_D, lambda_D)
-            return 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
+        family = ("SS", K, gate, cfg.M_D, cfg.lambda_D)
     else:
-        family = ("OS", M_D, lambda_D)
-
-        def dest(arg: float) -> float:
-            return sf_snr_dest(arg, M_D, lambda_D)
+        family = ("OS", cfg.M_D, cfg.lambda_D)
     table = _table(_SURVIVAL_TABLES, family + (cfg.N, cfg.M_E, cfg.lambda_E))
 
     def survival(x: float) -> float:
         inner = table.get(x)
         if inner is None:
-            inner = _eve_average(dest, x, cfg)
+            inner = _quad_unit(_eve_integrand(x, cfg, survival=True))
             if len(table) < _ENTRIES_PER_TABLE_MAX:
                 table[x] = inner
         if cfg.scheme == "SS":
@@ -271,27 +302,73 @@ def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
     # maximum over eavesdroppers equals the maximum of the scaled sums
     eve_max = rng.standard_exponential((count, K, N, M_E)).sum(axis=3).max(axis=2)
     gate_u = rng.random((count, K))
+    # one contiguous row per link, copied only after every draw is made
+    dest_sum, eve_max, gate_u = (np.ascontiguousarray(a.T) for a in (dest_sum, eve_max, gate_u))
 
-    snrs: dict = {}  # (lambda_D, lambda_E) -> (destination SNR, ratio)
-    rates = []
-    for cfg in cfgs:
-        key = (cfg.lambda_D, cfg.lambda_E)
-        if key not in snrs:
-            dest = dest_sum * cfg.lambda_D
-            snrs[key] = dest, (1.0 + dest) / (1.0 + eve_max * cfg.lambda_E)
-        dest, ratio = snrs[key]
-        active = gate_u < cfg.zeta
-        score = dest if cfg.scheme == "SS" else ratio
-        if cfg.knowledge == "KA":
-            masked = np.where(active, score, -np.inf)
-            chosen = np.argmax(masked, axis=1)
-            transmitting = active.any(axis=1)
-        else:
-            chosen = np.argmax(score, axis=1)
-            transmitting = np.take_along_axis(active, chosen[:, None], axis=1)[:, 0]
-        chosen_ratio = np.take_along_axis(ratio, chosen[:, None], axis=1)[:, 0]
-        rates.append(np.where(transmitting, np.maximum(np.log2(chosen_ratio), 0.0), 0.0))
+    masks: dict = {}  # KA zeta -> (per-link active masks, any link active)
+    groups: dict = {}  # (lambda_D, lambda_E, scheme) -> indices of its configs
+    for i, cfg in enumerate(cfgs):
+        if cfg.knowledge == "KA" and cfg.zeta not in masks:
+            on = gate_u < cfg.zeta
+            masks[cfg.zeta] = on, on.any(axis=0)
+        groups.setdefault((cfg.lambda_D, cfg.lambda_E, cfg.scheme), []).append(i)
+    rates = [None] * len(cfgs)
+    for (lambda_D, lambda_E, scheme), members in groups.items():
+        # one group's SNR arrays at a time: they are freed when it returns
+        for i, rate in zip(members, _group_rates(
+                [cfgs[i] for i in members], dest_sum * lambda_D, eve_max * lambda_E,
+                scheme, gate_u, masks)):
+            rates[i] = rate
     return rates
+
+
+def _first_max(score, payloads, on=None) -> list:
+    """Per trial, each payload's row at the first link of maximal score.
+
+    Only links whose `on` mask is set compete; a trial with every link off
+    takes link 0. Rows are links; the strict > keeps np.argmax's
+    first-maximum rule on ties.
+    """
+    import numpy as np
+
+    best = score[0] if on is None else np.where(on[0], score[0], -np.inf)
+    picked = [payload[0] for payload in payloads]
+    for k in range(1, len(score)):
+        better = score[k] > best
+        if on is not None:
+            better &= on[k]
+        best = np.where(better, score[k], best)
+        picked = [np.where(better, payload[k], row) for payload, row in zip(payloads, picked)]
+    return picked
+
+
+def _group_rates(cfgs: list, dest, eve, scheme: str, gate_u, masks: dict) -> list:
+    # rates of configs that share lambda_D, lambda_E and the scheme: one KU
+    # selection (it ignores the gates) and one KA selection per zeta
+    import numpy as np
+
+    ratio = (1.0 + dest) / (1.0 + eve)
+    score = dest if scheme == "SS" else ratio
+
+    def rate(chosen_ratio):
+        return np.maximum(np.log2(chosen_ratio), 0.0)
+
+    rates: dict = {}  # (knowledge, zeta) -> rate array
+    ku = None  # the always-on selection's rate and the gate draw of its link
+    for cfg in cfgs:
+        key = (cfg.knowledge, cfg.zeta)
+        if key in rates:
+            continue
+        if cfg.knowledge == "KA":
+            on, any_on = masks[cfg.zeta]
+            (chosen,) = _first_max(score, [ratio], on)
+            rates[key] = np.where(any_on, rate(chosen), 0.0)
+        else:
+            if ku is None:
+                chosen, chosen_u = _first_max(score, [ratio, gate_u])
+                ku = rate(chosen), chosen_u
+            rates[key] = np.where(ku[1] < cfg.zeta, ku[0], 0.0)
+    return [rates[cfg.knowledge, cfg.zeta] for cfg in cfgs]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -312,6 +389,8 @@ def _mc_moments_many(cfgs: tuple[SystemConfig, ...], trials: int, seed: int,
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be at least {_MIN_TRIALS} (got {trials})")
+    import numpy as np
+
     groups: dict = {}  # shape -> indices of its configs
     for i, cfg in enumerate(cfgs):
         groups.setdefault(_shape(cfg), []).append(i)
@@ -325,8 +404,8 @@ def _mc_moments_many(cfgs: tuple[SystemConfig, ...], trials: int, seed: int,
         for members in groups.values():
             group = tuple(cfgs[i] for i in members)
             for i, rates in zip(members, _rates_with_rng(group, _chunk_rng(seed, index), size)):
-                outage = rates <= cfgs[i].R_th
-                stats[i] = (float(outage.sum()), float(rates.sum()),
+                outage = np.count_nonzero(rates <= cfgs[i].R_th)
+                stats[i] = (float(outage), float(rates.sum()),
                             float((rates * rates).sum()))
         return stats
 

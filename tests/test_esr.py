@@ -273,6 +273,17 @@ class TestHighSnrRate:
     def test_form_label(self):
         assert esr_high_snr(_cfg(lambda_D=1e3)).form == "high_snr"
 
+    def test_negative_term_sum_raises_instead_of_reading_zero(self):
+        # OS K = N = M = 3 at 10 dB: the 1,573 unity-dropped terms cancel to
+        # -139,147.8, which a clamp would report as a rate of exactly 0; the
+        # asymptote of the same terms is affine and may clamp to 0
+        cfg = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_E=10.0 ** 0.5, zeta=0.9, scheme="OS")
+        with pytest.raises(ArithmeticError, match="negative"):
+            esr_high_snr(cfg)
+        with pytest.raises(ArithmeticError, match="negative"):
+            esr_high_snr(replace(cfg, knowledge="KU"))
+        assert esr_asymptotic(cfg).value == 0.0
+
 
 class TestAsymptoticRate:
     def test_slope_per_decade(self):

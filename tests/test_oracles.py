@@ -11,7 +11,13 @@ import pytest
 from scipy.stats import kstest
 
 from secrecy_lab import acceptance, oracles
-from secrecy_lab.channel import SystemConfig, cdf_snr_dest
+from secrecy_lab.channel import (
+    SystemConfig,
+    cdf_snr_dest,
+    cdf_snr_dest_mixture_ka,
+    pdf_snr_eve_max,
+    sf_snr_dest,
+)
 from secrecy_lab.oracles import (
     QuadratureError,
     _chunk_rng,
@@ -121,6 +127,69 @@ class TestSimulatorBits:
         assert _moments_sha256(pairs) == self.SHAPES_SHA256
 
 
+class _CraftedDraws:
+    """Stands in for a chunk's generator: hands out crafted arrays in the
+    simulator's draw order (destination, eavesdropper, gates)."""
+
+    def __init__(self, dest, eve, gates):
+        self._exponentials = [dest, eve]
+        self._gates = gates
+
+    def standard_exponential(self, shape):
+        draw = self._exponentials.pop(0)
+        assert draw.shape == shape
+        return draw
+
+    def random(self, shape):
+        assert self._gates.shape == shape
+        return self._gates
+
+
+def _argmax_rates(cfg, dest_sum, eve_max, gate_u):
+    # reference: each config alone, np.argmax over links on trial-major draws
+    dest = dest_sum * cfg.lambda_D
+    ratio = (1.0 + dest) / (1.0 + eve_max * cfg.lambda_E)
+    active = gate_u < cfg.zeta
+    score = dest if cfg.scheme == "SS" else ratio
+    if cfg.knowledge == "KA":
+        chosen = np.argmax(np.where(active, score, -np.inf), axis=1)
+        transmitting = active.any(axis=1)
+    else:
+        chosen = np.argmax(score, axis=1)
+        transmitting = np.take_along_axis(active, chosen[:, None], axis=1)[:, 0]
+    chosen_ratio = np.take_along_axis(ratio, chosen[:, None], axis=1)[:, 0]
+    return np.where(transmitting, np.maximum(np.log2(chosen_ratio), 0.0), 0.0)
+
+
+class TestSelection:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_ties_and_dark_trials_match_argmax(self, K):
+        # draws from a few values make exact ties between links; blocks of
+        # trials tie on every link (SS on the destination SNR, OS on the
+        # ratio too, with the gates differing) or have every gate off at
+        # zeta 0.5, one block exactly at the gate threshold
+        N, M_D, M_E, count = 2, 2, 1, 640
+        pick = np.random.default_rng(K)
+        dest = pick.choice([0.5, 1.0, 2.0], size=(count, K, M_D))
+        eve = pick.choice([0.25, 1.0, 3.0], size=(count, K, N, M_E))
+        gates = pick.choice([0.0, 0.25, 0.5, 0.75, 0.9375], size=(count, K))
+        dest[:128] = 1.0
+        eve[64:128] = 1.0
+        gates[128:192] = 0.75
+        gates[192:256] = 0.5
+        rows = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam, zeta=zeta,
+                          scheme=scheme, knowledge=knowledge)
+                     for lam, zeta, scheme, knowledge in product(
+                         (2.0, 50.0), (0.0, 0.5, 1.0), ("SS", "OS"), ("KA", "KU")))
+        rates = _rates_with_rng(rows, _CraftedDraws(dest.copy(), eve.copy(), gates.copy()),
+                                count)
+        dest_sum, eve_max = dest.sum(axis=2), eve.sum(axis=3).max(axis=2)
+        for cfg, rate in zip(rows, rates):
+            expected = _argmax_rates(cfg, dest_sum, eve_max, gates)
+            assert rate.dtype == expected.dtype and rate.shape == (count,)
+            assert rate.tobytes() == expected.tobytes(), cfg
+
+
 class TestSimulatorDistributions:
     def test_gamma_sampling_against_cdf(self):
         # the simulator draws each link SNR as a sum of M exponentials; the
@@ -218,6 +287,56 @@ _QUICK_ESR_GRID_SHA256 = "0d7c1584d20dc302c04b909c2c3bd0855a08c138055791c9d0a873
 # them), in _sop_grid(False) order, recorded while quad_cdf_ratio still had
 # a branch of its own for each scheme under KU
 _FULL_SOP_GRID_SHA256 = "b104ac74fff11acfc0bef62f966888f4129935187bba3f513970c7c4a0422dfa"
+
+
+def _channel_integrand(x, cfg, survival):
+    # reference for oracles._eve_integrand, composed of the channel functions
+    scale = oracles._eve_scale(cfg)
+
+    def dest(arg):
+        if not survival:
+            if cfg.scheme == "OS":
+                return cdf_snr_dest(arg, cfg.M_D, cfg.lambda_D)
+            return cdf_snr_dest_mixture_ka(arg, cfg) ** cfg.K
+        sf = sf_snr_dest(arg, cfg.M_D, cfg.lambda_D)
+        if cfg.scheme == "OS":
+            return sf
+        gated = cfg.zeta * sf
+        return 1.0 if gated >= 1.0 else -math.expm1(cfg.K * math.log1p(-gated))
+
+    def mapped(u):
+        if u >= 1.0:
+            return 0.0
+        y = -scale * math.log1p(-u)
+        density = pdf_snr_eve_max(y, cfg.N, cfg.M_E, cfg.lambda_E)
+        return dest(x * (1.0 + y) - 1.0) * density * scale / (1.0 - u)
+
+    return mapped
+
+
+class TestInnerIntegrand:
+    # u = 0 at x = 1 puts the destination SNR at 0; the small and large
+    # lambda_D and u near 1 reach survival sums that round to 1 or 0, and
+    # u = 0 at x = 1.6253, lambda_D = 1e4, M_D = 4 one that rounds above 1;
+    # the eavesdropper density is nonzero at u = 0 only for N = M_E = 1
+    NODES = (0.0, 1e-300, 1e-12, 1e-6, *(i / 64 for i in range(1, 64)),
+             1.0 - 1e-9, 1.0 - 2.0 ** -52, 1.0)
+
+    @pytest.mark.parametrize("scheme", ["SS", "OS"])
+    @pytest.mark.parametrize("M_D", [1, 2, 3, 4])
+    def test_bitwise_equal_to_the_channel_functions(self, monkeypatch, scheme, M_D):
+        _empty_tables(monkeypatch)
+        for (N, M_E), lam, zeta, x, survival in product(
+                ((1, 1), (2, 2)), (1e-3, 10.0, 1e4), (0.5, 0.9, 1.0),
+                (1.0, 1.5, 1.6253, 37.25, 1e4), (True, False)):
+            cfg = _cfg(K=3, N=N, M_D=M_D, M_E=M_E, lambda_D=lam, lambda_E=10.0 ** 0.5,
+                       zeta=zeta, scheme=scheme)
+            flat = oracles._eve_integrand(x, cfg, survival)
+            reference = _channel_integrand(x, cfg, survival)
+            for u in self.NODES:
+                expected = reference(u).hex()
+                assert flat(u).hex() == expected, (cfg, x, survival, u)
+                assert flat(u).hex() == expected  # the node read from its table
 
 
 def _empty_tables(monkeypatch):
