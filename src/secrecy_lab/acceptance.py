@@ -19,8 +19,9 @@ from itertools import product
 
 from .channel import SystemConfig
 from .esr import _kernel, esr_asymptotic, esr_exact, esr_high_snr
-from .oracles import _mc_moments_many, default_threads, quad_cdf_ratio, quad_esr
-from .sop import sop
+from .oracles import (ESR_AGREEMENT, SOP_AGREEMENT, _mc_moments_many, default_threads,
+                      quad_cdf_ratio, quad_esr)
+from .sop import diversity_order, sop, sop_asymptotic
 from .specialfn import (
     exp_integral,
     log_upper_incomplete_gamma_int,
@@ -109,8 +110,7 @@ def check_asymptotic_floors(quick: bool = False) -> CheckResult:
         cfg = SystemConfig(K=K, N=N, M_D=2, M_E=2, lambda_D=1e6,
                            lambda_E=_LAMBDA_E, zeta=zeta, R_th=1.0,
                            scheme=scheme, knowledge=knowledge)
-        floor = (1.0 - zeta) ** K if knowledge == "KA" else 1.0 - zeta
-        gap = abs(_sop_closed(cfg) - floor)
+        gap = abs(_sop_closed(cfg) - sop_asymptotic(cfg).value)
         if gap > worst:
             worst, worst_cfg = gap, cfg
     passed = worst <= 1e-3
@@ -132,7 +132,8 @@ def check_diversity_order(quick: bool = False) -> CheckResult:
         p50 = _sop_closed(base)
         p60 = _sop_closed(replace(base, lambda_D=1e6))
         slope = math.log10(p50 / p60)
-        rel = abs(slope - K * M_D) / (K * M_D)
+        order = diversity_order(base)
+        rel = abs(slope - order) / order
         if rel > worst_rel:
             worst_rel, worst_cfg = rel, base
     passed = worst_rel <= 0.05
@@ -142,60 +143,40 @@ def check_diversity_order(quick: bool = False) -> CheckResult:
         detail=f"max slope error = {worst_rel:.2%} (tol 5%) at {_brief(worst_cfg)}")
 
 
-def check_sop_triple_oracle(quick: bool = False) -> CheckResult:
-    """Closed form vs quadrature (1e-6) and vs MC (3 sigma) over the grid."""
+def _triple_oracle(quick: bool, name: str, grid, closed_form, quad, which: int,
+                   agreement, closed_label: str, mc_label: str) -> CheckResult:
+    # closed form vs quadrature and vs the MC estimate `which` of the pair
     trials = QUICK_TRIALS if quick else FULL_TRIALS
-    worst_quad = 0.0
-    worst_mc = 0.0
+    worst_quad = worst_mc = 0.0
     worst_quad_cfg = worst_mc_cfg = None
-    rows = 0
-    for cfg in _sop_grid(quick):
-        rows += 1
-        closed = _sop_closed(cfg)
-        gap_q = abs(closed - quad_cdf_ratio(cfg.rho(), cfg))
+    for rows, cfg in enumerate(grid(quick), start=1):
+        closed = closed_form(cfg)
+        gap_q = abs(closed - quad(cfg))
         if gap_q > worst_quad:
             worst_quad, worst_quad_cfg = gap_q, cfg
-        est = _mc_pair(cfg, quick)[0]
-        # zero observed events leave stderr = 0; the 3-sigma Wilson upper
-        # bound at zero successes is 9/(trials+9), so the gate never
-        # collapses below resolution
-        tol = max(3.0 * est.stderr, 9.0 / trials)
-        excess = abs(closed - est.mean) - tol
+        est = _mc_pair(cfg, quick)[which]
+        excess = abs(closed - est.mean) - agreement.mc_tol(est.stderr, trials)
         if excess > worst_mc:
             worst_mc, worst_mc_cfg = excess, cfg
-    passed = worst_quad <= 1e-6 and worst_mc <= 0.0
     return CheckResult(
-        name="outage triple-oracle agreement",
-        passed=passed,
-        detail=(f"{rows} rows; max |closed-quad| = {worst_quad:.3e} (tol 1e-06)"
-                f" at {_brief(worst_quad_cfg)}; max MC excess beyond 3-sigma = "
-                f"{max(0.0, worst_mc):.3e} at {_brief(worst_mc_cfg)}"))
+        name=name,
+        passed=worst_quad <= agreement.quad_tol and worst_mc <= 0.0,
+        detail=(f"{rows} rows; max |{closed_label}-quad| = {worst_quad:.3e} "
+                f"(tol {agreement.quad_tol:.0e}) at {_brief(worst_quad_cfg)}; "
+                f"max MC excess{mc_label} = {max(0.0, worst_mc):.3e} at {_brief(worst_mc_cfg)}"))
+
+
+def check_sop_triple_oracle(quick: bool = False) -> CheckResult:
+    """Outage closed form vs quadrature and vs MC over the grid."""
+    return _triple_oracle(quick, "outage triple-oracle agreement", _sop_grid, _sop_closed,
+                          lambda cfg: quad_cdf_ratio(cfg.rho(), cfg), 0, SOP_AGREEMENT,
+                          "closed", " beyond 3-sigma")
 
 
 def check_esr_triple_oracle(quick: bool = False) -> CheckResult:
-    """Exact rate vs quadrature (1e-5) and vs MC (3 sigma / 0.02) on K,N <= 2."""
-    worst_quad = 0.0
-    worst_mc = 0.0
-    worst_quad_cfg = worst_mc_cfg = None
-    rows = 0
-    for cfg in _esr_grid(quick):
-        rows += 1
-        closed = _esr_closed(cfg)
-        gap_q = abs(closed - quad_esr(cfg))
-        if gap_q > worst_quad:
-            worst_quad, worst_quad_cfg = gap_q, cfg
-        est = _mc_pair(cfg, quick)[1]
-        tol = max(3.0 * est.stderr, 0.02)
-        excess = abs(closed - est.mean) - tol
-        if excess > worst_mc:
-            worst_mc, worst_mc_cfg = excess, cfg
-    passed = worst_quad <= 1e-5 and worst_mc <= 0.0
-    return CheckResult(
-        name="rate triple-oracle agreement",
-        passed=passed,
-        detail=(f"{rows} rows; max |exact-quad| = {worst_quad:.3e} (tol 1e-05)"
-                f" at {_brief(worst_quad_cfg)}; max MC excess = "
-                f"{max(0.0, worst_mc):.3e} at {_brief(worst_mc_cfg)}"))
+    """Exact rate vs quadrature and vs MC on K, N <= 2."""
+    return _triple_oracle(quick, "rate triple-oracle agreement", _esr_grid, _esr_closed,
+                          quad_esr, 1, ESR_AGREEMENT, "exact", "")
 
 
 def check_ku_identities(quick: bool = False) -> CheckResult:

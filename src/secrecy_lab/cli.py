@@ -36,9 +36,9 @@ from dataclasses import dataclass, replace
 
 from .channel import SystemConfig
 from .esr import esr_asymptotic, esr_exact, esr_high_snr
-from .oracles import (_MIN_TRIALS, _mc_moments_many, default_threads,
-                      quad_cdf_ratio, quad_esr)
-from .sop import sop, sop_asymptotic, sop_asymptotic_perfect_backhaul
+from .oracles import (_MIN_TRIALS, ESR_AGREEMENT, SOP_AGREEMENT, _mc_moments_many,
+                      default_threads, quad_cdf_ratio, quad_esr)
+from .sop import diversity_order, sop, sop_asymptotic, sop_asymptotic_perfect_backhaul
 
 _AXES = ("lambda_D_dB",)
 _ID_COLUMNS = ("variant_id", "scheme", "knowledge", "K", "N", "M_D", "M_E",
@@ -49,22 +49,13 @@ _VARIANT_KEYS = ("scheme", "knowledge", "K", "N", "M_D", "M_E", "zeta")
 _BASE_KEYS = ("K", "N", "M_D", "M_E", "lambda_D_dB", "lambda_E_dB",
               "zeta", "R_th", "scheme", "knowledge")
 
-# comparison gates, same numbers the acceptance checks pin
-_SOP_QUAD_TOL = 1e-6
-_ESR_QUAD_TOL = 1e-5
-_ESR_MC_FLOOR = 0.02
-
 # analytic-minus-oracle columns: name, analytic column, oracle column, and
-# the tolerance of a row given the sweep's trial count
+# the oracle-agreement row the delta answers to
 _DELTAS = (
-    ("sop_exact_quad_delta", "sop_exact", "quad_sop", lambda row, trials: _SOP_QUAD_TOL),
-    ("esr_exact_quad_delta", "esr_exact", "quad_esr", lambda row, trials: _ESR_QUAD_TOL),
-    # zero observed outages leave stderr = 0; 9/trials keeps the gate at the
-    # simulation's resolution
-    ("sop_exact_mc_delta", "sop_exact", "mc_sop",
-     lambda row, trials: max(3.0 * row["mc_sop_stderr"], 9.0 / trials)),
-    ("esr_exact_mc_delta", "esr_exact", "mc_esr",
-     lambda row, trials: max(3.0 * row["mc_esr_stderr"], _ESR_MC_FLOOR)),
+    ("sop_exact_quad_delta", "sop_exact", "quad_sop", SOP_AGREEMENT),
+    ("esr_exact_quad_delta", "esr_exact", "quad_esr", ESR_AGREEMENT),
+    ("sop_exact_mc_delta", "sop_exact", "mc_sop", SOP_AGREEMENT),
+    ("esr_exact_mc_delta", "esr_exact", "mc_esr", ESR_AGREEMENT),
 )
 
 
@@ -322,10 +313,11 @@ def _tolerance_failures(rows: list[dict], spec: SweepSpec) -> list[str]:
     failures = []
     for row in rows:
         where = f"{row['variant_id']} lambda_D_dB={row['lambda_D_dB']:g}"
-        for delta, analytic, oracle, tolerance in _DELTAS:
+        for delta, analytic, oracle, agreement in _DELTAS:
             if delta not in row:
                 continue
-            tol = tolerance(row, spec.trials)
+            tol = (agreement.mc_tol(row[f"{oracle}_stderr"], spec.trials)
+                   if oracle.startswith("mc_") else agreement.quad_tol)
             if abs(row[delta]) > tol:
                 failures.append(f"{where}: |{analytic} - {oracle}| = "
                                 f"{abs(row[delta]):.3e} > {tol:.3e}")
@@ -427,18 +419,14 @@ def _diversity_report(spec: SweepSpec, rows: list[dict]) -> list[str]:
     if len(spec.axis_values) < 2:
         return lines
     db_lo, db_hi = spec.axis_values[-2], spec.axis_values[-1]
-    by_variant: dict[str, dict[float, dict]] = {}
-    for row in rows:
-        by_variant.setdefault(row["variant_id"], {})[row["lambda_D_dB"]] = row
-    for variant_id, at_db in by_variant.items():
-        lo, hi = at_db[db_lo], at_db[db_hi]
-        if lo["zeta"] != 1.0 or "sop_exact" not in lo:
-            continue
-        if lo["sop_exact"] <= 0.0 or hi["sop_exact"] <= 0.0:
+    sop_at = {(row["variant_id"], row["lambda_D_dB"]): row["sop_exact"] for row in rows}
+    for variant_id, cfg, db in spec.rows():
+        lo, hi = sop_at[variant_id, db_lo], sop_at[variant_id, db_hi]
+        if db != db_lo or cfg.zeta != 1.0 or lo <= 0.0 or hi <= 0.0:
             continue
         decades = (db_hi - db_lo) / 10.0
-        slope = math.log10(lo["sop_exact"] / hi["sop_exact"]) / decades
-        order = lo["K"] * lo["M_D"]
+        slope = math.log10(lo / hi) / decades
+        order = diversity_order(cfg)
         lines.append(f"diversity {variant_id}: measured slope {slope:.4f} "
                      f"per decade, K*M_D = {order}")
     return lines
@@ -455,10 +443,10 @@ def _cmd_compare(args) -> int:
     failures = _tolerance_failures(rows, spec)
     max_sop_quad = max(abs(r["sop_exact_quad_delta"]) for r in rows)
     max_esr_quad = max(abs(r["esr_exact_quad_delta"]) for r in rows)
-    max_sop_z = max(abs(r["sop_exact_mc_delta"])
-                    / max(r["mc_sop_stderr"], 3.0 / spec.trials) for r in rows)
-    max_esr_z = max(abs(r["esr_exact_mc_delta"])
-                    / max(r["mc_esr_stderr"], _ESR_MC_FLOOR / 3.0) for r in rows)
+    max_sop_z = max(SOP_AGREEMENT.mc_z(r["sop_exact_mc_delta"], r["mc_sop_stderr"],
+                                       spec.trials) for r in rows)
+    max_esr_z = max(ESR_AGREEMENT.mc_z(r["esr_exact_mc_delta"], r["mc_esr_stderr"],
+                                       spec.trials) for r in rows)
     for row in rows:
         status = "ok"
         where = f"{row['variant_id']} lambda_D_dB={row['lambda_D_dB']:g}"

@@ -70,6 +70,35 @@ _ABS_TOL = 1e-10
 _REL_TOL = 1e-9
 _MAX_SUBDIVISIONS = 2000
 
+# How far a closed form may sit from each oracle, for the acceptance checks
+# and the CLI alike: an absolute quadrature tolerance, and MC_SIGMAS Monte
+# Carlo standard errors, never below a floor. Zero observed outages leave
+# stderr = 0, and the 3-sigma Wilson upper bound at zero successes is
+# 9/(trials+9), so the outage floor of 9/trials keeps the gate at the
+# simulation's resolution.
+MC_SIGMAS = 3.0
+
+
+@dataclass(frozen=True)
+class Agreement:
+    quad_tol: float
+    mc_floor: float
+    per_trial: bool  # the floor is mc_floor / trials
+
+    def mc_tol(self, stderr: float, trials: int) -> float:
+        return max(MC_SIGMAS * stderr, self._scaled(self.mc_floor, trials))
+
+    def mc_z(self, delta: float, stderr: float, trials: int) -> float:
+        """|delta| in standard errors, the floor's share as the least one."""
+        return abs(delta) / max(stderr, self._scaled(self.mc_floor / MC_SIGMAS, trials))
+
+    def _scaled(self, floor: float, trials: int) -> float:
+        return floor / trials if self.per_trial else floor
+
+
+SOP_AGREEMENT = Agreement(quad_tol=1e-6, mc_floor=9.0, per_trial=True)
+ESR_AGREEMENT = Agreement(quad_tol=1e-5, mc_floor=0.02, per_trial=False)
+
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:

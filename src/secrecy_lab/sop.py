@@ -370,7 +370,7 @@ def sop_asymptotic_perfect_backhaul(cfg: SystemConfig) -> SopResult:
     if cfg.zeta != 1.0:
         raise ValueError("this asymptote assumes zeta = 1; use sop_asymptotic for zeta < 1")
     if cfg.scheme == "SS":
-        value, count = _perfect_backhaul_bracket(cfg.K * cfg.M_D, cfg.K, cfg)
+        value, count = _perfect_backhaul_bracket(diversity_order(cfg), cfg.K, cfg)
     else:
         bracket, count = _perfect_backhaul_bracket(cfg.M_D, 1, cfg)
         value = bracket ** cfg.K
