@@ -240,8 +240,9 @@ def materialize_recipes(recipes: Sequence[ExactTermRecipe],
                         lam_dest: float, lam_eve: float, zeta: float) -> tuple:
     """Float RationalExpTerms from exact recipes (single source of truth).
 
-    Pole locations are computed once per reduced ratio so terms that merged
-    exactly stay bitwise consistent. zeta and every coefficient must be
+    Each recipe pole's location is computed with one expression, numerator *
+    lam_dest / (denominator * lam_eve) of its reduced ratio, so equal ratios
+    give equal floats. zeta and every coefficient must be
     nonzero (math.log raises otherwise): a zeta = 0 row has no terms.
     """
     log_ld = math.log(lam_dest)

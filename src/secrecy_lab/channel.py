@@ -67,8 +67,12 @@ class SystemConfig:
 
 def sf_snr_dest(x: float, M: int, lam: float) -> float:
     """Survival function 1 - cdf_snr_dest, computed without cancellation."""
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if x <= 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0  # the term recursion would make 0 * inf = NaN
     u = x / lam
     term = math.exp(-u)
     total = term

@@ -177,6 +177,15 @@ def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult
         raise ArithmeticError(
             f"{form} rate term sum is negative ({value!r}) over "
             f"{len(term_sum.terms)} terms: cancellation exceeded double precision")
+    # no secrecy rate exceeds E[log2(1 + gamma_D,sel)], at most log2(1 + K M_D
+    # lambda_D) since gamma_D,sel <= sum_k gamma_D,k and by Jensen; the
+    # high-SNR rate is that of gamma_D/gamma_E, which this does not bound
+    bound = math.log2(1.0 + cfg.K * cfg.M_D * cfg.lambda_D)
+    if form == _FORM_EXACT and value > bound:
+        raise ArithmeticError(
+            f"exact rate term sum {value!r} exceeds the bound log2(1 + K*M_D*lambda_D)"
+            f" = {bound!r} over {len(term_sum.terms)} terms: cancellation exceeded"
+            " double precision")
     return EsrResult(value=max(0.0, value), form=form,
                      term_count=len(term_sum.terms))
 

@@ -227,7 +227,7 @@ def _always_on(cfg: SystemConfig) -> SystemConfig:
 
 
 def quad_cdf_ratio(x: float, cfg: SystemConfig) -> float:
-    """CDF of the secrecy ratio at x >= 1 by direct adaptive quadrature.
+    """CDF of the secrecy ratio at finite x >= 1 by direct adaptive quadrature.
 
     Conditioning on the strongest eavesdropper SNR y, a link's CDF enters at
     argument x(1+y)-1. SS selects on the destination SNR alone, so the K
@@ -236,8 +236,9 @@ def quad_cdf_ratio(x: float, cfg: SystemConfig) -> float:
     average is gated and raised to the K-th power. A KU row gates its
     always-on row once: 1-zeta+zeta*F_on.
     """
-    if x < 1.0:
-        raise ValueError("x must be at least 1: the ratio never falls below 1")
+    if not 1.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and at least 1: the ratio never falls "
+                         f"below 1 (got {x!r})")
     if cfg.zeta == 0.0:
         return 1.0
     if cfg.knowledge == "KU":

@@ -286,9 +286,10 @@ def build_high_snr_term_sum(cfg: SystemConfig) -> TermSum:
 
 
 def cdf_ratio(x: float, cfg: SystemConfig) -> float:
-    """F(x) = P(secrecy ratio <= x) for x >= 1."""
-    if x < 1.0:
-        raise ValueError("x must be at least 1: the ratio CDF is only assembled on [1, inf)")
+    """F(x) = P(secrecy ratio <= x) for finite x >= 1."""
+    if not 1.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and at least 1: the ratio CDF is only "
+                         f"assembled on [1, inf) (got {x!r})")
     if cfg.knowledge == "KU":
         # zeta stays a single outer multiplier of the always-on curve;
         # folding it into the term coefficients instead leaves ~1e-12

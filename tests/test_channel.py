@@ -40,6 +40,16 @@ class TestDestinationCdf:
     def test_negative_argument(self):
         assert cdf_snr_dest(-0.5, 3, 2.0) == 0.0
 
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_infinite_and_nan_arguments(self, M):
+        # the term recursion would make 0 * inf = NaN, which min(1, .) read as 1
+        assert sf_snr_dest(math.inf, M, 2.0) == 0.0
+        assert cdf_snr_dest(math.inf, M, 2.0) == 1.0
+        with pytest.raises(ValueError, match="NaN"):
+            sf_snr_dest(math.nan, M, 2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            cdf_snr_dest(math.nan, M, 2.0)
+
     def test_survival_complement(self):
         for x in (0.1, 1.0, 7.0):
             assert sf_snr_dest(x, 3, 2.0) == pytest.approx(

@@ -284,6 +284,15 @@ class TestHighSnrRate:
             esr_high_snr(replace(cfg, knowledge="KU"))
         assert esr_asymptotic(cfg).value == 0.0
 
+    def test_exact_rate_above_its_bound_raises(self):
+        # the same row: the 16,604 exact terms sum to 2,278.7 bpcu where
+        # quad_esr reads 1.632, above log2(1 + K M_D lambda_D) = 6.51, a
+        # bound no secrecy rate exceeds; KU meets it through its base
+        cfg = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_E=10.0 ** 0.5, zeta=0.9, scheme="OS")
+        for row in (cfg, replace(cfg, knowledge="KU")):
+            with pytest.raises(ArithmeticError, match=r"exceeds the bound .* = 6\.50"):
+                esr_exact(row)
+
 
 class TestAsymptoticRate:
     def test_slope_per_decade(self):

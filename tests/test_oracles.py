@@ -238,6 +238,12 @@ class TestQuadratureOracle:
         assert quad_cdf_ratio(2.0, _cfg(zeta=0.0)) == pytest.approx(1.0, abs=1e-9)
         assert quad_esr(_cfg(zeta=0.0)) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, x):
+        # both used to read 0.0, where the CDF at infinity is 1
+        with pytest.raises(ValueError, match="finite"):
+            quad_cdf_ratio(x, _cfg())
+
     def test_single_transmitter_schemes_identical(self):
         ss = quad_cdf_ratio(2.0, _cfg(K=1))
         os_ = quad_cdf_ratio(2.0, _cfg(K=1, scheme="OS"))

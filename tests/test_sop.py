@@ -180,6 +180,13 @@ class TestRatioCdf:
         with pytest.raises(ValueError):
             cdf_ratio(0.5, _cfg())
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize("knowledge", ["KA", "KU"])
+    def test_non_finite_threshold_rejected(self, x, knowledge):
+        # a usage error, not a term sum outside the probability band
+        with pytest.raises(ValueError, match="finite"):
+            cdf_ratio(x, _cfg(knowledge=knowledge))
+
     def test_values_stay_in_unit_interval(self):
         for cfg in (_cfg(), _cfg(scheme="OS", K=3, N=3),
                     _cfg(knowledge="KU", zeta=0.4, M_D=1)):
