@@ -71,12 +71,12 @@ _REL_TOL = 1e-9
 _MAX_SUBDIVISIONS = 2000
 
 # How far a closed form may sit from each oracle, for the acceptance checks
-# and the CLI alike: an absolute quadrature tolerance, and MC_SIGMAS Monte
+# and the CLI alike: an absolute quadrature tolerance, and _MC_SIGMAS Monte
 # Carlo standard errors, never below a floor. Zero observed outages leave
 # stderr = 0, and the 3-sigma Wilson upper bound at zero successes is
 # 9/(trials+9), so the outage floor of 9/trials keeps the gate at the
 # simulation's resolution.
-MC_SIGMAS = 3.0
+_MC_SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,11 @@ class Agreement:
     per_trial: bool  # the floor is mc_floor / trials
 
     def mc_tol(self, stderr: float, trials: int) -> float:
-        return max(MC_SIGMAS * stderr, self._scaled(self.mc_floor, trials))
+        return max(_MC_SIGMAS * stderr, self._scaled(self.mc_floor, trials))
 
     def mc_z(self, delta: float, stderr: float, trials: int) -> float:
         """|delta| in standard errors, the floor's share as the least one."""
-        return abs(delta) / max(stderr, self._scaled(self.mc_floor / MC_SIGMAS, trials))
+        return abs(delta) / max(stderr, self._scaled(self.mc_floor / _MC_SIGMAS, trials))
 
     def _scaled(self, floor: float, trials: int) -> float:
         return floor / trials if self.per_trial else floor
