@@ -1,12 +1,15 @@
 """Self-contained acceptance checks: one named check per contract criterion.
 
-Every check returns a CheckResult and never raises on a numeric miss; the
-detail string carries the worst offending configuration so a failure is
-diagnosable from the one-line report. Monte Carlo passes and closed forms
-are cached per config and shared between checks; each quadrature value is
-read by one check only. One fixed seed gives common random numbers across
-grid rows, so MC-backed comparisons of neighboring rows are pathwise
-consistent, and one Monte Carlo pass serves every grid row.
+One driver, `_check`, turns each check body's (passed, detail) into a
+CheckResult, and turns an ArithmeticError raised by a closed form into that
+check's FAIL with a "numeric error" detail, so the report always has one line
+per criterion. The detail string carries the worst offending configuration,
+picked by one reducer (`_worst`, the first maximum), so a failure is
+diagnosable from the one-line report. Closed forms are cached per config and
+shared between checks; each quadrature value is read by one check only. One
+Monte Carlo pass with one fixed seed estimates every grid row (`_mc_table`):
+common random numbers across rows, so MC-backed comparisons of neighboring
+rows are pathwise consistent.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, wraps
+from itertools import chain, product
+from operator import itemgetter
 
 from .channel import SystemConfig
 from .esr import _kernel, esr_asymptotic, esr_exact, esr_high_snr
@@ -53,23 +57,35 @@ class CheckResult:
         return f"[{mark}] {self.name}: {self.detail}"
 
 
+def _check(name: str):
+    """Make a check from a body returning (passed, detail); numeric errors FAIL it."""
+    def decorate(body):
+        @wraps(body)
+        def check(quick: bool = False) -> CheckResult:
+            try:
+                passed, detail = body(quick)
+            except ArithmeticError as exc:
+                passed, detail = False, f"numeric error: {exc}"
+            return CheckResult(name=name, passed=passed, detail=detail)
+        return check
+    return decorate
+
+
+def _worst(pairs):
+    """The first (value, label) pair of greatest value, (0.0, None) if none exceeds 0."""
+    return max(chain([(0.0, None)], pairs), key=itemgetter(0))
+
+
 def _db(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-_MC_PAIRS: dict = {}  # (config, trials) -> (outage, rate) estimates
-
-
-def _mc_pair(cfg: SystemConfig, quick: bool):
-    # one pass fills every grid row that is not cached yet
+@lru_cache(maxsize=None)
+def _mc_table(quick: bool) -> dict:
+    """Monte Carlo (outage, rate) estimates of every grid row, from one pass."""
+    rows = tuple(_sop_grid(quick))
     trials = QUICK_TRIALS if quick else FULL_TRIALS
-    if (cfg, trials) not in _MC_PAIRS:
-        rows = [c for c in _sop_grid(quick) if (c, trials) not in _MC_PAIRS]
-        if cfg not in rows:
-            rows.append(cfg)
-        pairs = _mc_moments_many(tuple(rows), trials, ACCEPT_SEED, threads=_THREADS)
-        _MC_PAIRS.update(((c, trials), pair) for c, pair in zip(rows, pairs))
-    return _MC_PAIRS[(cfg, trials)]
+    return dict(zip(rows, _mc_moments_many(rows, trials, ACCEPT_SEED, threads=_THREADS)))
 
 
 @lru_cache(maxsize=None)
@@ -100,86 +116,67 @@ def _esr_grid(quick: bool):
             yield cfg
 
 
-def check_asymptotic_floors(quick: bool = False) -> CheckResult:
+@_check("asymptotic outage floors")
+def check_asymptotic_floors(quick: bool = False):
     """Outage floor at 60 dB equals the all-backhaul-down probability."""
-    worst = 0.0
-    worst_cfg = None
     ks = (1, 2) if quick else (1, 2, 3)
-    for zeta, K, scheme, N, knowledge in product(
-            (0.5, 0.9), ks, ("SS", "OS"), (1, 3), ("KA", "KU")):
-        cfg = SystemConfig(K=K, N=N, M_D=2, M_E=2, lambda_D=1e6,
-                           lambda_E=_LAMBDA_E, zeta=zeta, R_th=1.0,
-                           scheme=scheme, knowledge=knowledge)
-        gap = abs(_sop_closed(cfg) - sop_asymptotic(cfg).value)
-        if gap > worst:
-            worst, worst_cfg = gap, cfg
-    passed = worst <= 1e-3
-    return CheckResult(
-        name="asymptotic outage floors",
-        passed=passed,
-        detail=f"max |sop - floor| = {worst:.3e} (tol 1e-03) at {_brief(worst_cfg)}")
+    cfgs = (SystemConfig(K=K, N=N, M_D=2, M_E=2, lambda_D=1e6, lambda_E=_LAMBDA_E,
+                         zeta=zeta, R_th=1.0, scheme=scheme, knowledge=knowledge)
+            for zeta, K, scheme, N, knowledge in product(
+                (0.5, 0.9), ks, ("SS", "OS"), (1, 3), ("KA", "KU")))
+    worst, cfg = _worst((abs(_sop_closed(c) - sop_asymptotic(c).value), c) for c in cfgs)
+    return worst <= 1e-3, f"max |sop - floor| = {worst:.3e} (tol 1e-03) at {_brief(cfg)}"
 
 
-def check_diversity_order(quick: bool = False) -> CheckResult:
+@_check("secrecy diversity order")
+def check_diversity_order(quick: bool = False):
     """log10 outage slope across 50 -> 60 dB equals K*M_D within 5 percent."""
-    worst_rel = 0.0
-    worst_cfg = None
     pairs = ((1, 1), (1, 2), (2, 1)) if quick else ((1, 1), (1, 2), (2, 1), (2, 2))
-    for (K, M_D), scheme in product(pairs, ("SS", "OS")):
-        base = SystemConfig(K=K, N=2, M_D=M_D, M_E=2, lambda_D=1e5,
-                            lambda_E=_LAMBDA_E, zeta=1.0, R_th=1.0,
-                            scheme=scheme, knowledge="KA")
-        p50 = _sop_closed(base)
-        p60 = _sop_closed(replace(base, lambda_D=1e6))
-        slope = math.log10(p50 / p60)
-        order = diversity_order(base)
-        rel = abs(slope - order) / order
-        if rel > worst_rel:
-            worst_rel, worst_cfg = rel, base
-    passed = worst_rel <= 0.05
-    return CheckResult(
-        name="secrecy diversity order",
-        passed=passed,
-        detail=f"max slope error = {worst_rel:.2%} (tol 5%) at {_brief(worst_cfg)}")
+
+    def slope_errors():
+        for (K, M_D), scheme in product(pairs, ("SS", "OS")):
+            base = SystemConfig(K=K, N=2, M_D=M_D, M_E=2, lambda_D=1e5,
+                                lambda_E=_LAMBDA_E, zeta=1.0, R_th=1.0,
+                                scheme=scheme, knowledge="KA")
+            slope = math.log10(_sop_closed(base) / _sop_closed(replace(base, lambda_D=1e6)))
+            order = diversity_order(base)
+            yield abs(slope - order) / order, base
+    worst, cfg = _worst(slope_errors())
+    return worst <= 0.05, f"max slope error = {worst:.2%} (tol 5%) at {_brief(cfg)}"
 
 
-def _triple_oracle(quick: bool, name: str, grid, closed_form, quad, which: int,
-                   agreement, closed_label: str, mc_label: str) -> CheckResult:
+def _triple_oracle(quick: bool, grid, closed_form, quad, which: int, agreement,
+                   closed_label: str, mc_label: str):
     # closed form vs quadrature and vs the MC estimate `which` of the pair
     trials = QUICK_TRIALS if quick else FULL_TRIALS
-    worst_quad = worst_mc = 0.0
-    worst_quad_cfg = worst_mc_cfg = None
-    for rows, cfg in enumerate(grid(quick), start=1):
-        closed = closed_form(cfg)
-        gap_q = abs(closed - quad(cfg))
-        if gap_q > worst_quad:
-            worst_quad, worst_quad_cfg = gap_q, cfg
-        est = _mc_pair(cfg, quick)[which]
-        excess = abs(closed - est.mean) - agreement.mc_tol(est.stderr, trials)
-        if excess > worst_mc:
-            worst_mc, worst_mc_cfg = excess, cfg
-    return CheckResult(
-        name=name,
-        passed=worst_quad <= agreement.quad_tol and worst_mc <= 0.0,
-        detail=(f"{rows} rows; max |{closed_label}-quad| = {worst_quad:.3e} "
-                f"(tol {agreement.quad_tol:.0e}) at {_brief(worst_quad_cfg)}; "
-                f"max MC excess{mc_label} = {max(0.0, worst_mc):.3e} at {_brief(worst_mc_cfg)}"))
+    rows, mc = list(grid(quick)), _mc_table(quick)
+    worst_quad, quad_cfg = _worst((abs(closed_form(c) - quad(c)), c) for c in rows)
+    worst_mc, mc_cfg = _worst(
+        (abs(closed_form(c) - mc[c][which].mean)
+         - agreement.mc_tol(mc[c][which].stderr, trials), c) for c in rows)
+    return (worst_quad <= agreement.quad_tol and worst_mc <= 0.0,
+            f"{len(rows)} rows; max |{closed_label}-quad| = {worst_quad:.3e} "
+            f"(tol {agreement.quad_tol:.0e}) at {_brief(quad_cfg)}; "
+            f"max MC excess{mc_label} = {worst_mc:.3e} at {_brief(mc_cfg)}")
 
 
-def check_sop_triple_oracle(quick: bool = False) -> CheckResult:
+@_check("outage triple-oracle agreement")
+def check_sop_triple_oracle(quick: bool = False):
     """Outage closed form vs quadrature and vs MC over the grid."""
-    return _triple_oracle(quick, "outage triple-oracle agreement", _sop_grid, _sop_closed,
+    return _triple_oracle(quick, _sop_grid, _sop_closed,
                           lambda cfg: quad_cdf_ratio(cfg.rho(), cfg), 0, SOP_AGREEMENT,
                           "closed", " beyond 3-sigma")
 
 
-def check_esr_triple_oracle(quick: bool = False) -> CheckResult:
+@_check("rate triple-oracle agreement")
+def check_esr_triple_oracle(quick: bool = False):
     """Exact rate vs quadrature and vs MC on K, N <= 2."""
-    return _triple_oracle(quick, "rate triple-oracle agreement", _esr_grid, _esr_closed,
-                          quad_esr, 1, ESR_AGREEMENT, "exact", "")
+    return _triple_oracle(quick, _esr_grid, _esr_closed, quad_esr, 1, ESR_AGREEMENT,
+                          "exact", "")
 
 
-def check_ku_identities(quick: bool = False) -> CheckResult:
+@_check("gate-after-selection identities")
+def check_ku_identities(quick: bool = False):
     """Gate-after-selection in the MC: 1-z+z*F for outage, z-scaling for rate.
 
     The simulation selects first and then gates the chosen link, while the
@@ -190,64 +187,54 @@ def check_ku_identities(quick: bool = False) -> CheckResult:
     z(1-z)(1-p_on)/n, at most the KU estimate's own, so 3 KU standard
     errors bound it conservatively.
     """
-    worst_z = worst_gap = 0.0
-    worst_what = "n/a"
-    rows = 0
-    for cfg in _sop_grid(quick):
-        if cfg.knowledge != "KU":
-            continue
-        rows += 1
-        on = _mc_pair(replace(cfg, zeta=1.0, knowledge="KA"), quick)
-        ku = _mc_pair(cfg, quick)
-        for what, est, gated in (
-                ("outage", ku[0], 1.0 - cfg.zeta + cfg.zeta * on[0].mean),
-                ("rate", ku[1], cfg.zeta * on[1].mean)):
-            gap = abs(est.mean - gated)
-            z = gap / est.stderr if est.stderr > 0.0 else (math.inf if gap else 0.0)
-            if z > worst_z:
-                worst_z, worst_gap, worst_what = z, gap, f"{what} at {_brief(cfg)}"
-    passed = worst_z <= 3.0
-    return CheckResult(
-        name="gate-after-selection identities",
-        passed=passed,
-        detail=(f"{rows} KU rows vs their gated always-on rows, Monte Carlo; "
-                f"max deviation = {worst_gap:.3e} ({worst_z:.2f} sigma, tol 3) "
-                f"in {worst_what}"))
+    mc = _mc_table(quick)
+    ku_rows = [cfg for cfg in _sop_grid(quick) if cfg.knowledge == "KU"]
+
+    def deviations():
+        for cfg in ku_rows:
+            on, ku = mc[replace(cfg, zeta=1.0, knowledge="KA")], mc[cfg]
+            for what, est, gated in (
+                    ("outage", ku[0], 1.0 - cfg.zeta + cfg.zeta * on[0].mean),
+                    ("rate", ku[1], cfg.zeta * on[1].mean)):
+                gap = abs(est.mean - gated)
+                z = gap / est.stderr if est.stderr > 0.0 else (math.inf if gap else 0.0)
+                yield z, (gap, f"{what} at {_brief(cfg)}")
+    worst_z, hit = _worst(deviations())
+    worst_gap, worst_what = hit or (0.0, "n/a")
+    return worst_z <= 3.0, (
+        f"{len(ku_rows)} KU rows vs their gated always-on rows, Monte Carlo; "
+        f"max deviation = {worst_gap:.3e} ({worst_z:.2f} sigma, tol 3) in {worst_what}")
 
 
-def check_degeneracies(quick: bool = False) -> CheckResult:
+@_check("degenerate-parameter collapses")
+def check_degeneracies(quick: bool = False):
     """K=1 collapses scheme and knowledge choices; zeta=0 is total outage."""
-    worst = 0.0
-    worst_what = ""
     lams = ((1.0, 100.0) if not quick else (10.0,))
-    for N, M_D, M_E, zeta, lam_d in product((1, 3), (1, 2), (1, 2),
-                                            (0.6, 1.0), lams):
-        base = SystemConfig(K=1, N=N, M_D=M_D, M_E=M_E, lambda_D=lam_d,
-                            lambda_E=_LAMBDA_E, zeta=zeta, R_th=1.0,
-                            scheme="SS", knowledge="KA")
-        variants = [replace(base, scheme=s, knowledge=k)
-                    for s in ("SS", "OS") for k in ("KA", "KU")]
-        sops = [_sop_closed(c) for c in variants]
-        esrs = [_esr_closed(c) for c in variants]
-        spread_s = (max(sops) - min(sops)) / max(max(sops), 1e-300)
-        spread_e = (max(esrs) - min(esrs)) / max(max(esrs), 1e-300)
-        if spread_s > worst:
-            worst, worst_what = spread_s, f"outage spread at {_brief(base)}"
-        if spread_e > worst:
-            worst, worst_what = spread_e, f"rate spread at {_brief(base)}"
+
+    def spreads():
+        for N, M_D, M_E, zeta, lam_d in product((1, 3), (1, 2), (1, 2), (0.6, 1.0), lams):
+            base = SystemConfig(K=1, N=N, M_D=M_D, M_E=M_E, lambda_D=lam_d,
+                                lambda_E=_LAMBDA_E, zeta=zeta, R_th=1.0,
+                                scheme="SS", knowledge="KA")
+            variants = [replace(base, scheme=s, knowledge=k)
+                        for s in ("SS", "OS") for k in ("KA", "KU")]
+            for what, closed in (("outage", _sop_closed), ("rate", _esr_closed)):
+                values = [closed(c) for c in variants]
+                yield ((max(values) - min(values)) / max(max(values), 1e-300),
+                       f"{what} spread at {_brief(base)}")
+    worst, worst_what = _worst(spreads())
     zero = SystemConfig(K=2, N=2, M_D=2, M_E=2, lambda_D=10.0,
                         lambda_E=_LAMBDA_E, zeta=0.0, R_th=1.0,
                         scheme="OS", knowledge="KU")
     exact_zero = _sop_closed(zero) == 1.0 and _esr_closed(zero) == 0.0
-    passed = worst <= 1e-12 and exact_zero
-    detail = f"max K=1 spread = {worst:.3e} (tol 1e-12); {worst_what}"
+    detail = f"max K=1 spread = {worst:.3e} (tol 1e-12); {worst_what or ''}"
     if not exact_zero:
         detail += "; zeta=0 did not give outage 1 / rate 0 exactly"
-    return CheckResult(name="degenerate-parameter collapses", passed=passed,
-                       detail=detail)
+    return worst <= 1e-12 and exact_zero, detail
 
 
-def check_esr_fidelity(quick: bool = False) -> CheckResult:
+@_check("high-SNR / asymptotic rate fidelity")
+def check_esr_fidelity(quick: bool = False):
     """High-SNR rate gap at the pinned config, asymptotic slope, N-independence."""
     cfg = SystemConfig(K=2, N=2, M_D=2, M_E=2, lambda_D=1e3,
                        lambda_E=10.0 ** 0.9, zeta=1.0, R_th=1.0,
@@ -265,139 +252,115 @@ def check_esr_fidelity(quick: bool = False) -> CheckResult:
         n_spread = abs(slopes[1] - slopes[3])
         slope_ok = slope_ok and err <= 1e-2 and n_spread <= 1e-2
         slope_detail.append(f"{scheme}: slope err {err:.1e}, N-spread {n_spread:.1e}")
-    passed = gap <= 0.05 and slope_ok
-    return CheckResult(
-        name="high-SNR / asymptotic rate fidelity",
-        passed=passed,
-        detail=(f"|high_snr - exact| = {gap:.4f} bpcu (tol 0.05) at {_brief(cfg)}; "
-                + "; ".join(slope_detail)))
+    return gap <= 0.05 and slope_ok, (
+        f"|high_snr - exact| = {gap:.4f} bpcu (tol 0.05) at {_brief(cfg)}; "
+        + "; ".join(slope_detail))
 
 
-def check_orderings(quick: bool = False) -> CheckResult:
+def _mc_excess(gap: float, a, b) -> float:
+    # a gap between MC means beyond 3 combined standard errors of a and b
+    return gap - 3.0 * math.hypot(a.stderr, b.stderr)
+
+
+@_check("scheme and knowledge orderings")
+def check_orderings(quick: bool = False):
     """Scheme and knowledge orderings, closed form and MC, over the grid."""
-    slack = 1e-9
-    worst = 0.0
-    worst_what = ""
-    for cfg in _sop_grid(quick):
-        if cfg.scheme == "SS":
-            other = replace(cfg, scheme="OS")
-            gap = _sop_closed(other) - _sop_closed(cfg)  # OS <= SS
-            if gap > worst:
-                worst, worst_what = gap, f"outage OS>SS at {_brief(cfg)}"
-            e_gap = _esr_closed(cfg) - _esr_closed(other)  # OS >= SS
-            if e_gap > worst:
-                worst, worst_what = e_gap, f"rate SS>OS at {_brief(cfg)}"
-            m_self, m_other = _mc_pair(cfg, quick)[0], _mc_pair(other, quick)[0]
-            mc_gap = (m_other.mean - m_self.mean
-                      - 3.0 * math.hypot(m_self.stderr, m_other.stderr))
-            if mc_gap > worst:
-                worst, worst_what = mc_gap, f"MC outage OS>SS at {_brief(cfg)}"
-            e_self, e_other = _mc_pair(cfg, quick)[1], _mc_pair(other, quick)[1]
-            mc_e_gap = (e_self.mean - e_other.mean
-                        - 3.0 * math.hypot(e_self.stderr, e_other.stderr))
-            if mc_e_gap > worst:
-                worst, worst_what = mc_e_gap, f"MC rate SS>OS at {_brief(cfg)}"
-        if cfg.knowledge == "KA":
-            gated = replace(cfg, knowledge="KU")
-            gap = _sop_closed(cfg) - _sop_closed(gated)  # KA <= KU
-            if gap > worst:
-                worst, worst_what = gap, f"outage KA>KU at {_brief(cfg)}"
-            m_ka, m_ku = _mc_pair(cfg, quick)[0], _mc_pair(gated, quick)[0]
-            mc_gap = (m_ka.mean - m_ku.mean
-                      - 3.0 * math.hypot(m_ka.stderr, m_ku.stderr))
-            if mc_gap > worst:
-                worst, worst_what = mc_gap, f"MC outage KA>KU at {_brief(cfg)}"
-    passed = worst <= slack
-    return CheckResult(
-        name="scheme and knowledge orderings",
-        passed=passed,
-        detail=f"max ordering violation = {worst:.3e} (slack 1e-09); {worst_what or 'none'}")
+    mc = _mc_table(quick)
+
+    def violations():
+        for cfg in _sop_grid(quick):
+            at = f" at {_brief(cfg)}"
+            row = mc[cfg]
+            if cfg.scheme == "SS":
+                other = replace(cfg, scheme="OS")
+                yield _sop_closed(other) - _sop_closed(cfg), "outage OS>SS" + at  # OS <= SS
+                yield _esr_closed(cfg) - _esr_closed(other), "rate SS>OS" + at  # OS >= SS
+                os_ = mc[other]
+                yield (_mc_excess(os_[0].mean - row[0].mean, row[0], os_[0]),
+                       "MC outage OS>SS" + at)
+                yield (_mc_excess(row[1].mean - os_[1].mean, row[1], os_[1]),
+                       "MC rate SS>OS" + at)
+            if cfg.knowledge == "KA":
+                gated = replace(cfg, knowledge="KU")
+                yield _sop_closed(cfg) - _sop_closed(gated), "outage KA>KU" + at  # KA <= KU
+                ku = mc[gated]
+                yield (_mc_excess(row[0].mean - ku[0].mean, row[0], ku[0]),
+                       "MC outage KA>KU" + at)
+    worst, worst_what = _worst(violations())
+    return worst <= 1e-9, (f"max ordering violation = {worst:.3e} (slack 1e-09); "
+                           f"{worst_what or 'none'}")
 
 
-def check_special_functions(quick: bool = False) -> CheckResult:
+@_check("special-function suite")
+def check_special_functions(quick: bool = False):
     """Gamma recurrence, tail-integral bounds, kernel-vs-quadrature identity."""
     from scipy.integrate import quad
 
-    worst = 0.0
-    worst_what = ""
-    # recurrence Gamma(s+1,x) = s Gamma(s,x) + x^s e^(-x) across orders
-    for s in range(-5, 6):
-        for x in (0.01, 0.1, 1.0, 10.0, 50.0):
+    grid = list(product(range(-5, 6), (0.01, 0.1, 1.0, 10.0, 50.0)))
+
+    def recurrence():
+        # Gamma(s+1,x) = s Gamma(s,x) + x^s e^(-x) across orders
+        for s, x in grid:
             lhs = upper_incomplete_gamma_int(s + 1, x)
             rhs = s * upper_incomplete_gamma_int(s, x) + x ** s * math.exp(-x)
-            rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-            if rel > worst:
-                worst, worst_what = rel, f"gamma recurrence s={s} x={x}"
+            yield abs(lhs - rhs) / max(abs(lhs), 1e-300), f"gamma recurrence s={s} x={x}"
+    worst, worst_what = _worst(recurrence())
     if worst > 1e-12:
-        return CheckResult("special-function suite", False,
-                           f"recurrence deviation {worst:.3e} at {worst_what}")
-    # the same recurrence on the log form the kernels call, relative to its
-    # condition bound: kappa = (|s G(s,x)| + x^s e^-x) / G(s+1,x) amplifies
-    # the inputs' relative errors, and exp(ln G) carries about |ln G| ulps
-    log_worst = 0.0
-    for s in range(-5, 6):
-        for x in (0.01, 0.1, 1.0, 10.0, 50.0):
+        return False, f"recurrence deviation {worst:.3e} at {worst_what}"
+
+    def log_recurrence():
+        # the same recurrence on the log form the kernels call, relative to its
+        # condition bound: kappa = (|s G(s,x)| + x^s e^-x) / G(s+1,x) amplifies
+        # the inputs' relative errors, and exp(ln G) carries about |ln G| ulps
+        for s, x in grid:
             log_lo = log_upper_incomplete_gamma_int(s, x)
             log_hi = log_upper_incomplete_gamma_int(s + 1, x)
             lo, hi, tail = math.exp(log_lo), math.exp(log_hi), x ** s * math.exp(-x)
             kappa = (abs(s * lo) + tail) / hi
             bound = kappa * max(1.0, abs(log_lo), abs(log_hi)) * math.ulp(1.0)
-            ratio = abs(hi - (s * lo + tail)) / hi / bound
-            if ratio > log_worst:
-                log_worst, worst_what = ratio, f"log-form gamma recurrence s={s} x={x}"
+            yield (abs(hi - (s * lo + tail)) / hi / bound,
+                   f"log-form gamma recurrence s={s} x={x}")
+    log_worst, worst_what = _worst(log_recurrence())
     if log_worst > _LOG_GAMMA_RECURRENCE_C:
-        return CheckResult("special-function suite", False,
-                           f"log-form recurrence deviation {log_worst:.2f} x its condition "
-                           f"bound (tol {_LOG_GAMMA_RECURRENCE_C:g}) at {worst_what}")
-    # tail-integral bounds e^-x/(x+n) <= E_n(x) <= e^-x/(x+n-1), monotone in n
-    bound_worst = 0.0
-    for n in range(1, 7):
-        for x in (0.05, 0.5, 1.0, 5.0, 30.0):
+        return False, (f"log-form recurrence deviation {log_worst:.2f} x its condition "
+                       f"bound (tol {_LOG_GAMMA_RECURRENCE_C:g}) at {worst_what}")
+
+    def tail_bounds():
+        # e^-x/(x+n) <= E_n(x) <= e^-x/(x+n-1), monotone in n; each figure
+        # is positive exactly when its inequality fails
+        for n, x in product(range(1, 7), (0.05, 0.5, 1.0, 5.0, 30.0)):
             val = exp_integral(n, x)
-            lo = math.exp(-x) / (x + n)
-            hi = math.exp(-x) / (x + n - 1)
-            if not (lo <= val <= hi):
-                bound_worst = max(bound_worst,
-                                  max(lo - val, val - hi) / max(val, 1e-300))
-                worst_what = f"tail-integral bound n={n} x={x}"
-            if exp_integral(n + 1, x) > val:
-                bound_worst = max(bound_worst, exp_integral(n + 1, x) - val)
-                worst_what = f"tail-integral monotonicity n={n} x={x}"
+            lo, hi = math.exp(-x) / (x + n), math.exp(-x) / (x + n - 1)
+            yield (max(lo - val, val - hi) / max(val, 1e-300),
+                   f"tail-integral bound n={n} x={x}")
+            yield exp_integral(n + 1, x) - val, f"tail-integral monotonicity n={n} x={x}"
+    bound_worst, worst_what = _worst(tail_bounds())
     if bound_worst > 0.0:
-        return CheckResult("special-function suite", False,
-                           f"bound violation {bound_worst:.3e} at {worst_what}")
-    # kernels against quadrature of their defining integrals
+        return False, f"bound violation {bound_worst:.3e} at {worst_what}"
     rng = random.Random(ACCEPT_SEED)
-    kernel_worst = 0.0
-    for _ in range(10 if quick else 20):
-        cfg = SystemConfig(K=3, N=3, M_D=2, M_E=2,
-                           lambda_D=rng.uniform(0.5, 200.0),
-                           lambda_E=rng.uniform(0.5, 8.0),
-                           zeta=1.0, R_th=1.0, scheme="SS", knowledge="KA")
-        theta = rng.randint(0, 4)
-        k = rng.randint(1, 3)
-        n = rng.randint(0, 2)
-        # the SS recipes put the pole at (n+1)/k times lambda_D/lambda_E,
-        # the OS recipes at n+1 times it
-        for scheme, pole in (("SS", (n + 1) * cfg.lambda_D / (k * cfg.lambda_E)),
-                             ("OS", (n + 1) * cfg.lambda_D / cfg.lambda_E)):
-            a = k / cfg.lambda_D
-            closed = _kernel(a, pole, theta)
-            # pure relative tolerance: these integrals can sit near 1e-12
-            # where scipy's default absolute floor would swamp the comparison
-            est, _ = quad(lambda x: math.exp(-a * x) / (x + pole) ** (theta + 1),
-                          1.0, math.inf, limit=800, epsabs=0.0, epsrel=1e-12)
-            rel = abs(closed - est) / max(abs(est), 1e-300)
-            if rel > kernel_worst:
-                kernel_worst, worst_what = rel, (
-                    f"{scheme}-pole kernel theta={theta} k={k} n={n}")
-    passed = kernel_worst <= 1e-9
-    return CheckResult(
-        name="special-function suite",
-        passed=passed,
-        detail=(f"recurrence <= 1e-12, log-form recurrence <= {log_worst:.2f} x its "
-                f"condition bound (tol {_LOG_GAMMA_RECURRENCE_C:g}), bounds hold, max "
-                f"kernel-vs-quadrature rel = {kernel_worst:.3e} (tol 1e-09) at {worst_what}"))
+
+    def kernel_errors():
+        # kernels against quadrature of their defining integrals
+        for _ in range(10 if quick else 20):
+            lam_d, lam_e = rng.uniform(0.5, 200.0), rng.uniform(0.5, 8.0)
+            theta, k, n = rng.randint(0, 4), rng.randint(1, 3), rng.randint(0, 2)
+            # the SS recipes put the pole at (n+1)/k times lambda_D/lambda_E,
+            # the OS recipes at n+1 times it
+            for scheme, pole in (("SS", (n + 1) * lam_d / (k * lam_e)),
+                                 ("OS", (n + 1) * lam_d / lam_e)):
+                a = k / lam_d
+                closed = _kernel(a, pole, theta)
+                # pure relative tolerance: these integrals can sit near 1e-12
+                # where scipy's default absolute floor would swamp the comparison
+                est, _ = quad(lambda x: math.exp(-a * x) / (x + pole) ** (theta + 1),
+                              1.0, math.inf, limit=800, epsabs=0.0, epsrel=1e-12)
+                yield (abs(closed - est) / max(abs(est), 1e-300),
+                       f"{scheme}-pole kernel theta={theta} k={k} n={n}")
+    kernel_worst, worst_what = _worst(kernel_errors())
+    return kernel_worst <= 1e-9, (
+        f"recurrence <= 1e-12, log-form recurrence <= {log_worst:.2f} x its "
+        f"condition bound (tol {_LOG_GAMMA_RECURRENCE_C:g}), bounds hold, max "
+        f"kernel-vs-quadrature rel = {kernel_worst:.3e} (tol 1e-09) at {worst_what}")
 
 
 _CHECKS = (

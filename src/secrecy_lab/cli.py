@@ -309,19 +309,25 @@ def write_csv(rows: list[dict], outputs, out_path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _tolerance_failures(rows: list[dict], spec: SweepSpec) -> list[str]:
+def _where(row: dict) -> str:
+    return f"{row['variant_id']} lambda_D_dB={row['lambda_D_dB']:g}"
+
+
+def _row_failures(row: dict, spec: SweepSpec) -> list[str]:
     failures = []
-    for row in rows:
-        where = f"{row['variant_id']} lambda_D_dB={row['lambda_D_dB']:g}"
-        for delta, analytic, oracle, agreement in _DELTAS:
-            if delta not in row:
-                continue
-            tol = (agreement.mc_tol(row[f"{oracle}_stderr"], spec.trials)
-                   if oracle.startswith("mc_") else agreement.quad_tol)
-            if abs(row[delta]) > tol:
-                failures.append(f"{where}: |{analytic} - {oracle}| = "
-                                f"{abs(row[delta]):.3e} > {tol:.3e}")
+    for delta, analytic, oracle, agreement in _DELTAS:
+        if delta not in row:
+            continue
+        tol = (agreement.mc_tol(row[f"{oracle}_stderr"], spec.trials)
+               if oracle.startswith("mc_") else agreement.quad_tol)
+        if abs(row[delta]) > tol:
+            failures.append(f"{_where(row)}: |{analytic} - {oracle}| = "
+                            f"{abs(row[delta]):.3e} > {tol:.3e}")
     return failures
+
+
+def _tolerance_failures(rows: list[dict], spec: SweepSpec) -> list[str]:
+    return [line for row in rows for line in _row_failures(row, spec)]
 
 
 def _svg_for_variant(variant_id: str, rows: list[dict], outputs) -> str:
@@ -448,11 +454,8 @@ def _cmd_compare(args) -> int:
     max_esr_z = max(ESR_AGREEMENT.mc_z(r["esr_exact_mc_delta"], r["mc_esr_stderr"],
                                        spec.trials) for r in rows)
     for row in rows:
-        status = "ok"
-        where = f"{row['variant_id']} lambda_D_dB={row['lambda_D_dB']:g}"
-        if any(line.startswith(where) for line in failures):
-            status = "FAIL"
-        print(f"{where}: sop_exact={row['sop_exact']:.6e} "
+        status = "FAIL" if _row_failures(row, spec) else "ok"
+        print(f"{_where(row)}: sop_exact={row['sop_exact']:.6e} "
               f"|d_quad|={abs(row['sop_exact_quad_delta']):.2e} "
               f"|d_mc|={abs(row['sop_exact_mc_delta']):.2e} "
               f"esr_exact={row['esr_exact']:.6f} "

@@ -160,8 +160,6 @@ def _sum_integrated(term_sum: TermSum, integrator) -> float:
 
 
 def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult:
-    if cfg.zeta == 0.0:
-        return EsrResult(value=0.0, form=form, term_count=0)
     if cfg.knowledge == "KU":
         # gate after selection scales the rate linearly: zeta times the
         # always-on rate, exactly.

@@ -195,6 +195,20 @@ def test_threshold_past_the_double_range_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_an_impossible_exact_rate_is_a_numeric_error_naming_the_row(tmp_path, capsys):
+    # OS K=N=M=3 at 10 dB: the exact terms sum past the Jensen bound
+    config = _write_config(
+        tmp_path / "sweep.json", axis_values=[10], variants=[], outputs=["esr_exact"],
+        base={"K": 3, "N": 3, "M_D": 3, "M_E": 3, "lambda_E_dB": 5.0, "zeta": 0.9,
+              "R_th": 1.0, "scheme": "OS", "knowledge": "KA"})
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: row v0 (OS/KA K=3 N=3 M_D=3 M_E=3 zeta=0.9 "), err
+    assert "exceeds the bound log2(1 + K*M_D*lambda_D)" in err
+    assert not out.exists()
+
+
 class TestThreads:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -305,6 +319,25 @@ class TestCompare:
         diversity = [l for l in lines if l.startswith("diversity ")]
         assert len(diversity) == 1
         assert "K*M_D = 4" in diversity[0]
+
+    def test_a_failing_row_does_not_mark_a_row_named_by_its_prefix(
+            self, tmp_path, capsys, monkeypatch):
+        # "v0 lambda_D_dB=2" is a prefix of the failing "v0 lambda_D_dB=20"
+        evaluate_row = cli._evaluate_row
+
+        def planted(variant_id, cfg, axis_db, spec):
+            row = evaluate_row(variant_id, cfg, axis_db, spec)
+            if axis_db == 20:
+                row["sop_exact"] += 1e-3
+            return row
+        monkeypatch.setattr(cli, "_evaluate_row", planted)
+        config = _write_config(tmp_path / "cmp.json", axis_values=[2, 20],
+                               variants=[])
+        assert cli.main(["compare", "--config", str(config)]) == 1
+        status = {line.split(":")[0]: line.split()[-1]
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("v0 ")}
+        assert status == {"v0 lambda_D_dB=2": "ok", "v0 lambda_D_dB=20": "FAIL"}
 
 
 class TestSelftestWiring:

@@ -10,6 +10,7 @@ closed-form caches empty, so no faulty value outlives it.
 import importlib
 import re
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -66,6 +67,18 @@ def test_criterion_3_fails_when_the_backhaul_gate_is_counted_twice(monkeypatch):
     _fails(acceptance.check_sop_triple_oracle)
 
 
+def test_criterion_3_fails_on_a_numeric_error_when_a_recipe_is_dropped(monkeypatch):
+    # an incomplete SS sum leaves the probability band, so the closed form
+    # raises; the gate reports that as a FAIL and still runs every check
+    ss_recipes = sop._ss_recipes
+    monkeypatch.setattr(sop, "_ss_recipes", lambda *args: ss_recipes(*args)[1:])
+    results = acceptance.run_all(quick=True)
+    assert len(results) == 9
+    outage = results[2]
+    assert outage.name == "outage triple-oracle agreement"
+    assert not outage.passed and outage.detail.startswith("numeric error: "), outage.detail
+
+
 def test_criterion_4_fails_when_the_kernel_is_off_by_1e_5(monkeypatch):
     kernel = esr._kernel
     monkeypatch.setattr(esr, "_kernel", lambda a, b, theta: kernel(a, b, theta) * (1.0 + 1e-5))
@@ -80,7 +93,8 @@ def test_criterion_5_fails_when_the_simulated_gate_ignores_zeta(monkeypatch):
         cfgs = tuple(replace(c, zeta=1.0) if c.knowledge == "KU" else c for c in cfgs)
         return rates_with_rng(cfgs, rng, count)
     monkeypatch.setattr(oracles, "_rates_with_rng", ungated)
-    monkeypatch.setattr(acceptance, "_MC_PAIRS", {})
+    monkeypatch.setattr(acceptance, "_mc_table",
+                        lru_cache(maxsize=None)(acceptance._mc_table.__wrapped__))
     result = acceptance.check_ku_identities(quick=True)
     assert not result.passed, result.detail
 

@@ -366,6 +366,17 @@ class TestPerfectBackhaulAsymptote:
         exact = sop(cfg).value
         assert asym == pytest.approx(exact, rel=0.05)
 
+    @pytest.mark.parametrize("scheme", ["SS", "OS"])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_approaches_exact_outage_at_zero_threshold(self, scheme, K):
+        # R_th = 0 puts the threshold at rho = 1, where only the mu = Lam
+        # term of the binomial split survives
+        cfg = _cfg(K=K, N=2, M_D=2, M_E=2, lambda_D=1e5, zeta=1.0, R_th=0.0,
+                   scheme=scheme)
+        assert cfg.rho() == 1.0
+        asym = sop_asymptotic_perfect_backhaul(cfg).value
+        assert asym == pytest.approx(sop(cfg).value, rel=1e-3)
+
     def test_unreliable_backhaul_rejected(self):
         with pytest.raises(ValueError):
             sop_asymptotic_perfect_backhaul(_cfg(zeta=0.5))
