@@ -40,7 +40,6 @@ from .sop import (
     diversity_order,
     sop,
     sop_asymptotic,
-    sop_asymptotic_perfect_backhaul,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +55,6 @@ __all__ = [
     "SopResult",
     "sop",
     "sop_asymptotic",
-    "sop_asymptotic_perfect_backhaul",
     "cdf_ratio",
     "diversity_order",
     "build_cdf_term_sum",

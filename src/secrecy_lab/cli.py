@@ -38,7 +38,7 @@ from .channel import SystemConfig
 from .esr import esr_asymptotic, esr_exact, esr_high_snr
 from .oracles import (_MIN_TRIALS, ESR_AGREEMENT, SOP_AGREEMENT, _mc_moments_many,
                       default_threads, quad_cdf_ratio, quad_esr)
-from .sop import diversity_order, sop, sop_asymptotic, sop_asymptotic_perfect_backhaul
+from .sop import diversity_order, sop, sop_asymptotic
 
 _AXES = ("lambda_D_dB",)
 _ID_COLUMNS = ("variant_id", "scheme", "knowledge", "K", "N", "M_D", "M_E",
@@ -232,14 +232,6 @@ def _columns(outputs) -> list[str]:
                    if analytic in cols and oracle in cols]
 
 
-def _sop_asymptote(cfg: SystemConfig) -> float:
-    # below the perfect-backhaul point the floor is the asymptote; at
-    # zeta = 1 the outage keeps decaying and the decay form applies
-    if cfg.zeta < 1.0:
-        return sop_asymptotic(cfg).value
-    return sop_asymptotic_perfect_backhaul(cfg).value
-
-
 def _evaluate_row(variant_id: str, cfg: SystemConfig, axis_db: float,
                   spec: SweepSpec) -> dict:
     """Identity, closed-form and quadrature cells of one row."""
@@ -254,7 +246,7 @@ def _evaluate_row(variant_id: str, cfg: SystemConfig, axis_db: float,
     if "sop_exact" in outputs:
         row["sop_exact"] = sop(cfg).value
     if "sop_asymptotic" in outputs:
-        row["sop_asymptotic"] = _sop_asymptote(cfg)
+        row["sop_asymptotic"] = sop_asymptotic(cfg).value
     if "esr_exact" in outputs:
         row["esr_exact"] = esr_exact(cfg).value
     if "esr_high_snr" in outputs:

@@ -76,8 +76,6 @@ def _kernel(a: float, b: float, theta: int) -> float:
     on (a, b, theta).
     """
     log_gamma = log_upper_incomplete_gamma_int(-theta, a * (1.0 + b))
-    if log_gamma == -math.inf:
-        return 0.0
     return math.exp(theta * math.log(a) + a * b + log_gamma)
 
 

@@ -81,35 +81,25 @@ def _dest_slots(M_D: int) -> tuple:
     return tuple(slots)
 
 
-def _eve_survivor_factors(N: int, M_E: int):
-    """Per eavesdropper-survivor count n: (n, m_E vector, shared Fraction).
+@lru_cache(maxsize=None)
+def _eve_groups(N: int, M_E: int) -> tuple:
+    """Eavesdropper factors summed per (n, sum of m_E): (n, me_hat, Fraction).
 
     Expanding [CDF of one eavesdropper]^(N-1) binomially leaves n surviving
-    exponential factors, each with its own Poisson index; the fraction
-    gathers (-1)^n C(N-1,n) N / ((M_E-1)! prod m_E_i!).
+    exponential factors, each with its own Poisson index m_E; each vector
+    contributes (-1)^n C(N-1,n) N / ((M_E-1)! prod m_E_i!). Every recipe
+    depends on the m_E vector only through its sum, so one group gathers the
+    vectors of one sum.
     """
     base = Fraction(N, math.factorial(M_E - 1))
+    acc: dict[tuple, Fraction] = {}
     for n in range(N):
         outer = base * math.comb(N - 1, n)
         if n % 2:
             outer = -outer
         for vec in product(range(M_E), repeat=n):
-            denom = 1
-            for m_e in vec:
-                denom *= math.factorial(m_e)
-            yield n, vec, outer / denom
-
-
-@lru_cache(maxsize=None)
-def _eve_groups(N: int, M_E: int) -> tuple:
-    """Eavesdropper factors summed per (n, sum of m_E): (n, me_hat, Fraction).
-
-    Every recipe depends on the m_E vector only through its sum.
-    """
-    acc: dict[tuple, Fraction] = {}
-    for n, me_vec, eve_frac in _eve_survivor_factors(N, M_E):
-        key = (n, sum(me_vec))
-        acc[key] = acc.get(key, Fraction(0)) + eve_frac
+            key = (n, sum(vec))
+            acc[key] = acc.get(key, Fraction(0)) + outer / math.prod(map(math.factorial, vec))
     return tuple((n, me_hat, frac) for (n, me_hat), frac in acc.items())
 
 
@@ -313,23 +303,6 @@ def sop(cfg: SystemConfig) -> SopResult:
     return SopResult(value=value, form=_FORM_EXACT, term_count=len(term_sum.terms))
 
 
-def sop_asymptotic(cfg: SystemConfig) -> SopResult:
-    """Outage floor as lambda_D grows with unreliable backhaul (zeta < 1).
-
-    Selection over active links leaves outage only when every backhaul is
-    down: (1-zeta)^K. Gate-after-selection is blocked whenever the one
-    selected gate is down: 1-zeta. Independent of every other parameter.
-    """
-    if cfg.zeta >= 1.0:
-        raise ValueError(
-            "zeta = 1 has no outage floor; use sop_asymptotic_perfect_backhaul")
-    if cfg.knowledge == "KA":
-        value = (1.0 - cfg.zeta) ** cfg.K
-    else:
-        value = 1.0 - cfg.zeta
-    return SopResult(value=value, form=_FORM_ASYMPTOTIC, term_count=1)
-
-
 def _perfect_backhaul_bracket(links: int, dest_factorial_count: int,
                               cfg: SystemConfig) -> tuple[float, int]:
     # Leading lambda_D^(-links*M_D per bracket) coefficient of the outage
@@ -340,12 +313,10 @@ def _perfect_backhaul_bracket(links: int, dest_factorial_count: int,
     log_lam_e = math.log(cfg.lambda_E)
     log_rho = math.log(rho)
     pieces = []
-    count = 0
     for mu in range(lam + 1):
         if rho == 1.0 and mu != lam:
             continue  # (rho-1)^(lam-mu) vanishes
-        for n, me_vec, eve_frac in _eve_survivor_factors(cfg.N, cfg.M_E):
-            me_hat = sum(me_vec)
+        for n, me_hat, eve_frac in _eve_groups(cfg.N, cfg.M_E):
             phi = cfg.M_E + mu + me_hat
             frac = (eve_frac * math.comb(lam, mu) * math.factorial(phi - 1)
                     / Fraction((n + 1) ** phi))
@@ -355,21 +326,26 @@ def _perfect_backhaul_bracket(links: int, dest_factorial_count: int,
                 log_mag += (lam - mu) * math.log(rho - 1.0)
             sign = 1 if frac > 0 else -1
             pieces.append(sign * math.exp(log_mag))
-            count += 1
     total = math.fsum(pieces)
     log_scale = (-lam * math.log(cfg.lambda_D)
                  - dest_factorial_count * math.lgamma(cfg.M_D + 1))
-    return total * math.exp(log_scale), count
+    return total * math.exp(log_scale), len(pieces)
 
 
-def sop_asymptotic_perfect_backhaul(cfg: SystemConfig) -> SopResult:
-    """Leading-order outage as lambda_D grows at zeta = 1.
+def sop_asymptotic(cfg: SystemConfig) -> SopResult:
+    """Leading-order outage as lambda_D grows.
 
-    Both schemes decay as lambda_D^(-K*M_D); the max-ratio scheme's value is
-    the K-th power of its single-link bracket.
+    With unreliable backhaul (zeta < 1) the outage settles at a floor that
+    is independent of every other parameter: selection over active links
+    leaves outage only when every backhaul is down, (1-zeta)^K, and
+    gate-after-selection is blocked whenever the one selected gate is down,
+    1-zeta. At zeta = 1 both schemes decay as lambda_D^(-K*M_D); the
+    max-ratio scheme's value is the K-th power of its single-link bracket.
+    The form labels the two regimes.
     """
-    if cfg.zeta != 1.0:
-        raise ValueError("this asymptote assumes zeta = 1; use sop_asymptotic for zeta < 1")
+    if cfg.zeta < 1.0:
+        value = (1.0 - cfg.zeta) ** cfg.K if cfg.knowledge == "KA" else 1.0 - cfg.zeta
+        return SopResult(value=value, form=_FORM_ASYMPTOTIC, term_count=1)
     if cfg.scheme == "SS":
         value, count = _perfect_backhaul_bracket(diversity_order(cfg), cfg.K, cfg)
     else:
@@ -380,5 +356,9 @@ def sop_asymptotic_perfect_backhaul(cfg: SystemConfig) -> SopResult:
 
 
 def diversity_order(cfg: SystemConfig) -> int:
-    """High-SNR log-log decay slope of the outage probability: K * M_D."""
-    return cfg.K * cfg.M_D
+    """High-SNR log-log decay slope of the outage probability.
+
+    K * M_D with perfect backhaul (zeta = 1); 0 below it, where the outage
+    settles at its floor (see sop_asymptotic).
+    """
+    return cfg.K * cfg.M_D if cfg.zeta == 1.0 else 0

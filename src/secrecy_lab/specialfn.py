@@ -1,8 +1,8 @@
 """Scalar special functions shared by the closed-form and integration layers.
 
-Everything here is pure float math on scalars: upper incomplete gamma of
-integer order (including negative orders, which the tail kernels evaluate
-routinely), generalized exponential integrals with a series /
+Everything here is pure float math on scalars: the log of the upper
+incomplete gamma of integer order (including negative orders, which the tail
+kernels evaluate routinely), generalized exponential integrals with a series /
 continued-fraction regime split, and a deterministic pairwise sum for the
 alternating term series.
 """
@@ -15,6 +15,9 @@ EULER_GAMMA = 0.5772156649015328606
 
 _CF_MAX_ITER = 500
 _TINY = 1e-300
+# above this x the log form keeps e^(-x) out of E_n(x); below it E_n(x) is a
+# normal double for every order the tail kernels reach
+_CF_LOG_FROM = 700.0
 
 
 def _exp_integral_one_series(x: float) -> float:
@@ -31,10 +34,11 @@ def _exp_integral_one_series(x: float) -> float:
 
 
 def _exp_integral_cf(n: int, x: float) -> float:
-    # Modified Lentz continued fraction for E_n(x), evaluated directly at
+    # Modified Lentz continued fraction h = e^x E_n(x), evaluated directly at
     # order n: E_n(x) = e^(-x) / (x + n - 1*n/(x + 2 + ...)). Stable for
     # x >= 1 at any order, which the upward recurrence is not (its relative
-    # error grows like x^n/n! when started from E_1 at large x).
+    # error grows like x^n/n! when started from E_1 at large x). The caller
+    # applies e^(-x), so the log form can keep it out of the double range.
     b = x + n
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -52,26 +56,24 @@ def _exp_integral_cf(n: int, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x)
+            return h
     raise ArithmeticError(f"continued fraction for E_{n}({x}) failed to converge")
 
 
 def exp_integral(n: int, x: float) -> float:
     """Generalized exponential integral E_n(x) = integral_1^inf e^(-x t)/t^n dt.
 
-    n = 0 degenerates to e^(-x)/x. For x < 1 the E_1 series seeds the upward
-    recurrence E_{m+1} = (e^(-x) - x E_m)/m (stable there since each step
-    shrinks by roughly x/m); for x >= 1 the continued fraction is evaluated
-    at order n directly.
+    Orders n >= 1 only. For x < 1 the E_1 series seeds the upward recurrence
+    E_{m+1} = (e^(-x) - x E_m)/m (stable there since each step shrinks by
+    roughly x/m); for x >= 1 the continued fraction is evaluated at order n
+    directly.
     """
     if x <= 0.0:
         raise ValueError("x must be positive: E_n diverges at the origin")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return math.exp(-x) / x
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if x >= 1.0:
-        return _exp_integral_cf(n, x)
+        return _exp_integral_cf(n, x) * math.exp(-x)
     e = _exp_integral_one_series(x)
     ex = math.exp(-x)
     for m in range(1, n):
@@ -79,38 +81,13 @@ def exp_integral(n: int, x: float) -> float:
     return e
 
 
-def upper_incomplete_gamma_int(s: int, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) for integer s (any sign) and x > 0.
-
-    s >= 1 uses the closed finite sum Gamma(s,x) = (s-1)! e^(-x) sum_{j<s} x^j/j!
-    with a running product so no factorial is ever materialized; s = 0 is
-    E_1(x); s = -n < 0 goes through Gamma(-n, x) = E_{n+1}(x)/x^n.
-    """
-    if x <= 0.0:
-        raise ValueError("x must be positive: the integral diverges at 0 for nonpositive order")
-    if s >= 1:
-        term = math.exp(-x)
-        total = term
-        for j in range(1, s):
-            term *= x / j
-            total += term
-        return math.gamma(s) * total
-    if s == 0:
-        return exp_integral(1, x)
-    n = -s
-    scale = n * math.log(x)
-    if abs(scale) > 700.0:
-        e = exp_integral(n + 1, x)
-        if e <= 0.0:
-            return 0.0
-        return math.exp(math.log(e) - scale)
-    return exp_integral(n + 1, x) / x**n
-
-
 def log_upper_incomplete_gamma_int(s: int, x: float) -> float:
-    """Natural log of Gamma(s, x) (which is positive for every x > 0).
+    """Natural log of Gamma(s, x) for integer s (any sign) and x > 0.
 
-    Returns -inf when the value underflows to zero in double precision.
+    Gamma(s, x) is positive for every x > 0, and its log stays finite far
+    beyond the point where the value itself underflows. s >= 1 uses the
+    Poisson partial sum Gamma(s,x) = (s-1)! e^(-x) sum_{j<s} x^j/j!; s = -n <= 0
+    goes through Gamma(-n, x) = E_{n+1}(x)/x^n.
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
@@ -121,14 +98,13 @@ def log_upper_incomplete_gamma_int(s: int, x: float) -> float:
         peak = max(logs)
         rest = math.fsum(math.exp(v - peak) for v in logs)
         return math.lgamma(s) - x + peak + math.log(rest)
-    if s == 0:
-        v = exp_integral(1, x)
-        return math.log(v) if v > 0.0 else float("-inf")
     n = -s
-    v = exp_integral(n + 1, x)
-    if v <= 0.0:
-        return float("-inf")
-    return math.log(v) - n * math.log(x)
+    if x > _CF_LOG_FROM:
+        # E_{n+1}(x) = h e^(-x) leaves the normal doubles near x = 708
+        log_e = math.log(_exp_integral_cf(n + 1, x)) - x
+    else:
+        log_e = math.log(exp_integral(n + 1, x))
+    return log_e - n * math.log(x)
 
 
 def pairwise_sum(values) -> float:

@@ -173,6 +173,18 @@ class TestKernels:
             rhs = math.exp(-a) / (1.0 + b) ** theta
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("a, b, theta, ref", [
+        # mpmath a^theta e^(ab) Gamma(-theta, a(1+b)) at 40 digits
+        (1.0, 1000.0, 0, 3.67145515824e-4),
+        (1.0, 1000.0, 2, 3.65683142403e-10),
+        (1.0, 745.0, 0, 4.92476705071e-4),
+        (0.5, 2000.0, 1, 3.02358478784e-7),
+    ])
+    def test_past_the_incomplete_gamma_underflow(self, a, b, theta, ref):
+        # Gamma(-theta, a(1+b)) underflows a double once a(1+b) passes about
+        # 708, while the kernel itself stays of order 1/b
+        assert _kernel(a, b, theta) == pytest.approx(ref, rel=1e-9)
+
     def test_kernels_match_defining_integrals(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -208,6 +220,16 @@ class TestExactRate:
                        lambda_D=lam_d, lambda_E=1.0, scheme=scheme)
             assert esr_exact(cfg).value == pytest.approx(
                 quad_esr(cfg), abs=1e-5)
+
+    @pytest.mark.parametrize("cfg", [
+        _cfg(lambda_D=10.0, lambda_E=1e-3, zeta=0.9),
+        _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=1e-3),
+    ], ids=["SS-2222-10dB-zeta0.9", "1111-0dB"])
+    def test_matches_quadrature_far_below_eavesdropper_snr(self, cfg):
+        # at lambda_E = -30 dB the kernels' incomplete gammas are taken at
+        # a(1+b) of about (n+1)/lambda_E >= 1000, where their values
+        # underflow a double
+        assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), abs=1e-5)
 
     def test_gate_scaling_identity(self):
         for scheme in ("SS", "OS"):

@@ -128,3 +128,13 @@ def test_criterion_9_fails_when_the_kernel_is_off_by_1e_7(monkeypatch):
     monkeypatch.setattr(acceptance, "_kernel",
                         lambda a, b, theta: kernel(a, b, theta) * (1.0 + 1e-7))
     _fails(acceptance.check_special_functions)
+
+
+def test_criterion_9_fails_when_the_log_gamma_is_off_by_1e_12(monkeypatch):
+    # the recurrence rows on the one incomplete gamma: a relative error of
+    # 1e-12 is thousands of times their condition bound
+    log_gamma = acceptance.log_upper_incomplete_gamma_int
+    monkeypatch.setattr(acceptance, "log_upper_incomplete_gamma_int",
+                        lambda s, x: log_gamma(s, x) + 1e-12)
+    detail = _fails(acceptance.check_special_functions).detail
+    assert detail.startswith("log-form recurrence deviation"), detail

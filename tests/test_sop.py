@@ -22,7 +22,6 @@ from secrecy_lab.sop import (
     diversity_order,
     sop,
     sop_asymptotic,
-    sop_asymptotic_perfect_backhaul,
 )
 
 # quad_cdf_ratio(x=2) at K=2, N=2, M_D=M_E=2, lam_D=10, lam_E=1, zeta=1, SS/KA
@@ -342,27 +341,23 @@ class TestAsymptoticFloor:
         ku = sop_asymptotic(_cfg(K=1, zeta=0.9, knowledge="KU")).value
         assert ka == ku == pytest.approx(0.1, rel=1e-15)
 
-    def test_perfect_backhaul_rejected(self):
-        with pytest.raises(ValueError):
-            sop_asymptotic(_cfg(zeta=1.0))
-
 
 class TestPerfectBackhaulAsymptote:
     def test_single_transmitter_schemes_coincide(self):
         cfg = _cfg(K=1, lambda_D=1e4)
-        ss = sop_asymptotic_perfect_backhaul(cfg).value
-        os_ = sop_asymptotic_perfect_backhaul(replace(cfg, scheme="OS")).value
+        ss = sop_asymptotic(cfg).value
+        os_ = sop_asymptotic(replace(cfg, scheme="OS")).value
         assert ss == pytest.approx(os_, rel=1e-12)
 
     def test_decay_rate_matches_diversity_order(self):
-        lo = sop_asymptotic_perfect_backhaul(_cfg(lambda_D=1e5)).value
-        hi = sop_asymptotic_perfect_backhaul(_cfg(lambda_D=1e6)).value
+        lo = sop_asymptotic(_cfg(lambda_D=1e5)).value
+        hi = sop_asymptotic(_cfg(lambda_D=1e6)).value
         expected = 10.0 ** (2 * 2)
         assert lo / hi == pytest.approx(expected, rel=0.01)
 
     def test_approaches_exact_outage(self):
         cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=1e4, lambda_E=1.0)
-        asym = sop_asymptotic_perfect_backhaul(cfg).value
+        asym = sop_asymptotic(cfg).value
         exact = sop(cfg).value
         assert asym == pytest.approx(exact, rel=0.05)
 
@@ -374,15 +369,11 @@ class TestPerfectBackhaulAsymptote:
         cfg = _cfg(K=K, N=2, M_D=2, M_E=2, lambda_D=1e5, zeta=1.0, R_th=0.0,
                    scheme=scheme)
         assert cfg.rho() == 1.0
-        asym = sop_asymptotic_perfect_backhaul(cfg).value
+        asym = sop_asymptotic(cfg).value
         assert asym == pytest.approx(sop(cfg).value, rel=1e-3)
 
-    def test_unreliable_backhaul_rejected(self):
-        with pytest.raises(ValueError):
-            sop_asymptotic_perfect_backhaul(_cfg(zeta=0.5))
-
     def test_form_label(self):
-        result = sop_asymptotic_perfect_backhaul(_cfg())
+        result = sop_asymptotic(_cfg())
         assert result.form == "asymptotic_perfect_backhaul"
 
 
@@ -390,6 +381,14 @@ class TestDiversityOrder:
     def test_values(self):
         assert diversity_order(_cfg(K=3, M_D=2)) == 6
         assert diversity_order(_cfg(K=1, M_D=1)) == 1
+
+    @pytest.mark.parametrize("knowledge", ["KA", "KU"])
+    def test_unreliable_backhaul_settles_at_its_floor(self, knowledge):
+        cfg = _cfg(K=2, M_D=1, zeta=0.9, knowledge=knowledge, lambda_E=1.0)
+        assert diversity_order(cfg) == 0
+        p_lo = sop(replace(cfg, lambda_D=1e5)).value
+        p_hi = sop(replace(cfg, lambda_D=1e6)).value
+        assert math.log10(p_lo / p_hi) == pytest.approx(0.0, abs=1e-3)
 
     @pytest.mark.parametrize("scheme", ["SS", "OS"])
     def test_matches_measured_slope(self, scheme):
