@@ -21,14 +21,12 @@ from .esr import (
     esr_asymptotic,
     esr_exact,
     esr_high_snr,
-    esr_term_audit,
     integrate_term,
 )
 from .oracles import (
     MonteCarloEstimate,
     QuadratureError,
-    mc_esr,
-    mc_sop,
+    mc_moments,
     quad_cdf_ratio,
     quad_esr,
 )
@@ -64,12 +62,10 @@ __all__ = [
     "esr_exact",
     "esr_high_snr",
     "esr_asymptotic",
-    "esr_term_audit",
     "integrate_term",
     "MonteCarloEstimate",
     "QuadratureError",
-    "mc_sop",
-    "mc_esr",
+    "mc_moments",
     "quad_cdf_ratio",
     "quad_esr",
     "__version__",

@@ -226,7 +226,9 @@ class TermSum:
         total = 1.0 - pairwise_sum(values)
         if values:
             gross = math.fsum(abs(v) for v in values) + 1.0
-            if abs(total) < 1e-9 * gross:
+            # an off-band CDF has lost its digits too: (L + k/lam_D) - (k/lam_D) x
+            # loses L once k/lam_D dwarfs it (1e20 at lam_D = -200 dB)
+            if abs(total) < 1e-9 * gross or not -1e-9 <= total <= 1.0 + 1e-9:
                 total = _eval_recipes_mp(self.recipes, x, self.scales)
         return total
 

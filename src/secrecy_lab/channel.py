@@ -91,8 +91,10 @@ def cdf_snr_dest(x: float, M: int, lam: float) -> float:
 
 def pdf_snr_dest(x: float, M: int, lam: float) -> float:
     """Gamma(M, lam) density x^(M-1) e^(-x/lam) / (lam^M (M-1)!)."""
-    if x < 0.0:
-        return 0.0
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    if x < 0.0 or x == math.inf:
+        return 0.0  # the log form would make inf - inf = NaN
     if x == 0.0:
         return 1.0 / lam if M == 1 else 0.0
     log_pdf = (M - 1) * math.log(x) - x / lam - M * math.log(lam) - math.lgamma(M)

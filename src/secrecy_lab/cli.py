@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 
 from .channel import SystemConfig
 from .esr import esr_asymptotic, esr_exact, esr_high_snr
-from .oracles import (_MIN_TRIALS, ESR_AGREEMENT, SOP_AGREEMENT, _mc_moments_many,
-                      default_threads, quad_cdf_ratio, quad_esr)
+from .oracles import (_MIN_TRIALS, ESR_AGREEMENT, SOP_AGREEMENT, default_threads,
+                      mc_moments, quad_cdf_ratio, quad_esr)
 from .sop import diversity_order, sop, sop_asymptotic
 
 _AXES = ("lambda_D_dB",)
@@ -272,8 +272,7 @@ def evaluate_sweep(spec: SweepSpec, threads: int) -> list[dict]:
     jobs = list(spec.rows())
     mc = [()] * len(jobs)
     if "mc" in spec.outputs:
-        mc = _mc_moments_many(tuple(cfg for _vid, cfg, _db in jobs),
-                              spec.trials, spec.seed, threads)
+        mc = mc_moments([cfg for _vid, cfg, _db in jobs], spec.trials, spec.seed, threads)
     rows = []
     for (vid, cfg, db), estimates in zip(jobs, mc):
         try:

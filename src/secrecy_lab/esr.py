@@ -205,29 +205,3 @@ def esr_asymptotic(cfg: SystemConfig) -> EsrResult:
     return _rate(cfg, _FORM_ASYMPTOTIC, build_high_snr_term_sum,
                  _integrate_asymptotic)
 
-
-def esr_term_audit(cfg: SystemConfig) -> float:
-    """Max relative gap between closed term integrals and quadrature.
-
-    The alternating term sum hides per-term mistakes; this audits each term
-    of the config's base TermSum (sop.gated_base) independently against
-    adaptive quadrature of the same integrand and returns the worst relative
-    discrepancy.
-    """
-    from scipy.integrate import quad
-
-    term_sum = build_cdf_term_sum(gated_base(cfg))
-    worst = 0.0
-    for term in term_sum.terms:
-        closed = integrate_term(term)
-
-        def shape(x, term=term):
-            val = x ** (term.poly_power - 1) * math.exp(-term.exp_rate * x)
-            for b, m in term.poles:
-                val /= (x + b) ** m
-            return val
-
-        estimate, _err = quad(shape, 1.0, math.inf, limit=400)
-        gap = abs(closed - estimate) / max(abs(estimate), 1e-300)
-        worst = max(worst, gap)
-    return worst

@@ -57,6 +57,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .channel import SystemConfig, pdf_snr_eve_max
 
@@ -104,8 +105,6 @@ ESR_AGREEMENT = Agreement(quad_tol=1e-5, mc_floor=0.02, per_trial=False)
 class MonteCarloEstimate:
     mean: float
     stderr: float
-    trials: int
-    seed: int
 
 
 class QuadratureError(RuntimeError):
@@ -408,9 +407,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mc_moments_many(cfgs: tuple[SystemConfig, ...], trials: int, seed: int,
-                     threads: int = 1) -> list[tuple[MonteCarloEstimate, MonteCarloEstimate]]:
-    """(outage, rate) estimates of every config, in input order.
+def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
+               threads: int = 1) -> list[tuple[MonteCarloEstimate, MonteCarloEstimate]]:
+    """Simulated P(rate <= R_th) and mean rate of every config, in input order.
 
     Configs of one (K, N, M_D, M_E) shape share draws; every chunk of a shape
     comes from the stream a pass of its own would use, and only one shape's
@@ -455,18 +454,13 @@ def _mc_moments_many(cfgs: tuple[SystemConfig, ...], trials: int, seed: int,
 
         p = outage_count / n
         var_p = max(0.0, (outage_count - outage_count * outage_count / n) / (n - 1.0))
-        sop = MonteCarloEstimate(p, math.sqrt(var_p / n), trials, seed)
+        sop = MonteCarloEstimate(p, math.sqrt(var_p / n))
 
         mean = rate_sum / n
         var_r = max(0.0, (rate_sq_sum - rate_sum * rate_sum / n) / (n - 1.0))
-        esr = MonteCarloEstimate(mean, math.sqrt(var_r / n), trials, seed)
+        esr = MonteCarloEstimate(mean, math.sqrt(var_r / n))
         pairs.append((sop, esr))
     return pairs
-
-
-def _mc_moments(cfg: SystemConfig, trials: int, seed: int,
-                threads: int = 1) -> tuple[MonteCarloEstimate, MonteCarloEstimate]:
-    return _mc_moments_many((cfg,), trials, seed, threads)[0]
 
 
 def default_threads() -> int:
@@ -479,12 +473,3 @@ def default_threads() -> int:
         return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
-
-def mc_sop(cfg: SystemConfig, trials: int, seed: int, threads: int = 1) -> MonteCarloEstimate:
-    """Simulated outage probability: fraction of trials with rate <= R_th."""
-    return _mc_moments(cfg, trials, seed, threads)[0]
-
-
-def mc_esr(cfg: SystemConfig, trials: int, seed: int, threads: int = 1) -> MonteCarloEstimate:
-    """Simulated ergodic secrecy rate: sample mean of the per-trial rate."""
-    return _mc_moments(cfg, trials, seed, threads)[1]

@@ -75,6 +75,17 @@ class TestDestinationPdf:
     def test_three_path_value(self):
         assert pdf_snr_dest(3.0, 3, 2.0) == pytest.approx(PDF_3_3_2, rel=1e-13)
 
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_infinite_and_nan_arguments(self, M):
+        # the log form makes NaN of both; sf and cdf raise on NaN as well
+        assert pdf_snr_dest(math.inf, M, 2.0) == 0.0
+        assert pdf_snr_eve_max(math.inf, 2, M, 2.0) == 0.0
+        for N in (1, 2):
+            with pytest.raises(ValueError, match="NaN"):
+                pdf_snr_eve_max(math.nan, N, M, 2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            pdf_snr_dest(math.nan, M, 2.0)
+
     @pytest.mark.parametrize("a,b", [(0.2, 1.5), (1.0, 4.0), (0.0, 12.0)])
     def test_integrates_to_cdf_difference(self, a, b):
         est, _ = quad(lambda x: pdf_snr_dest(x, 3, 2.0), a, b, limit=200)

@@ -9,7 +9,7 @@ import pytest
 from secrecy_lab import cli
 from secrecy_lab.acceptance import CheckResult
 from secrecy_lab.channel import SystemConfig
-from secrecy_lab.oracles import _mc_moments
+from secrecy_lab.oracles import mc_moments
 from secrecy_lab.sop import sop
 
 
@@ -73,7 +73,7 @@ class TestRun:
                          "--threads", threads]) == 0
         spec = cli.load_sweep_spec(str(config))
         for row, (_vid, cfg, _db) in zip(_rows(out), spec.rows(), strict=True):
-            sop_est, esr_est = _mc_moments(cfg, spec.trials, spec.seed)
+            ((sop_est, esr_est),) = mc_moments([cfg], spec.trials, spec.seed)
             assert float(row["mc_sop"]) == sop_est.mean
             assert float(row["mc_sop_stderr"]) == sop_est.stderr
             assert float(row["mc_esr"]) == esr_est.mean
@@ -207,6 +207,18 @@ def test_an_impossible_exact_rate_is_a_numeric_error_naming_the_row(tmp_path, ca
     assert err.startswith("numeric error: row v0 (OS/KA K=3 N=3 M_D=3 M_E=3 zeta=0.9 "), err
     assert "exceeds the bound log2(1 + K*M_D*lambda_D)" in err
     assert not out.exists()
+
+
+def test_a_destination_far_below_the_eavesdroppers_is_a_certain_outage(tmp_path):
+    # -200 dB at R_th = 0: the float term sum leaves the band, the exact one
+    # does not
+    config = _write_config(
+        tmp_path / "sweep.json", axis_values=[-200], variants=[], outputs=["sop_exact"],
+        base={"K": 1, "N": 2, "M_D": 2, "M_E": 2, "lambda_E_dB": 0.0, "zeta": 0.9,
+              "R_th": 0.0, "scheme": "SS", "knowledge": "KA"})
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert [row["sop_exact"] for row in _rows(out)] == ["1"]
 
 
 class TestThreads:

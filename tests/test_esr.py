@@ -21,7 +21,6 @@ from secrecy_lab.esr import (
     esr_asymptotic,
     esr_exact,
     esr_high_snr,
-    esr_term_audit,
     integrate_term,
 )
 from secrecy_lab.oracles import quad_esr
@@ -271,9 +270,6 @@ class TestExactRate:
     def test_negative_value_rejected_by_result_type(self):
         with pytest.raises(ValueError):
             EsrResult(value=-0.1, form="exact", term_count=1)
-
-    def test_term_audit_small(self):
-        assert esr_term_audit(_cfg(K=2, N=2)) <= 1e-3
 
 
 class TestHighSnrRate:

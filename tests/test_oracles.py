@@ -21,11 +21,8 @@ from secrecy_lab.channel import (
 from secrecy_lab.oracles import (
     QuadratureError,
     _chunk_rng,
-    _mc_moments,
-    _mc_moments_many,
     _rates_with_rng,
-    mc_esr,
-    mc_sop,
+    mc_moments,
     quad_cdf_ratio,
     quad_esr,
 )
@@ -38,27 +35,32 @@ def _cfg(**overrides):
     return SystemConfig(**base)
 
 
+def _mc_alone(cfg, trials, seed, threads=1):
+    # the (outage, rate) estimates of a pass over one config
+    return mc_moments([cfg], trials, seed, threads)[0]
+
+
 class TestSimulatorDeterminism:
     def test_bit_identical_reruns(self):
         cfg = _cfg()
-        a = mc_sop(cfg, 20000, seed=5)
-        b = mc_sop(cfg, 20000, seed=5)
+        a = _mc_alone(cfg, 20000, seed=5)[0]
+        b = _mc_alone(cfg, 20000, seed=5)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_worker_count_does_not_change_results(self):
         cfg = _cfg(K=3, N=2, zeta=0.8, knowledge="KU")
-        serial = mc_esr(cfg, 150000, seed=9, threads=1)
-        pooled = mc_esr(cfg, 150000, seed=9, threads=4)
+        serial = _mc_alone(cfg, 150000, seed=9, threads=1)[1]
+        pooled = _mc_alone(cfg, 150000, seed=9, threads=4)[1]
         assert serial.mean == pooled.mean
         assert serial.stderr == pooled.stderr
 
     def test_seed_changes_the_stream(self):
         cfg = _cfg()
-        assert mc_sop(cfg, 20000, seed=1).mean != mc_sop(cfg, 20000, seed=2).mean
+        assert _mc_alone(cfg, 20000, seed=1)[0].mean != _mc_alone(cfg, 20000, seed=2)[0].mean
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
-            mc_sop(_cfg(), 5000, seed=1)
+            _mc_alone(_cfg(), 5000, seed=1)
 
 
 class TestSharedDraws:
@@ -72,10 +74,10 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_batched_equals_row_by_row(self, threads):
-        batched = _mc_moments_many(self.ROWS, 70000, seed=17, threads=threads)
+        batched = mc_moments(self.ROWS, 70000, seed=17, threads=threads)
         assert len(batched) == len(self.ROWS)
         for cfg, pair in zip(self.ROWS, batched):
-            alone = _mc_moments(cfg, 70000, seed=17, threads=1)
+            alone = _mc_alone(cfg, 70000, seed=17)
             for shared, single in zip(pair, alone):
                 assert shared.mean == single.mean
                 assert shared.stderr == single.stderr
@@ -102,7 +104,7 @@ def _moments_sha256(pairs) -> str:
 
 
 class TestSimulatorBits:
-    # sha256 of the (outage, rate) means and stderrs of _mc_moments_many at
+    # sha256 of the (outage, rate) means and stderrs of mc_moments at
     # one thread, one float.hex() line per row, recorded while each config
     # still made its own selection from the shared draws
     QUICK_OUTAGE_GRID_SHA256 = "89ccc0e8936d7e6688d9ab84893e3da92749b1f686ec7b86c43a664d7e38164e"
@@ -117,13 +119,13 @@ class TestSimulatorBits:
                            (0.0, 0.5, 1.0), ("SS", "OS"), ("KA", "KU")))
 
     def test_quick_outage_grid_pinned(self):
-        pairs = _mc_moments_many(tuple(acceptance._sop_grid(True)), acceptance.QUICK_TRIALS,
+        pairs = mc_moments(tuple(acceptance._sop_grid(True)), acceptance.QUICK_TRIALS,
                                  acceptance.ACCEPT_SEED, threads=1)
         assert _moments_sha256(pairs) == self.QUICK_OUTAGE_GRID_SHA256
 
     def test_larger_shapes_pinned(self):
         assert len(self.SHAPE_ROWS) == 72
-        pairs = _mc_moments_many(self.SHAPE_ROWS, 70000, seed=17, threads=1)
+        pairs = mc_moments(self.SHAPE_ROWS, 70000, seed=17, threads=1)
         assert _moments_sha256(pairs) == self.SHAPES_SHA256
 
 
@@ -213,22 +215,21 @@ class TestSimulatorDistributions:
 
     def test_no_backhaul_trivials(self):
         cfg = _cfg(zeta=0.0)
-        sop_est = mc_sop(cfg, 20000, seed=4)
-        esr_est = mc_esr(cfg, 20000, seed=4)
+        sop_est, esr_est = _mc_alone(cfg, 20000, seed=4)
         assert sop_est.mean == 1.0 and sop_est.stderr == 0.0
         assert esr_est.mean == 0.0 and esr_est.stderr == 0.0
 
     def test_threshold_boundary_insensitive(self):
         # the rate distribution is continuous, so a 1e-9 threshold shift
         # moves the outage estimate by noise only
-        lo = mc_sop(_cfg(R_th=1.0 - 1e-9), 200000, seed=8)
-        hi = mc_sop(_cfg(R_th=1.0 + 1e-9), 200000, seed=8)
+        lo = _mc_alone(_cfg(R_th=1.0 - 1e-9), 200000, seed=8)[0]
+        hi = _mc_alone(_cfg(R_th=1.0 + 1e-9), 200000, seed=8)[0]
         spread = max(lo.stderr, hi.stderr, 1e-6)
         assert abs(lo.mean - hi.mean) <= 4.0 * spread
 
     def test_gate_scaling_within_noise(self):
-        on = mc_esr(_cfg(knowledge="KU", zeta=1.0), 200000, seed=6)
-        half = mc_esr(_cfg(knowledge="KU", zeta=0.5), 200000, seed=6)
+        on = _mc_alone(_cfg(knowledge="KU", zeta=1.0), 200000, seed=6)[1]
+        half = _mc_alone(_cfg(knowledge="KU", zeta=0.5), 200000, seed=6)[1]
         combined = math.hypot(half.stderr, 0.5 * on.stderr)
         assert abs(half.mean - 0.5 * on.mean) <= 3.0 * combined
 
@@ -262,9 +263,8 @@ class TestQuadratureOracle:
 
     def test_agrees_with_simulator(self):
         cfg = _cfg(zeta=0.9, knowledge="KU", scheme="OS")
-        est = mc_sop(cfg, 400000, seed=21)
+        est, rate = _mc_alone(cfg, 400000, seed=21)
         assert abs(quad_cdf_ratio(cfg.rho(), cfg) - est.mean) <= 3.0 * est.stderr
-        rate = mc_esr(cfg, 400000, seed=21)
         assert abs(quad_esr(cfg) - rate.mean) <= max(3.0 * rate.stderr, 0.02)
 
 

@@ -324,6 +324,17 @@ class TestSop:
         hi = sop(_cfg(zeta=0.9, N=3, lambda_D=1e6)).value
         assert abs(lo - hi) <= 1e-3
 
+    @pytest.mark.parametrize("scheme", ["SS", "OS"])
+    @pytest.mark.parametrize("knowledge", ["KA", "KU"])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_destination_far_below_the_eavesdroppers(self, scheme, knowledge, K):
+        # lambda_D = -200 dB: at x = 1 every float term reads +-1 and the sum
+        # leaves the band (3.0 at K = 1); the exact recipes give the outage,
+        # 1 - O(1e-80), which rounds to 1
+        cfg = _cfg(K=K, lambda_D=1e-20, zeta=0.9, R_th=0.0, scheme=scheme,
+                   knowledge=knowledge)
+        assert sop(cfg).value == 1.0
+
 
 class TestAsymptoticFloor:
     def test_selection_over_active_links(self):
