@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .specialfn import pairwise_sum
 
@@ -39,23 +39,24 @@ class CapacityError(RuntimeError):
     """Raised when an expansion would exceed the configured term cap."""
 
 
-def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int) -> list[tuple]:
-    """Expand (sum of inner terms)^kappa into a flat, merged term list.
+def expand_powers_of_sum(inner_terms: Sequence[tuple],
+                         kappa: int) -> Iterator[list[tuple]]:
+    """Yield (sum of inner terms)^k for k = 1..kappa as flat, merged term lists.
 
     Each inner term is ``(coeff, e1, e2, ...)`` with integer exponent slots
     (the two-slot case is a coefficient with an x power and a y power).
     Coefficients only need ``*`` and ``+`` between themselves. The recipe
     builders pass integers, their exact Fractions scaled over a common
     denominator D, and divide the k-th power by D^k; Fractions and floats
-    work too. The expansion multiplies the unit term kappa times, so like
-    terms (identical exponent vectors) merge as they appear; more than
-    EXPANSION_TERM_CAP raw products raise CapacityError, never truncate.
+    work too. Power k is power k-1 times the sum, so like terms (identical
+    exponent vectors) merge as they appear, and the kappa powers cost one
+    expansion. Each list is sorted by exponent vector. Any multiplication
+    step of more than EXPANSION_TERM_CAP raw products raises CapacityError
+    before its power is yielded, never truncates.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    if not inner_terms:
-        return []
-    width = len(inner_terms[0]) - 1
+    width = len(inner_terms[0]) - 1 if inner_terms else 0
     for t in inner_terms:
         if len(t) - 1 != width:
             raise ValueError("inner terms must share one exponent-vector width")
@@ -74,8 +75,15 @@ def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int) -> list[tuple]
                 prev = nxt.get(key)
                 nxt[key] = coeff if prev is None else prev + coeff
         acc = nxt
-    out = [(coeff,) + exps for exps, coeff in acc.items()]
-    out.sort(key=lambda t: t[1:])
+        # no local keeps the yielded list, so the caller can free it
+        yield sorted(((coeff,) + exps for exps, coeff in acc.items()),
+                     key=lambda t: t[1:])
+
+
+def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int) -> list[tuple]:
+    """(sum of inner terms)^kappa, the last power expand_powers_of_sum yields."""
+    for out in expand_powers_of_sum(inner_terms, kappa):
+        pass
     return out
 
 

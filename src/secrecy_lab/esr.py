@@ -18,15 +18,18 @@ leaves an expression affine in ln(lambda_D/lambda_E). All three rates share
 one path: zeta = 0, the gate-after-selection rescaling (sop.gated_base),
 the term sum and the log-space reduction.
 
-Terms of one rate share their kernels: the exact OS rate at K=3, N=2,
-M_D=M_E=3 calls _kernel about 66,000 times over 91 distinct (a, b, theta),
-because a is k/lam_D, b one of a few pole locations and theta a small order.
-With the high-SNR rate it makes 2,700 partial-fraction decompositions over
-290 pole sets. The kernel and the partial-fraction rows
-(algebra.partial_fractions) are therefore memoized in bounded
-per-process LRU caches. Both are pure functions of floats and ints that are
-all in the cache key, so a cached value is the exact float a fresh call
-returns, and every rate keeps its bits in any call order.
+A term's integral depends on its shape (a, p, poles) alone, and many terms
+share one: the exact OS rate at K=3, N=2, M_D=M_E=3 has 2,462 terms over
+459 shapes. Each distinct shape is integrated once per rate, and every term
+applies its own coefficient to that one integral. Shapes in turn share their
+kernels: those 459 integrals call _kernel 14,249 times over 91 distinct
+(a, b, theta), because a is k/lam_D, b one of a few pole locations and theta
+a small order. With the high-SNR rate (235 shapes) they make 694
+partial-fraction decompositions over 290 pole sets. The kernel and the
+partial-fraction rows (algebra.partial_fractions) are therefore memoized in
+bounded per-process LRU caches. Both are pure functions of floats and ints
+that are all in the cache key, so a cached value is the exact float a fresh
+call returns, and every rate keeps its bits in any call order.
 """
 
 from __future__ import annotations
@@ -143,12 +146,17 @@ def _integrate_rational(p: int, poles: tuple, asymptotic: bool) -> float:
 
 
 def _sum_integrated(term_sum: TermSum, integrator) -> float:
-    # term coefficients can be astronomically large while their integrals are
-    # correspondingly tiny; combine per term in log space, then reduce with a
-    # fixed pairwise order.
+    # a term's integral depends on its shape alone, not on its coefficient,
+    # so each distinct shape is integrated once. Term coefficients can be
+    # astronomically large while their integrals are correspondingly tiny;
+    # combine per term in log space, then reduce with a fixed pairwise order.
+    integrals: dict[tuple, float] = {}
     contributions = []
     for term in term_sum.terms:
-        integral = integrator(term)
+        shape = (term.exp_rate, term.poly_power, term.poles)
+        integral = integrals.get(shape)
+        if integral is None:  # 0.0 is a valid integral
+            integral = integrals[shape] = integrator(term)
         if integral == 0.0:
             continue
         log_mag = term.log_coeff + math.log(abs(integral))

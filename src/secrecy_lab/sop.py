@@ -13,7 +13,7 @@ links.
   y once per eavesdropper group.
 * OS, selection over active links: the K-th power of the single-link ratio
   CDF bracket; the bracket's complement is expanded to a term list once and
-  raised to the k-th power, accumulating pole multiplicities per
+  raised to each k-th power, accumulating pole multiplicities per
   eavesdropper-survivor index.
 * The unity-dropped (high-SNR) form keeps the exact recipes whose lambda_D
   and lambda_E powers cancel, without the exponential (see _term_sum_for_key).
@@ -27,8 +27,9 @@ Every builder emits exact rational recipes (see algebra.ExactTermRecipe);
 floats are materialized from those, never accumulated independently.
 
 The recipes are built in integer arithmetic: the slot coefficients are
-scaled to integers over their least common denominator D, the k-th power is
-expanded on those integers, and the k-link terms are accumulated as integer
+scaled to integers over their least common denominator D, the powers
+k = 1..K are expanded on those integers in one ascending pass (power k is
+power k-1 times the slot sum), and the k-link terms are accumulated as integer
 numerators over one shared denominator per k (D^k times the factors the
 eavesdropper groups add). Each recipe then forms one reduced Fraction, equal
 to what Fraction arithmetic throughout gives without its per-operation gcd.
@@ -42,11 +43,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import attrgetter
+from typing import Iterator
 
 from .algebra import (
     ExactTermRecipe,
     TermSum,
-    expand_power_of_sum,
+    expand_powers_of_sum,
     materialize_recipes,
 )
 from .channel import SystemConfig
@@ -109,43 +111,53 @@ def _over_common_denominator(fracs) -> tuple[int, list[int]]:
     return denom, [f.numerator * (denom // f.denominator) for f in fracs]
 
 
-def _integer_power(terms, k: int) -> tuple[int, list[tuple]]:
-    """(D^k, (sum of terms)^k expanded on integer coefficients).
+def _integer_powers(terms, K: int) -> Iterator[tuple[int, list[tuple]]]:
+    """Yield (D^k, (sum of terms)^k expanded on integer coefficients), k = 1..K.
 
     terms are (Fraction, exponents...) and D is their least common
     denominator. Each coefficient c enters as the integer c*D, so every
-    expanded coefficient over D^k is exactly the Fraction expansion's.
+    expanded coefficient over D^k is exactly the Fraction expansion's. The
+    powers ascend, each built from the one before, so the K powers cost one
+    expansion, and each list is freed once the caller has moved past it.
     """
     denom, nums = _over_common_denominator([t[0] for t in terms])
     scaled = [(num,) + tuple(t[1:]) for num, t in zip(nums, terms)]
-    return denom ** k, expand_power_of_sum(scaled, k)
+    for k, expanded in enumerate(expand_powers_of_sum(scaled, K), start=1):
+        yield denom ** k, expanded
 
 
-def _select_over_links(K: int, link_terms) -> tuple:
+def _select_over_links(K: int, links) -> tuple:
     """Inclusion-exclusion over the k active links, merged into recipes.
 
-    link_terms(k) returns (L, terms) for the k-link product. Each term is
-    (integer numerator over L, x power, lambda_D power, lambda_E power,
-    poles), each pole ((p, q), multiplicity) at the ratio p/q, written so
-    that equal ratios of one k have equal pairs. Every recipe keeps
-    e^(k(1-x)/lambda_D). Every key holds its k, so like terms merge as
+    links yields (L, terms) for the k-link product, k = 1..K in turn. Each
+    term is (integer numerator over L, x power, lambda_D power, lambda_E
+    power, poles), each pole ((p, q), multiplicity) at the ratio p/q,
+    written so that equal ratios of one k have equal pairs. Every recipe
+    keeps e^(k(1-x)/lambda_D). Every key holds its k, so like terms merge as
     integers over that k's L, and each recipe forms one Fraction. The
     recipes come ordered by x power, lambda_D power, lambda_E power, pole
-    ratios and k.
+    ratios and k. Many keys share one poles tuple, so each distinct tuple's
+    sort ratios and Fraction poles are computed once and shared by its
+    recipes.
     """
     nums: dict[tuple, int] = {}
     picks = {}  # k -> (signed binomial, denominator of the k-link numerators)
-    for k in range(1, K + 1):
+    for k, (denom, terms) in enumerate(links, start=1):
         pick = math.comb(K, k)
-        denom, terms = link_terms(k)
         picks[k] = (pick if k % 2 else -pick, denom)
         for num, poly, ld_pow, le_pow, poles in terms:
             key = (poly, k, ld_pow, le_pow, poles)
             nums[key] = nums.get(key, 0) + num
 
+    pole_data = {}  # poles -> (sort ratios, Fraction poles)
+    for _poly, _k, _ld_pow, _le_pow, poles in nums:
+        if poles not in pole_data:
+            pole_data[poles] = (tuple((p / q, m) for (p, q), m in poles),
+                                tuple((Fraction(p, q), m) for (p, q), m in poles))
+
     def order(key):  # no two recipes of one shape tie
         poly, k, ld_pow, le_pow, poles = key
-        return (poly, ld_pow, le_pow, tuple((p / q, m) for (p, q), m in poles), k)
+        return (poly, ld_pow, le_pow, pole_data[poles][0], k)
     # sort the keys before any recipe exists: sorting the built recipes
     # leaves the garbage collector more to scan
     recipes = []
@@ -156,7 +168,7 @@ def _select_over_links(K: int, link_terms) -> tuple:
             recipes.append(ExactTermRecipe(
                 frac=Fraction(pick * nums[key], denom), zeta_pow=k,
                 lam_dest_pow=ld_pow, lam_eve_pow=le_pow, exp_k=k, poly_power=poly,
-                poles=tuple((Fraction(p, q), mult) for (p, q), mult in poles)))
+                poles=pole_data[poles][1]))
     return tuple(recipes)
 
 
@@ -170,7 +182,7 @@ def _ss_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
     moment integral contributes (theta-1)!/k^theta, and theta is at most
     theta_top, so the k-link terms share the denominator
     D^k * E * k^theta_top, where D^k comes with the power (see
-    _integer_power) and E is the eavesdropper coefficients' common
+    _integer_powers) and E is the eavesdropper coefficients' common
     denominator.
     """
     top_mu = max(mu for _frac, _poly, mu, _m in slots)
@@ -178,19 +190,19 @@ def _ss_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
     eve_denom, eve_nums = _over_common_denominator([frac for _n, _me, frac in groups])
     eve = [(n, me_hat, num) for (n, me_hat, _frac), num in zip(groups, eve_nums)]
 
-    def link_terms(k):
-        dest_denom, expanded = _integer_power(slots, k)
-        theta_top = M_E + k * top_mu + max(me_hat for _n, me_hat, _num in eve)
-        terms = []
-        for num, poly, mu_hat, m_hat in expanded:
-            for n, me_hat, eve_num in eve:
-                theta = M_E + mu_hat + me_hat
-                terms.append((num * eve_num * math.factorial(theta - 1)
-                              * k ** (theta_top - theta),
-                              poly, theta - m_hat, -(M_E + me_hat),
-                              (((n + 1, k), theta),)))
-        return dest_denom * eve_denom * k ** theta_top, terms
-    return _select_over_links(K, link_terms)
+    def links():
+        for k, (dest_denom, expanded) in enumerate(_integer_powers(slots, K), start=1):
+            theta_top = M_E + k * top_mu + max(me_hat for _n, me_hat, _num in eve)
+            terms = []
+            for num, poly, mu_hat, m_hat in expanded:
+                for n, me_hat, eve_num in eve:
+                    theta = M_E + mu_hat + me_hat
+                    terms.append((num * eve_num * math.factorial(theta - 1)
+                                  * k ** (theta_top - theta),
+                                  poly, theta - m_hat, -(M_E + me_hat),
+                                  (((n + 1, k), theta),)))
+            yield dest_denom * eve_denom * k ** theta_top, terms
+    return _select_over_links(K, links())
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +213,7 @@ def _os_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
     (coeff, x_power, lambda_D power, lambda_E power, pole multiplicity per
     survivor count); the k-link product accumulates exponents additively.
     The k-th power is expanded in integers over the denominator D^k (see
-    _integer_power), which all k-link terms share.
+    _integer_powers), which all k-link terms share.
     """
     inner: list[tuple] = []
     for dest_frac, poly, mu, m in slots:
@@ -211,12 +223,12 @@ def _os_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
             mults = tuple(alpha if j == n else 0 for j in range(N))
             inner.append((frac, poly, alpha - m, -(M_E + me_hat)) + mults)
 
-    def link_terms(k):
-        denom, expanded = _integer_power(inner, k)
-        return denom, ((num, poly, ld_pow, le_pow,
-                        tuple(((j + 1, 1), mult) for j, mult in enumerate(mults) if mult))
-                       for num, poly, ld_pow, le_pow, *mults in expanded)
-    return _select_over_links(K, link_terms)
+    def links():
+        for denom, expanded in _integer_powers(inner, K):
+            yield denom, ((num, poly, ld_pow, le_pow,
+                           tuple(((j + 1, 1), mult) for j, mult in enumerate(mults) if mult))
+                          for num, poly, ld_pow, le_pow, *mults in expanded)
+    return _select_over_links(K, links())
 
 
 def gated_base(cfg: SystemConfig) -> SystemConfig:

@@ -11,11 +11,12 @@ from secrecy_lab.algebra import (
     RationalExpTerm,
     TermSum,
     expand_power_of_sum,
+    expand_powers_of_sum,
     materialize_recipes,
     partial_fractions,
 )
 from secrecy_lab.channel import SystemConfig
-from secrecy_lab.sop import _integer_power, sop
+from secrecy_lab.sop import _integer_powers, sop
 
 
 class TestExpandPowerOfSum:
@@ -65,17 +66,34 @@ class TestExpandPowerOfSum:
     @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
     def test_integer_scaled_expansion_is_the_fraction_expansion(self, inner, kappa):
         # the recipe builders expand integers over a common denominator D
-        # and divide by D^kappa; that must be the Fraction expansion exactly
-        denom_power, expanded = _integer_power(inner, kappa)
-        assert all(isinstance(t[0], int) for t in expanded)
-        scaled_back = [(Fraction(t[0], denom_power),) + t[1:] for t in expanded]
-        assert scaled_back == expand_power_of_sum(inner, kappa)
+        # and divide by D^k; every ascending power must be the Fraction
+        # expansion of that power exactly
+        powers = list(_integer_powers(inner, kappa))
+        assert len(powers) == kappa
+        for k, (denom_power, expanded) in enumerate(powers, start=1):
+            assert all(isinstance(t[0], int) for t in expanded)
+            scaled_back = [(Fraction(t[0], denom_power),) + t[1:] for t in expanded]
+            assert scaled_back == expand_power_of_sum(inner, k)
 
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setattr(algebra, "EXPANSION_TERM_CAP", 100)
         inner = [(Fraction(1), i, 0) for i in range(10)]
         with pytest.raises(CapacityError):
             expand_power_of_sum(inner, kappa=5)
+
+    def test_ascending_powers_hit_the_cap_at_the_same_power(self, monkeypatch):
+        # power k multiplies a power of 9k - 8 terms by 10 inner terms, so a
+        # cap of 100 first fails at k = 3 (10 * 10 = 100 passes at k = 2)
+        monkeypatch.setattr(algebra, "EXPANSION_TERM_CAP", 100)
+        inner = [(Fraction(1), i, 0) for i in range(10)]
+        for k in (1, 2):
+            assert len(expand_power_of_sum(inner, k)) == 9 * k + 1
+        with pytest.raises(CapacityError):
+            expand_power_of_sum(inner, 3)
+        powers = expand_powers_of_sum(inner, 4)
+        assert [len(next(powers)) for _ in range(2)] == [10, 19]
+        with pytest.raises(CapacityError, match="190 raw terms"):
+            next(powers)
 
 
 class TestPartialFractions:

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 from scipy.integrate import quad
 
+from secrecy_lab import esr as esr_module
 from secrecy_lab.algebra import RationalExpTerm, partial_fractions
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.esr import (
@@ -380,3 +381,38 @@ class TestMemoizedKernels:
         for memo in (_kernel, partial_fractions):
             maxsize = memo.cache_parameters()["maxsize"]
             assert maxsize is not None and 0 < maxsize <= 65536
+
+
+class TestShapeMemo:
+    # OS K=2, N=3, M_D=M_E=3 at 20 dB: 1,795 exact terms over 406 shapes
+    CFG = _cfg(K=2, N=3, M_D=3, M_E=3, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
+               zeta=0.9, scheme="OS")
+
+    @staticmethod
+    def _count_calls(monkeypatch, integrator):
+        calls = []
+
+        def counted(term):
+            calls.append(term)
+            return integrator(term)
+        monkeypatch.setattr(esr_module, "integrate_term", counted)
+        return calls
+
+    def test_each_shape_integrated_once_per_rate(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, integrate_term)
+        result = esr_exact(self.CFG)
+        assert result.term_count == 1795
+        assert len(calls) == 406
+        assert len({(t.exp_rate, t.poly_power, t.poles) for t in calls}) == 406
+
+    def test_zero_integral_is_a_cached_value(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, lambda term: 0.0)
+        assert esr_exact(self.CFG).value == 0.0
+        assert len(calls) == 406
+
+    def test_divergence_still_propagates(self, monkeypatch):
+        def diverges(term):
+            raise DivergenceError("diverges")
+        monkeypatch.setattr(esr_module, "integrate_term", diverges)
+        with pytest.raises(DivergenceError):
+            esr_exact(self.CFG)
