@@ -20,8 +20,13 @@ the term sum and the log-space reduction.
 
 A term's integral depends on its shape (a, p, poles) alone, and many terms
 share one: the exact OS rate at K=3, N=2, M_D=M_E=3 has 2,462 terms over
-459 shapes. Each distinct shape is integrated once per rate, and every term
-applies its own coefficient to that one integral. Shapes in turn share their
+459 shapes. Each distinct shape is integrated once per rate, its
+ln|integral| and sign are taken once, and every term applies its own
+coefficient to them in log space. Within a shape, each pole's binomial
+weights for the x^(p-1) re-expansion are computed once, outside the loop
+over its partial-fraction orders; every piece is still the product
+c * weight * kernel it always was, and math.fsum rounds their sum
+correctly whatever their order. Shapes in turn share their
 kernels: those 459 integrals call _kernel 14,249 times over 91 distinct
 (a, b, theta), because a is k/lam_D, b one of a few pole locations and theta
 a small order. With the high-SNR rate (235 shapes) they make 694
@@ -30,11 +35,14 @@ partial-fraction rows (algebra.partial_fractions) are therefore memoized in
 bounded per-process LRU caches. Both are pure functions of floats and ints
 that are all in the cache key, so a cached value is the exact float a fresh
 call returns, and every rate keeps its bits in any call order.
+
+A rate below the 1e-300 support floor takes the rational branch with a
+warning through the standard logging module, which loads on that warning
+only.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,7 +52,6 @@ from .channel import SystemConfig
 from .sop import build_cdf_term_sum, build_high_snr_term_sum, gated_base
 from .specialfn import log_upper_incomplete_gamma_int, pairwise_sum
 
-_LOG = logging.getLogger(__name__)
 _LN2 = math.log(2.0)
 _RATE_FLOOR = 1e-300
 
@@ -92,8 +99,10 @@ def integrate_term(term: RationalExpTerm) -> float:
     p = term.poly_power
     poles = tuple(term.poles)
     if 0.0 < a < _RATE_FLOOR:
-        _LOG.warning("exponential rate %.3e is below the support floor; "
-                     "substituting the rational branch", a)
+        import logging  # loads on this warning only; most processes log nothing
+        logging.getLogger(__name__).warning(
+            "exponential rate %.3e is below the support floor; "
+            "substituting the rational branch", a)
         a = 0.0
     total_degree = sum(m for _, m in poles)
     if a == 0.0 and total_degree <= p:
@@ -110,12 +119,12 @@ def integrate_term(term: RationalExpTerm) -> float:
     rows = partial_fractions(poles, 0)
     pieces = []
     for (b, _m), row in zip(poles, rows):
+        # x^(p-1) = sum_jj C(p-1,jj) (x+b)^jj (-b)^(p-1-jj)
+        weights = [math.comb(p - 1, jj) * (-b) ** (p - 1 - jj) for jj in range(p)]
         for t, c in enumerate(row, start=1):
             if c == 0.0:
                 continue
-            # x^(p-1) = sum_jj C(p-1,jj) (x+b)^jj (-b)^(p-1-jj)
-            for jj in range(p):
-                weight = math.comb(p - 1, jj) * (-b) ** (p - 1 - jj)
+            for jj, weight in enumerate(weights):
                 pieces.append(c * weight * _kernel(a, b, t - jj - 1))
     return math.fsum(pieces)
 
@@ -147,21 +156,22 @@ def _integrate_rational(p: int, poles: tuple, asymptotic: bool) -> float:
 
 def _sum_integrated(term_sum: TermSum, integrator) -> float:
     # a term's integral depends on its shape alone, not on its coefficient,
-    # so each distinct shape is integrated once. Term coefficients can be
-    # astronomically large while their integrals are correspondingly tiny;
-    # combine per term in log space, then reduce with a fixed pairwise order.
-    integrals: dict[tuple, float] = {}
+    # so each distinct shape is integrated once, and its ln|integral| and
+    # sign are taken once. Term coefficients can be astronomically large
+    # while their integrals are correspondingly tiny; combine per term in
+    # log space, then reduce with a fixed pairwise order.
+    integrals: dict[tuple, tuple] = {}  # shape -> (ln|integral|, sign), () for 0.0
     contributions = []
     for term in term_sum.terms:
         shape = (term.exp_rate, term.poly_power, term.poles)
         integral = integrals.get(shape)
-        if integral is None:  # 0.0 is a valid integral
-            integral = integrals[shape] = integrator(term)
-        if integral == 0.0:
-            continue
-        log_mag = term.log_coeff + math.log(abs(integral))
-        sign = term.sign * math.copysign(1.0, integral)
-        contributions.append(sign * math.exp(log_mag))
+        if integral is None:
+            value = integrator(term)
+            integral = integrals[shape] = (
+                (math.log(abs(value)), math.copysign(1.0, value)) if value != 0.0 else ())
+        if integral:
+            log_abs, sign = integral
+            contributions.append(term.sign * sign * math.exp(term.log_coeff + log_abs))
     return pairwise_sum(contributions) / _LN2
 
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -440,6 +439,8 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
 
     jobs = list(enumerate(sizes))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # off the import path
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(chunk_stats, jobs))
     else:

@@ -136,9 +136,10 @@ def _select_over_links(K: int, links) -> tuple:
     keeps e^(k(1-x)/lambda_D). Every key holds its k, so like terms merge as
     integers over that k's L, and each recipe forms one Fraction. The
     recipes come ordered by x power, lambda_D power, lambda_E power, pole
-    ratios and k. Many keys share one poles tuple, so each distinct tuple's
-    sort ratios and Fraction poles are computed once and shared by its
-    recipes.
+    ratios and k, sorted as precomputed tuples. Many keys share one poles
+    tuple, so each distinct tuple's sort ratios and Fraction poles are
+    computed once, and its recipes share that one Fraction tuple object
+    (materialize_recipes computes its floats once per object).
     """
     nums: dict[tuple, int] = {}
     picks = {}  # k -> (signed binomial, denominator of the k-link numerators)
@@ -150,25 +151,24 @@ def _select_over_links(K: int, links) -> tuple:
             nums[key] = nums.get(key, 0) + num
 
     pole_data = {}  # poles -> (sort ratios, Fraction poles)
-    for _poly, _k, _ld_pow, _le_pow, poles in nums:
-        if poles not in pole_data:
-            pole_data[poles] = (tuple((p / q, m) for (p, q), m in poles),
-                                tuple((Fraction(p, q), m) for (p, q), m in poles))
-
-    def order(key):  # no two recipes of one shape tie
-        poly, k, ld_pow, le_pow, poles = key
-        return (poly, ld_pow, le_pow, pole_data[poles][0], k)
-    # sort the keys before any recipe exists: sorting the built recipes
-    # leaves the garbage collector more to scan
+    rows = []
+    for (poly, k, ld_pow, le_pow, poles), num in nums.items():
+        if num:
+            data = pole_data.get(poles)
+            if data is None:
+                data = pole_data[poles] = (
+                    tuple((p / q, m) for (p, q), m in poles),
+                    tuple((Fraction(p, q), m) for (p, q), m in poles))
+            rows.append((poly, ld_pow, le_pow, data[0], k, num, data[1]))
+    # no two rows of one shape tie on their first five entries, so the sort
+    # never compares the numerators or the Fraction poles; sorting before
+    # any recipe exists leaves the garbage collector less to scan
+    rows.sort()
     recipes = []
-    for key in sorted(nums, key=order):
-        poly, k, ld_pow, le_pow, poles = key
-        if nums[key]:
-            pick, denom = picks[k]
-            recipes.append(ExactTermRecipe(
-                frac=Fraction(pick * nums[key], denom), zeta_pow=k,
-                lam_dest_pow=ld_pow, lam_eve_pow=le_pow, exp_k=k, poly_power=poly,
-                poles=pole_data[poles][1]))
+    for poly, ld_pow, le_pow, _ratios, k, num, poles in rows:
+        pick, denom = picks[k]
+        recipes.append(ExactTermRecipe(Fraction(pick * num, denom), k, ld_pow, le_pow,
+                                       k, poly, poles))
     return tuple(recipes)
 
 
@@ -193,14 +193,17 @@ def _ss_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
     def links():
         for k, (dest_denom, expanded) in enumerate(_integer_powers(slots, K), start=1):
             theta_top = M_E + k * top_mu + max(me_hat for _n, me_hat, _num in eve)
+            # per y power mu_hat of a k-link product, each group's integer
+            # factor, theta, lambda_E power and one shared poles tuple
+            by_mu = [[(eve_num * math.factorial(theta - 1) * k ** (theta_top - theta),
+                       theta, -(M_E + me_hat), (((n + 1, k), theta),))
+                      for n, me_hat, eve_num in eve
+                      for theta in (M_E + mu_hat + me_hat,)]
+                     for mu_hat in range(k * top_mu + 1)]
             terms = []
             for num, poly, mu_hat, m_hat in expanded:
-                for n, me_hat, eve_num in eve:
-                    theta = M_E + mu_hat + me_hat
-                    terms.append((num * eve_num * math.factorial(theta - 1)
-                                  * k ** (theta_top - theta),
-                                  poly, theta - m_hat, -(M_E + me_hat),
-                                  (((n + 1, k), theta),)))
+                for factor, theta, le_pow, poles in by_mu[mu_hat]:
+                    terms.append((num * factor, poly, theta - m_hat, le_pow, poles))
             yield dest_denom * eve_denom * k ** theta_top, terms
     return _select_over_links(K, links())
 
@@ -223,11 +226,19 @@ def _os_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
             mults = tuple(alpha if j == n else 0 for j in range(N))
             inner.append((frac, poly, alpha - m, -(M_E + me_hat)) + mults)
 
+    pole_tuples = {}  # multiplicity vector -> its one poles tuple
+
     def links():
         for denom, expanded in _integer_powers(inner, K):
-            yield denom, ((num, poly, ld_pow, le_pow,
-                           tuple(((j + 1, 1), mult) for j, mult in enumerate(mults) if mult))
-                          for num, poly, ld_pow, le_pow, *mults in expanded)
+            terms = []
+            for term in expanded:
+                mults = term[4:]
+                poles = pole_tuples.get(mults)
+                if poles is None:
+                    poles = pole_tuples[mults] = tuple(
+                        ((j + 1, 1), mult) for j, mult in enumerate(mults) if mult)
+                terms.append((term[0], term[1], term[2], term[3], poles))
+            yield denom, terms
     return _select_over_links(K, links())
 
 
@@ -270,7 +281,9 @@ def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
     build = _ss_recipes if scheme == "SS" else _os_recipes
     if unity_dropped:
         slots = tuple(s for s in _dest_slots(M_D) if s[2] == s[3])
-        recipes = tuple(replace(r, exp_k=0) for r in build(K, N, M_E, slots))
+        recipes = tuple(ExactTermRecipe(r.frac, r.zeta_pow, r.lam_dest_pow, r.lam_eve_pow,
+                                        0, r.poly_power, r.poles)
+                        for r in build(K, N, M_E, slots))
     else:
         recipes = tuple(sorted(build(K, N, M_E, _dest_slots(M_D)), key=attrgetter("exp_k")))
     terms = materialize_recipes(recipes, lam_d, lam_e, zeta)

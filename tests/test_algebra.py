@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,8 @@ from secrecy_lab.algebra import (
     partial_fractions,
 )
 from secrecy_lab.channel import SystemConfig
-from secrecy_lab.sop import _integer_powers, sop
+from secrecy_lab.sop import _integer_powers, build_cdf_term_sum, sop
+from secrecy_lab.specialfn import pairwise_sum
 
 
 class TestExpandPowerOfSum:
@@ -74,6 +76,23 @@ class TestExpandPowerOfSum:
             assert all(isinstance(t[0], int) for t in expanded)
             scaled_back = [(Fraction(t[0], denom_power),) + t[1:] for t in expanded]
             assert scaled_back == expand_power_of_sum(inner, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_negative_exponents_and_wide_vectors_match_every_product(self, seed):
+        # the expansion packs each exponent vector into one integer code;
+        # the k-fold product over every ordered pick of inner terms is the
+        # reference, term for term and in exponent-vector order
+        rng = random.Random(seed)
+        width = rng.randint(1, 5)
+        inner = [(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)),)
+                 + tuple(rng.randint(-4, 3) for _ in range(width))
+                 for _ in range(rng.randint(1, 4))]
+        for k, out in enumerate(expand_powers_of_sum(inner, 3), start=1):
+            merged = {}
+            for picks in itertools.product(inner, repeat=k):
+                exps = tuple(map(sum, zip(*(t[1:] for t in picks))))
+                merged[exps] = merged.get(exps, 0) + math.prod(t[0] for t in picks)
+            assert out == [(c,) + exps for exps, c in sorted(merged.items())]
 
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setattr(algebra, "EXPANSION_TERM_CAP", 100)
@@ -201,6 +220,60 @@ class TestTermSumAndRecipes:
         x = 2.0
         assert ts.eval(x) == pytest.approx(
             1.0 - 0.25 * math.exp(-x) / (x + 1.0), rel=1e-12)
+
+
+class TestSharedPoles:
+    # materialize_recipes computes each recipe pole tuple's floats once,
+    # keyed by the tuple's identity, and TermSum.eval takes each ln(x + b)
+    # once per call; neither may change a bit
+
+    @staticmethod
+    def _recipe(frac, poles):
+        return ExactTermRecipe(frac, 1, -1, 2, 1, 1, poles)
+
+    def test_equal_poles_in_distinct_tuples_materialize_like_shared_ones(self):
+        shared = ((Fraction(3, 2), 2), (Fraction(5, 3), 1))
+        twin = tuple((Fraction(r.numerator, r.denominator), m) for r, m in shared)
+        assert twin == shared and twin is not shared
+        args = (8.0, 2.0, 0.7)
+        one = materialize_recipes([self._recipe(Fraction(1, 3), shared),
+                                   self._recipe(Fraction(-2, 7), shared)], *args)
+        two = materialize_recipes([self._recipe(Fraction(1, 3), shared),
+                                   self._recipe(Fraction(-2, 7), twin)], *args)
+        assert one == two
+        assert one[0].poles is one[1].poles  # one float tuple per recipe tuple
+        assert one[0].poles == ((3 * 8.0 / (2 * 2.0), 2), (5 * 8.0 / (3 * 2.0), 1))
+
+    def test_fresh_tuples_from_a_generator_keep_their_own_poles(self):
+        # no recipe is freed during the call, so no identity is reused
+        terms = materialize_recipes(
+            (self._recipe(Fraction(1, n), ((Fraction(n, 7), 1),)) for n in range(1, 200)),
+            8.0, 2.0, 0.7)
+        assert [t.poles for t in terms] == [((n * 8.0 / (7 * 2.0), 1),) for n in range(1, 200)]
+
+    @pytest.mark.parametrize("frac", [Fraction(-3, 4), Fraction(-10 ** 400, 3)])
+    def test_negative_coefficient_gives_minus_one_and_log_of_its_magnitude(self, frac):
+        (term,) = materialize_recipes(
+            [ExactTermRecipe(frac, 0, 0, 0, 0, 0, ((Fraction(1), 1),))], 2.0, 3.0, 0.5)
+        assert term.sign == -1
+        assert term.log_coeff == math.log(-frac.numerator) - math.log(frac.denominator)
+
+    @pytest.mark.parametrize("x", [1.0, 2.0, 3.7, 41.5])
+    def test_eval_is_one_minus_the_pairwise_sum_of_each_term_bit_for_bit(self, x):
+        term_sum = build_cdf_term_sum(SystemConfig(
+            K=2, N=3, M_D=2, M_E=2, lambda_D=10.0, lambda_E=3.0, zeta=0.9,
+            R_th=1.0, scheme="OS", knowledge="KA"))
+        assert len({b for t in term_sum.terms for b, _m in t.poles}) > 1
+        values = [t.value_at(x) for t in term_sum.terms]
+        assert term_sum.eval(x).hex() == (1.0 - pairwise_sum(values)).hex()
+        # a shared log table gives each term the bits of the direct formula
+        for term, value in zip(term_sum.terms, values):
+            log_val = term.log_coeff - term.exp_rate * x
+            if term.poly_power:
+                log_val += term.poly_power * math.log(x)
+            for b, m in term.poles:
+                log_val -= m * math.log(x + b)
+            assert value.hex() == (term.sign * math.exp(log_val)).hex()
 
 
 class TestPrecisionLadder:

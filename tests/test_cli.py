@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -241,10 +242,10 @@ class TestThreads:
 _HEAVY = ("numpy", "scipy", "mpmath")
 
 
-def _heavy_modules_after(code: str) -> list[str]:
-    """The heavy libraries a fresh interpreter has loaded after running code."""
+def _heavy_modules_after(code: str, modules: tuple = _HEAVY) -> list[str]:
+    """The given modules a fresh interpreter has loaded after running code."""
     probe = (f"{code}\nimport sys\n"
-             f"print(','.join(m for m in {_HEAVY!r} if m in sys.modules))")
+             f"print(','.join(m for m in {modules!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], check=True, timeout=300,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
@@ -264,6 +265,12 @@ class TestImportHygiene:
     def test_importing_the_cli_loads_none(self):
         assert _heavy_modules_after("import secrecy_lab.cli") == []
 
+    def test_importing_the_cli_loads_no_logging_or_thread_pool(self):
+        # esr imports logging on its sub-floor-rate warning and mc_moments
+        # imports concurrent.futures for more than one thread
+        assert _heavy_modules_after("import secrecy_lab.cli",
+                                    ("logging", "concurrent.futures")) == []
+
     def test_closed_form_run_loads_none(self, tmp_path):
         config = _write_config(tmp_path / "sweep.json",
                                outputs=["sop_exact", "esr_exact", "esr_high_snr"])
@@ -280,6 +287,23 @@ class TestImportHygiene:
         (row,) = _rows(out)
         assert 0.0 < float(row["quad_sop"]) < 1.0
         assert 0.0 < float(row["mc_esr"])
+
+
+# sha256 of `run --threads 1` on perfbench/configs/closed_ladder.json (13
+# cold shapes up to K, N, M = 4), recorded before the speed changes that must
+# keep it. It pins bits, not correctness: three OS M >= 3 esr_exact cells
+# are off quadrature, and ROADMAP item 1 will move them and this pin.
+LADDER_CSV_SHA256 = "3875a45fbc328bf2371d26d59d114795524b90af2bddf6297f09cc4fde31fa21"
+
+
+def test_closed_ladder_csv_keeps_its_bits(tmp_path):
+    config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "perfbench", "configs", "closed_ladder.json")
+    out = tmp_path / "ladder.csv"
+    # a fresh process, so the pin covers the cold path the benchmark times
+    subprocess.run([sys.executable, "-c", _cli_run(config, out)], check=True,
+                   timeout=300, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LADDER_CSV_SHA256
 
 
 class TestSeedPrecedence:

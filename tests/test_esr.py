@@ -4,8 +4,10 @@ Golden and frozen constants were produced by independent quadrature (mpmath
 plus scipy cross-checks) before the closed forms were wired up.
 """
 
+import logging
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -25,6 +27,7 @@ from secrecy_lab.esr import (
     integrate_term,
 )
 from secrecy_lab.oracles import quad_esr
+from secrecy_lab.sop import build_cdf_term_sum
 
 # double quadrature of the defining rate integral at K=N=1, M_D=M_E=1,
 # lam_D=100, lam_E=1, zeta=1; equals (e^(1/lam)/ln2)(E1(1/lam) - e E1((1+lam)/lam))
@@ -122,6 +125,24 @@ class TestIntegrateTerm:
                 integrate_term(bad)
         fine = _unit_term(poly_power=0, exp_rate=1e-301, poles=((1.0, 1),))
         assert integrate_term(fine) == pytest.approx(LN_2, rel=1e-12)
+
+    def test_sub_floor_rate_warns_once_per_shape_per_rate(self, caplog):
+        # at lambda_D = 1e301 every exact term's rate k/lambda_D is below
+        # 1e-300; each distinct shape is integrated, and warns, once per
+        # rate call, and its warning names the rate it replaced
+        cfg = _cfg(K=2, N=2, M_D=1, M_E=1, lambda_D=1e301, lambda_E=10.0)
+        shapes = {(t.exp_rate, t.poly_power, t.poles)
+                  for t in build_cdf_term_sum(cfg).terms}
+        assert len({rate for rate, _p, _poles in shapes}) == 2
+        assert all(0.0 < rate < 1e-300 for rate, _p, _poles in shapes)
+        expected = Counter(f"{rate:.3e}" for rate, _p, _poles in shapes)
+        with caplog.at_level(logging.WARNING, logger="secrecy_lab.esr"):
+            for _ in range(2):
+                caplog.clear()
+                assert esr_exact(cfg).value > 0.0
+                assert Counter(f"{r.args[0]:.3e}" for r in caplog.records) == expected
+        assert all(r.levelno == logging.WARNING and "below the support floor" in r.getMessage()
+                   for r in caplog.records)
 
     def test_matches_quadrature_random_terms(self):
         rng = random.Random(99)
