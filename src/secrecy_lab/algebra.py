@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .specialfn import pairwise_sum
-
 EXPANSION_TERM_CAP = 10_000_000
 
 _MP_DPS_LADDER = (60, 120, 240, 480)
@@ -52,9 +50,10 @@ def expand_powers_of_sum(inner_terms: Sequence[tuple],
     expansion. Inside, each exponent vector is one integer code, so a
     product adds two integers instead of building a tuple; the merge order,
     and so every coefficient, is that of adding the vectors slot by slot.
-    Each list is sorted by exponent vector. Any multiplication
-    step of more than EXPANSION_TERM_CAP raw products raises CapacityError
-    before its power is yielded, never truncates.
+    Each list holds one term per exponent vector, in the order the merge
+    first meets the vector. Any multiplication step of more than
+    EXPANSION_TERM_CAP raw products raises CapacityError before its power
+    is yielded, never truncates.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -65,7 +64,7 @@ def expand_powers_of_sum(inner_terms: Sequence[tuple],
     # the code's digits are the slots, first slot most significant: slot i,
     # less its least inner exponent, is a digit of radix kappa * span_i + 1.
     # No digit of a power up to kappa overflows, so adding codes adds
-    # vectors and ordering codes orders vectors.
+    # vectors.
     lows = [min(t[i] for t in inner_terms) for i in range(1, width + 1)]
     radices = [kappa * (max(t[i] for t in inner_terms) - low) + 1
                for i, low in zip(range(1, width + 1), lows)]
@@ -87,18 +86,10 @@ def expand_powers_of_sum(inner_terms: Sequence[tuple],
                 nxt[key] = coeff if prev is None else prev + coeff
         acc = nxt
         offsets = [k * low for low in lows]  # power k's digits are shifted k times
-        # codes are unique keys, so the sort never compares two
-        # coefficients; no local keeps the yielded list, so the caller can free it
+        # no local keeps the yielded list, so the caller can free it
         yield [(coeff,) + tuple((code // w) % r + off
                                 for w, r, off in zip(weights, radices, offsets))
-               for code, coeff in sorted(acc.items())]
-
-
-def expand_power_of_sum(inner_terms: Sequence[tuple], kappa: int) -> list[tuple]:
-    """(sum of inner terms)^kappa, the last power expand_powers_of_sum yields."""
-    for out in expand_powers_of_sum(inner_terms, kappa):
-        pass
-    return out
+               for code, coeff in acc.items()]
 
 
 @lru_cache(maxsize=4096)
@@ -272,11 +263,13 @@ class TermSum:
 
         ln x and each distinct ln(x + b) are computed once per call, in one
         table the terms share; every term still sums its own logs in the
-        order of value_at, so each value keeps its bits.
+        order of value_at, so each value keeps its bits. math.fsum rounds
+        the sum of the values exactly, so the total depends on the values
+        alone, not on the order of the terms.
         """
         logs = _LogTable(x)
         values = [t.value_at(x, logs) for t in self.terms]
-        total = 1.0 - pairwise_sum(values)
+        total = 1.0 - math.fsum(values)
         if values:
             gross = math.fsum(map(abs, values)) + 1.0
             # an off-band CDF has lost its digits too: (L + k/lam_D) - (k/lam_D) x

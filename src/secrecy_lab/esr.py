@@ -38,7 +38,8 @@ call returns, and every rate keeps its bits in any call order.
 
 A rate below the 1e-300 support floor takes the rational branch with a
 warning through the standard logging module, which loads on that warning
-only.
+only. An exact or high-SNR term integral of 0.0, or one that overflows,
+raises ArithmeticError naming the term's shape.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from functools import lru_cache
 from .algebra import RationalExpTerm, TermSum, partial_fractions
 from .channel import SystemConfig
 from .sop import build_cdf_term_sum, build_high_snr_term_sum, gated_base
-from .specialfn import log_upper_incomplete_gamma_int, pairwise_sum
+from .specialfn import log_upper_incomplete_gamma_int
 
 _LN2 = math.log(2.0)
 _RATE_FLOOR = 1e-300
@@ -154,25 +155,43 @@ def _integrate_rational(p: int, poles: tuple, asymptotic: bool) -> float:
     return math.fsum(pieces)
 
 
-def _sum_integrated(term_sum: TermSum, integrator) -> float:
+def _sum_integrated(term_sum: TermSum, integrator, form: str) -> float:
     # a term's integral depends on its shape alone, not on its coefficient,
     # so each distinct shape is integrated once, and its ln|integral| and
     # sign are taken once. Term coefficients can be astronomically large
     # while their integrals are correspondingly tiny; combine per term in
-    # log space, then reduce with a fixed pairwise order.
-    integrals: dict[tuple, tuple] = {}  # shape -> (ln|integral|, sign), () for 0.0
+    # log space, then sum with exact rounding, so the rate depends on the
+    # contributions alone, not on the order of the terms.
+    integrals: dict[tuple, tuple] = {}  # shape -> (ln|integral|, sign)
     contributions = []
     for term in term_sum.terms:
         shape = (term.exp_rate, term.poly_power, term.poles)
         integral = integrals.get(shape)
         if integral is None:
-            value = integrator(term)
-            integral = integrals[shape] = (
-                (math.log(abs(value)), math.copysign(1.0, value)) if value != 0.0 else ())
-        if integral:
-            log_abs, sign = integral
-            contributions.append(term.sign * sign * math.exp(term.log_coeff + log_abs))
-    return pairwise_sum(contributions) / _LN2
+            integral = integrals[shape] = _log_integral(term, integrator, form)
+        log_abs, sign = integral
+        contributions.append(term.sign * sign * math.exp(term.log_coeff + log_abs))
+    return math.fsum(contributions) / _LN2
+
+
+def _log_integral(term: RationalExpTerm, integrator, form: str) -> tuple[float, float]:
+    """(ln|integral|, sign) of one term's integral, or an error naming its shape.
+
+    The exact and high-SNR integrands are positive, so an integral of 0.0
+    has underflowed and would drop a term whose coefficient may be huge.
+    The asymptotic one is affine in ln b and is 0.0 at a pole b = 1, a
+    true value that contributes nothing.
+    """
+    try:
+        value = integrator(term)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value) or (value == 0.0 and form != _FORM_ASYMPTOTIC):
+        raise ArithmeticError(
+            f"{form} rate: the integral of the term shape (exp_rate={term.exp_rate!r}, "
+            f"poly_power={term.poly_power}, poles={term.poles!r}) is {value!r}, "
+            "outside the double range")
+    return (math.log(abs(value)) if value else -math.inf, math.copysign(1.0, value))
 
 
 def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult:
@@ -183,7 +202,7 @@ def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult
         return EsrResult(value=cfg.zeta * base.value, form=form,
                          term_count=base.term_count)
     term_sum = build_term_sum(cfg)
-    value = _sum_integrated(term_sum, integrator)
+    value = _sum_integrated(term_sum, integrator, form)
     if value < 0.0 and form != _FORM_ASYMPTOTIC:
         # a rate is never negative, so the alternating terms cancelled past
         # double precision; the asymptote is affine in ln(lambda_D) and

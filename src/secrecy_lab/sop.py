@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import attrgetter
 from typing import Iterator
 
 from .algebra import (
@@ -135,10 +134,10 @@ def _select_over_links(K: int, links) -> tuple:
     written so that equal ratios of one k have equal pairs. Every recipe
     keeps e^(k(1-x)/lambda_D). Every key holds its k, so like terms merge as
     integers over that k's L, and each recipe forms one Fraction. The
-    recipes come ordered by x power, lambda_D power, lambda_E power, pole
-    ratios and k, sorted as precomputed tuples. Many keys share one poles
-    tuple, so each distinct tuple's sort ratios and Fraction poles are
-    computed once, and its recipes share that one Fraction tuple object
+    recipes come in the order their keys first appear; every sum over them
+    is exactly rounded, so no value depends on that order. Many keys share
+    one poles tuple, so each distinct tuple's Fraction poles are computed
+    once, and its recipes share that one Fraction tuple object
     (materialize_recipes computes its floats once per object).
     """
     nums: dict[tuple, int] = {}
@@ -150,25 +149,17 @@ def _select_over_links(K: int, links) -> tuple:
             key = (poly, k, ld_pow, le_pow, poles)
             nums[key] = nums.get(key, 0) + num
 
-    pole_data = {}  # poles -> (sort ratios, Fraction poles)
-    rows = []
+    fraction_poles = {}  # poles -> its one Fraction poles tuple
+    recipes = []
     for (poly, k, ld_pow, le_pow, poles), num in nums.items():
         if num:
-            data = pole_data.get(poles)
-            if data is None:
-                data = pole_data[poles] = (
-                    tuple((p / q, m) for (p, q), m in poles),
-                    tuple((Fraction(p, q), m) for (p, q), m in poles))
-            rows.append((poly, ld_pow, le_pow, data[0], k, num, data[1]))
-    # no two rows of one shape tie on their first five entries, so the sort
-    # never compares the numerators or the Fraction poles; sorting before
-    # any recipe exists leaves the garbage collector less to scan
-    rows.sort()
-    recipes = []
-    for poly, ld_pow, le_pow, _ratios, k, num, poles in rows:
-        pick, denom = picks[k]
-        recipes.append(ExactTermRecipe(Fraction(pick * num, denom), k, ld_pow, le_pow,
-                                       k, poly, poles))
+            frac_poles = fraction_poles.get(poles)
+            if frac_poles is None:
+                frac_poles = fraction_poles[poles] = tuple(
+                    (Fraction(p, q), m) for (p, q), m in poles)
+            pick, denom = picks[k]
+            recipes.append(ExactTermRecipe(Fraction(pick * num, denom), k, ld_pow, le_pow,
+                                           k, poly, frac_poles))
     return tuple(recipes)
 
 
@@ -271,8 +262,7 @@ def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
 
     A slot adds mu - m <= 0 to lam_dest_pow + lam_eve_pow, so the exact
     recipes where that sum is 0 are the products of the mu == m slots
-    alone: the unity-dropped form builds from those and drops the exp. The
-    exact form groups the builders' order by k (a stable sort).
+    alone: the unity-dropped form builds from those and drops the exp.
     """
     K, N, M_D, M_E, lam_d, lam_e, zeta, scheme = key
     scales = (lam_d, lam_e, zeta)
@@ -285,7 +275,7 @@ def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
                                         0, r.poly_power, r.poles)
                         for r in build(K, N, M_E, slots))
     else:
-        recipes = tuple(sorted(build(K, N, M_E, _dest_slots(M_D)), key=attrgetter("exp_k")))
+        recipes = build(K, N, M_E, _dest_slots(M_D))
     terms = materialize_recipes(recipes, lam_d, lam_e, zeta)
     return TermSum(terms=terms, recipes=recipes, scales=scales)
 

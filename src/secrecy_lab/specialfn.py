@@ -2,9 +2,8 @@
 
 Everything here is pure float math on scalars: the log of the upper
 incomplete gamma of integer order (including negative orders, which the tail
-kernels evaluate routinely), generalized exponential integrals with a series /
-continued-fraction regime split, and a deterministic pairwise sum for the
-alternating term series.
+kernels evaluate routinely) and generalized exponential integrals with a
+series / continued-fraction regime split.
 """
 
 from __future__ import annotations
@@ -106,16 +105,3 @@ def log_upper_incomplete_gamma_int(s: int, x: float) -> float:
         log_e = math.log(exp_integral(n + 1, x))
     return log_e - n * math.log(x)
 
-
-def pairwise_sum(values) -> float:
-    """Tree reduction with exactly rounded pairwise merges (math.fsum leaves).
-
-    Deterministic for a given input order and far more cancellation-resistant
-    than a running sum; used for every alternating-series materialization.
-    """
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        vals = [math.fsum(vals[i : i + 2]) for i in range(0, len(vals), 2)]
-    return vals[0]

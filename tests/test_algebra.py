@@ -11,20 +11,31 @@ from secrecy_lab.algebra import (
     ExactTermRecipe,
     RationalExpTerm,
     TermSum,
-    expand_power_of_sum,
     expand_powers_of_sum,
     materialize_recipes,
     partial_fractions,
 )
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.sop import _integer_powers, build_cdf_term_sum, sop
-from secrecy_lab.specialfn import pairwise_sum
+
+
+def _power(inner, kappa):
+    """(sum of inner terms)^kappa, the last power expand_powers_of_sum yields."""
+    *_, last = expand_powers_of_sum(inner, kappa)
+    return last
+
+
+def _as_mapping(expanded):
+    """{exponent vector: coefficient}; the expansion never repeats a vector."""
+    mapping = {t[1:]: t[0] for t in expanded}
+    assert len(mapping) == len(expanded)
+    return mapping
 
 
 class TestExpandPowerOfSum:
     def test_single_term_is_raised_componentwise(self):
         term = (2.0, 1, 3)
-        out = expand_power_of_sum([term], kappa=4)
+        out = _power([term], kappa=4)
         assert len(out) == 1
         coeff, xp, yp = out[0]
         assert xp == 4 and yp == 12
@@ -33,8 +44,7 @@ class TestExpandPowerOfSum:
     def test_binomial_square(self):
         one = (1.0, 0, 0)
         y = (1.0, 0, 1)
-        out = expand_power_of_sum([one, y], kappa=2)
-        got = {t[1:]: t[0] for t in out}
+        got = _as_mapping(_power([one, y], kappa=2))
         assert got == {(0, 0): pytest.approx(1.0), (0, 1): pytest.approx(2.0),
                        (0, 2): pytest.approx(1.0)}
 
@@ -43,7 +53,7 @@ class TestExpandPowerOfSum:
         for _ in range(6):
             inner = [(rng.uniform(-2.0, 2.0), rng.randint(0, 2),
                       rng.randint(0, 2)) for _ in range(3)]
-            out = expand_power_of_sum(inner, kappa=3)
+            out = _power(inner, kappa=3)
             for _ in range(20):
                 x, y = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
                 direct = sum(c * x ** i * y ** j for c, i, j in inner) ** 3
@@ -52,8 +62,7 @@ class TestExpandPowerOfSum:
 
     def test_works_on_exact_fractions(self):
         inner = [(Fraction(1, 2), 1, 0), (Fraction(-1, 3), 0, 1)]
-        out = expand_power_of_sum(inner, kappa=2)
-        got = {t[1:]: t[0] for t in out}
+        got = _as_mapping(_power(inner, kappa=2))
         assert got[(2, 0)] == Fraction(1, 4)
         assert got[(1, 1)] == Fraction(-1, 3)
         assert got[(0, 2)] == Fraction(1, 9)
@@ -72,16 +81,17 @@ class TestExpandPowerOfSum:
         # expansion of that power exactly
         powers = list(_integer_powers(inner, kappa))
         assert len(powers) == kappa
-        for k, (denom_power, expanded) in enumerate(powers, start=1):
+        for (denom_power, expanded), reference in zip(powers,
+                                                      expand_powers_of_sum(inner, kappa)):
             assert all(isinstance(t[0], int) for t in expanded)
             scaled_back = [(Fraction(t[0], denom_power),) + t[1:] for t in expanded]
-            assert scaled_back == expand_power_of_sum(inner, k)
+            assert _as_mapping(scaled_back) == _as_mapping(reference)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_negative_exponents_and_wide_vectors_match_every_product(self, seed):
         # the expansion packs each exponent vector into one integer code;
         # the k-fold product over every ordered pick of inner terms is the
-        # reference, term for term and in exponent-vector order
+        # reference, term for term
         rng = random.Random(seed)
         width = rng.randint(1, 5)
         inner = [(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)),)
@@ -92,13 +102,13 @@ class TestExpandPowerOfSum:
             for picks in itertools.product(inner, repeat=k):
                 exps = tuple(map(sum, zip(*(t[1:] for t in picks))))
                 merged[exps] = merged.get(exps, 0) + math.prod(t[0] for t in picks)
-            assert out == [(c,) + exps for exps, c in sorted(merged.items())]
+            assert _as_mapping(out) == merged
 
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setattr(algebra, "EXPANSION_TERM_CAP", 100)
         inner = [(Fraction(1), i, 0) for i in range(10)]
         with pytest.raises(CapacityError):
-            expand_power_of_sum(inner, kappa=5)
+            _power(inner, kappa=5)
 
     def test_ascending_powers_hit_the_cap_at_the_same_power(self, monkeypatch):
         # power k multiplies a power of 9k - 8 terms by 10 inner terms, so a
@@ -106,9 +116,9 @@ class TestExpandPowerOfSum:
         monkeypatch.setattr(algebra, "EXPANSION_TERM_CAP", 100)
         inner = [(Fraction(1), i, 0) for i in range(10)]
         for k in (1, 2):
-            assert len(expand_power_of_sum(inner, k)) == 9 * k + 1
+            assert len(_power(inner, k)) == 9 * k + 1
         with pytest.raises(CapacityError):
-            expand_power_of_sum(inner, 3)
+            _power(inner, 3)
         powers = expand_powers_of_sum(inner, 4)
         assert [len(next(powers)) for _ in range(2)] == [10, 19]
         with pytest.raises(CapacityError, match="190 raw terms"):
@@ -259,13 +269,13 @@ class TestSharedPoles:
         assert term.log_coeff == math.log(-frac.numerator) - math.log(frac.denominator)
 
     @pytest.mark.parametrize("x", [1.0, 2.0, 3.7, 41.5])
-    def test_eval_is_one_minus_the_pairwise_sum_of_each_term_bit_for_bit(self, x):
+    def test_eval_is_one_minus_the_exact_sum_of_each_term_bit_for_bit(self, x):
         term_sum = build_cdf_term_sum(SystemConfig(
             K=2, N=3, M_D=2, M_E=2, lambda_D=10.0, lambda_E=3.0, zeta=0.9,
             R_th=1.0, scheme="OS", knowledge="KA"))
         assert len({b for t in term_sum.terms for b, _m in t.poles}) > 1
         values = [t.value_at(x) for t in term_sum.terms]
-        assert term_sum.eval(x).hex() == (1.0 - pairwise_sum(values)).hex()
+        assert term_sum.eval(x).hex() == (1.0 - math.fsum(values)).hex()
         # a shared log table gives each term the bits of the direct formula
         for term, value in zip(term_sum.terms, values):
             log_val = term.log_coeff - term.exp_rate * x

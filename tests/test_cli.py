@@ -210,6 +210,22 @@ def test_an_impossible_exact_rate_is_a_numeric_error_naming_the_row(tmp_path, ca
     assert not out.exists()
 
 
+def test_an_underflowed_term_integral_is_a_numeric_error_naming_the_row(tmp_path, capsys):
+    # at 2000 dB the one exact term's integral underflows to 0.0; the rate
+    # read 0.0 without a word
+    config = _write_config(
+        tmp_path / "sweep.json", axis_values=[2000], variants=[], outputs=["esr_exact"],
+        base={"K": 1, "N": 1, "M_D": 1, "M_E": 2, "lambda_E_dB": 10.0, "zeta": 1.0,
+              "R_th": 1.0, "scheme": "SS", "knowledge": "KA"})
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: row v0 (SS/KA K=1 N=1 M_D=1 M_E=2 zeta=1 "), err
+    assert "exact rate: the integral of the term shape" in err
+    assert "is 0.0, outside the double range" in err
+    assert not out.exists()
+
+
 def test_a_destination_far_below_the_eavesdroppers_is_a_certain_outage(tmp_path):
     # -200 dB at R_th = 0: the float term sum leaves the band, the exact one
     # does not
@@ -290,10 +306,12 @@ class TestImportHygiene:
 
 
 # sha256 of `run --threads 1` on perfbench/configs/closed_ladder.json (13
-# cold shapes up to K, N, M = 4), recorded before the speed changes that must
-# keep it. It pins bits, not correctness: three OS M >= 3 esr_exact cells
-# are off quadrature, and ROADMAP item 1 will move them and this pin.
-LADDER_CSV_SHA256 = "3875a45fbc328bf2371d26d59d114795524b90af2bddf6297f09cc4fde31fa21"
+# cold shapes up to K, N, M = 4), re-derived once when the closed-form sums
+# came to be exactly rounded by math.fsum (from the earlier code's term
+# values, summed that way). It pins bits, not correctness: three OS M >= 3
+# esr_exact cells are off quadrature, and ROADMAP item 1 will move them and
+# this pin.
+LADDER_CSV_SHA256 = "208e2d5a7717221fce421045eedbd416c2b2560a2fb29121a730e5b1a96fc46e"
 
 
 def test_closed_ladder_csv_keeps_its_bits(tmp_path):

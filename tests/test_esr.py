@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from secrecy_lab import esr as esr_module
-from secrecy_lab.algebra import RationalExpTerm, partial_fractions
+from secrecy_lab.algebra import RationalExpTerm, TermSum, partial_fractions
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.esr import (
     DivergenceError,
@@ -38,26 +38,28 @@ E2_GAMMA_0_2P2 = 0.27480739805974807  # e^2 * Gamma(0, 2.2)
 LN_2 = 0.69314718055994531
 
 # float.hex of (esr_exact, esr_high_snr, esr_asymptotic) at zeta = 0.9,
-# recorded before the kernels and partial-fraction rows were memoized; keys
+# recorded before the kernels and partial-fraction rows were memoized, and
+# re-derived once when the rate's term contributions came to be summed by
+# math.fsum (from the earlier code's contributions, summed that way); keys
 # (K, N, M_D, M_E), lambda_D, lambda_E, scheme, knowledge. The last two rows
 # are closed_ladder's OS (2, 3, 3, 3) row, off quadrature by 3.5e-3 (ROADMAP
 # item 2): these pin bits, not correctness.
 LADDER_LAMBDA_E = 10.0 ** 0.5
 PINNED_RATE_HEXES = {
     ((2, 2, 2, 2), 10.0, 2.0, "SS", "KA"): (
-        "0x1.fa3dada2423b7p+0", "0x1.1ade76525111fp+1", "0x1.178130d93a419p+1"),
+        "0x1.fa3dada2423b5p+0", "0x1.1ade76525111dp+1", "0x1.178130d93a418p+1"),
     ((2, 2, 2, 2), 10.0, 2.0, "SS", "KU"): (
-        "0x1.e1ba7ab00dab6p+0", "0x1.0cb2eb4b5550cp+1", "0x1.0b7c72220acb2p+1"),
+        "0x1.e1ba7ab00dab2p+0", "0x1.0cb2eb4b5550dp+1", "0x1.0b7c72220acb2p+1"),
     ((2, 2, 2, 2), 10.0, 2.0, "OS", "KA"): (
-        "0x1.0790fd8b3cafdp+1", "0x1.29db6f41c8eebp+1", "0x1.26f9c8564f1cdp+1"),
+        "0x1.0790fd8b3cafep+1", "0x1.29db6f41c8eeap+1", "0x1.26f9c8564f1cdp+1"),
     ((2, 2, 2, 2), 10.0, 2.0, "OS", "KU"): (
-        "0x1.f8f109a2f59b2p+0", "0x1.1d5a38c72fd46p+1", "0x1.1cad1a7421f77p+1"),
+        "0x1.f8f109a2f59afp+0", "0x1.1d5a38c72fd45p+1", "0x1.1cad1a7421f77p+1"),
     ((3, 2, 2, 3), 100.0, LADDER_LAMBDA_E, "SS", "KA"): (
         "0x1.1cf3eb8652692p+2", "0x1.2526e2d942ab0p+2", "0x1.2523f2b6b6223p+2"),
     ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KA"): (
-        "0x1.24abe3c4e9fbbp+2", "0x1.29e8d506381d9p+2", "0x1.29e4108f8ec09p+2"),
+        "0x1.24abe3c4e9fbdp+2", "0x1.29e8d506381dbp+2", "0x1.29e4108f8ec0cp+2"),
     ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KU"): (
-        "0x1.101f32da13f72p+2", "0x1.1497767a18256p+2", "0x1.14932d6b18c89p+2"),
+        "0x1.101f32da13f72p+2", "0x1.1497767a18258p+2", "0x1.14932d6b18c8cp+2"),
 }
 
 # SS esr_asymptotic at lambda_D = 1e4, lambda_E = 2, recorded with a direct
@@ -426,10 +428,22 @@ class TestShapeMemo:
         assert len(calls) == 406
         assert len({(t.exp_rate, t.poly_power, t.poles) for t in calls}) == 406
 
-    def test_zero_integral_is_a_cached_value(self, monkeypatch):
+    def test_zero_integral_raises_naming_its_shape(self, monkeypatch):
+        # every exact integrand is positive, so 0.0 is an underflow
         calls = self._count_calls(monkeypatch, lambda term: 0.0)
-        assert esr_exact(self.CFG).value == 0.0
-        assert len(calls) == 406
+        with pytest.raises(ArithmeticError, match="exact rate: the integral of the term shape "
+                           r"\(exp_rate=.*, poly_power=\d+, poles=.*\) is 0\.0, outside"):
+            esr_exact(self.CFG)
+        assert len(calls) == 1
+
+    def test_overflow_raises_the_same_named_error(self, monkeypatch):
+        def overflows(term):
+            raise OverflowError(34, "Numerical result out of range")
+        monkeypatch.setattr(esr_module, "integrate_term", overflows)
+        with pytest.raises(ArithmeticError, match="high_snr rate: the integral of the term "
+                           "shape .* is inf, outside the double range") as info:
+            esr_high_snr(self.CFG)
+        assert type(info.value) is ArithmeticError
 
     def test_divergence_still_propagates(self, monkeypatch):
         def diverges(term):
@@ -437,3 +451,49 @@ class TestShapeMemo:
         monkeypatch.setattr(esr_module, "integrate_term", diverges)
         with pytest.raises(DivergenceError):
             esr_exact(self.CFG)
+
+
+class TestIntegralsOutsideTheDoubleRange:
+    # SS/KA K = N = 1, M_E = 2, lambda_E = 10, zeta = 1, far above the usual
+    # destination SNRs: a term integral of about ln(b)/b^2 at the pole b =
+    # lambda_D/lambda_E underflows past lambda_D ~ 1e160, and at 1e301 one
+    # more shape's rational branch overflows
+    @staticmethod
+    def _cfg(M_D, lambda_D):
+        return _cfg(K=1, N=1, M_D=M_D, M_E=2, lambda_D=lambda_D, lambda_E=10.0, zeta=1.0)
+
+    def test_still_finite_below_the_underflow(self):
+        assert esr_exact(self._cfg(2, 1e150)).value == pytest.approx(494.84, rel=1e-4)
+
+    @pytest.mark.parametrize("M_D, lambda_D", [(1, 1e200), (2, 1e200), (2, 1e301)])
+    def test_raises_naming_the_shape(self, M_D, lambda_D):
+        # these read 0.0, 0.1152 and a bare OverflowError before
+        with pytest.raises(ArithmeticError, match="exact rate: the integral of the term "
+                           "shape .* outside the double range") as info:
+            esr_exact(self._cfg(M_D, lambda_D))
+        assert type(info.value) is ArithmeticError
+
+    def test_asymptotic_zero_integral_is_a_value(self):
+        # the asymptote is affine in ln b; at a pole b = 1 its integral is 0.0
+        cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=2.0, lambda_E=2.0, zeta=1.0)
+        assert esr_asymptotic(cfg).value == 0.0
+
+
+class TestOrderFree:
+    # every closed-form series is summed by math.fsum, so a value depends
+    # only on the multiset of its term values: reversing a term sum's terms
+    # and recipes keeps every bit of its CDF and its rate (a pairwise sum
+    # moved the last bits of both, on both configs)
+    SS_CFG = _cfg(K=3, N=3, M_D=2, M_E=2, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
+                  zeta=0.9)
+
+    @pytest.mark.parametrize("cfg", [TestShapeMemo.CFG, SS_CFG], ids=["OS", "SS"])
+    def test_reversed_terms_keep_every_bit(self, cfg, monkeypatch):
+        term_sum = build_cdf_term_sum(cfg)
+        reversed_sum = TermSum(terms=term_sum.terms[::-1], recipes=term_sum.recipes[::-1],
+                               scales=term_sum.scales)
+        for x in (1.0, 2.0, 3.7):
+            assert reversed_sum.eval(x).hex() == term_sum.eval(x).hex()
+        rate = esr_exact(cfg).value
+        monkeypatch.setattr(esr_module, "build_cdf_term_sum", lambda cfg: reversed_sum)
+        assert esr_exact(cfg).value.hex() == rate.hex()

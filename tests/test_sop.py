@@ -8,6 +8,7 @@ protocol.
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -27,27 +28,29 @@ from secrecy_lab.sop import (
 # quad_cdf_ratio(x=2) at K=2, N=2, M_D=M_E=2, lam_D=10, lam_E=1, zeta=1, SS/KA
 GOLDEN_RATIO_CDF = 0.030717715588085443
 
-# sha256 of repr((exact recipes, unity-dropped recipes)) at zeta = 0.9,
-# recorded with separate exact and unity-dropped builders per scheme. KU
-# reads these KA recipes through F_KU = 1 - zeta + zeta * F_on, so its cells
-# check that the builders reject a KU config.
+# sha256 of repr((sorted reprs of the exact recipes, sorted reprs of the
+# unity-dropped recipes)) at zeta = 0.9: a digest of the two recipe
+# multisets, whatever order the builders emit them in. Recorded from the
+# builders that still sorted their recipes. KU reads these KA recipes through
+# F_KU = 1 - zeta + zeta * F_on, so its cells check that the builders reject
+# a KU config.
 RECIPE_DIGESTS = {
     ((2, 2, 2, 2), "SS", "KA"):
-        "135da12b1a9d5faea3faa03419232c16f3dcde21ccc15c2c81fb44d87b459350",
+        "4c53bd6b205dfa22a1f1ce912ef56a2010c28ce694b2875c07cc5cf6b8b3da1b",
     ((2, 2, 2, 2), "OS", "KA"):
-        "ebabc599500666ffc72e305f054246e5e125e9e2bebd7b41e6c6511b72b2b8dc",
+        "c7362cb6852e612de0176910402d186294cf16600666f215003b1c52a40b9a9d",
     ((3, 3, 3, 3), "SS", "KA"):
-        "a34f699e1495e44ca2b58e2e64078ff4a8cff862d69174a933335eb4643bba4c",
+        "48b9f87cbb941119f2dc37a29b5daad111596b6b947f583e2a2ebedf398dc0ae",
     ((3, 3, 3, 3), "OS", "KA"):
-        "d9fca7a63bad7ee9fe959e6e566f6643696315d80a5f45f270797ac586bd3c51",
+        "7b98356370f35c93ecdfa264e968df2d9b6582497d28dbd350bdc7d6dec02c75",
     ((4, 2, 3, 2), "SS", "KA"):
-        "93a0d35e0df3901574dddfba9264d56cc8cf34663b90b3bd6e51e933ac322047",
+        "885bc1cb9ebf9feeff15ab6f05ca3b11653954930f7ed1fc00d374045963a863",
     ((4, 2, 3, 2), "OS", "KA"):
-        "757f1fdf71dbabb21bbfe7b454984a5514d3edf1393bafee15ce62a058133c67",
+        "415e33976edb089aed6c287e865d60a5f885def6cddae41e8d115fdbe3a94e50",
     ((4, 3, 3, 3), "SS", "KA"):
-        "8f12b0bff68989f32535a1df24c5ceedb9a0d890a284c4916011a8dc039297a5",
+        "52ef03c682954b41a095034c24b208a45c063de700c107a2553d4b715053fadc",
     ((4, 3, 3, 3), "OS", "KA"):
-        "8cde8f86e30e22107a73ab5f3f202e3a78b493125d81b30a870463f864960c9b",
+        "93a5331684d5ee4e7151d9fd2b52f8ebe33c9651d3803d4cac77642539aac5ce",
 }
 
 RECIPE_CELLS = sorted(set(RECIPE_DIGESTS)
@@ -55,7 +58,9 @@ RECIPE_CELLS = sorted(set(RECIPE_DIGESTS)
 
 # float.hex of (sop, cdf_ratio(3.0), esr_exact) and sop's term_count on KU
 # rows at lambda_E = 3, recorded while KU still had zeta-folded term sums of
-# its own; keys (K, N, M_D, M_E), scheme, zeta, lambda_D. Values are
+# its own, and re-derived once when the closed-form sums came to be exactly
+# rounded by math.fsum (from the earlier code's term values, summed that
+# way); keys (K, N, M_D, M_E), scheme, zeta, lambda_D. Values are
 # (sop hex, term_count, cdf_ratio hex, esr_exact hex).
 KU_PINNED_HEXES = {
     ((2, 2, 2, 2), "SS", 0.0, 1.0): (
@@ -65,23 +70,23 @@ KU_PINNED_HEXES = {
     ((2, 2, 2, 2), "SS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((2, 2, 2, 2), "SS", 0.5, 1.0): (
-        "0x1.fe639c672b582p-1", 42, "0x1.ffcc6b41cc3b8p-1", "0x1.136f10f420727p-6"),
+        "0x1.fe639c672b582p-1", 42, "0x1.ffcc6b41cc3b8p-1", "0x1.136f10f420724p-6"),
     ((2, 2, 2, 2), "SS", 0.5, 100.0): (
-        "0x1.0021c4fcb475ep-1", 42, "0x1.008ed0388da49p-1", "0x1.3669b10d3174cp+1"),
+        "0x1.0021c4fcb4760p-1", 42, "0x1.008ed0388da48p-1", "0x1.3669b10d3174dp+1"),
     ((2, 2, 2, 2), "SS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 42, "0x1.0000000000000p-1", "0x1.221769449d61ap+3"),
+        "0x1.0000000000000p-1", 42, "0x1.0000000000000p-1", "0x1.221769449d61cp+3"),
     ((2, 2, 2, 2), "SS", 0.9, 1.0): (
-        "0x1.fd19b3201ad1cp-1", 42, "0x1.ffa327766f9e4p-1", "0x1.efc7eb5107346p-6"),
+        "0x1.fd19b3201ad1cp-1", 42, "0x1.ffa327766f9e4p-1", "0x1.efc7eb5107341p-6"),
     ((2, 2, 2, 2), "SS", 0.9, 100.0): (
-        "0x1.9b7fe16a26a0ep-4", 42, "0x1.a1a21cc7f7a80p-4", "0x1.175f1f58ac82bp+2"),
+        "0x1.9b7fe16a26a2ap-4", 42, "0x1.a1a21cc7f7a6ap-4", "0x1.175f1f58ac82cp+2"),
     ((2, 2, 2, 2), "SS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 42, "0x1.9999999999998p-4", "0x1.051511f0f40b1p+4"),
+        "0x1.9999999999998p-4", 42, "0x1.9999999999998p-4", "0x1.051511f0f40b3p+4"),
     ((2, 2, 2, 2), "SS", 1.0, 1.0): (
-        "0x1.fcc738ce56b03p-1", 42, "0x1.ff98d6839876fp-1", "0x1.136f10f420727p-5"),
+        "0x1.fcc738ce56b03p-1", 42, "0x1.ff98d6839876fp-1", "0x1.136f10f420724p-5"),
     ((2, 2, 2, 2), "SS", 1.0, 100.0): (
-        "0x1.0e27e5a3aec00p-11", 42, "0x1.1da0711b49200p-9", "0x1.3669b10d3174cp+2"),
+        "0x1.0e27e5a3afc00p-11", 42, "0x1.1da0711b48f00p-9", "0x1.3669b10d3174dp+2"),
     ((2, 2, 2, 2), "SS", 1.0, 1e6): (
-        "0x1.8669aeb982f10p-64", 42, "0x1.018ad10feb8d8p-61", "0x1.221769449d61ap+4"),
+        "0x1.8669aeb982f10p-64", 42, "0x1.018ad10feb8d8p-61", "0x1.221769449d61cp+4"),
     ((2, 2, 2, 2), "OS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((2, 2, 2, 2), "OS", 0.0, 100.0): (
@@ -89,23 +94,23 @@ KU_PINNED_HEXES = {
     ((2, 2, 2, 2), "OS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((2, 2, 2, 2), "OS", 0.5, 1.0): (
-        "0x1.fe4d87deff984p-1", 78, "0x1.ffcb43745abd6p-1", "0x1.2f6c09fc54bfap-6"),
+        "0x1.fe4d87deff984p-1", 78, "0x1.ffcb43745abd6p-1", "0x1.2f6c09fc54bf7p-6"),
     ((2, 2, 2, 2), "OS", 0.5, 100.0): (
-        "0x1.0011280472c0dp-1", 78, "0x1.004dd4c791c8cp-1", "0x1.3d9e6c4f03ab7p+1"),
+        "0x1.0011280472c0fp-1", 78, "0x1.004dd4c791c88p-1", "0x1.3d9e6c4f03ab8p+1"),
     ((2, 2, 2, 2), "OS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 78, "0x1.0000000000000p-1", "0x1.23e1d96a008b9p+3"),
+        "0x1.0000000000000p-1", 78, "0x1.0000000000000p-1", "0x1.23e1d96a008bbp+3"),
     ((2, 2, 2, 2), "OS", 0.9, 1.0): (
-        "0x1.fcf1f49165abbp-1", 78, "0x1.ffa11304a354fp-1", "0x1.11146f631912ep-5"),
+        "0x1.fcf1f49165abbp-1", 78, "0x1.ffa11304a354fp-1", "0x1.11146f631912bp-5"),
     ((2, 2, 2, 2), "OS", 0.9, 100.0): (
-        "0x1.9a90a6a674720p-4", 78, "0x1.9dfa5e6d0017fp-4", "0x1.1ddb617a501a5p+2"),
+        "0x1.9a90a6a67473dp-4", 78, "0x1.9dfa5e6d00146p-4", "0x1.1ddb617a501a6p+2"),
     ((2, 2, 2, 2), "OS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 78, "0x1.9999999999998p-4", "0x1.06b1aa129a173p+4"),
+        "0x1.9999999999998p-4", 78, "0x1.9999999999998p-4", "0x1.06b1aa129a175p+4"),
     ((2, 2, 2, 2), "OS", 1.0, 1.0): (
-        "0x1.fc9b0fbdff309p-1", 78, "0x1.ff9686e8b57adp-1", "0x1.2f6c09fc54bfap-5"),
+        "0x1.fc9b0fbdff309p-1", 78, "0x1.ff9686e8b57adp-1", "0x1.2f6c09fc54bf7p-5"),
     ((2, 2, 2, 2), "OS", 1.0, 100.0): (
-        "0x1.1280472c0d000p-12", 78, "0x1.37531e4723200p-10", "0x1.3d9e6c4f03ab7p+2"),
+        "0x1.1280472c0f000p-12", 78, "0x1.37531e4722200p-10", "0x1.3d9e6c4f03ab8p+2"),
     ((2, 2, 2, 2), "OS", 1.0, 1e6): (
-        "0x1.5df94ea7517f2p-65", 78, "0x1.d6711bf1226eap-63", "0x1.23e1d96a008b9p+4"),
+        "0x1.5df94ea7517f2p-65", 78, "0x1.d6711bf1226eap-63", "0x1.23e1d96a008bbp+4"),
     ((3, 2, 2, 3), "SS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "SS", 0.0, 100.0): (
@@ -115,21 +120,21 @@ KU_PINNED_HEXES = {
     ((3, 2, 2, 3), "SS", 0.5, 1.0): (
         "0x1.ffd492e2fad66p-1", 136, "0x1.fffd40106d0d2p-1", "0x1.d27a69fa19afap-9"),
     ((3, 2, 2, 3), "SS", 0.5, 100.0): (
-        "0x1.000611d0a9ce4p-1", 136, "0x1.002d6295527aep-1", "0x1.27968fd1557b9p+1"),
+        "0x1.000611d0a9ce8p-1", 136, "0x1.002d6295527aep-1", "0x1.27968fd1557bbp+1"),
     ((3, 2, 2, 3), "SS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 136, "0x1.0000000000000p-1", "0x1.1e693010e01d5p+3"),
+        "0x1.0000000000000p-1", 136, "0x1.0000000000000p-1", "0x1.1e693010e01d3p+3"),
     ((3, 2, 2, 3), "SS", 0.9, 1.0): (
         "0x1.ffb1d53229e84p-1", 136, "0x1.fffb0cea5de46p-1", "0x1.a3d492944a514p-8"),
     ((3, 2, 2, 3), "SS", 0.9, 100.0): (
-        "0x1.99f100898d331p-4", 136, "0x1.9c2725330a1c8p-4", "0x1.0a07816f99bc0p+2"),
+        "0x1.99f100898d36ap-4", 136, "0x1.9c2725330a1c8p-4", "0x1.0a07816f99bc2p+2"),
     ((3, 2, 2, 3), "SS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 136, "0x1.9999999999998p-4", "0x1.01c511a8c9b40p+4"),
+        "0x1.9999999999998p-4", 136, "0x1.9999999999998p-4", "0x1.01c511a8c9b3ep+4"),
     ((3, 2, 2, 3), "SS", 1.0, 1.0): (
         "0x1.ffa925c5f5accp-1", 136, "0x1.fffa8020da1a3p-1", "0x1.d27a69fa19afap-8"),
     ((3, 2, 2, 3), "SS", 1.0, 100.0): (
-        "0x1.84742a738e000p-14", 136, "0x1.6b14aa93d7000p-11", "0x1.27968fd1557b9p+2"),
+        "0x1.84742a739e000p-14", 136, "0x1.6b14aa93d7000p-11", "0x1.27968fd1557bbp+2"),
     ((3, 2, 2, 3), "SS", 1.0, 1e6): (
-        "0x1.459be07007641p-92", 136, "0x1.e2ad46cf0a78ap-89", "0x1.1e693010e01d5p+4"),
+        "0x1.459be07007641p-92", 136, "0x1.e2ad46cf0a78ap-89", "0x1.1e693010e01d3p+4"),
     ((3, 2, 2, 3), "OS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "OS", 0.0, 100.0): (
@@ -137,23 +142,23 @@ KU_PINNED_HEXES = {
     ((3, 2, 2, 3), "OS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "OS", 0.5, 1.0): (
-        "0x1.ffd2df758e00ap-1", 507, "0x1.fffd35a0949f2p-1", "0x1.ff06d09df2e52p-9"),
+        "0x1.ffd2df758e00ap-1", 507, "0x1.fffd35a0949f2p-1", "0x1.ff06d09df2e4dp-9"),
     ((3, 2, 2, 3), "OS", 0.5, 100.0): (
-        "0x1.00019083186fdp-1", 507, "0x1.000ddee69e926p-1", "0x1.3050b4b314352p+1"),
+        "0x1.0001908318702p-1", 507, "0x1.000ddee69e91ep-1", "0x1.3050b4b314359p+1"),
     ((3, 2, 2, 3), "OS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 507, "0x1.0000000000000p-1", "0x1.2095250f1a42cp+3"),
+        "0x1.0000000000000p-1", 507, "0x1.0000000000000p-1", "0x1.2095250f1a432p+3"),
     ((3, 2, 2, 3), "OS", 0.9, 1.0): (
-        "0x1.ffaec56d32ce0p-1", 507, "0x1.fffafa210b84ep-1", "0x1.cbec888e2767dp-8"),
+        "0x1.ffaec56d32ce0p-1", 507, "0x1.fffafa210b84ep-1", "0x1.cbec888e27679p-8"),
     ((3, 2, 2, 3), "OS", 0.9, 100.0): (
-        "0x1.99b020f95fe3ap-4", 507, "0x1.9a61569285088p-4", "0x1.11e23c3ac5630p+2"),
+        "0x1.99b020f95fe89p-4", 507, "0x1.9a61569285015p-4", "0x1.11e23c3ac5637p+2"),
     ((3, 2, 2, 3), "OS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 507, "0x1.9999999999998p-4", "0x1.03b96e27313c1p+4"),
+        "0x1.9999999999998p-4", 507, "0x1.9999999999998p-4", "0x1.03b96e27313c7p+4"),
     ((3, 2, 2, 3), "OS", 1.0, 1.0): (
-        "0x1.ffa5beeb1c015p-1", 507, "0x1.fffa6b41293e5p-1", "0x1.ff06d09df2e52p-8"),
+        "0x1.ffa5beeb1c015p-1", 507, "0x1.fffa6b41293e5p-1", "0x1.ff06d09df2e4dp-8"),
     ((3, 2, 2, 3), "OS", 1.0, 100.0): (
-        "0x1.9083186fd0000p-16", 507, "0x1.bbdcd3d24c000p-13", "0x1.3050b4b314352p+2"),
+        "0x1.9083187028000p-16", 507, "0x1.bbdcd3d23c000p-13", "0x1.3050b4b314359p+2"),
     ((3, 2, 2, 3), "OS", 1.0, 1e6): (
-        "0x1.d23ff98635a4ep-95", 507, "0x1.636bfa26ecde6p-91", "0x1.2095250f1a42cp+4"),
+        "0x1.d23ff98635a4ep-95", 507, "0x1.636bfa26ecde6p-91", "0x1.2095250f1a432p+4"),
 }
 
 
@@ -219,6 +224,12 @@ class TestRatioCdf:
             assert -1e-9 <= ts.eval(x) <= 1.0 + 1e-9
 
 
+def _recipe_multisets(cfg):
+    """The exact and the unity-dropped recipes, each as its sorted reprs."""
+    return tuple(sorted(map(repr, build(cfg).recipes))
+                 for build in (build_cdf_term_sum, build_high_snr_term_sum))
+
+
 @pytest.mark.parametrize("shape, scheme, knowledge", RECIPE_CELLS)
 def test_recipes_pinned(shape, scheme, knowledge):
     K, N, M_D, M_E = shape
@@ -229,17 +240,15 @@ def test_recipes_pinned(shape, scheme, knowledge):
             with pytest.raises(ValueError, match="KU"):
                 build(cfg)
         return
-    recipes = (build_cdf_term_sum(cfg).recipes,
-               build_high_snr_term_sum(cfg).recipes)
-    digest = hashlib.sha256(repr(recipes).encode()).hexdigest()
+    digest = hashlib.sha256(repr(_recipe_multisets(cfg)).encode()).hexdigest()
     assert digest == RECIPE_DIGESTS[shape, scheme, knowledge]
 
 
-# sha256 over every small shape, one line repr((exact, unity-dropped)) + "\n"
+# sha256 over every small shape, one line repr(_recipe_multisets(cfg)) + "\n"
 # per (K, N, M_D, M_E) in product(range(1, 4), repeat=4) and scheme (SS, then
-# OS), at the RECIPE_DIGESTS point; recorded while the builders still took a
-# unity_dropped flag
-SMALL_SHAPES_DIGEST = "bca731da1e155b11f329aa9ac401fbede43a7a0c38ade87a1bd714fced14a931"
+# OS), at the RECIPE_DIGESTS point; recorded from the builders that still
+# sorted their recipes
+SMALL_SHAPES_DIGEST = "f154e8249170d36dc8747c2c2bbccf1de69ef8e720617c37f7411acfa8bd9368"
 
 
 def test_recipes_pinned_on_every_small_shape():
@@ -247,8 +256,7 @@ def test_recipes_pinned_on_every_small_shape():
     for (K, N, M_D, M_E), scheme in product(product(range(1, 4), repeat=4), ("SS", "OS")):
         cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
                    zeta=0.9, scheme=scheme)
-        recipes = (build_cdf_term_sum(cfg).recipes, build_high_snr_term_sum(cfg).recipes)
-        digest.update((repr(recipes) + "\n").encode())
+        digest.update((repr(_recipe_multisets(cfg)) + "\n").encode())
     assert digest.hexdigest() == SMALL_SHAPES_DIGEST
 
 
@@ -258,12 +266,9 @@ def test_unity_dropped_recipes_are_the_scale_free_exact_ones():
     for (K, N, M_D, M_E), scheme in product(product(range(1, 4), repeat=4), ("SS", "OS")):
         cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
                    zeta=0.9, scheme=scheme)
-        scale_free = sorted(
-            (replace(r, exp_k=0) for r in build_cdf_term_sum(cfg).recipes
-             if r.lam_dest_pow + r.lam_eve_pow == 0),
-            key=lambda r: (r.poly_power, r.lam_dest_pow, r.lam_eve_pow,
-                           [(float(ratio), mult) for ratio, mult in r.poles], r.zeta_pow))
-        assert build_high_snr_term_sum(cfg).recipes == tuple(scale_free)
+        scale_free = Counter(replace(r, exp_k=0) for r in build_cdf_term_sum(cfg).recipes
+                             if r.lam_dest_pow + r.lam_eve_pow == 0)
+        assert Counter(build_high_snr_term_sum(cfg).recipes) == scale_free
 
 
 @pytest.mark.parametrize("build", [build_cdf_term_sum, build_high_snr_term_sum])

@@ -4,11 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from secrecy_lab.acceptance import _LOG_GAMMA_RECURRENCE_C
-from secrecy_lab.specialfn import (
-    exp_integral,
-    log_upper_incomplete_gamma_int,
-    pairwise_sum,
-)
+from secrecy_lab.specialfn import exp_integral, log_upper_incomplete_gamma_int
 
 GAMMA_0_1 = 0.21938393439552027
 GAMMA_M1_1 = 0.14849550677592205
@@ -94,8 +90,3 @@ class TestExpIntegral:
         with pytest.raises(ValueError):
             exp_integral(0, 2.0)
 
-
-def test_pairwise_sum_matches_fsum():
-    values = [((-1.0) ** i) / (i + 1.0) for i in range(1000)]
-    assert pairwise_sum(values) == pytest.approx(math.fsum(values), abs=1e-15)
-    assert pairwise_sum([]) == 0.0
