@@ -26,23 +26,32 @@ row gated once: F = 1 - zeta + zeta*F_on and 1 - F = zeta*(1 - F_on). The
 oracle restates that identity here instead of sharing the closed forms'
 mapping, so one wrong mapping cannot pass both sides of a check.
 
-Quadrature sharing: `quad_esr` integrates the survival probability, itself
-an integral over the strongest eavesdropper SNR, at outer nodes x. That
-inner integral depends on x and the eavesdropper law, and only on part of
-the row: for SS on (K, zeta, M_D, lambda_D); for OS on (M_D, lambda_D)
-alone. A KU row reads the tables of its always-on row, whose zeta is 1.
-Rows that agree there and share K, M_D, lambda_D and lambda_E (and so the
-outer map) meet the same x, and the first row's inner value serves the
-others. QUADPACK is deterministic and every input of the inner integral is
-in its key, so a stored value is the exact float a fresh quadrature would
-return: every result is bit-identical to one computed on empty tables, in
-any row order. The eavesdropper density is likewise stored per node.
+Rate quadrature: the rate of a selected link with destination SNR X and
+strongest eavesdropper SNR Y is log2((1+X)/(1+Y))^+, and
+ln((1+X)/(1+Y))^+ = integral_0^inf 1{Y <= t < X}/(1+t) dt. Where X and Y
+are independent, P(Y <= t < X) = F_Y(t)(1 - F_X(t)), so the ESR is the
+single integral (1/ln 2) integral_0^inf F_Y(t)(1 - F_X(t))/(1+t) dt. That
+holds under SS for any K, because the selection reads destination SNRs
+only, and under either scheme at K = 1; a trial with every link gated off
+has X = 0 and adds nothing. A KU row is its always-on row scaled by zeta.
+OS with K >= 2 selects on the ratio, which reads the eavesdroppers, so
+there `quad_esr` integrates the ratio's survival 1 - F(x), itself an
+integral over Y at each outer node x.
 
-Inner integrand: both quadrature oracles integrate one Python function per
-node, `_eve_integrand`. It restates the Gamma survival sum of
-`channel.sf_snr_dest` and the CDF forms built on it with the same
-operations in the same order, instead of calling them through nested
-frames, so every node value is the float the channel functions give.
+Quadrature sharing (OS, K >= 2): the inner integral depends on x, (M_D,
+lambda_D) and the eavesdropper law only. Rows that agree there and share K
+and lambda_E (and so the outer map) meet the same x, and the first row's
+inner value serves the others. QUADPACK is deterministic and every input of
+the inner integral is in its key, so a stored value is the exact float a
+fresh quadrature would return: every result is bit-identical to one
+computed on empty tables, in any row order. The eavesdropper density is
+likewise stored per node.
+
+Integrands: each quadrature integrates one Python function per node,
+`_eve_integrand` over Y and `_rate_integrand` over t. Both restate the
+Gamma survival sum of `channel.sf_snr_dest` and the CDF forms built on it
+with the same operations in the same order, instead of calling them through
+nested frames, so every node value is the float the channel functions give.
 
 Imports: numpy and scipy load on the first oracle call, inside `_quad_unit`
 and the Monte Carlo functions, so a process that evaluates only closed
@@ -115,12 +124,13 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
-def _quad_unit(mapped) -> float:
-    # integral_0^1 mapped(u) du, raising when QUADPACK misses the tolerance
+def _quad_unit(mapped, points=None) -> float:
+    # integral_0^1 mapped(u) du, raising when QUADPACK misses the tolerance;
+    # points are interior breakpoints where the integrand changes scale
     from scipy.integrate import quad
 
     value, err = quad(mapped, 0.0, 1.0, epsabs=_ABS_TOL, epsrel=_REL_TOL,
-                      limit=_MAX_SUBDIVISIONS)
+                      limit=_MAX_SUBDIVISIONS, points=points)
     if err > max(_ABS_TOL, _REL_TOL * abs(value)) * 1.01:
         raise QuadratureError("tail quadrature failed to reach tolerance", value, err)
     return value
@@ -165,8 +175,9 @@ def _eve_integrand(x: float, cfg: SystemConfig, survival: bool):
 
     f_E is the density of the strongest eavesdropper SNR y and g(arg) what
     the links contribute at destination SNR arg: one link's survival
-    function (survival=True) or CDF under OS; under SS, where the K links
-    share y, the gated K-link forms 1-(1-zeta*sf)^K and (1-zeta+zeta*cdf)^K.
+    function (survival=True, the OS rate's inner integral) or CDF; for the
+    CDF under SS, where the K links share y, the gated K-link form
+    (1-zeta+zeta*cdf)^K.
     y = -scale*log(1-u), u in [0, 1): the map turns exponential decay into an
     O(1) integrand and keeps adaptivity concentrated near y = 0 where the
     densities peak.
@@ -205,9 +216,6 @@ def _eve_integrand(x: float, cfg: SystemConfig, survival: bool):
                 total += term
             sf = total if total < 1.0 else 1.0  # min(1.0, total)
         if survival:
-            if ss:
-                gated = zeta * sf
-                sf = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
             value = sf
         else:
             value = 1.0 - sf
@@ -247,27 +255,64 @@ def quad_cdf_ratio(x: float, cfg: SystemConfig) -> float:
     return min(1.0, max(0.0, value))
 
 
-# Inner survival integrals {x: value} per integrand family and eavesdropper
-# law (see the module docstring). The OS tables hold the single-link
-# integral as QUADPACK returns it; it is clamped where it is read.
+def _outer_scale(cfg: SystemConfig) -> float:
+    # roughly where the rate integrand's mass ends, in destination SNR
+    return cfg.lambda_D * (cfg.M_D + math.log(cfg.K + 1.0)) + cfg.lambda_E
+
+
+def _rate_integrand(cfg: SystemConfig, scale: float):
+    """u -> integrand on [0, 1) of integral_0^inf F_Y(t)(1 - F_X(t))/(1+t) dt.
+
+    F_Y is the CDF of the strongest eavesdropper SNR and 1 - F_X the gated
+    K-link survival 1-(1-zeta*sf)^K of the selected destination SNR, with
+    t = -scale*log(1-u). As in `_eve_integrand`, the two Gamma survival sums
+    restate `sf_snr_dest` with the same operations in the same order, and
+    F_Y follows `cdf_snr_eve_max`, so every value is the float the channel
+    functions give (tests check this bit for bit).
+    """
+    N, M_E, lambda_E = cfg.N, cfg.M_E, cfg.lambda_E
+    K, lambda_D, zeta = cfg.K, cfg.lambda_D, cfg.zeta
+    eve_orders, dest_orders = range(1, M_E), range(1, cfg.M_D)
+
+    def mapped(u: float) -> float:
+        if u >= 1.0:
+            return 0.0
+        t = -scale * math.log1p(-u)
+        v = t / lambda_E
+        term = math.exp(-v)
+        total = term
+        for m in eve_orders:
+            term *= v / m
+            total += term
+        cdf = 1.0 - (total if total < 1.0 else 1.0)
+        cdf = cdf if cdf > 0.0 else 0.0  # max(0.0, 1.0 - min(1.0, total))
+        v = t / lambda_D
+        term = math.exp(-v)
+        total = term
+        for m in dest_orders:
+            term *= v / m
+            total += term
+        gated = zeta * (total if total < 1.0 else 1.0)
+        sf = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
+        return cdf ** N * sf / (1.0 + t) * scale / (1.0 - u)
+
+    return mapped
+
+
+# Inner survival integrals {x: value} of the OS rate per (M_D, lambda_D) and
+# eavesdropper law (see the module docstring), each the single-link integral
+# as QUADPACK returns it; it is clamped where it is read.
 _SURVIVAL_TABLES: dict = {}
 
 
-def _survival_ratio(cfg: SystemConfig):
-    """x -> 1 - F(x), with each inner integral computed once per family and x.
+def _os_survival(cfg: SystemConfig):
+    """x -> 1 - F(x) under OS, each inner integral computed once per family and x.
 
     The survival probability is its own integral (no 1 - (1 - eps) loss),
     because the ESR integrand weights the far tail logarithmically.
     """
-    if cfg.knowledge == "KU":
-        on, zeta = _survival_ratio(_always_on(cfg)), cfg.zeta
-        return lambda x: min(1.0, max(0.0, zeta * on(x)))
     K, gate = cfg.K, cfg.zeta
-    if cfg.scheme == "SS":
-        family = ("SS", K, gate, cfg.M_D, cfg.lambda_D)
-    else:
-        family = ("OS", cfg.M_D, cfg.lambda_D)
-    table = _table(_SURVIVAL_TABLES, family + (cfg.N, cfg.M_E, cfg.lambda_E))
+    table = _table(_SURVIVAL_TABLES, (cfg.M_D, cfg.lambda_D, cfg.N, cfg.M_E, cfg.lambda_E))
 
     def survival(x: float) -> float:
         inner = table.get(x)
@@ -275,36 +320,57 @@ def _survival_ratio(cfg: SystemConfig):
             inner = _quad_unit(_eve_integrand(x, cfg, survival=True))
             if len(table) < _ENTRIES_PER_TABLE_MAX:
                 table[x] = inner
-        if cfg.scheme == "SS":
-            value = inner
-        else:
-            gated = gate * min(1.0, max(0.0, inner))
-            value = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
+        gated = gate * min(1.0, max(0.0, inner))
+        value = 1.0 if gated >= 1.0 else -math.expm1(K * math.log1p(-gated))
         return min(1.0, max(0.0, value))
 
     return survival
 
 
-def quad_esr(cfg: SystemConfig) -> float:
-    """Ergodic secrecy rate by nested adaptive quadrature.
-
-    (1/ln 2) * integral_1^inf (1 - F(x))/x dx with the outer tail mapped like
-    the inner one, t = x-1 = -scale*log(1-u); the inner survival probability
-    is itself an adaptive quadrature.
-    """
-    if cfg.zeta == 0.0:
-        return 0.0
-    outer_scale = cfg.lambda_D * (cfg.M_D + math.log(cfg.K + 1.0)) + cfg.lambda_E
-    survival = _survival_ratio(cfg)
+def _nested_esr(cfg: SystemConfig) -> float:
+    # (1/ln 2) * integral_1^inf (1 - F(x))/x dx of a KA OS row, with the
+    # outer tail mapped like the inner one, x - 1 = -scale*log(1-u)
+    scale = _outer_scale(cfg)
+    survival = _os_survival(cfg)
 
     def mapped(u: float) -> float:
         if u >= 1.0:
             return 0.0
-        t = -outer_scale * math.log1p(-u)
+        t = -scale * math.log1p(-u)
         x = 1.0 + t
-        return survival(x) / x * outer_scale / (1.0 - u)
+        return survival(x) / x * scale / (1.0 - u)
 
     return _quad_unit(mapped) / _LN2
+
+
+def _single_esr(cfg: SystemConfig) -> float:
+    # the single integral of a KA row whose X and Y are independent. The
+    # integrand turns on at the eavesdropper scale; where that lies below
+    # the outer one (far below when lambda_D >> lambda_E), QUADPACK gets
+    # breakpoints at t = 1 and 16 eavesdropper scales inside the outer one
+    scale = _outer_scale(cfg)
+    ratio = _eve_scale(cfg) / scale
+    points = [-math.expm1(-m * ratio) for m in (1.0, 16.0) if m * ratio < 1.0]
+    return _quad_unit(_rate_integrand(cfg, scale), points or None) / _LN2
+
+
+def quad_esr(cfg: SystemConfig) -> float:
+    """Ergodic secrecy rate by adaptive quadrature.
+
+    A KU row is zeta times its always-on row (1 - F = zeta*(1 - F_on)). A KA
+    row whose selected destination SNR X is independent of its eavesdropper
+    maximum Y (SS for any K, either scheme at K = 1) is the single integral
+    (1/ln 2) * integral_0^inf F_Y(t)(1 - F_X(t))/(1+t) dt. OS with K >= 2,
+    whose selection reads Y, is (1/ln 2) * integral_1^inf (1 - F(x))/x dx
+    with the survival of the ratio itself an adaptive quadrature.
+    """
+    if cfg.zeta == 0.0:
+        return 0.0
+    if cfg.knowledge == "KU":
+        return cfg.zeta * quad_esr(_always_on(cfg))
+    if cfg.scheme == "OS" and cfg.K > 1:
+        return _nested_esr(cfg)
+    return _single_esr(cfg)
 
 
 def _shape(cfg: SystemConfig) -> tuple[int, int, int, int]:

@@ -15,9 +15,11 @@ from secrecy_lab.channel import (
     SystemConfig,
     cdf_snr_dest,
     cdf_snr_dest_mixture_ka,
+    cdf_snr_eve_max,
     pdf_snr_eve_max,
     sf_snr_dest,
 )
+from secrecy_lab.esr import esr_exact
 from secrecy_lab.oracles import (
     QuadratureError,
     _chunk_rng,
@@ -269,24 +271,27 @@ class TestQuadratureOracle:
 
 
 # float.hex() of quad_esr and quad_cdf_ratio(rho) for K = N = 2, M_D = M_E = M,
-# lambda_D = 10, lambda_E = 10^0.5, zeta = 0.9, R_th = 1, recorded before the
-# eavesdropper node cache existed
+# lambda_D = 10, lambda_E = 10^0.5, zeta = 0.9, R_th = 1; the quad_cdf_ratio
+# bits were recorded before the eavesdropper node cache existed, the quad_esr
+# bits once only OS with K >= 2 kept the nested rate quadrature. The last
+# column is the rate of the nested quadrature every row used before, which
+# the single integral must match within its tolerance
 _QUAD_BITS = (
-    ("SS", "KA", 1, "0x1.649b244f2668ep+0", "0x1.af79340014873p-2"),
-    ("SS", "KA", 2, "0x1.76e4785daa9eap+0", "0x1.609b718ee4af0p-2"),
-    ("SS", "KU", 1, "0x1.58cb484b21c40p+0", "0x1.c3e189c60c752p-2"),
-    ("SS", "KU", 2, "0x1.6764911e0697ep+0", "0x1.7c3da59eb8d26p-2"),
-    ("OS", "KA", 1, "0x1.795374eac6a43p+0", "0x1.8ae51071842b5p-2"),
-    ("OS", "KA", 2, "0x1.8cde1219bf42ap+0", "0x1.3696919e68b5ep-2"),
-    ("OS", "KU", 1, "0x1.6fd0f730f0400p+0", "0x1.9b3cf07cfa483p-2"),
-    ("OS", "KU", 2, "0x1.7fcf3bef01153p+0", "0x1.4d8d905aa0dcep-2"),
+    ("SS", "KA", 1, "0x1.649b244f26002p+0", "0x1.af79340014873p-2", "0x1.649b244f2668ep+0"),
+    ("SS", "KA", 2, "0x1.76e4785da957ep+0", "0x1.609b718ee4af0p-2", "0x1.76e4785daa9eap+0"),
+    ("SS", "KU", 1, "0x1.58cb484b21531p+0", "0x1.c3e189c60c752p-2", "0x1.58cb484b21c40p+0"),
+    ("SS", "KU", 2, "0x1.6764911e0550ap+0", "0x1.7c3da59eb8d26p-2", "0x1.6764911e0697ep+0"),
+    ("OS", "KA", 1, "0x1.795374eac6a43p+0", "0x1.8ae51071842b5p-2", "0x1.795374eac6a43p+0"),
+    ("OS", "KA", 2, "0x1.8cde1219bf42ap+0", "0x1.3696919e68b5ep-2", "0x1.8cde1219bf42ap+0"),
+    ("OS", "KU", 1, "0x1.6fd0f730f0400p+0", "0x1.9b3cf07cfa483p-2", "0x1.6fd0f730f0400p+0"),
+    ("OS", "KU", 2, "0x1.7fcf3bef01154p+0", "0x1.4d8d905aa0dcep-2", "0x1.7fcf3bef01153p+0"),
 )
 
 
 # sha256 of the newline-joined float.hex() of quad_esr over the quick rate
-# grid, in _esr_grid(True) order, recorded before quad_esr shared inner
-# integrals across rows
-_QUICK_ESR_GRID_SHA256 = "0d7c1584d20dc302c04b909c2c3bd0855a08c138055791c9d0a873fd9a180e08"
+# grid, in _esr_grid(True) order, recorded once only OS with K >= 2 kept the
+# nested rate quadrature
+_QUICK_ESR_GRID_SHA256 = "c5737a4addf7de860338116cd7078b57ecbe41ed62425a4089973733f08d8ae2"
 
 # sha256 of the newline-joined float.hex() of quad_cdf_ratio(rho) over the
 # full outage grid (1,728 rows, K = 3 KU rows at zeta 0.5 and 0.9 among
@@ -300,15 +305,11 @@ def _channel_integrand(x, cfg, survival):
     scale = oracles._eve_scale(cfg)
 
     def dest(arg):
-        if not survival:
-            if cfg.scheme == "OS":
-                return cdf_snr_dest(arg, cfg.M_D, cfg.lambda_D)
-            return cdf_snr_dest_mixture_ka(arg, cfg) ** cfg.K
-        sf = sf_snr_dest(arg, cfg.M_D, cfg.lambda_D)
+        if survival:
+            return sf_snr_dest(arg, cfg.M_D, cfg.lambda_D)
         if cfg.scheme == "OS":
-            return sf
-        gated = cfg.zeta * sf
-        return 1.0 if gated >= 1.0 else -math.expm1(cfg.K * math.log1p(-gated))
+            return cdf_snr_dest(arg, cfg.M_D, cfg.lambda_D)
+        return cdf_snr_dest_mixture_ka(arg, cfg) ** cfg.K
 
     def mapped(u):
         if u >= 1.0:
@@ -316,6 +317,21 @@ def _channel_integrand(x, cfg, survival):
         y = -scale * math.log1p(-u)
         density = pdf_snr_eve_max(y, cfg.N, cfg.M_E, cfg.lambda_E)
         return dest(x * (1.0 + y) - 1.0) * density * scale / (1.0 - u)
+
+    return mapped
+
+
+def _channel_rate_integrand(cfg, scale):
+    # reference for oracles._rate_integrand, composed of the channel functions
+    def mapped(u):
+        if u >= 1.0:
+            return 0.0
+        t = -scale * math.log1p(-u)
+        # 1 - F_X: some of the K links is on and above t
+        gated = cfg.zeta * sf_snr_dest(t, cfg.M_D, cfg.lambda_D)
+        survival = 1.0 if gated >= 1.0 else -math.expm1(cfg.K * math.log1p(-gated))
+        return (cdf_snr_eve_max(t, cfg.N, cfg.M_E, cfg.lambda_E) * survival / (1.0 + t)
+                * scale / (1.0 - u))
 
     return mapped
 
@@ -331,10 +347,11 @@ class TestInnerIntegrand:
     @pytest.mark.parametrize("scheme", ["SS", "OS"])
     @pytest.mark.parametrize("M_D", [1, 2, 3, 4])
     def test_bitwise_equal_to_the_channel_functions(self, monkeypatch, scheme, M_D):
+        # the survival integrand serves the OS rate alone
         _empty_tables(monkeypatch)
         for (N, M_E), lam, zeta, x, survival in product(
                 ((1, 1), (2, 2)), (1e-3, 10.0, 1e4), (0.5, 0.9, 1.0),
-                (1.0, 1.5, 1.6253, 37.25, 1e4), (True, False)):
+                (1.0, 1.5, 1.6253, 37.25, 1e4), (True, False) if scheme == "OS" else (False,)):
             cfg = _cfg(K=3, N=N, M_D=M_D, M_E=M_E, lambda_D=lam, lambda_E=10.0 ** 0.5,
                        zeta=zeta, scheme=scheme)
             flat = oracles._eve_integrand(x, cfg, survival)
@@ -343,6 +360,20 @@ class TestInnerIntegrand:
                 expected = reference(u).hex()
                 assert flat(u).hex() == expected, (cfg, x, survival, u)
                 assert flat(u).hex() == expected  # the node read from its table
+
+    @pytest.mark.parametrize("M_D", [1, 2, 3, 4])
+    def test_rate_integrand_bitwise_equal_to_the_channel_functions(self, M_D):
+        # the scales put the nodes' t from 0 through the far tails of both
+        # survival sums; at lambda_D = 1e-3 they round to 0, at 1e4 to 1
+        for K, (N, M_E), lam, zeta, scale in product(
+                (1, 3), ((1, 1), (2, 2), (3, 4)), (1e-3, 10.0, 1e4), (0.5, 0.9, 1.0),
+                (1e-3, 1.0, 37.25, 1e4)):
+            cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam, lambda_E=10.0 ** 0.5,
+                       zeta=zeta)
+            flat = oracles._rate_integrand(cfg, scale)
+            reference = _channel_rate_integrand(cfg, scale)
+            for u in self.NODES:
+                assert flat(u).hex() == reference(u).hex(), (cfg, scale, u)
 
 
 def _empty_tables(monkeypatch):
@@ -358,13 +389,15 @@ class TestQuadratureBits:
                        for scheme, knowledge, zeta, lam in product(
                            ("SS", "OS"), ("KA", "KU"), (0.5, 0.9, 1.0), (1.0, 10.0)))
 
-    @pytest.mark.parametrize("scheme,knowledge,M,esr_hex,sop_hex", _QUAD_BITS)
-    def test_pinned_on_cold_and_warm_node_cache(self, monkeypatch, scheme,
-                                                knowledge, M, esr_hex, sop_hex):
+    @pytest.mark.parametrize("scheme,knowledge,M,esr_hex,sop_hex,nested_esr_hex", _QUAD_BITS)
+    def test_pinned_on_cold_and_warm_node_cache(self, monkeypatch, scheme, knowledge,
+                                                M, esr_hex, sop_hex, nested_esr_hex):
         cfg = _cfg(M_D=M, M_E=M, lambda_E=10.0 ** 0.5, zeta=0.9,
                    scheme=scheme, knowledge=knowledge)
         _empty_tables(monkeypatch)
-        assert quad_esr(cfg).hex() == esr_hex
+        rate = quad_esr(cfg)
+        assert rate == pytest.approx(float.fromhex(nested_esr_hex), rel=1e-9, abs=0.0)
+        assert rate.hex() == esr_hex
         _empty_tables(monkeypatch)
         assert quad_cdf_ratio(cfg.rho(), cfg).hex() == sop_hex
         assert oracles._NODE_TABLES  # the calls above filled it
@@ -378,9 +411,9 @@ class TestQuadratureBits:
             alone.append(quad_esr(cfg).hex())
         _empty_tables(monkeypatch)
         cold = [quad_esr(cfg).hex() for cfg in self.SHAPE_ROWS]
-        # SS: one family per (gate, lambda_D), the KU gate being 1; OS: one
-        # per lambda_D
-        assert len(oracles._SURVIVAL_TABLES) == 3 * 2 + 2
+        # one family per lambda_D, from the OS rows; the SS rows integrate
+        # once and store nothing
+        assert len(oracles._SURVIVAL_TABLES) == 2
         warm = [quad_esr(cfg).hex() for cfg in self.SHAPE_ROWS]
         _empty_tables(monkeypatch)
         backward = [quad_esr(cfg).hex() for cfg in reversed(self.SHAPE_ROWS)][::-1]
@@ -405,23 +438,41 @@ class TestQuadratureBits:
         assert max(map(len, oracles._SURVIVAL_TABLES.values())) == 16
 
     def test_quick_rate_grid_pinned(self):
-        hexes = "\n".join(quad_esr(cfg).hex() for cfg in acceptance._esr_grid(True))
+        # the nested quadrature's grid came within 1.4e-10 relative of the
+        # closed forms, the single integral within 3.1e-11
+        rates = [quad_esr(cfg) for cfg in acceptance._esr_grid(True)]
+        hexes = "\n".join(rate.hex() for rate in rates)
         assert hashlib.sha256(hexes.encode()).hexdigest() == _QUICK_ESR_GRID_SHA256
+        for cfg, rate in zip(acceptance._esr_grid(True), rates):
+            assert rate == pytest.approx(esr_exact(cfg).value, rel=1e-9, abs=0.0), cfg
 
     # sha256 of the newline-joined float.hex() of quad_esr and of
-    # quad_cdf_ratio(rho) over K >= 3, M_D >= 3 rows, recorded while the inner
-    # integrands still called the channel functions
+    # quad_cdf_ratio(rho) over K >= 3, M_D >= 3 rows: the outage bits recorded
+    # while the inner integrands still called the channel functions, the rate
+    # bits once only OS with K >= 2 kept the nested rate quadrature
     LARGE_ROWS = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam,
                             lambda_E=10.0 ** 0.5, zeta=0.9, scheme=scheme,
                             knowledge=knowledge)
                        for (K, N, M_D, M_E), lam, scheme, knowledge in product(
                            ((3, 2, 3, 2), (4, 1, 4, 3)), (10.0, 100.0), ("SS", "OS"),
                            ("KA", "KU")))
-    LARGE_ESR_SHA256 = "0224070733c52e11fed934c91473dc66a6fe592fe0f3c9d1987d37cee82695dd"
+    LARGE_ESR_SHA256 = "1324951e08d8f7411d75ed6cbbd7f6ff3207ea1635d29118825a40d08b908d5e"
+    # quad_esr of the nested quadrature every row used before, in row order
+    LARGE_NESTED_ESR_HEXES = (
+        "0x1.1df273922ddbfp+1", "0x1.09b9ac314be5ep+1", "0x1.36cef6975f7aep+1",
+        "0x1.2320eea6a9df8p+1", "0x1.60e83678a247ap+2", "0x1.423f213f34dc1p+2",
+        "0x1.6d1f5bfe8d537p+2", "0x1.4eb435f244a85p+2", "0x1.54654e06d4f13p+1",
+        "0x1.386db99e55442p+1", "0x1.7fc965cfc0ecfp+1", "0x1.6333818ee677cp+1",
+        "0x1.7d3cfccee4438p+2", "0x1.5a3cfdb3c466ep+2", "0x1.92a0cc2b2058cp+2",
+        "0x1.6f5431926801cp+2",
+    )
     LARGE_SOP_SHA256 = "840a85769f94431bd43958306df19af394efc22f4e8b4fe481125d2f62614ab0"
 
     def test_larger_shapes_pinned(self):
-        esr_hexes = "\n".join(quad_esr(cfg).hex() for cfg in self.LARGE_ROWS)
+        rates = [quad_esr(cfg) for cfg in self.LARGE_ROWS]
+        for rate, nested in zip(rates, self.LARGE_NESTED_ESR_HEXES, strict=True):
+            assert rate == pytest.approx(float.fromhex(nested), rel=1e-9, abs=0.0)
+        esr_hexes = "\n".join(rate.hex() for rate in rates)
         sop_hexes = "\n".join(quad_cdf_ratio(cfg.rho(), cfg).hex() for cfg in self.LARGE_ROWS)
         assert hashlib.sha256(esr_hexes.encode()).hexdigest() == self.LARGE_ESR_SHA256
         assert hashlib.sha256(sop_hexes.encode()).hexdigest() == self.LARGE_SOP_SHA256
@@ -437,6 +488,42 @@ class TestQuadratureBits:
         ka = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme=scheme, knowledge="KA")
         ku = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme=scheme, knowledge="KU")
         assert quad_esr(ku).hex() == quad_esr(ka).hex()
+
+
+class TestSingleRateIntegral:
+    # SS/KA rows whose eavesdroppers sit 60 to 80 dB below the destination:
+    # without breakpoints at the eavesdropper scale, QUADPACK misses its
+    # tolerance on both. The values are the nested quadrature's.
+    @pytest.mark.parametrize("K,N,M_D,M_E,lambda_D_dB,zeta,nested", [
+        (3, 4, 2, 3, 30.0, 0.9, 11.385355346297894),
+        (2, 2, 2, 1, 50.0, 0.1, 3.2777072160479723),
+    ])
+    def test_rows_far_above_the_eavesdroppers(self, K, N, M_D, M_E, lambda_D_dB, zeta,
+                                              nested):
+        cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (lambda_D_dB / 10.0),
+                   lambda_E=1e-3, zeta=zeta)
+        assert quad_esr(cfg) == pytest.approx(nested, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("N,M_D,M_E", list(product((1, 3), repeat=3)))
+    def test_single_link_nested_quadrature_agrees(self, monkeypatch, N, M_D, M_E):
+        # at K = 1 the nested OS quadrature integrates over the ratio's law and
+        # the single integral over t: the change of integration order
+        _empty_tables(monkeypatch)
+        for lambda_D_dB, lambda_E_dB in product((0.0, 20.0, 40.0), (-10.0, 5.0)):
+            cfg = _cfg(K=1, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (lambda_D_dB / 10.0),
+                       lambda_E=10.0 ** (lambda_E_dB / 10.0), zeta=0.9, scheme="OS")
+            assert oracles._single_esr(cfg) == pytest.approx(
+                oracles._nested_esr(cfg), rel=1e-9, abs=0.0), cfg
+
+    @pytest.mark.parametrize("cfg", [
+        _cfg(K=3, lambda_E=10.0 ** 0.5, zeta=0.9),
+        _cfg(K=1, lambda_E=10.0 ** 0.5, zeta=0.9, scheme="OS"),
+        _cfg(K=3, lambda_E=10.0 ** 0.5, zeta=0.9, knowledge="KU"),
+    ], ids=["SS", "OS-K1", "SS-KU"])
+    def test_single_integral_fills_no_table(self, monkeypatch, cfg):
+        _empty_tables(monkeypatch)
+        assert quad_esr(cfg) > 0.0
+        assert oracles._SURVIVAL_TABLES == {} and oracles._NODE_TABLES == {}
 
 
 def test_oracles_import_only_the_channel_model():
