@@ -9,16 +9,24 @@ reduction runs in chunk order, so the estimate is bit-identical for any
 worker count. The draws depend only on (K, N, M_D, M_E), so configs of one
 such shape share draws and still get the bits of a pass of their own.
 
+Monte Carlo reductions: numpy's pairwise sum adds a run of fewer than 8
+elements one by one from 0.0, so a path sum over fewer than 8 paths is a
+left fold of whole-array adds over the path slices, with ndarray.sum's
+bits; 8 or more paths keep ndarray.sum. The eavesdropper maximum is an
+np.maximum fold over the N slices, exact in any order.
+
 Monte Carlo selection: once a chunk's three draws are made, each is copied
 to one contiguous row per link. A shape's configs are grouped by (lambda_D,
-lambda_E, scheme); a group builds its destination SNRs and ratios once and
-frees them before the next group. The KU selection ignores the gates, so it
-runs once per group; the KA selection runs once per zeta, on masks computed
-once per zeta. Links are compared one row at a time with a strict >, which
-keeps np.argmax's first maximum on ties; a trial with every link masked
-picks link 0 and transmits nothing. The log2 rate is taken once per
-selection, on a contiguous array, so every rate array has the bits of a
-per-config argmax over links.
+lambda_E); a group builds its destination SNRs and ratios once, for both
+schemes, and frees them before the next group. Per scheme, the unmasked
+selection ignores the gates and runs once: KU rows at every zeta gate its
+pick, and KA rows at zeta = 1 take its rate, because every gate draw lies
+in [0, 1) and so every link is on. KA rows below zeta = 1 get one masked
+selection per zeta, on masks computed once per zeta. Links are compared one
+row at a time with a strict >, which keeps np.argmax's first maximum on
+ties; a trial with every link masked picks link 0 and transmits nothing.
+The log2 rate is taken once per selection, on a contiguous array, so every
+rate array has the bits of a per-config argmax over links.
 
 Gate after selection (KU): the always-on selection runs first and one
 backhaul gate then blocks the selected link, so a KU row is its always-on KA
@@ -53,17 +61,22 @@ Gamma survival sum of `channel.sf_snr_dest` and the CDF forms built on it
 with the same operations in the same order, instead of calling them through
 nested frames, so every node value is the float the channel functions give.
 
-Imports: numpy and scipy load on the first oracle call, inside `_quad_unit`
+Imports: numpy and scipy load on the first oracle call, inside `quadpack`
 and the Monte Carlo functions, so a process that evaluates only closed
-forms never pays for them. The import sits in those functions, never in an
-integrand: a repeated import is a cached dictionary lookup, but a
-per-node one would run hundreds of thousands of times per sweep.
+forms never pays for them. Of scipy, only the top-level package and the
+QUADPACK extension module load, never scipy.integrate: the oracles call
+the extension's _qagse, _qagpe and _qagie with the arguments
+scipy.integrate.quad would pass, so every result has quad's bits. The
+import sits in those functions, never in an integrand: a repeated import is
+a cached dictionary lookup, but a per-node one would run hundreds of
+thousands of times per sweep.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -115,8 +128,12 @@ class MonteCarloEstimate:
     stderr: float
 
 
-class QuadratureError(RuntimeError):
-    """Tolerance failure carrying the achieved estimate and error bound."""
+class QuadratureError(ArithmeticError):
+    """Tolerance failure carrying the achieved estimate and error bound.
+
+    An ArithmeticError, like the closed forms' numeric failures, so the CLI
+    and the acceptance checks report it the same way.
+    """
 
     def __init__(self, message: str, estimate: float, error_bound: float):
         super().__init__(f"{message} (estimate {estimate!r}, error bound {error_bound!r})")
@@ -124,13 +141,55 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
+_QUADPACK = "scipy.integrate._quadpack"
+
+
+def quadpack(routine: str, *args) -> tuple[float, float]:
+    """(value, error bound) of QUADPACK's `routine` ("_qagse", "_qagpe" or
+    "_qagie") on the arguments scipy.integrate.quad would pass it.
+
+    quad hands such calls unchanged to scipy's QUADPACK extension module, but
+    importing scipy.integrate loads hundreds of scipy modules first. The
+    extension alone is loaded from scipy's integrate/ directory by its import
+    spec; an extension module enters sys.modules as it loads, where a later
+    import of scipy.integrate finds it too. As in quad, ier 6 (invalid
+    input) raises ValueError; quad only warns on the other codes, and the
+    callers here test the error bound themselves.
+    """
+    module = sys.modules.get(_QUADPACK)
+    if module is None:
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            _QUADPACK, [os.path.join(path, "integrate") for path in scipy.__path__])
+        if spec is None:
+            raise ImportError(f"no {_QUADPACK} extension under {list(scipy.__path__)}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    value, error_bound, ier = getattr(module, routine)(*args)
+    if ier == 6:
+        raise ValueError(f"QUADPACK {routine} rejected its input as invalid (ier 6)")
+    return value, error_bound
+
+
 def _quad_unit(mapped, points=None) -> float:
     # integral_0^1 mapped(u) du, raising when QUADPACK misses the tolerance;
-    # points are interior breakpoints where the integrand changes scale
-    from scipy.integrate import quad
+    # points are interior breakpoints where the integrand changes scale,
+    # passed as quad passes them: the sorted distinct points inside (0, 1),
+    # then two zeros
+    if points is None:
+        value, err = quadpack("_qagse", mapped, 0.0, 1.0, (), 0,
+                              _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS)
+    else:
+        import numpy as np
 
-    value, err = quad(mapped, 0.0, 1.0, epsabs=_ABS_TOL, epsrel=_REL_TOL,
-                      limit=_MAX_SUBDIVISIONS, points=points)
+        inner = np.unique(points)
+        inner = inner[(0.0 < inner) & (inner < 1.0)]
+        value, err = quadpack("_qagpe", mapped, 0.0, 1.0, np.concatenate((inner, (0.0, 0.0))),
+                              (), 0, _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS)
     if err > max(_ABS_TOL, _REL_TOL * abs(value)) * 1.01:
         raise QuadratureError("tail quadrature failed to reach tolerance", value, err)
     return value
@@ -378,6 +437,21 @@ def _shape(cfg: SystemConfig) -> tuple[int, int, int, int]:
     return cfg.K, cfg.N, cfg.M_D, cfg.M_E
 
 
+def _path_sum(draws):
+    """draws.sum(axis=-1), bit for bit (see "Monte Carlo reductions" above).
+
+    A left fold of whole-array adds over the slices of a short last axis is
+    several times faster than ndarray.sum's reduction along it.
+    """
+    paths = draws.shape[-1]
+    if paths >= 8:
+        return draws.sum(axis=-1)
+    total = draws[..., 0] + 0.0  # a copy, as the sum's first add gives
+    for m in range(1, paths):
+        total += draws[..., m]
+    return total
+
+
 def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
                     count: int) -> list[np.ndarray]:
     """Per-trial secrecy rates of every config, all from one set of draws.
@@ -391,27 +465,31 @@ def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
     import numpy as np
 
     K, N, M_D, M_E = _shape(cfgs[0])
-    dest_sum = rng.standard_exponential((count, K, M_D)).sum(axis=2)
+    dest_sum = _path_sum(rng.standard_exponential((count, K, M_D)))
     # scaling by lambda_E > 0 is monotone under rounding, so the scaled
-    # maximum over eavesdroppers equals the maximum of the scaled sums
-    eve_max = rng.standard_exponential((count, K, N, M_E)).sum(axis=3).max(axis=2)
+    # maximum over eavesdroppers equals the maximum of the scaled sums; a
+    # maximum is exact in any order
+    eve_sums = _path_sum(rng.standard_exponential((count, K, N, M_E)))
+    eve_max = eve_sums[..., 0]
+    for n in range(1, N):
+        eve_max = np.maximum(eve_max, eve_sums[..., n])
     gate_u = rng.random((count, K))
     # one contiguous row per link, copied only after every draw is made
     dest_sum, eve_max, gate_u = (np.ascontiguousarray(a.T) for a in (dest_sum, eve_max, gate_u))
 
-    masks: dict = {}  # KA zeta -> (per-link active masks, any link active)
-    groups: dict = {}  # (lambda_D, lambda_E, scheme) -> indices of its configs
+    masks: dict = {}  # KA zeta below 1 -> (per-link active masks, any link active)
+    groups: dict = {}  # (lambda_D, lambda_E) -> indices of its configs
     for i, cfg in enumerate(cfgs):
-        if cfg.knowledge == "KA" and cfg.zeta not in masks:
+        if cfg.knowledge == "KA" and cfg.zeta < 1.0 and cfg.zeta not in masks:
             on = gate_u < cfg.zeta
             masks[cfg.zeta] = on, on.any(axis=0)
-        groups.setdefault((cfg.lambda_D, cfg.lambda_E, cfg.scheme), []).append(i)
+        groups.setdefault((cfg.lambda_D, cfg.lambda_E), []).append(i)
     rates = [None] * len(cfgs)
-    for (lambda_D, lambda_E, scheme), members in groups.items():
+    for (lambda_D, lambda_E), members in groups.items():
         # one group's SNR arrays at a time: they are freed when it returns
         for i, rate in zip(members, _group_rates(
                 [cfgs[i] for i in members], dest_sum * lambda_D, eve_max * lambda_E,
-                scheme, gate_u, masks)):
+                gate_u, masks)):
             rates[i] = rate
     return rates
 
@@ -436,33 +514,36 @@ def _first_max(score, payloads, on=None) -> list:
     return picked
 
 
-def _group_rates(cfgs: list, dest, eve, scheme: str, gate_u, masks: dict) -> list:
-    # rates of configs that share lambda_D, lambda_E and the scheme: one KU
-    # selection (it ignores the gates) and one KA selection per zeta
+def _group_rates(cfgs: list, dest, eve, gate_u, masks: dict) -> list:
+    # rates of configs that share lambda_D and lambda_E. Per scheme, one
+    # unmasked selection serves KU at every zeta and KA at zeta = 1 (each
+    # gate draw lies in [0, 1), so every link is on), and KA below zeta = 1
+    # gets one masked selection per zeta
     import numpy as np
 
     ratio = (1.0 + dest) / (1.0 + eve)
-    score = dest if scheme == "SS" else ratio
 
     def rate(chosen_ratio):
         return np.maximum(np.log2(chosen_ratio), 0.0)
 
-    rates: dict = {}  # (knowledge, zeta) -> rate array
-    ku = None  # the always-on selection's rate and the gate draw of its link
+    rates: dict = {}  # (scheme, knowledge, zeta) -> rate array
+    unmasked: dict = {}  # scheme -> that selection's rate and the gate draw of its link
     for cfg in cfgs:
-        key = (cfg.knowledge, cfg.zeta)
+        key = (cfg.scheme, cfg.knowledge, cfg.zeta)
         if key in rates:
             continue
-        if cfg.knowledge == "KA":
+        score = dest if cfg.scheme == "SS" else ratio
+        if cfg.knowledge == "KA" and cfg.zeta < 1.0:
             on, any_on = masks[cfg.zeta]
             (chosen,) = _first_max(score, [ratio], on)
             rates[key] = np.where(any_on, rate(chosen), 0.0)
-        else:
-            if ku is None:
-                chosen, chosen_u = _first_max(score, [ratio, gate_u])
-                ku = rate(chosen), chosen_u
-            rates[key] = np.where(ku[1] < cfg.zeta, ku[0], 0.0)
-    return [rates[cfg.knowledge, cfg.zeta] for cfg in cfgs]
+            continue
+        if cfg.scheme not in unmasked:
+            chosen, chosen_u = _first_max(score, [ratio, gate_u])
+            unmasked[cfg.scheme] = rate(chosen), chosen_u
+        on_rate, on_u = unmasked[cfg.scheme]
+        rates[key] = on_rate if cfg.zeta == 1.0 else np.where(on_u < cfg.zeta, on_rate, 0.0)
+    return [rates[cfg.scheme, cfg.knowledge, cfg.zeta] for cfg in cfgs]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

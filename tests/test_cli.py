@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from secrecy_lab import cli
+from secrecy_lab import cli, oracles
 from secrecy_lab.acceptance import CheckResult
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.oracles import mc_moments
@@ -223,6 +223,24 @@ def test_an_underflowed_term_integral_is_a_numeric_error_naming_the_row(tmp_path
     assert err.startswith("numeric error: row v0 (SS/KA K=1 N=1 M_D=1 M_E=2 zeta=1 "), err
     assert "exact rate: the integral of the term shape" in err
     assert "is 0.0, outside the double range" in err
+    assert not out.exists()
+
+
+def test_a_quadrature_failure_is_a_numeric_error_naming_the_row(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a quadrature that cannot reach its tolerance used to raise out of main
+    monkeypatch.setattr(oracles, "_ABS_TOL", 1e-14)
+    monkeypatch.setattr(oracles, "_REL_TOL", 1e-14)
+    monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 1)
+    config = _write_config(
+        tmp_path / "sweep.json", axis_values=[10], variants=[], outputs=["quad"],
+        base={"K": 3, "N": 3, "M_D": 2, "M_E": 2, "lambda_E_dB": 5.0, "zeta": 1.0,
+              "R_th": 1.0, "scheme": "SS", "knowledge": "KA"})
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: row v0 (SS/KA K=3 N=3 M_D=2 M_E=2 zeta=1 "), err
+    assert "tail quadrature failed to reach tolerance" in err
     assert not out.exists()
 
 

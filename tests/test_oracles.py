@@ -130,6 +130,22 @@ class TestSimulatorBits:
         pairs = mc_moments(self.SHAPE_ROWS, 70000, seed=17, threads=1)
         assert _moments_sha256(pairs) == self.SHAPES_SHA256
 
+    # path counts on both sides of numpy's 8-element pairwise block, where
+    # the simulator's sums switch from slices to ndarray.sum; recorded while
+    # every path sum was an ndarray.sum
+    WIDE_SHAPES_SHA256 = "799922334645a7619ec16ede29506fd8692c6d9edea009cf48c81963318e0461"
+    WIDE_SHAPE_ROWS = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam,
+                                 lambda_E=10.0 ** 0.5, zeta=zeta, scheme=scheme,
+                                 knowledge=knowledge)
+                            for (K, N, M_D, M_E), lam, zeta, scheme, knowledge in product(
+                                ((2, 4, 8, 1), (1, 5, 9, 7), (3, 2, 1, 17)), (2.0, 50.0),
+                                (0.5, 1.0), ("SS", "OS"), ("KA", "KU")))
+
+    def test_shapes_past_the_pairwise_block_pinned(self):
+        assert len(self.WIDE_SHAPE_ROWS) == 48
+        pairs = mc_moments(self.WIDE_SHAPE_ROWS, 70000, seed=17, threads=1)
+        assert _moments_sha256(pairs) == self.WIDE_SHAPES_SHA256
+
 
 class _CraftedDraws:
     """Stands in for a chunk's generator: hands out crafted arrays in the
@@ -262,6 +278,17 @@ class TestQuadratureOracle:
         err = info.value
         assert math.isfinite(err.estimate)
         assert err.error_bound > 0.0
+
+    def test_tolerance_failure_fails_its_check(self, monkeypatch):
+        # a QuadratureError is an ArithmeticError, which the checks report as
+        # a FAIL line instead of raising out of the gate
+        monkeypatch.setattr(oracles, "_ABS_TOL", 1e-14)
+        monkeypatch.setattr(oracles, "_REL_TOL", 1e-14)
+        monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 1)
+        result = acceptance.check_sop_triple_oracle(quick=True)
+        assert not result.passed
+        assert result.detail.startswith(
+            "numeric error: tail quadrature failed to reach tolerance"), result.detail
 
     def test_agrees_with_simulator(self):
         cfg = _cfg(zeta=0.9, knowledge="KU", scheme="OS")
@@ -524,6 +551,97 @@ class TestSingleRateIntegral:
         _empty_tables(monkeypatch)
         assert quad_esr(cfg) > 0.0
         assert oracles._SURVIVAL_TABLES == {} and oracles._NODE_TABLES == {}
+
+
+class TestQuadpack:
+    """The oracles call scipy's QUADPACK extension as scipy.integrate.quad
+    would, and get the bits quad returns."""
+
+    @staticmethod
+    def _quad_unit_calls(monkeypatch):
+        # each _quad_unit call's (mapped, points) and the QUADPACK routine and
+        # (value, error bound) it got, for oracles that nest no quadrature
+        calls = []
+        quad_unit, quadpack = oracles._quad_unit, oracles.quadpack
+
+        def spied_unit(mapped, points=None):
+            calls.append([mapped, points])
+            value = quad_unit(mapped, points)
+            assert value == calls[-1][3][0]
+            return value
+
+        def spied_quadpack(routine, *args):
+            result = quadpack(routine, *args)
+            calls[-1] += [routine, result]
+            return result
+
+        monkeypatch.setattr(oracles, "_quad_unit", spied_unit)
+        monkeypatch.setattr(oracles, "quadpack", spied_quadpack)
+        return calls
+
+    @pytest.mark.parametrize("lambda_D,routine,breakpoints", [
+        (0.1, "_qagse", 0), (10.0, "_qagpe", 1), (1e3, "_qagpe", 2)])
+    def test_oracles_match_quad_bit_for_bit(self, monkeypatch, lambda_D, routine,
+                                            breakpoints):
+        # the rate integral with none, one and two of _single_esr's
+        # breakpoints, and the outage integral
+        from scipy.integrate import quad
+
+        calls = self._quad_unit_calls(monkeypatch)
+        cfg = _cfg(lambda_D=lambda_D, lambda_E=10.0 ** 0.5, zeta=0.9)
+        quad_esr(cfg)
+        quad_cdf_ratio(cfg.rho(), cfg)
+        (rate_call, outage_call) = calls
+        assert rate_call[2] == routine and outage_call[2] == "_qagse"
+        assert len(rate_call[1] or ()) == breakpoints
+        for mapped, points, _routine, result in calls:
+            expected = quad(mapped, 0.0, 1.0, epsabs=oracles._ABS_TOL,
+                            epsrel=oracles._REL_TOL, limit=oracles._MAX_SUBDIVISIONS,
+                            points=points)
+            assert [x.hex() for x in result] == [x.hex() for x in expected]
+
+    def test_infinite_range_call_matches_quad_bit_for_bit(self):
+        # the call criterion 9 makes for each kernel
+        from scipy.integrate import quad
+
+        def integrand(x):
+            return math.exp(-0.3 * x) / (x + 7.5) ** 3
+
+        ours = oracles.quadpack("_qagie", integrand, 1.0, 1, (), 0, 0.0, 1e-12, 800)
+        theirs = quad(integrand, 1.0, math.inf, limit=800, epsabs=0.0, epsrel=1e-12)
+        assert [x.hex() for x in ours] == [x.hex() for x in theirs]
+
+    def test_invalid_input_raises_like_quad(self, monkeypatch):
+        # no subinterval allowed: QUADPACK's ier 6
+        from scipy.integrate import quad
+
+        mapped = oracles._eve_integrand(2.0, _cfg(), survival=False)
+        with pytest.raises(ValueError):
+            quad(mapped, 0.0, 1.0, limit=0)
+        monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 0)
+        with pytest.raises(ValueError, match="ier 6"):
+            oracles._quad_unit(mapped)
+
+    def test_oracle_calls_leave_scipy_integrate_unloaded(self):
+        # in a fresh interpreter, each oracle and criterion 9 load QUADPACK's
+        # extension alone, not the scipy subpackages around it
+        code = (
+            "import sys\n"
+            "from secrecy_lab import acceptance, oracles\n"
+            "from secrecy_lab.channel import SystemConfig\n"
+            "cfg = SystemConfig(K=2, N=2, M_D=2, M_E=2, lambda_D=10.0, lambda_E=1.0,\n"
+            "                   zeta=0.9, R_th=1.0, scheme='OS', knowledge='KA')\n"
+            "oracles.quad_esr(cfg)\n"
+            "oracles.quad_cdf_ratio(cfg.rho(), cfg)\n"
+            "oracles.mc_moments([cfg], 10000, 1)\n"
+            "assert acceptance.check_special_functions(quick=True).passed\n"
+            "print(','.join(m for m in ('scipy.integrate._quadpack', 'scipy.integrate',\n"
+            "                           'scipy.special', 'scipy.optimize')\n"
+            "               if m in sys.modules))\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.splitlines()[-1] == "scipy.integrate._quadpack"
 
 
 def test_oracles_import_only_the_channel_model():
