@@ -153,7 +153,9 @@ def _poly_mul_trunc(a: list[float], b: list[float], keep: int) -> list[float]:
 
 def _series_invert(p: list[float], keep: int) -> list[float]:
     if p[0] == 0.0:
-        raise ValueError("cannot invert a series with zero constant term")
+        # the cofactor's constant term is a product of pole gaps, so it is
+        # 0.0 only when they underflow: a numeric failure, not a bad input
+        raise ArithmeticError("cannot invert a series with zero constant term")
     inv = [0.0] * keep
     inv[0] = 1.0 / p[0]
     for i in range(1, keep):
@@ -195,37 +197,14 @@ class RationalExpTerm:
             if m < 1:
                 raise ValueError(f"pole multiplicities must be positive (got {m})")
 
-    def value_at(self, x: float, logs: dict | None = None) -> float:
-        """The term at x, summed in the log domain.
-
-        logs is a table of ln(x + b) at this x, keyed by b, with ln x under
-        b = 0.0 (a _LogTable fills what it lacks). TermSum.eval shares one
-        table between its terms; without one, the term makes its own.
-        """
-        if logs is None:
-            logs = _LogTable(x)
+    def value_at(self, x: float) -> float:
+        """The term at x, summed in the log domain."""
         log_val = self.log_coeff - self.exp_rate * x
         if self.poly_power:
-            log_val += self.poly_power * logs[0.0]
+            log_val += self.poly_power * math.log(x)
         for b, m in self.poles:
-            log_val -= m * logs[b]
+            log_val -= m * math.log(x + b)
         return self.sign * math.exp(log_val)
-
-
-class _LogTable(dict):
-    """ln(x + b) at one x, keyed by b and computed on first use.
-
-    ln x sits under b = 0.0, since x + 0.0 is x. Every location's log is
-    the float a direct math.log(x + b) returns.
-    """
-
-    def __init__(self, x: float):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, b: float) -> float:
-        value = self[b] = math.log(self.x + b)
-        return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,14 +240,10 @@ class TermSum:
     def eval(self, x: float) -> float:
         """1 - sum of the terms at x, or the mpmath rebuild when that cancels.
 
-        ln x and each distinct ln(x + b) are computed once per call, in one
-        table the terms share; every term still sums its own logs in the
-        order of value_at, so each value keeps its bits. math.fsum rounds
-        the sum of the values exactly, so the total depends on the values
-        alone, not on the order of the terms.
+        math.fsum rounds the sum of the term values exactly, so the total
+        depends on the values alone, not on the order of the terms.
         """
-        logs = _LogTable(x)
-        values = [t.value_at(x, logs) for t in self.terms]
+        values = [t.value_at(x) for t in self.terms]
         total = 1.0 - math.fsum(values)
         if values:
             gross = math.fsum(map(abs, values)) + 1.0
@@ -297,7 +272,9 @@ def materialize_recipes(recipes: Sequence[ExactTermRecipe],
     hashes no Fraction; the recipes are held for the whole call, so no
     identity is reused, and an equal tuple that is another object only
     recomputes the same floats. zeta and every coefficient must be nonzero
-    (math.log raises otherwise): a zeta = 0 row has no terms.
+    (math.log raises otherwise): a zeta = 0 row has no terms. A pole
+    location that underflows to 0.0 or overflows raises ArithmeticError
+    naming its ratio.
     """
     recipes = tuple(recipes)  # keeps every pole tuple, and so its id, alive
     log_ld = math.log(lam_dest)
@@ -309,8 +286,7 @@ def materialize_recipes(recipes: Sequence[ExactTermRecipe],
         poles = float_poles.get(id(r.poles))
         if poles is None:
             poles = float_poles[id(r.poles)] = tuple(
-                (ratio.numerator * lam_dest / (ratio.denominator * lam_eve), mult)
-                for ratio, mult in r.poles)
+                (_pole_location(ratio, lam_dest, lam_eve), mult) for ratio, mult in r.poles)
         rate = r.exp_k / lam_dest
         log_mag = (log_abs_fraction(r.frac)
                    + r.zeta_pow * log_z
@@ -320,6 +296,15 @@ def materialize_recipes(recipes: Sequence[ExactTermRecipe],
         out.append(RationalExpTerm(log_mag, 1 if r.frac.numerator > 0 else -1,
                                    r.poly_power, rate, poles))
     return tuple(out)
+
+
+def _pole_location(ratio: Fraction, lam_dest: float, lam_eve: float) -> float:
+    location = ratio.numerator * lam_dest / (ratio.denominator * lam_eve)
+    if not 0.0 < location < math.inf:
+        raise ArithmeticError(
+            f"pole location {ratio} * lambda_D / lambda_E = {location!r} at "
+            f"lambda_D = {lam_dest!r}, lambda_E = {lam_eve!r} is outside the double range")
+    return location
 
 
 def _eval_recipes_mp(recipes: Sequence[ExactTermRecipe], x: float,

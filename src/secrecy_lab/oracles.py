@@ -53,7 +53,8 @@ inner value serves the others. QUADPACK is deterministic and every input of
 the inner integral is in its key, so a stored value is the exact float a
 fresh quadrature would return: every result is bit-identical to one
 computed on empty tables, in any row order. The eavesdropper density is
-likewise stored per node.
+likewise stored per node. Each table comes from an lru_cache factory keyed
+by what its values depend on, so evicting a table moves no bit either.
 
 Integrands: each quadrature integrates one Python function per node,
 `_eve_integrand` over Y and `_rate_integrand` over t. Both restate the
@@ -78,6 +79,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 from .channel import SystemConfig, pdf_snr_eve_max
@@ -200,33 +202,23 @@ def _eve_scale(cfg: SystemConfig) -> float:
     return cfg.lambda_E * (cfg.M_E + math.log(cfg.N + 1.0))
 
 
-# Memo tables {point: value} keyed by what their values depend on: at most
-# _TABLES_MAX tables, the oldest evicted first, each holding at most
+# Memo tables {point: value}, one per key their values depend on: the 64
+# most recently used tables are kept, each holding at most
 # _ENTRIES_PER_TABLE_MAX points. Values depend only on their keys, so a race
 # between threads at worst repeats work.
-_TABLES_MAX = 64
 _ENTRIES_PER_TABLE_MAX = 1 << 16
 
 
-def _table(tables: dict, key) -> dict:
-    table = tables.get(key)
-    if table is None:
-        if len(tables) >= _TABLES_MAX:
-            tables.pop(next(iter(tables)), None)
-        table = tables.setdefault(key, {})
-    return table
+@lru_cache(maxsize=64)
+def _node_table(N: int, M_E: int, lambda_E: float) -> dict:
+    """Eavesdropper nodes u -> (1+y, f_E(y), 1-u) of one eavesdropper law.
 
-
-# Eavesdropper nodes per (N, M_E, lambda_E), which also fix the map's scale:
-# u -> (1+y, f_E(y), 1-u).
-# QUADPACK bisects [0, 1] the same way for every integrand, so the inner
-# integrals of all thresholds and rows of one eavesdropper law keep landing
-# on the same u; the density is evaluated once per node.
-_NODE_TABLES: dict = {}
-
-
-def _node_table(cfg: SystemConfig) -> tuple[float, dict]:
-    return _eve_scale(cfg), _table(_NODE_TABLES, (cfg.N, cfg.M_E, cfg.lambda_E))
+    The law also fixes the map's scale. QUADPACK bisects [0, 1] the same
+    way for every integrand, so the inner integrals of all thresholds and
+    rows of one eavesdropper law keep landing on the same u; the density is
+    evaluated once per node.
+    """
+    return {}
 
 
 def _eve_integrand(x: float, cfg: SystemConfig, survival: bool):
@@ -247,7 +239,7 @@ def _eve_integrand(x: float, cfg: SystemConfig, survival: bool):
     `cdf_snr_dest_mixture_ka` the same way, so every value is the float the
     channel functions give (tests check this bit for bit).
     """
-    scale, table = _node_table(cfg)
+    scale, table = _eve_scale(cfg), _node_table(cfg.N, cfg.M_E, cfg.lambda_E)
     N, M_E, lambda_E = cfg.N, cfg.M_E, cfg.lambda_E
     K, lambda_D, zeta = cfg.K, cfg.lambda_D, cfg.zeta
     orders = range(1, cfg.M_D)
@@ -358,10 +350,15 @@ def _rate_integrand(cfg: SystemConfig, scale: float):
     return mapped
 
 
-# Inner survival integrals {x: value} of the OS rate per (M_D, lambda_D) and
-# eavesdropper law (see the module docstring), each the single-link integral
-# as QUADPACK returns it; it is clamped where it is read.
-_SURVIVAL_TABLES: dict = {}
+@lru_cache(maxsize=64)
+def _survival_table(M_D: int, lambda_D: float, N: int, M_E: int, lambda_E: float) -> dict:
+    """Inner survival integrals x -> value of the OS rate of one family.
+
+    A family is (M_D, lambda_D) and the eavesdropper law (see the module
+    docstring). Each value is the single-link integral as QUADPACK returns
+    it; it is clamped where it is read.
+    """
+    return {}
 
 
 def _os_survival(cfg: SystemConfig):
@@ -371,7 +368,7 @@ def _os_survival(cfg: SystemConfig):
     because the ESR integrand weights the far tail logarithmically.
     """
     K, gate = cfg.K, cfg.zeta
-    table = _table(_SURVIVAL_TABLES, (cfg.M_D, cfg.lambda_D, cfg.N, cfg.M_E, cfg.lambda_E))
+    table = _survival_table(cfg.M_D, cfg.lambda_D, cfg.N, cfg.M_E, cfg.lambda_E)
 
     def survival(x: float) -> float:
         inner = table.get(x)

@@ -15,8 +15,10 @@ links.
   CDF bracket; the bracket's complement is expanded to a term list once and
   raised to each k-th power, accumulating pole multiplicities per
   eavesdropper-survivor index.
-* The unity-dropped (high-SNR) form keeps the exact recipes whose lambda_D
-  and lambda_E powers cancel, without the exponential (see _term_sum_for_key).
+* The unity-dropped (high-SNR) form filters the exact recipes: it keeps
+  those whose lambda_D and lambda_E powers cancel, without the exponential
+  (see _term_sum_for_key). So each shape's recipes are built once,
+  whichever forms ask for them.
 * Gate after selection (KU) has no term sum of its own. The always-on
   selection runs first and one backhaul gate then blocks the selected link
   with probability 1 - zeta, so F_KU = 1 - zeta + zeta * F_on, where F_on
@@ -164,8 +166,8 @@ def _select_over_links(K: int, links) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _ss_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
-    """Exact SS (max destination SNR) recipes over the given slots, gated links.
+def _ss_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
+    """Exact SS (max destination SNR) recipes of one shape, gated links.
 
     The k-th power of the destination slot sum is expanded once per k; the
     closed moment integral over the strongest eavesdropper SNR then attaches
@@ -176,6 +178,7 @@ def _ss_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
     _integer_powers) and E is the eavesdropper coefficients' common
     denominator.
     """
+    slots = _dest_slots(M_D)
     top_mu = max(mu for _frac, _poly, mu, _m in slots)
     groups = _eve_groups(N, M_E)
     eve_denom, eve_nums = _over_common_denominator([frac for _n, _me, frac in groups])
@@ -200,8 +203,8 @@ def _ss_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _os_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
-    """Exact OS (max secrecy ratio) recipes over the given slots, gated links.
+def _os_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
+    """Exact OS (max secrecy ratio) recipes of one shape, gated links.
 
     The single-link ratio-CDF complement expands into terms carried as
     (coeff, x_power, lambda_D power, lambda_E power, pole multiplicity per
@@ -210,7 +213,7 @@ def _os_recipes(K: int, N: int, M_E: int, slots: tuple) -> tuple:
     _integer_powers), which all k-link terms share.
     """
     inner: list[tuple] = []
-    for dest_frac, poly, mu, m in slots:
+    for dest_frac, poly, mu, m in _dest_slots(M_D):
         for n, me_hat, eve_frac in _eve_groups(N, M_E):
             alpha = M_E + mu + me_hat
             frac = dest_frac * eve_frac * math.factorial(alpha - 1)
@@ -260,22 +263,21 @@ def _config_key(cfg: SystemConfig) -> tuple:
 def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
     """The exact or the unity-dropped term sum of one KA config.
 
-    A slot adds mu - m <= 0 to lam_dest_pow + lam_eve_pow, so the exact
-    recipes where that sum is 0 are the products of the mu == m slots
-    alone: the unity-dropped form builds from those and drops the exp.
+    Both come from the one exact build of the shape. A slot adds
+    mu - m <= 0 to lam_dest_pow + lam_eve_pow, so the exact recipes where
+    that sum is 0 are the products of the mu == m slots alone, those that
+    drop the unity on both sides of the ratio: the unity-dropped form keeps
+    them, each with its exact coefficient and pole tuple, and drops the exp.
     """
     K, N, M_D, M_E, lam_d, lam_e, zeta, scheme = key
     scales = (lam_d, lam_e, zeta)
     if zeta == 0.0:
         return TermSum(terms=(), recipes=(), scales=scales)
     build = _ss_recipes if scheme == "SS" else _os_recipes
+    recipes = build(K, N, M_D, M_E)
     if unity_dropped:
-        slots = tuple(s for s in _dest_slots(M_D) if s[2] == s[3])
-        recipes = tuple(ExactTermRecipe(r.frac, r.zeta_pow, r.lam_dest_pow, r.lam_eve_pow,
-                                        0, r.poly_power, r.poles)
-                        for r in build(K, N, M_E, slots))
-    else:
-        recipes = build(K, N, M_E, _dest_slots(M_D))
+        recipes = tuple(replace(r, exp_k=0) for r in recipes
+                        if r.lam_dest_pow + r.lam_eve_pow == 0)
     terms = materialize_recipes(recipes, lam_d, lam_e, zeta)
     return TermSum(terms=terms, recipes=recipes, scales=scales)
 

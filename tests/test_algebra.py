@@ -234,8 +234,7 @@ class TestTermSumAndRecipes:
 
 class TestSharedPoles:
     # materialize_recipes computes each recipe pole tuple's floats once,
-    # keyed by the tuple's identity, and TermSum.eval takes each ln(x + b)
-    # once per call; neither may change a bit
+    # keyed by the tuple's identity; that may change no bit
 
     @staticmethod
     def _recipe(frac, poles):
@@ -261,6 +260,16 @@ class TestSharedPoles:
             8.0, 2.0, 0.7)
         assert [t.poles for t in terms] == [((n * 8.0 / (7 * 2.0), 1),) for n in range(1, 200)]
 
+    @pytest.mark.parametrize("lam_d, lam_e, location", [
+        (10.0 ** -323, 10.0, "0.0"), (1e300, 1e-300, "inf")])
+    def test_pole_outside_the_double_range_raises_naming_its_ratio(self, lam_d, lam_e,
+                                                                   location):
+        recipe = self._recipe(Fraction(1, 3), ((Fraction(3, 2), 1),))
+        with pytest.raises(ArithmeticError, match=rf"pole location 3/2 \* lambda_D / "
+                           rf"lambda_E = {location} ") as info:
+            materialize_recipes([recipe], lam_d, lam_e, 0.7)
+        assert not isinstance(info.value, ValueError)
+
     @pytest.mark.parametrize("frac", [Fraction(-3, 4), Fraction(-10 ** 400, 3)])
     def test_negative_coefficient_gives_minus_one_and_log_of_its_magnitude(self, frac):
         (term,) = materialize_recipes(
@@ -276,7 +285,7 @@ class TestSharedPoles:
         assert len({b for t in term_sum.terms for b, _m in t.poles}) > 1
         values = [t.value_at(x) for t in term_sum.terms]
         assert term_sum.eval(x).hex() == (1.0 - math.fsum(values)).hex()
-        # a shared log table gives each term the bits of the direct formula
+        # each term has the bits of the direct formula
         for term, value in zip(term_sum.terms, values):
             log_val = term.log_coeff - term.exp_rate * x
             if term.poly_power:

@@ -226,6 +226,21 @@ def test_an_underflowed_term_integral_is_a_numeric_error_naming_the_row(tmp_path
     assert not out.exists()
 
 
+def test_an_underflowed_pole_location_is_a_numeric_error_naming_the_row(tmp_path, capsys):
+    # at -3230 dB the pole lambda_D/lambda_E underflows to 0.0, which used to
+    # raise a ValueError out of main
+    config = _write_config(
+        tmp_path / "sweep.json", axis_values=[-3230], variants=[], outputs=["sop_exact"],
+        base={"K": 1, "N": 1, "M_D": 1, "M_E": 1, "lambda_E_dB": 10.0, "zeta": 1.0,
+              "R_th": 1.0, "scheme": "SS", "knowledge": "KA"})
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: row v0 (SS/KA K=1 N=1 M_D=1 M_E=1 zeta=1 "), err
+    assert "pole location 1 * lambda_D / lambda_E = 0.0" in err
+    assert not out.exists()
+
+
 def test_a_quadrature_failure_is_a_numeric_error_naming_the_row(tmp_path, capsys,
                                                                  monkeypatch):
     # a quadrature that cannot reach its tolerance used to raise out of main

@@ -27,7 +27,7 @@ from secrecy_lab.esr import (
     integrate_term,
 )
 from secrecy_lab.oracles import quad_esr
-from secrecy_lab.sop import build_cdf_term_sum
+from secrecy_lab.sop import build_cdf_term_sum, sop
 
 # double quadrature of the defining rate integral at K=N=1, M_D=M_E=1,
 # lam_D=100, lam_E=1, zeta=1; equals (e^(1/lam)/ln2)(E1(1/lam) - e E1((1+lam)/lam))
@@ -477,6 +477,29 @@ class TestIntegralsOutsideTheDoubleRange:
         # the asymptote is affine in ln b; at a pole b = 1 its integral is 0.0
         cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=2.0, lambda_E=2.0, zeta=1.0)
         assert esr_asymptotic(cfg).value == 0.0
+
+
+class TestScaleRatiosOutsideTheDoubleRange:
+    # lambda_D / lambda_E far below the double range: the pole gaps of a
+    # shape underflow, or the pole itself does; both used to raise a
+    # ValueError, as if the config were invalid
+
+    def test_underflowed_pole_gaps_are_a_numeric_error(self):
+        cfg = _cfg(lambda_D=1e-30, lambda_E=1e290)
+        with pytest.raises(ArithmeticError, match="zero constant term") as info:
+            esr_exact(cfg)
+        assert not isinstance(info.value, ValueError)
+        assert sop(cfg).value == 1.0  # the outage is still certified
+
+    def test_underflowed_pole_is_a_numeric_error_naming_its_ratio(self):
+        cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=10.0 ** -323, lambda_E=10.0)
+        for rate in (esr_exact, esr_high_snr, esr_asymptotic):
+            with pytest.raises(ArithmeticError, match=r"pole location 1 \* lambda_D / "
+                               r"lambda_E = 0\.0") as info:
+                rate(cfg)
+            assert not isinstance(info.value, ValueError)
+        with pytest.raises(ArithmeticError, match="pole location"):
+            sop(cfg)
 
 
 class TestOrderFree:

@@ -19,8 +19,9 @@ from secrecy_lab import acceptance, algebra, esr, oracles
 # the package's `sop` attribute is the function, not the module
 sop = importlib.import_module("secrecy_lab.sop")
 
-_CLOSED_FORM_CACHES = (sop._term_sum_for_key, esr._kernel, algebra.partial_fractions,
-                       acceptance._sop_closed, acceptance._esr_closed)
+_CLOSED_FORM_CACHES = (sop._term_sum_for_key, sop._ss_recipes, sop._os_recipes, esr._kernel,
+                       algebra.partial_fractions, acceptance._sop_closed,
+                       acceptance._esr_closed)
 
 
 @pytest.fixture(autouse=True)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -268,7 +269,6 @@ class TestQuadratureOracle:
         os_ = quad_cdf_ratio(2.0, _cfg(K=1, scheme="OS"))
         assert ss == pytest.approx(os_, abs=1e-10)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_tolerance_failure_carries_diagnostics(self, monkeypatch):
         monkeypatch.setattr(oracles, "_ABS_TOL", 1e-14)
         monkeypatch.setattr(oracles, "_REL_TOL", 1e-14)
@@ -373,9 +373,9 @@ class TestInnerIntegrand:
 
     @pytest.mark.parametrize("scheme", ["SS", "OS"])
     @pytest.mark.parametrize("M_D", [1, 2, 3, 4])
-    def test_bitwise_equal_to_the_channel_functions(self, monkeypatch, scheme, M_D):
+    def test_bitwise_equal_to_the_channel_functions(self, scheme, M_D):
         # the survival integrand serves the OS rate alone
-        _empty_tables(monkeypatch)
+        _empty_tables()
         for (N, M_E), lam, zeta, x, survival in product(
                 ((1, 1), (2, 2)), (1e-3, 10.0, 1e4), (0.5, 0.9, 1.0),
                 (1.0, 1.5, 1.6253, 37.25, 1e4), (True, False) if scheme == "OS" else (False,)):
@@ -403,9 +403,9 @@ class TestInnerIntegrand:
                 assert flat(u).hex() == reference(u).hex(), (cfg, scale, u)
 
 
-def _empty_tables(monkeypatch):
-    monkeypatch.setattr(oracles, "_NODE_TABLES", {})
-    monkeypatch.setattr(oracles, "_SURVIVAL_TABLES", {})
+def _empty_tables():
+    oracles._node_table.cache_clear()
+    oracles._survival_table.cache_clear()
 
 
 class TestQuadratureBits:
@@ -417,32 +417,32 @@ class TestQuadratureBits:
                            ("SS", "OS"), ("KA", "KU"), (0.5, 0.9, 1.0), (1.0, 10.0)))
 
     @pytest.mark.parametrize("scheme,knowledge,M,esr_hex,sop_hex,nested_esr_hex", _QUAD_BITS)
-    def test_pinned_on_cold_and_warm_node_cache(self, monkeypatch, scheme, knowledge,
+    def test_pinned_on_cold_and_warm_node_cache(self, scheme, knowledge,
                                                 M, esr_hex, sop_hex, nested_esr_hex):
         cfg = _cfg(M_D=M, M_E=M, lambda_E=10.0 ** 0.5, zeta=0.9,
                    scheme=scheme, knowledge=knowledge)
-        _empty_tables(monkeypatch)
+        _empty_tables()
         rate = quad_esr(cfg)
         assert rate == pytest.approx(float.fromhex(nested_esr_hex), rel=1e-9, abs=0.0)
         assert rate.hex() == esr_hex
-        _empty_tables(monkeypatch)
+        _empty_tables()
         assert quad_cdf_ratio(cfg.rho(), cfg).hex() == sop_hex
-        assert oracles._NODE_TABLES  # the calls above filled it
+        assert oracles._node_table.cache_info().currsize  # the calls above filled it
         assert quad_esr(cfg).hex() == esr_hex
         assert quad_cdf_ratio(cfg.rho(), cfg).hex() == sop_hex
 
-    def test_rows_of_one_shape_equal_a_row_alone(self, monkeypatch):
+    def test_rows_of_one_shape_equal_a_row_alone(self):
         alone = []
         for cfg in self.SHAPE_ROWS:
-            _empty_tables(monkeypatch)
+            _empty_tables()
             alone.append(quad_esr(cfg).hex())
-        _empty_tables(monkeypatch)
+        _empty_tables()
         cold = [quad_esr(cfg).hex() for cfg in self.SHAPE_ROWS]
         # one family per lambda_D, from the OS rows; the SS rows integrate
         # once and store nothing
-        assert len(oracles._SURVIVAL_TABLES) == 2
+        assert oracles._survival_table.cache_info().currsize == 2
         warm = [quad_esr(cfg).hex() for cfg in self.SHAPE_ROWS]
-        _empty_tables(monkeypatch)
+        _empty_tables()
         backward = [quad_esr(cfg).hex() for cfg in reversed(self.SHAPE_ROWS)][::-1]
         assert cold == alone
         assert warm == alone
@@ -451,18 +451,28 @@ class TestQuadratureBits:
     def test_tables_stay_within_their_bounds(self, monkeypatch):
         # at most 64 tables of at most 65,536 points each; filled past
         # smaller bounds, the tables stop there and the bits stay the same
-        assert (oracles._TABLES_MAX, oracles._ENTRIES_PER_TABLE_MAX) == (64, 1 << 16)
+        factories = (oracles._survival_table, oracles._node_table)
+        assert [factory.cache_info().maxsize for factory in factories] == [64, 64]
+        assert oracles._ENTRIES_PER_TABLE_MAX == 1 << 16
         rows = self.SHAPE_ROWS[::5]
-        _empty_tables(monkeypatch)
+        _empty_tables()
         expected = [quad_esr(cfg).hex() for cfg in rows]
-        monkeypatch.setattr(oracles, "_TABLES_MAX", 2)
+        made = {}  # factory name -> every table it made
+
+        def small(factory):
+            def make(*key):
+                table = factory.__wrapped__(*key)
+                made.setdefault(factory.__name__, []).append(table)
+                return table
+            return lru_cache(maxsize=2)(make)
+        for factory in factories:
+            monkeypatch.setattr(oracles, factory.__name__, small(factory))
         monkeypatch.setattr(oracles, "_ENTRIES_PER_TABLE_MAX", 16)
-        _empty_tables(monkeypatch)
         assert [quad_esr(cfg).hex() for cfg in rows] == expected
-        for tables in (oracles._SURVIVAL_TABLES, oracles._NODE_TABLES):
-            assert 0 < len(tables) <= 2
-            assert all(len(table) <= 16 for table in tables.values())
-        assert max(map(len, oracles._SURVIVAL_TABLES.values())) == 16
+        for factory in factories:
+            assert 0 < getattr(oracles, factory.__name__).cache_info().currsize <= 2
+            assert all(len(table) <= 16 for table in made[factory.__name__])
+        assert max(map(len, made["_survival_table"])) == 16
 
     def test_quick_rate_grid_pinned(self):
         # the nested quadrature's grid came within 1.4e-10 relative of the
@@ -532,10 +542,10 @@ class TestSingleRateIntegral:
         assert quad_esr(cfg) == pytest.approx(nested, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("N,M_D,M_E", list(product((1, 3), repeat=3)))
-    def test_single_link_nested_quadrature_agrees(self, monkeypatch, N, M_D, M_E):
+    def test_single_link_nested_quadrature_agrees(self, N, M_D, M_E):
         # at K = 1 the nested OS quadrature integrates over the ratio's law and
         # the single integral over t: the change of integration order
-        _empty_tables(monkeypatch)
+        _empty_tables()
         for lambda_D_dB, lambda_E_dB in product((0.0, 20.0, 40.0), (-10.0, 5.0)):
             cfg = _cfg(K=1, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (lambda_D_dB / 10.0),
                        lambda_E=10.0 ** (lambda_E_dB / 10.0), zeta=0.9, scheme="OS")
@@ -547,10 +557,11 @@ class TestSingleRateIntegral:
         _cfg(K=1, lambda_E=10.0 ** 0.5, zeta=0.9, scheme="OS"),
         _cfg(K=3, lambda_E=10.0 ** 0.5, zeta=0.9, knowledge="KU"),
     ], ids=["SS", "OS-K1", "SS-KU"])
-    def test_single_integral_fills_no_table(self, monkeypatch, cfg):
-        _empty_tables(monkeypatch)
+    def test_single_integral_fills_no_table(self, cfg):
+        _empty_tables()
         assert quad_esr(cfg) > 0.0
-        assert oracles._SURVIVAL_TABLES == {} and oracles._NODE_TABLES == {}
+        assert oracles._survival_table.cache_info().currsize == 0
+        assert oracles._node_table.cache_info().currsize == 0
 
 
 class TestQuadpack:
@@ -648,7 +659,8 @@ def test_oracles_import_only_the_channel_model():
     # the oracles certify the closed forms, so they restate the gate-after-
     # selection identity instead of importing the closed forms' mapping: one
     # shared bug would pass both sides of every check
-    tree = ast.parse(open(oracles.__file__, encoding="utf-8").read())
+    with open(oracles.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
     relative, absolute = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -7,6 +7,7 @@ protocol.
 """
 
 import hashlib
+import importlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -15,7 +16,7 @@ from itertools import product
 import pytest
 
 from secrecy_lab.channel import SystemConfig
-from secrecy_lab.esr import esr_exact
+from secrecy_lab.esr import esr_asymptotic, esr_exact, esr_high_snr
 from secrecy_lab.sop import (
     build_cdf_term_sum,
     build_high_snr_term_sum,
@@ -24,6 +25,9 @@ from secrecy_lab.sop import (
     sop,
     sop_asymptotic,
 )
+
+# the package's `sop` attribute is the function, not the module
+sop_module = importlib.import_module("secrecy_lab.sop")
 
 # quad_cdf_ratio(x=2) at K=2, N=2, M_D=M_E=2, lam_D=10, lam_E=1, zeta=1, SS/KA
 GOLDEN_RATIO_CDF = 0.030717715588085443
@@ -261,7 +265,7 @@ def test_recipes_pinned_on_every_small_shape():
 
 
 def test_unity_dropped_recipes_are_the_scale_free_exact_ones():
-    # built from the mu == m slots alone, they are the exact recipes whose
+    # the products of the mu == m slots alone are the exact recipes whose
     # lambda_D and lambda_E powers cancel, without the exponential
     for (K, N, M_D, M_E), scheme in product(product(range(1, 4), repeat=4), ("SS", "OS")):
         cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
@@ -269,6 +273,23 @@ def test_unity_dropped_recipes_are_the_scale_free_exact_ones():
         scale_free = Counter(replace(r, exp_k=0) for r in build_cdf_term_sum(cfg).recipes
                              if r.lam_dest_pow + r.lam_eve_pow == 0)
         assert Counter(build_high_snr_term_sum(cfg).recipes) == scale_free
+
+
+@pytest.mark.parametrize("scheme", ["SS", "OS"])
+def test_rates_of_one_shape_build_its_recipes_once(scheme):
+    # the unity-dropped recipes are filtered from the exact ones, so the
+    # high-SNR and asymptotic rates build nothing after the exact term sum
+    builders = (sop_module._ss_recipes, sop_module._os_recipes)
+    for builder in builders:
+        builder.cache_clear()
+    cfg = _cfg(K=2, N=3, M_D=3, M_E=2, lambda_D=123.0, lambda_E=7.0, zeta=0.8,
+               scheme=scheme)
+    build_cdf_term_sum(cfg)
+    misses = [builder.cache_info().misses for builder in builders]
+    assert sum(misses) == 1
+    esr_high_snr(cfg)
+    esr_asymptotic(cfg)
+    assert [builder.cache_info().misses for builder in builders] == misses
 
 
 @pytest.mark.parametrize("build", [build_cdf_term_sum, build_high_snr_term_sum])
