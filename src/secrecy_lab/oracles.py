@@ -17,16 +17,23 @@ np.maximum fold over the N slices, exact in any order.
 
 Monte Carlo selection: once a chunk's three draws are made, each is copied
 to one contiguous row per link. A shape's configs are grouped by (lambda_D,
-lambda_E); a group builds its destination SNRs and ratios once, for both
-schemes, and frees them before the next group. Per scheme, the unmasked
+lambda_E); a group builds its destination SNRs, ratios and per-link rates
+max(log2(ratio), 0) once, for both schemes, and frees them before the next
+group. The log2 is taken once per link, over the contiguous (K, trials)
+array, and the selections gather rates instead of ratios. numpy's log2
+gives an element the same bits wherever it sits in an array (tests check
+this across SIMD tails), so every rate array has the bits of a per-config
+argmax over links followed by log2 of the chosen ratio. Per scheme, the unmasked
 selection ignores the gates and runs once: KU rows at every zeta gate its
 pick, and KA rows at zeta = 1 take its rate, because every gate draw lies
 in [0, 1) and so every link is on. KA rows below zeta = 1 get one masked
 selection per zeta, on masks computed once per zeta. Links are compared one
 row at a time with a strict >, which keeps np.argmax's first maximum on
 ties; a trial with every link masked picks link 0 and transmits nothing.
-The log2 rate is taken once per selection, on a contiguous array, so every
-rate array has the bits of a per-config argmax over links.
+With K = 1 there is nothing to select: both schemes share the one pick, and
+a KA row below zeta = 1 is the KU row at its zeta. Rows that share a rate
+array share its statistics (outage count, sum, sum of squares), computed
+once per array and threshold.
 
 Gate after selection (KU): the always-on selection runs first and one
 backhaul gate then blocks the selected link, so a KU row is its always-on KA
@@ -44,17 +51,26 @@ only, and under either scheme at K = 1; a trial with every link gated off
 has X = 0 and adds nothing. A KU row is its always-on row scaled by zeta.
 OS with K >= 2 selects on the ratio, which reads the eavesdroppers, so
 there `quad_esr` integrates the ratio's survival 1 - F(x), itself an
-integral over Y at each outer node x.
+integral over Y at each outer node x. That survival falls off around the
+ratio's knee, lambda_D over one plus the eavesdropper scale, which lies far
+inside the outer scale when lambda_D >> lambda_E; QUADPACK gets
+breakpoints at 1/4, 1, 4 and 16 knees, as the single integral gets them at
+1 and 16 eavesdropper scales, so it splits the range there instead of
+bisecting its way toward the knee.
 
-Quadrature sharing (OS, K >= 2): the inner integral depends on x, (M_D,
+Quadrature sharing: a KU row gates its always-on KA row, which is a row of
+its own in most sweeps, so the KA value of each oracle (the rate, and the
+eavesdropper average inside the outage CDF) is memoized per config and
+point. Under OS with K >= 2 the inner integral depends on x, (M_D,
 lambda_D) and the eavesdropper law only. Rows that agree there and share K
 and lambda_E (and so the outer map) meet the same x, and the first row's
 inner value serves the others. QUADPACK is deterministic and every input of
-the inner integral is in its key, so a stored value is the exact float a
-fresh quadrature would return: every result is bit-identical to one
-computed on empty tables, in any row order. The eavesdropper density is
-likewise stored per node. Each table comes from an lru_cache factory keyed
-by what its values depend on, so evicting a table moves no bit either.
+each integral is in its key, the tolerances and subdivision limit among
+them, so a stored value is the exact float a fresh quadrature would return:
+every result is bit-identical to one computed on empty tables, in any row
+order. The eavesdropper density is likewise stored per node. Each memo is a
+bounded lru_cache keyed by what its values depend on, so evicting an entry
+moves no bit either.
 
 Integrands: each quadrature integrates one Python function per node,
 `_eve_integrand` over Y and `_rate_integrand` over t. Both restate the
@@ -197,6 +213,19 @@ def _quad_unit(mapped, points=None) -> float:
     return value
 
 
+def _quad_settings() -> tuple[float, float, int]:
+    # what every QUADPACK value depends on besides its integrand: part of
+    # each value memo's key, so a changed setting is a fresh quadrature
+    return _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS
+
+
+def _breakpoints(scale: float, outer: float, multiples: tuple[float, ...]) -> list[float] | None:
+    # the u of t = m*scale on the map t = -outer*log(1-u), for each multiple
+    # m whose t lies below the outer scale; None, for _quad_unit, if none does
+    ratio = scale / outer
+    return [-math.expm1(-m * ratio) for m in multiples if m * ratio < 1.0] or None
+
+
 def _eve_scale(cfg: SystemConfig) -> float:
     # roughly the mean of the strongest eavesdropper SNR
     return cfg.lambda_E * (cfg.M_E + math.log(cfg.N + 1.0))
@@ -283,6 +312,18 @@ def _always_on(cfg: SystemConfig) -> SystemConfig:
     return replace(cfg, zeta=1.0, knowledge="KA")
 
 
+# Value memos of the KA quadratures, which each KU row gates (see "Quadrature
+# sharing"): the _VALUES_MAX most recently used values are kept
+_VALUES_MAX = 256
+
+
+@lru_cache(maxsize=_VALUES_MAX)
+def _ka_cdf_integral(x: float, cfg: SystemConfig, *settings) -> float:
+    # the eavesdropper average of a KA row's CDF at x; `settings` is
+    # _quad_settings(), in the key only
+    return _quad_unit(_eve_integrand(x, cfg, survival=False))
+
+
 def quad_cdf_ratio(x: float, cfg: SystemConfig) -> float:
     """CDF of the secrecy ratio at finite x >= 1 by direct adaptive quadrature.
 
@@ -300,7 +341,7 @@ def quad_cdf_ratio(x: float, cfg: SystemConfig) -> float:
         return 1.0
     if cfg.knowledge == "KU":
         return min(1.0, 1.0 - cfg.zeta + cfg.zeta * quad_cdf_ratio(x, _always_on(cfg)))
-    value = _quad_unit(_eve_integrand(x, cfg, survival=False))
+    value = _ka_cdf_integral(x, cfg, *_quad_settings())
     if cfg.scheme == "OS":
         value = ((1.0 - cfg.zeta) + cfg.zeta * value) ** cfg.K
     return min(1.0, max(0.0, value))
@@ -385,9 +426,14 @@ def _os_survival(cfg: SystemConfig):
 
 def _nested_esr(cfg: SystemConfig) -> float:
     # (1/ln 2) * integral_1^inf (1 - F(x))/x dx of a KA OS row, with the
-    # outer tail mapped like the inner one, x - 1 = -scale*log(1-u)
+    # outer tail mapped like the inner one, x - 1 = -scale*log(1-u). The
+    # survival falls off around the ratio's knee lambda_D/(1 + eavesdropper
+    # scale), far inside the outer scale when lambda_D >> lambda_E, so
+    # QUADPACK gets breakpoints at 1/4, 1, 4 and 16 knees inside the outer one
     scale = _outer_scale(cfg)
     survival = _os_survival(cfg)
+    knee = cfg.lambda_D / (_eve_scale(cfg) + 1.0)
+    points = _breakpoints(knee, scale, (0.25, 1.0, 4.0, 16.0))
 
     def mapped(u: float) -> float:
         if u >= 1.0:
@@ -396,7 +442,7 @@ def _nested_esr(cfg: SystemConfig) -> float:
         x = 1.0 + t
         return survival(x) / x * scale / (1.0 - u)
 
-    return _quad_unit(mapped) / _LN2
+    return _quad_unit(mapped, points) / _LN2
 
 
 def _single_esr(cfg: SystemConfig) -> float:
@@ -405,9 +451,16 @@ def _single_esr(cfg: SystemConfig) -> float:
     # the outer one (far below when lambda_D >> lambda_E), QUADPACK gets
     # breakpoints at t = 1 and 16 eavesdropper scales inside the outer one
     scale = _outer_scale(cfg)
-    ratio = _eve_scale(cfg) / scale
-    points = [-math.expm1(-m * ratio) for m in (1.0, 16.0) if m * ratio < 1.0]
-    return _quad_unit(_rate_integrand(cfg, scale), points or None) / _LN2
+    points = _breakpoints(_eve_scale(cfg), scale, (1.0, 16.0))
+    return _quad_unit(_rate_integrand(cfg, scale), points) / _LN2
+
+
+@lru_cache(maxsize=_VALUES_MAX)
+def _ka_esr(cfg: SystemConfig, *settings) -> float:
+    # quad_esr of a KA row; `settings` is _quad_settings(), in the key only
+    if cfg.scheme == "OS" and cfg.K > 1:
+        return _nested_esr(cfg)
+    return _single_esr(cfg)
 
 
 def quad_esr(cfg: SystemConfig) -> float:
@@ -424,9 +477,7 @@ def quad_esr(cfg: SystemConfig) -> float:
         return 0.0
     if cfg.knowledge == "KU":
         return cfg.zeta * quad_esr(_always_on(cfg))
-    if cfg.scheme == "OS" and cfg.K > 1:
-        return _nested_esr(cfg)
-    return _single_esr(cfg)
+    return _ka_esr(cfg, *_quad_settings())
 
 
 def _shape(cfg: SystemConfig) -> tuple[int, int, int, int]:
@@ -477,9 +528,10 @@ def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
     masks: dict = {}  # KA zeta below 1 -> (per-link active masks, any link active)
     groups: dict = {}  # (lambda_D, lambda_E) -> indices of its configs
     for i, cfg in enumerate(cfgs):
-        if cfg.knowledge == "KA" and cfg.zeta < 1.0 and cfg.zeta not in masks:
-            on = gate_u < cfg.zeta
-            masks[cfg.zeta] = on, on.any(axis=0)
+        _scheme, knowledge, zeta = _selection(cfg)
+        if knowledge == "KA" and zeta < 1.0 and zeta not in masks:
+            on = gate_u < zeta
+            masks[zeta] = on, on.any(axis=0)
         groups.setdefault((cfg.lambda_D, cfg.lambda_E), []).append(i)
     rates = [None] * len(cfgs)
     for (lambda_D, lambda_E), members in groups.items():
@@ -511,36 +563,65 @@ def _first_max(score, payloads, on=None) -> list:
     return picked
 
 
+def _selection(cfg: SystemConfig) -> tuple[str, str, float]:
+    # (scheme, knowledge, zeta) of the selection a config's rates come from.
+    # With one link there is nothing to select: both schemes pick it, and a
+    # KA row's "some link is on" is the KU row's "the picked link is on", so
+    # every K = 1 row is the SS KU row at its zeta, bit for bit
+    if cfg.K == 1:
+        return "SS", "KU", cfg.zeta
+    return cfg.scheme, cfg.knowledge, cfg.zeta
+
+
 def _group_rates(cfgs: list, dest, eve, gate_u, masks: dict) -> list:
     # rates of configs that share lambda_D and lambda_E. Per scheme, one
     # unmasked selection serves KU at every zeta and KA at zeta = 1 (each
     # gate draw lies in [0, 1), so every link is on), and KA below zeta = 1
-    # gets one masked selection per zeta
+    # gets one masked selection per zeta. Each link's rate is taken once,
+    # and the selections gather rates
     import numpy as np
 
     ratio = (1.0 + dest) / (1.0 + eve)
+    link_rates = np.log2(ratio)
+    np.maximum(link_rates, 0.0, out=link_rates)
 
-    def rate(chosen_ratio):
-        return np.maximum(np.log2(chosen_ratio), 0.0)
-
-    rates: dict = {}  # (scheme, knowledge, zeta) -> rate array
+    rates: dict = {}  # selection -> rate array
     unmasked: dict = {}  # scheme -> that selection's rate and the gate draw of its link
     for cfg in cfgs:
-        key = (cfg.scheme, cfg.knowledge, cfg.zeta)
+        key = scheme, knowledge, zeta = _selection(cfg)
         if key in rates:
             continue
-        score = dest if cfg.scheme == "SS" else ratio
-        if cfg.knowledge == "KA" and cfg.zeta < 1.0:
-            on, any_on = masks[cfg.zeta]
-            (chosen,) = _first_max(score, [ratio], on)
-            rates[key] = np.where(any_on, rate(chosen), 0.0)
+        score = dest if scheme == "SS" else ratio
+        if knowledge == "KA" and zeta < 1.0:
+            on, any_on = masks[zeta]
+            (chosen,) = _first_max(score, [link_rates], on)
+            rates[key] = np.where(any_on, chosen, 0.0)
             continue
-        if cfg.scheme not in unmasked:
-            chosen, chosen_u = _first_max(score, [ratio, gate_u])
-            unmasked[cfg.scheme] = rate(chosen), chosen_u
-        on_rate, on_u = unmasked[cfg.scheme]
-        rates[key] = on_rate if cfg.zeta == 1.0 else np.where(on_u < cfg.zeta, on_rate, 0.0)
-    return [rates[cfg.scheme, cfg.knowledge, cfg.zeta] for cfg in cfgs]
+        if scheme not in unmasked:
+            unmasked[scheme] = _first_max(score, [link_rates, gate_u])
+        on_rate, on_u = unmasked[scheme]
+        rates[key] = on_rate if zeta == 1.0 else np.where(on_u < zeta, on_rate, 0.0)
+    return [rates[_selection(cfg)] for cfg in cfgs]
+
+
+def _rate_stats(cfgs: tuple[SystemConfig, ...], rates: list) -> list[tuple[float, float, float]]:
+    """(outage count, rate sum, sum of squares) of each config's rate array.
+
+    Configs share rate arrays, so each array's statistics at a threshold
+    are computed once. Arrays are told apart by identity, which is sound
+    while `rates` holds every one of them.
+    """
+    import numpy as np
+
+    done: dict = {}  # (id of a rate array, R_th) -> its statistics
+    stats = []
+    for cfg, rate in zip(cfgs, rates):
+        key = id(rate), cfg.R_th
+        if key not in done:
+            done[key] = (float(np.count_nonzero(rate <= cfg.R_th)), float(rate.sum()),
+                         float((rate * rate).sum()))
+        stats.append(done[key])
+    return stats
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -561,7 +642,6 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be at least {_MIN_TRIALS} (got {trials})")
-    import numpy as np
 
     groups: dict = {}  # shape -> indices of its configs
     for i, cfg in enumerate(cfgs):
@@ -574,11 +654,11 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
         index, size = index_size
         stats = [None] * len(cfgs)
         for members in groups.values():
+            # the rate arrays live only through _rate_stats: one shape's at a time
             group = tuple(cfgs[i] for i in members)
-            for i, rates in zip(members, _rates_with_rng(group, _chunk_rng(seed, index), size)):
-                outage = np.count_nonzero(rates <= cfgs[i].R_th)
-                stats[i] = (float(outage), float(rates.sum()),
-                            float((rates * rates).sum()))
+            for i, stat in zip(members, _rate_stats(
+                    group, _rates_with_rng(group, _chunk_rng(seed, index), size))):
+                stats[i] = stat
         return stats
 
     jobs = list(enumerate(sizes))

@@ -85,6 +85,21 @@ class TestSharedDraws:
                 assert shared.mean == single.mean
                 assert shared.stderr == single.stderr
 
+    def test_odd_ragged_chunk_equals_row_by_row(self):
+        # K = 3 rows whose second chunk has an odd trial count: each link's
+        # rate is taken over a (K, 4465) array, each row's alone too
+        rows = tuple(_cfg(K=3, N=2, M_D=2, M_E=1, lambda_D=lam, zeta=zeta, scheme=scheme,
+                          knowledge=knowledge)
+                     for lam, zeta, scheme, knowledge in product(
+                         (2.0, 50.0), (0.5, 1.0), ("SS", "OS"), ("KA", "KU")))
+        trials = 65536 + 4465
+        assert trials % 65536 % 2 == 1
+        for cfg, pair in zip(rows, mc_moments(rows, trials, seed=23)):
+            alone = _mc_alone(cfg, trials, seed=23)
+            for shared, single in zip(pair, alone):
+                assert shared.mean == single.mean
+                assert shared.stderr == single.stderr
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity masks")
     def test_default_threads_follow_the_affinity_mask(self):
@@ -183,13 +198,16 @@ def _argmax_rates(cfg, dest_sum, eve_max, gate_u):
 
 
 class TestSelection:
+    @pytest.mark.parametrize("count", [640, 643])
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
-    def test_ties_and_dark_trials_match_argmax(self, K):
+    def test_ties_and_dark_trials_match_argmax(self, K, count):
         # draws from a few values make exact ties between links; blocks of
         # trials tie on every link (SS on the destination SNR, OS on the
         # ratio too, with the gates differing) or have every gate off at
-        # zeta 0.5, one block exactly at the gate threshold
-        N, M_D, M_E, count = 2, 2, 1, 640
+        # zeta 0.5, one block exactly at the gate threshold. The simulator
+        # takes each link's log2 rate and the reference the selected one's;
+        # 643 trials leave a tail off every SIMD width
+        N, M_D, M_E = 2, 2, 1
         pick = np.random.default_rng(K)
         dest = pick.choice([0.5, 1.0, 2.0], size=(count, K, M_D))
         eve = pick.choice([0.25, 1.0, 3.0], size=(count, K, N, M_E))
@@ -300,25 +318,30 @@ class TestQuadratureOracle:
 # float.hex() of quad_esr and quad_cdf_ratio(rho) for K = N = 2, M_D = M_E = M,
 # lambda_D = 10, lambda_E = 10^0.5, zeta = 0.9, R_th = 1; the quad_cdf_ratio
 # bits were recorded before the eavesdropper node cache existed, the quad_esr
-# bits once only OS with K >= 2 kept the nested rate quadrature. The last
-# column is the rate of the nested quadrature every row used before, which
-# the single integral must match within its tolerance
+# bits once only OS with K >= 2 kept the nested rate quadrature, and those of
+# the OS rows once its outer integral got breakpoints at the ratio's knee.
+# The last column is the rate of the nested quadrature without breakpoints,
+# which every row used before: the single integral and the split nested one
+# must match it within their tolerance. It also holds the OS rows' bits
+# before the breakpoints (OS KU 2's were 0x1.7fcf3bef01154p+0, one ulp above)
 _QUAD_BITS = (
     ("SS", "KA", 1, "0x1.649b244f26002p+0", "0x1.af79340014873p-2", "0x1.649b244f2668ep+0"),
     ("SS", "KA", 2, "0x1.76e4785da957ep+0", "0x1.609b718ee4af0p-2", "0x1.76e4785daa9eap+0"),
     ("SS", "KU", 1, "0x1.58cb484b21531p+0", "0x1.c3e189c60c752p-2", "0x1.58cb484b21c40p+0"),
     ("SS", "KU", 2, "0x1.6764911e0550ap+0", "0x1.7c3da59eb8d26p-2", "0x1.6764911e0697ep+0"),
-    ("OS", "KA", 1, "0x1.795374eac6a43p+0", "0x1.8ae51071842b5p-2", "0x1.795374eac6a43p+0"),
-    ("OS", "KA", 2, "0x1.8cde1219bf42ap+0", "0x1.3696919e68b5ep-2", "0x1.8cde1219bf42ap+0"),
-    ("OS", "KU", 1, "0x1.6fd0f730f0400p+0", "0x1.9b3cf07cfa483p-2", "0x1.6fd0f730f0400p+0"),
-    ("OS", "KU", 2, "0x1.7fcf3bef01154p+0", "0x1.4d8d905aa0dcep-2", "0x1.7fcf3bef01153p+0"),
+    ("OS", "KA", 1, "0x1.795374eac6f43p+0", "0x1.8ae51071842b5p-2", "0x1.795374eac6a43p+0"),
+    ("OS", "KA", 2, "0x1.8cde1219befc9p+0", "0x1.3696919e68b5ep-2", "0x1.8cde1219bf42ap+0"),
+    ("OS", "KU", 1, "0x1.6fd0f730f08cfp+0", "0x1.9b3cf07cfa483p-2", "0x1.6fd0f730f0400p+0"),
+    ("OS", "KU", 2, "0x1.7fcf3bef00d4cp+0", "0x1.4d8d905aa0dcep-2", "0x1.7fcf3bef01153p+0"),
 )
 
 
 # sha256 of the newline-joined float.hex() of quad_esr over the quick rate
-# grid, in _esr_grid(True) order, recorded once only OS with K >= 2 kept the
-# nested rate quadrature
-_QUICK_ESR_GRID_SHA256 = "c5737a4addf7de860338116cd7078b57ecbe41ed62425a4089973733f08d8ae2"
+# grid, in _esr_grid(True) order, recorded once the nested rate quadrature
+# (OS with K >= 2) got breakpoints at the ratio's knee; before them it was
+# c5737a4addf7de860338116cd7078b57ecbe41ed62425a4089973733f08d8ae2, and the
+# OS rows moved by at most 3.1e-11 relative, closer to the closed forms
+_QUICK_ESR_GRID_SHA256 = "f560a5c2c23dcd0a8896fa840c1dafb0ec92bbc08ac029350ce15fc6f2f23d05"
 
 # sha256 of the newline-joined float.hex() of quad_cdf_ratio(rho) over the
 # full outage grid (1,728 rows, K = 3 KU rows at zeta 0.5 and 0.9 among
@@ -406,6 +429,8 @@ class TestInnerIntegrand:
 def _empty_tables():
     oracles._node_table.cache_clear()
     oracles._survival_table.cache_clear()
+    oracles._ka_esr.cache_clear()
+    oracles._ka_cdf_integral.cache_clear()
 
 
 class TestQuadratureBits:
@@ -449,14 +474,19 @@ class TestQuadratureBits:
         assert backward == alone
 
     def test_tables_stay_within_their_bounds(self, monkeypatch):
-        # at most 64 tables of at most 65,536 points each; filled past
-        # smaller bounds, the tables stop there and the bits stay the same
+        # at most 64 tables of at most 65,536 points each, and at most 256
+        # memoized KA values of each oracle; filled past smaller bounds, the
+        # tables and memos stop there and the bits stay the same
         factories = (oracles._survival_table, oracles._node_table)
-        assert [factory.cache_info().maxsize for factory in factories] == [64, 64]
+        memos = (oracles._ka_esr, oracles._ka_cdf_integral)
+        assert [cache.cache_info().maxsize for cache in factories + memos] == [64, 64, 256, 256]
         assert oracles._ENTRIES_PER_TABLE_MAX == 1 << 16
         rows = self.SHAPE_ROWS[::5]
+
+        def values():
+            return [(quad_esr(cfg).hex(), quad_cdf_ratio(cfg.rho(), cfg).hex()) for cfg in rows]
         _empty_tables()
-        expected = [quad_esr(cfg).hex() for cfg in rows]
+        expected = values()
         made = {}  # factory name -> every table it made
 
         def small(factory):
@@ -467,10 +497,13 @@ class TestQuadratureBits:
             return lru_cache(maxsize=2)(make)
         for factory in factories:
             monkeypatch.setattr(oracles, factory.__name__, small(factory))
+        for memo in memos:
+            monkeypatch.setattr(oracles, memo.__name__, lru_cache(maxsize=2)(memo.__wrapped__))
         monkeypatch.setattr(oracles, "_ENTRIES_PER_TABLE_MAX", 16)
-        assert [quad_esr(cfg).hex() for cfg in rows] == expected
+        assert values() == expected
+        for cache in factories + memos:
+            assert 0 < getattr(oracles, cache.__name__).cache_info().currsize <= 2
         for factory in factories:
-            assert 0 < getattr(oracles, factory.__name__).cache_info().currsize <= 2
             assert all(len(table) <= 16 for table in made[factory.__name__])
         assert max(map(len, made["_survival_table"])) == 16
 
@@ -486,14 +519,23 @@ class TestQuadratureBits:
     # sha256 of the newline-joined float.hex() of quad_esr and of
     # quad_cdf_ratio(rho) over K >= 3, M_D >= 3 rows: the outage bits recorded
     # while the inner integrands still called the channel functions, the rate
-    # bits once only OS with K >= 2 kept the nested rate quadrature
+    # bits once the nested rate quadrature got breakpoints at the ratio's knee
     LARGE_ROWS = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam,
                             lambda_E=10.0 ** 0.5, zeta=0.9, scheme=scheme,
                             knowledge=knowledge)
                        for (K, N, M_D, M_E), lam, scheme, knowledge in product(
                            ((3, 2, 3, 2), (4, 1, 4, 3)), (10.0, 100.0), ("SS", "OS"),
                            ("KA", "KU")))
-    LARGE_ESR_SHA256 = "1324951e08d8f7411d75ed6cbbd7f6ff3207ea1635d29118825a40d08b908d5e"
+    LARGE_ESR_SHA256 = "5ad1e128eca851df098dd9f472a498fe593d61135fcbf8ce0526619a175304b4"
+    # quad_esr before those breakpoints, in row order (sha256 1324951e...)
+    LARGE_UNSPLIT_ESR_HEXES = (
+        "0x1.1df2739235745p+1", "0x1.09b9ac314d386p+1", "0x1.36cef6975f7aep+1",
+        "0x1.2320eea6a9df6p+1", "0x1.60e836789c626p+2", "0x1.423f213f3693ep+2",
+        "0x1.6d1f5bfe8d537p+2", "0x1.4eb435f244a84p+2", "0x1.54654e06d41e5p+1",
+        "0x1.386db99e53f20p+1", "0x1.7fc965cfc0ecfp+1", "0x1.6333818ee677ep+1",
+        "0x1.7d3cfccee4ceap+2", "0x1.5a3cfdb3c3f25p+2", "0x1.92a0cc2b2058cp+2",
+        "0x1.6f5431926801cp+2",
+    )
     # quad_esr of the nested quadrature every row used before, in row order
     LARGE_NESTED_ESR_HEXES = (
         "0x1.1df273922ddbfp+1", "0x1.09b9ac314be5ep+1", "0x1.36cef6975f7aep+1",
@@ -507,8 +549,10 @@ class TestQuadratureBits:
 
     def test_larger_shapes_pinned(self):
         rates = [quad_esr(cfg) for cfg in self.LARGE_ROWS]
-        for rate, nested in zip(rates, self.LARGE_NESTED_ESR_HEXES, strict=True):
+        for rate, nested, unsplit in zip(rates, self.LARGE_NESTED_ESR_HEXES,
+                                         self.LARGE_UNSPLIT_ESR_HEXES, strict=True):
             assert rate == pytest.approx(float.fromhex(nested), rel=1e-9, abs=0.0)
+            assert rate == pytest.approx(float.fromhex(unsplit), rel=1e-9, abs=0.0)
         esr_hexes = "\n".join(rate.hex() for rate in rates)
         sop_hexes = "\n".join(quad_cdf_ratio(cfg.rho(), cfg).hex() for cfg in self.LARGE_ROWS)
         assert hashlib.sha256(esr_hexes.encode()).hexdigest() == self.LARGE_ESR_SHA256
@@ -518,6 +562,34 @@ class TestQuadratureBits:
         hexes = "\n".join(quad_cdf_ratio(cfg.rho(), cfg).hex()
                           for cfg in acceptance._sop_grid(False))
         assert hashlib.sha256(hexes.encode()).hexdigest() == _FULL_SOP_GRID_SHA256
+
+    @pytest.mark.parametrize("knowledge", ["KA", "KU"])
+    def test_memoized_values_honor_the_quadpack_settings(self, monkeypatch, knowledge):
+        # a KU row reads its always-on row's memoized KA value; with a
+        # subdivision limit the quadrature cannot meet, the warm row fails
+        # as a cold one would instead of returning the stored value
+        cfg = _cfg(lambda_D=0.1, lambda_E=10.0 ** 0.5, zeta=0.9, knowledge=knowledge)
+        _empty_tables()
+        assert quad_esr(cfg) > 0.0 and quad_cdf_ratio(cfg.rho(), cfg) < 1.0
+        assert oracles._ka_esr.cache_info().currsize == 1
+        assert oracles._ka_cdf_integral.cache_info().currsize == 1
+        monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 1)
+        with pytest.raises(QuadratureError):
+            quad_esr(cfg)
+        with pytest.raises(QuadratureError):
+            quad_cdf_ratio(cfg.rho(), cfg)
+
+    def test_ku_row_reuses_its_always_on_quadratures(self):
+        # every KU row is one multiply-add on its always-on KA value
+        ka = _cfg(K=3, lambda_E=10.0 ** 0.5, scheme="OS")
+        ku = _cfg(K=3, lambda_E=10.0 ** 0.5, zeta=0.9, scheme="OS", knowledge="KU")
+        _empty_tables()
+        rate, outage = quad_esr(ka), quad_cdf_ratio(ku.rho(), ka)
+        misses = oracles._ka_esr.cache_info().misses, oracles._ka_cdf_integral.cache_info().misses
+        assert quad_esr(ku) == 0.9 * rate
+        assert quad_cdf_ratio(ku.rho(), ku) == min(1.0, 1.0 - 0.9 + 0.9 * outage)
+        assert (oracles._ka_esr.cache_info().misses,
+                oracles._ka_cdf_integral.cache_info().misses) == misses
 
     @pytest.mark.parametrize("scheme", ["SS", "OS"])
     def test_gate_after_selection_at_full_reliability_is_bitwise_ka(self, scheme):
@@ -540,6 +612,22 @@ class TestSingleRateIntegral:
         cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (lambda_D_dB / 10.0),
                    lambda_E=1e-3, zeta=zeta)
         assert quad_esr(cfg) == pytest.approx(nested, rel=1e-9, abs=0.0)
+
+    # OS/KA rows far above or near the eavesdroppers, whose nested rate
+    # quadrature gets two to four breakpoints at the ratio's knee. The values
+    # are the nested quadrature's without breakpoints.
+    @pytest.mark.parametrize("K,N,M_D,M_E,lambda_D_dB,lambda_E_dB,unsplit", [
+        (2, 2, 2, 1, 30.0, -30.0, 10.986533572092942),
+        (3, 4, 2, 3, 30.0, -30.0, 11.385357619515403),
+        (2, 2, 2, 2, 50.0, -10.0, 17.232556599220263),
+        (3, 2, 3, 3, 40.0, 5.0, 11.777456031898454),
+        (4, 3, 3, 3, 20.0, 5.0, 5.096452686089329),
+    ])
+    def test_knee_breakpoints_keep_the_rate(self, K, N, M_D, M_E, lambda_D_dB, lambda_E_dB,
+                                            unsplit):
+        cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (lambda_D_dB / 10.0),
+                   lambda_E=10.0 ** (lambda_E_dB / 10.0), zeta=0.9, scheme="OS")
+        assert quad_esr(cfg) == pytest.approx(unsplit, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("N,M_D,M_E", list(product((1, 3), repeat=3)))
     def test_single_link_nested_quadrature_agrees(self, N, M_D, M_E):
