@@ -331,8 +331,9 @@ def check_special_functions(quick: bool = False):
         for _ in range(10 if quick else 20):
             lam_d, lam_e = rng.uniform(0.5, 200.0), rng.uniform(0.5, 8.0)
             theta, k, n = rng.randint(0, 4), rng.randint(1, 3), rng.randint(0, 2)
-            # the SS recipes put the pole at (n+1)/k times lambda_D/lambda_E,
-            # the OS recipes at n+1 times it
+            # the K-link SS recipes put the pole at (n+1)/k times
+            # lambda_D/lambda_E, the one-link recipes that OS reads at n+1
+            # times it
             for scheme, pole in (("SS", (n + 1) * lam_d / (k * lam_e)),
                                  ("OS", (n + 1) * lam_d / lam_e)):
                 a = k / lam_d

@@ -1,10 +1,8 @@
 """Combinatorial and rational-function machinery behind the closed forms.
 
-Two jobs live here:
-
-* expansion of a K-th power of a term sum into a flat merged term list,
-* partial-fraction decomposition of 1/prod(x+b_j)^(m_j) (optionally with a
-  polynomial numerator) via truncated power series around each pole.
+Two jobs live here: the expansion of a K-th power of a term sum into a flat
+merged term list, and the split of x^n/(x+b)^theta over its one pole
+(single_pole_split), the only shape the rate integrator sees.
 
 The module also owns the canonical carrier for every closed-form CDF:
 ``TermSum`` holds ``1 - sum of RationalExpTerm`` where each term is
@@ -24,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 EXPANSION_TERM_CAP = 10_000_000
@@ -92,78 +89,33 @@ def expand_powers_of_sum(inner_terms: Sequence[tuple],
                for code, coeff in acc.items()]
 
 
-@lru_cache(maxsize=4096)
-def partial_fractions(poles: tuple, num_power: int = 0) -> tuple[tuple[float, ...], ...]:
-    """Coefficients c_{j,t} with x^n/prod(x+b_q)^(m_q) = sum_j sum_t c_{j,t}/(x+b_j)^t.
+def single_pole_split(b: float, theta: int, num_power: int) -> tuple[float, tuple[float, ...]]:
+    """(c_0, row) with x^n/(x+b)^theta = c_0/x + sum_t row[t-1]/(x+b)^t, n = num_power.
 
-    ``poles`` is a tuple of (location b, multiplicity m); locations must be
-    pairwise distinct (group first) and may include 0 for the extra simple
-    pole that the logarithmic integrals introduce. n is ``num_power``; the
-    rows hold only the pole parts. The j-th row of the result has m_j
-    entries ordered t = 1..m_j. Rows are tuples because they are memoized
-    and shared between callers; a memoized row is the float a fresh call
-    returns.
+    n = -1 adds the simple pole at zero of the logarithmic integrals: c_0 =
+    1/b^theta and row[theta-1-i] = (1/-b)/b^i, by sequential products and
+    divisions; a b^theta that underflows raises ArithmeticError. For
+    0 <= n < theta, c_0 = 0.0 and the row holds (u-b)^n, u = x+b, by the
+    multiply-add recurrence (u-b)^(j+1) = u (u-b)^j - b (u-b)^j.
     """
-    # Around pole j substitute x = u - b_j; the coefficient of 1/(x+b_j)^t is
-    # the coefficient of u^(m_j - t) in  u^0..: (u - b_j)^num_power *
-    # prod_{q != j} (u + b_q - b_j)^(-m_q), i.e. a truncated product series
-    # followed by one series inversion (synthetic division).
-    locations = [b for b, _ in poles]
-    total_degree = sum(m for _, m in poles)
-    if total_degree < 1:
-        raise ValueError("total pole degree must be at least 1")
-    for b, m in poles:
-        if m < 1:
-            raise ValueError(f"pole multiplicity must be positive (got {m} at {b})")
-    for i, b in enumerate(locations):
-        for other in locations[i + 1:]:
-            if b == other:
-                raise ValueError(f"coincident pole locations must be grouped first (b={b})")
-    rows = []
-    for j, (b_j, m_j) in enumerate(poles):
-        cofactor = [1.0] + [0.0] * (m_j - 1)
-        for q, (b_q, m_q) in enumerate(poles):
-            if q == j:
-                continue
-            shift = b_q - b_j
-            for _ in range(m_q):
-                cofactor = _poly_mul_trunc(cofactor, [shift, 1.0], m_j)
-        series = _series_invert(cofactor, m_j)
-        if num_power:
-            numer = [1.0]
-            for _ in range(num_power):
-                numer = _poly_mul_trunc(numer, [-b_j, 1.0], m_j)
-            series = _poly_mul_trunc(series, numer, m_j)
-        rows.append(tuple(series[m_j - t] for t in range(1, m_j + 1)))
-    return tuple(rows)
-
-
-def _poly_mul_trunc(a: list[float], b: list[float], keep: int) -> list[float]:
-    out = [0.0] * min(keep, len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0.0 or i >= keep:
-            continue
-        for k, bk in enumerate(b):
-            pos = i + k
-            if pos >= keep:
-                break
-            out[pos] += ai * bk
-    return out
-
-
-def _series_invert(p: list[float], keep: int) -> list[float]:
-    if p[0] == 0.0:
-        # the cofactor's constant term is a product of pole gaps, so it is
-        # 0.0 only when they underflow: a numeric failure, not a bad input
-        raise ArithmeticError("cannot invert a series with zero constant term")
-    inv = [0.0] * keep
-    inv[0] = 1.0 / p[0]
-    for i in range(1, keep):
-        s = 0.0
-        for t in range(1, min(i, len(p) - 1) + 1):
-            s += p[t] * inv[i - t]
-        inv[i] = -s / p[0]
-    return inv
+    if num_power < 0:
+        power = 1.0
+        for _ in range(theta):
+            power *= b
+        if power == 0.0:
+            raise ArithmeticError(f"pole location {b!r} to the power {theta} underflows to 0.0")
+        inv = [1.0 / -b]
+        for _ in range(theta - 1):
+            inv.append(inv[-1] / b)
+        return 1.0 / power, tuple(reversed(inv))
+    numer = [1.0]
+    for _ in range(num_power):
+        nxt = [0.0] * (len(numer) + 1)
+        for i, c in enumerate(numer):
+            nxt[i] += c * -b
+            nxt[i + 1] += c
+        numer = nxt
+    return 0.0, tuple(reversed((numer + [0.0] * theta)[:theta]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,18 +215,15 @@ def materialize_recipes(recipes: Sequence[ExactTermRecipe],
                         lam_dest: float, lam_eve: float, zeta: float) -> tuple:
     """Float RationalExpTerms from exact recipes (single source of truth).
 
-    Each recipe pole's location is computed with one expression, numerator *
-    lam_dest / (denominator * lam_eve) of its reduced ratio, so equal ratios
-    give equal floats. The recipe builders give every recipe of one pole
-    tuple the same tuple object (the benchmark ladder's 19,765 recipes carry
-    1,846), so each tuple's float poles are computed once per call and its
-    terms share them. The memo is keyed by the tuple's identity, so a lookup
-    hashes no Fraction; the recipes are held for the whole call, so no
-    identity is reused, and an equal tuple that is another object only
-    recomputes the same floats. zeta and every coefficient must be nonzero
-    (math.log raises otherwise): a zeta = 0 row has no terms. A pole
-    location that underflows to 0.0 or overflows raises ArithmeticError
-    naming its ratio.
+    Each pole location is numerator * lam_dest / (denominator * lam_eve) of
+    its reduced ratio, so equal ratios give equal floats. The recipe builder
+    gives every recipe of one pole tuple the same tuple object (the benchmark
+    ladder's 9,541 recipes carry 566), so each tuple's float poles are
+    computed once per call, in a memo keyed by the tuple's identity (the
+    recipes are held for the whole call, so no identity is reused). zeta and
+    every coefficient must be nonzero (math.log raises otherwise): a zeta = 0
+    row has no terms. A pole location that underflows to 0.0 or overflows
+    raises ArithmeticError naming its ratio.
     """
     recipes = tuple(recipes)  # keeps every pole tuple, and so its id, alive
     log_ld = math.log(lam_dest)

@@ -206,8 +206,11 @@ def _quad_unit(mapped, points=None) -> float:
 
         inner = np.unique(points)
         inner = inner[(0.0 < inner) & (inner < 1.0)]
-        value, err = quadpack("_qagpe", mapped, 0.0, 1.0, np.concatenate((inner, (0.0, 0.0))),
-                              (), 0, _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS)
+        try:
+            value, err = quadpack("_qagpe", mapped, 0.0, 1.0, np.concatenate((inner, (0.0, 0.0))),
+                                  (), 0, _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS)
+        except ValueError as exc:  # ier 6: a subdivision limit below the breakpoints
+            raise QuadratureError(f"{len(inner)} breakpoints: {exc}", math.nan, math.nan) from exc
     if err > max(_ABS_TOL, _REL_TOL * abs(value)) * 1.01:
         raise QuadratureError("tail quadrature failed to reach tolerance", value, err)
     return value

@@ -1,40 +1,31 @@
 """Closed-form CDF of the secrecy ratio and the secrecy outage probability.
 
-The CDF complement is assembled as a TermSum for each of the four
-scheme/knowledge combinations, from one pipeline: the destination-side
-slot sum of one link, the eavesdropper-survivor groups, the k-th power by
-the generic product expansion, and inclusion-exclusion over the k active
-links.
+One pipeline assembles the CDF complement of a KA config as a TermSum: the
+destination-side slot sum of one link, the eavesdropper-survivor groups,
+the k-th power by the generic product expansion, and inclusion-exclusion
+over the k active links. Conditioning on the strongest eavesdropper SNR y,
+the SS (max destination SNR) CDF is the K-th power of the gated mixture;
+the k-th power of the slot sum (a per-link split of (x(1+y)-1)^m into x-
+and y-powers) meets the closed moment integral over y once per
+eavesdropper group; at K = 1 these are one link's recipes, either scheme.
+The unity-dropped (high-SNR) form keeps the exact recipes whose lambda_D and
+lambda_E powers cancel, without the exponential. Other values use identities:
 
-* SS, selection over active links: conditioning on the strongest
-  eavesdropper SNR y, the selected-link CDF is the K-th power of the gated
-  mixture; the k-th power of the slot sum (a per-link split of
-  (x(1+y)-1)^m into x- and y-powers) meets the closed moment integral over
-  y once per eavesdropper group.
-* OS, selection over active links: the K-th power of the single-link ratio
-  CDF bracket; the bracket's complement is expanded to a term list once and
-  raised to each k-th power, accumulating pole multiplicities per
-  eavesdropper-survivor index.
-* The unity-dropped (high-SNR) form filters the exact recipes: it keeps
-  those whose lambda_D and lambda_E powers cancel, without the exponential
-  (see _term_sum_for_key). So each shape's recipes are built once,
-  whichever forms ask for them.
-* Gate after selection (KU) has no term sum of its own. The always-on
-  selection runs first and one backhaul gate then blocks the selected link
-  with probability 1 - zeta, so F_KU = 1 - zeta + zeta * F_on, where F_on
-  is the KA CDF at zeta = 1 (see gated_base). Every KU value goes through
-  that identity, and esr scales every KU rate by zeta the same way.
+* OS (max secrecy ratio) over K >= 2 i.i.d. links: F_OS = (1 - zeta +
+  zeta * F_1)^K, with F_1 the K = 1 CDF at zeta = 1 (see one_link_base);
+  esr integrates the same one-link sum for the OS rates.
+* Gate after selection (KU): the always-on selection runs first and one
+  backhaul gate then blocks the selected link with probability 1 - zeta,
+  so F_KU = 1 - zeta + zeta * F_on, F_on the KA CDF at zeta = 1 (see
+  gated_base); esr scales every KU rate by zeta the same way.
 
-Every builder emits exact rational recipes (see algebra.ExactTermRecipe);
-floats are materialized from those, never accumulated independently.
-
-The recipes are built in integer arithmetic: the slot coefficients are
-scaled to integers over their least common denominator D, the powers
-k = 1..K are expanded on those integers in one ascending pass (power k is
-power k-1 times the slot sum), and the k-link terms are accumulated as integer
-numerators over one shared denominator per k (D^k times the factors the
-eavesdropper groups add). Each recipe then forms one reduced Fraction, equal
-to what Fraction arithmetic throughout gives without its per-operation gcd.
+The builder emits exact rational recipes (see algebra.ExactTermRecipe),
+whence every float is materialized. It works in integers: the slot
+coefficients are scaled over their least common denominator D, the powers
+k = 1..K are expanded in one ascending pass, and the k-link terms are
+accumulated as numerators over one shared denominator per k (D^k times the
+eavesdropper groups' factors). Each recipe then forms one reduced Fraction,
+what Fraction arithmetic throughout gives without its per-operation gcd.
 """
 
 from __future__ import annotations
@@ -116,10 +107,9 @@ def _integer_powers(terms, K: int) -> Iterator[tuple[int, list[tuple]]]:
     """Yield (D^k, (sum of terms)^k expanded on integer coefficients), k = 1..K.
 
     terms are (Fraction, exponents...) and D is their least common
-    denominator. Each coefficient c enters as the integer c*D, so every
-    expanded coefficient over D^k is exactly the Fraction expansion's. The
-    powers ascend, each built from the one before, so the K powers cost one
-    expansion, and each list is freed once the caller has moved past it.
+    denominator, so each coefficient c enters as the integer c*D and every
+    expanded one over D^k is exactly the Fraction expansion's. Power k is
+    built from power k-1, and each list is freed once the caller moves on.
     """
     denom, nums = _over_common_denominator([t[0] for t in terms])
     scaled = [(num,) + tuple(t[1:]) for num, t in zip(nums, terms)]
@@ -127,29 +117,47 @@ def _integer_powers(terms, K: int) -> Iterator[tuple[int, list[tuple]]]:
         yield denom ** k, expanded
 
 
-def _select_over_links(K: int, links) -> tuple:
-    """Inclusion-exclusion over the k active links, merged into recipes.
+@lru_cache(maxsize=None)
+def _ss_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
+    """Exact SS (max destination SNR) recipes of one shape, gated links.
 
-    links yields (L, terms) for the k-link product, k = 1..K in turn. Each
-    term is (integer numerator over L, x power, lambda_D power, lambda_E
-    power, poles), each pole ((p, q), multiplicity) at the ratio p/q,
-    written so that equal ratios of one k have equal pairs. Every recipe
-    keeps e^(k(1-x)/lambda_D). Every key holds its k, so like terms merge as
-    integers over that k's L, and each recipe forms one Fraction. The
-    recipes come in the order their keys first appear; every sum over them
-    is exactly rounded, so no value depends on that order. Many keys share
-    one poles tuple, so each distinct tuple's Fraction poles are computed
-    once, and its recipes share that one Fraction tuple object
-    (materialize_recipes computes its floats once per object).
+    The k-th power of the destination slot sum is expanded once per k; the
+    closed moment integral over the strongest eavesdropper SNR then attaches
+    each eavesdropper group with a single pole of multiplicity theta at the
+    ratio (n+1)/k. The moment integral contributes (theta-1)!/k^theta, and
+    theta is at most theta_top, so the k-link terms share the denominator
+    D^k * E * k^theta_top, where D^k comes with the power (see
+    _integer_powers) and E is the eavesdropper coefficients' common
+    denominator. Inclusion-exclusion over the k active links merges like
+    terms as integers over that denominator, keyed with their k, and each
+    recipe, which keeps e^(k(1-x)/lambda_D), forms one Fraction. The recipes
+    come in the order their keys first appear; every sum over them is
+    exactly rounded, so no value depends on that order. The recipes of one
+    pole share one Fraction poles tuple object (materialize_recipes computes
+    its floats once per object).
     """
+    slots = _dest_slots(M_D)
+    top_mu = max(mu for _frac, _poly, mu, _m in slots)
+    groups = _eve_groups(N, M_E)
+    eve_denom, eve_nums = _over_common_denominator([frac for _n, _me, frac in groups])
+    eve = [(n, me_hat, num) for (n, me_hat, _frac), num in zip(groups, eve_nums)]
     nums: dict[tuple, int] = {}
     picks = {}  # k -> (signed binomial, denominator of the k-link numerators)
-    for k, (denom, terms) in enumerate(links, start=1):
+    for k, (dest_denom, expanded) in enumerate(_integer_powers(slots, K), start=1):
+        theta_top = M_E + k * top_mu + max(me_hat for _n, me_hat, _num in eve)
         pick = math.comb(K, k)
-        picks[k] = (pick if k % 2 else -pick, denom)
-        for num, poly, ld_pow, le_pow, poles in terms:
-            key = (poly, k, ld_pow, le_pow, poles)
-            nums[key] = nums.get(key, 0) + num
+        picks[k] = (pick if k % 2 else -pick, dest_denom * eve_denom * k ** theta_top)
+        # per y power mu_hat of a k-link product, each group's integer
+        # factor, theta, lambda_E power and one shared poles tuple
+        by_mu = [[(eve_num * math.factorial(theta - 1) * k ** (theta_top - theta),
+                   theta, -(M_E + me_hat), (((n + 1, k), theta),))
+                  for n, me_hat, eve_num in eve
+                  for theta in (M_E + mu_hat + me_hat,)]
+                 for mu_hat in range(k * top_mu + 1)]
+        for num, poly, mu_hat, m_hat in expanded:
+            for factor, theta, le_pow, poles in by_mu[mu_hat]:
+                key = (poly, k, theta - m_hat, le_pow, poles)
+                nums[key] = nums.get(key, 0) + num * factor
 
     fraction_poles = {}  # poles -> its one Fraction poles tuple
     recipes = []
@@ -165,77 +173,6 @@ def _select_over_links(K: int, links) -> tuple:
     return tuple(recipes)
 
 
-@lru_cache(maxsize=None)
-def _ss_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
-    """Exact SS (max destination SNR) recipes of one shape, gated links.
-
-    The k-th power of the destination slot sum is expanded once per k; the
-    closed moment integral over the strongest eavesdropper SNR then attaches
-    each eavesdropper group with a single pole of multiplicity theta. The
-    moment integral contributes (theta-1)!/k^theta, and theta is at most
-    theta_top, so the k-link terms share the denominator
-    D^k * E * k^theta_top, where D^k comes with the power (see
-    _integer_powers) and E is the eavesdropper coefficients' common
-    denominator.
-    """
-    slots = _dest_slots(M_D)
-    top_mu = max(mu for _frac, _poly, mu, _m in slots)
-    groups = _eve_groups(N, M_E)
-    eve_denom, eve_nums = _over_common_denominator([frac for _n, _me, frac in groups])
-    eve = [(n, me_hat, num) for (n, me_hat, _frac), num in zip(groups, eve_nums)]
-
-    def links():
-        for k, (dest_denom, expanded) in enumerate(_integer_powers(slots, K), start=1):
-            theta_top = M_E + k * top_mu + max(me_hat for _n, me_hat, _num in eve)
-            # per y power mu_hat of a k-link product, each group's integer
-            # factor, theta, lambda_E power and one shared poles tuple
-            by_mu = [[(eve_num * math.factorial(theta - 1) * k ** (theta_top - theta),
-                       theta, -(M_E + me_hat), (((n + 1, k), theta),))
-                      for n, me_hat, eve_num in eve
-                      for theta in (M_E + mu_hat + me_hat,)]
-                     for mu_hat in range(k * top_mu + 1)]
-            terms = []
-            for num, poly, mu_hat, m_hat in expanded:
-                for factor, theta, le_pow, poles in by_mu[mu_hat]:
-                    terms.append((num * factor, poly, theta - m_hat, le_pow, poles))
-            yield dest_denom * eve_denom * k ** theta_top, terms
-    return _select_over_links(K, links())
-
-
-@lru_cache(maxsize=None)
-def _os_recipes(K: int, N: int, M_D: int, M_E: int) -> tuple:
-    """Exact OS (max secrecy ratio) recipes of one shape, gated links.
-
-    The single-link ratio-CDF complement expands into terms carried as
-    (coeff, x_power, lambda_D power, lambda_E power, pole multiplicity per
-    survivor count); the k-link product accumulates exponents additively.
-    The k-th power is expanded in integers over the denominator D^k (see
-    _integer_powers), which all k-link terms share.
-    """
-    inner: list[tuple] = []
-    for dest_frac, poly, mu, m in _dest_slots(M_D):
-        for n, me_hat, eve_frac in _eve_groups(N, M_E):
-            alpha = M_E + mu + me_hat
-            frac = dest_frac * eve_frac * math.factorial(alpha - 1)
-            mults = tuple(alpha if j == n else 0 for j in range(N))
-            inner.append((frac, poly, alpha - m, -(M_E + me_hat)) + mults)
-
-    pole_tuples = {}  # multiplicity vector -> its one poles tuple
-
-    def links():
-        for denom, expanded in _integer_powers(inner, K):
-            terms = []
-            for term in expanded:
-                mults = term[4:]
-                poles = pole_tuples.get(mults)
-                if poles is None:
-                    poles = pole_tuples[mults] = tuple(
-                        ((j + 1, 1), mult) for j, mult in enumerate(mults) if mult)
-                terms.append((term[0], term[1], term[2], term[3], poles))
-            yield denom, terms
-    return _select_over_links(K, links())
-
-
 def gated_base(cfg: SystemConfig) -> SystemConfig:
     """The KA config whose term sum carries cfg's CDF and rates.
 
@@ -249,14 +186,25 @@ def gated_base(cfg: SystemConfig) -> SystemConfig:
     return replace(cfg, zeta=1.0 if cfg.zeta > 0.0 else 0.0, knowledge="KA")
 
 
+def one_link_base(cfg: SystemConfig) -> SystemConfig:
+    """The one-link config (K = 1, zeta = 1, KA) whose term sum carries an
+    OS/KA config's values: F_OS = (1 - zeta + zeta * F_1)^K. At zeta = 0 the
+    base keeps zeta = 0, as gated_base does, so that its term sum is empty.
+    """
+    return replace(cfg, K=1, zeta=1.0 if cfg.zeta > 0.0 else 0.0, knowledge="KA")
+
+
 def _config_key(cfg: SystemConfig) -> tuple:
     if cfg.knowledge == "KU":
         raise ValueError(
             "gate after selection (KU) has no term sum of its own: "
             "F_KU = 1 - zeta + zeta * F_on, with F_on the always-on KA sum "
             "of gated_base(cfg)")
-    return (cfg.K, cfg.N, cfg.M_D, cfg.M_E, cfg.lambda_D, cfg.lambda_E,
-            cfg.zeta, cfg.scheme)
+    if cfg.scheme == "OS" and cfg.K > 1:
+        raise ValueError("OS over K >= 2 links has no term sum of its own: F_OS = "
+                         "(1 - zeta + zeta * F_1)^K, F_1 that of one_link_base(cfg)")
+    # the recipes read no scheme: at K = 1 both schemes build one link's
+    return (cfg.K, cfg.N, cfg.M_D, cfg.M_E, cfg.lambda_D, cfg.lambda_E, cfg.zeta)
 
 
 @lru_cache(maxsize=1024)
@@ -269,12 +217,11 @@ def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
     drop the unity on both sides of the ratio: the unity-dropped form keeps
     them, each with its exact coefficient and pole tuple, and drops the exp.
     """
-    K, N, M_D, M_E, lam_d, lam_e, zeta, scheme = key
+    K, N, M_D, M_E, lam_d, lam_e, zeta = key
     scales = (lam_d, lam_e, zeta)
     if zeta == 0.0:
         return TermSum(terms=(), recipes=(), scales=scales)
-    build = _ss_recipes if scheme == "SS" else _os_recipes
-    recipes = build(K, N, M_D, M_E)
+    recipes = _ss_recipes(K, N, M_D, M_E)
     if unity_dropped:
         recipes = tuple(replace(r, exp_k=0) for r in recipes
                         if r.lam_dest_pow + r.lam_eve_pow == 0)
@@ -283,12 +230,12 @@ def _term_sum_for_key(key: tuple, unity_dropped: bool) -> TermSum:
 
 
 def build_cdf_term_sum(cfg: SystemConfig) -> TermSum:
-    """The TermSum carrying F(x) for a KA config (cached); KU raises."""
+    """The TermSum carrying F(x) for a KA config (cached); KU and OS at K >= 2 raise."""
     return _term_sum_for_key(_config_key(cfg), False)
 
 
 def build_high_snr_term_sum(cfg: SystemConfig) -> TermSum:
-    """TermSum of the unity-dropped CDF (pure rational terms, no exp); KU raises."""
+    """TermSum of the unity-dropped CDF (no exp); KU and OS at K >= 2 raise."""
     return _term_sum_for_key(_config_key(cfg), True)
 
 
@@ -303,6 +250,9 @@ def cdf_ratio(x: float, cfg: SystemConfig) -> float:
         # relative noise after cancellation on deep K/N grids
         base = cdf_ratio(x, gated_base(cfg))
         return min(1.0, 1.0 - cfg.zeta + cfg.zeta * base)
+    if cfg.scheme == "OS" and cfg.K > 1:
+        link = cdf_ratio(x, one_link_base(cfg))
+        return min(1.0, (1.0 - cfg.zeta + cfg.zeta * link) ** cfg.K)
     value = build_cdf_term_sum(cfg).eval(x)
     if not (-1e-9 <= value <= 1.0 + 1e-9):
         raise ArithmeticError(
@@ -313,9 +263,13 @@ def cdf_ratio(x: float, cfg: SystemConfig) -> float:
 def sop(cfg: SystemConfig) -> SopResult:
     """Exact outage probability: the ratio CDF at 2^R_th.
 
-    term_count is the size of the base term sum (see gated_base).
+    term_count is the size of the base term sum (see gated_base): for OS
+    over K >= 2 links, that of the one-link sum (see one_link_base).
     """
-    term_sum = build_cdf_term_sum(gated_base(cfg))
+    base = gated_base(cfg)
+    if base.scheme == "OS" and base.K > 1:
+        base = one_link_base(base)
+    term_sum = build_cdf_term_sum(base)
     value = cdf_ratio(cfg.rho(), cfg)
     return SopResult(value=value, form=_FORM_EXACT, term_count=len(term_sum.terms))
 

@@ -13,7 +13,7 @@ from secrecy_lab.algebra import (
     TermSum,
     expand_powers_of_sum,
     materialize_recipes,
-    partial_fractions,
+    single_pole_split,
 )
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.sop import _integer_powers, build_cdf_term_sum, sop
@@ -125,61 +125,54 @@ class TestExpandPowerOfSum:
             next(powers)
 
 
-class TestPartialFractions:
-    def test_two_simple_poles_telescope(self):
-        rows = partial_fractions(((1.0, 1), (2.0, 1)))
-        assert rows[0][0] == pytest.approx(1.0, rel=1e-12)
-        assert rows[1][0] == pytest.approx(-1.0, rel=1e-12)
+def _split_exactly(b: Fraction, theta: int, n: int) -> tuple:
+    """(c_0, row) of x^n/(x+b)^theta in exact arithmetic, from the binomial
+    expansion of x^n = (u-b)^n, u = x+b, and for n = -1 from
+    1/(x u^theta) = 1/(b^theta x) - sum_t 1/(b^(theta-t+1) u^t)."""
+    if n < 0:
+        return 1 / b ** theta, tuple(-1 / b ** (theta - t + 1) for t in range(1, theta + 1))
+    return Fraction(0), tuple(math.comb(n, theta - t) * (-b) ** (n - theta + t)
+                              if theta - t <= n else Fraction(0)
+                              for t in range(1, theta + 1))
+
+
+class TestSinglePoleSplit:
+    def test_simple_pole_with_zero(self):
+        # 1/(x(x+2)) = (1/2)/x - (1/2)/(x+2)
+        assert single_pole_split(2.0, 1, -1) == (0.5, (-0.5,))
 
     def test_zero_pole_with_double_pole(self):
-        rows = partial_fractions(((0.0, 1), (2.0, 2)))
-        assert rows[0][0] == pytest.approx(0.25, rel=1e-12)
-        assert rows[1][0] == pytest.approx(-0.25, rel=1e-12)
-        assert rows[1][1] == pytest.approx(-0.5, rel=1e-12)
+        zero, row = single_pole_split(2.0, 2, -1)
+        assert (zero, row) == (0.25, (-0.25, -0.5))
 
-    def test_recombination_random_pole_sets(self):
-        rng = random.Random(20260815)
-        for _ in range(12):
-            count = rng.randint(1, 4)
-            locations = rng.sample([0.5, 1.0, 1.5, 2.5, 4.0, 7.0], count)
-            poles = tuple((b, rng.randint(1, 3)) for b in locations)
-            if sum(m for _, m in poles) > 12:
-                continue
-            rows = partial_fractions(poles)
-            for _ in range(50):
-                x = rng.uniform(1.0, 100.0)
-                direct = 1.0
-                for b, m in poles:
-                    direct /= (x + b) ** m
-                recombined = sum(
-                    c / (x + b) ** t
-                    for (b, _m), row in zip(poles, rows)
-                    for t, c in enumerate(row, start=1))
-                assert recombined == pytest.approx(direct, rel=1e-9)
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 4])
+    def test_matches_exact_arithmetic(self, n):
+        rng = random.Random(20260815 + n)
+        for _ in range(40):
+            theta = rng.randint(max(1, n + 1), 12)
+            b = Fraction(rng.randint(1, 4000), rng.randint(1, 400))
+            zero, row = single_pole_split(float(b), theta, n)
+            exact_zero, exact_row = _split_exactly(b, theta, n)
+            assert len(row) == theta
+            assert zero == pytest.approx(float(exact_zero), rel=1e-13, abs=0.0)
+            for got, want in zip(row, exact_row):
+                assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
-    def test_coincident_locations_rejected(self):
-        with pytest.raises(ValueError, match="grouped"):
-            partial_fractions(((1.0, 1), (1.0, 2)))
+    def test_recombines_to_the_rational_function(self):
+        rng = random.Random(99)
+        for _ in range(30):
+            theta = rng.randint(1, 8)
+            n = rng.randint(-1, theta - 1)
+            b = rng.choice([0.5, 1.0, 1.5, 2.5, 4.0, 7.0])
+            zero, row = single_pole_split(b, theta, n)
+            for x in (rng.uniform(1.0, 100.0) for _ in range(10)):
+                recombined = zero / x + sum(c / (x + b) ** t for t, c in enumerate(row, start=1))
+                assert recombined == pytest.approx(x ** n / (x + b) ** theta, rel=1e-9)
 
-    def test_memo_cannot_be_poisoned(self):
-        poles = ((0.0, 1), (2.0, 2), (5.0, 3))
-        numer_poles = poles[1:]
-        partial_fractions.cache_clear()
-        cold = partial_fractions(poles)
-        cold_numer = partial_fractions(numer_poles, 2)
-        # what a caller receives is immutable at every level, so no caller
-        # can rewrite the memoized rows that later calls share
-        for rows in (partial_fractions(poles),
-                     partial_fractions(numer_poles, 2)):
-            with pytest.raises(TypeError):
-                rows[0] = (99.0,)
-            with pytest.raises(TypeError):
-                rows[1][0] = 99.0
-            with pytest.raises(AttributeError):
-                rows[1].append(99.0)
-        assert partial_fractions(poles) == cold
-        assert partial_fractions(numer_poles, 2) == cold_numer
-        assert partial_fractions.cache_info().hits >= 3
+    def test_underflowed_power_is_a_numeric_error(self):
+        with pytest.raises(ArithmeticError, match="underflows") as info:
+            single_pole_split(1e-200, 2, -1)
+        assert not isinstance(info.value, ValueError)
 
 
 class TestRationalExpTerm:
@@ -281,7 +274,7 @@ class TestSharedPoles:
     def test_eval_is_one_minus_the_exact_sum_of_each_term_bit_for_bit(self, x):
         term_sum = build_cdf_term_sum(SystemConfig(
             K=2, N=3, M_D=2, M_E=2, lambda_D=10.0, lambda_E=3.0, zeta=0.9,
-            R_th=1.0, scheme="OS", knowledge="KA"))
+            R_th=1.0, scheme="SS", knowledge="KA"))
         assert len({b for t in term_sum.terms for b, _m in t.poles}) > 1
         values = [t.value_at(x) for t in term_sum.terms]
         assert term_sum.eval(x).hex() == (1.0 - math.fsum(values)).hex()

@@ -197,17 +197,31 @@ def test_threshold_past_the_double_range_is_a_config_error(tmp_path, capsys):
 
 
 def test_an_impossible_exact_rate_is_a_numeric_error_naming_the_row(tmp_path, capsys):
-    # OS K=N=M=3 at 10 dB: the exact terms sum past the Jensen bound
+    # SS K=2, N=4, M_D=4, M_E=1 at (4.5, -29.2) dB: the exact terms sum past
+    # the Jensen bound
     config = _write_config(
-        tmp_path / "sweep.json", axis_values=[10], variants=[], outputs=["esr_exact"],
-        base={"K": 3, "N": 3, "M_D": 3, "M_E": 3, "lambda_E_dB": 5.0, "zeta": 0.9,
-              "R_th": 1.0, "scheme": "OS", "knowledge": "KA"})
+        tmp_path / "sweep.json", axis_values=[4.5], variants=[], outputs=["esr_exact"],
+        base={"K": 2, "N": 4, "M_D": 4, "M_E": 1, "lambda_E_dB": -29.2, "zeta": 0.9,
+              "R_th": 1.0, "scheme": "SS", "knowledge": "KA"})
     out = tmp_path / "out.csv"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("numeric error: row v0 (OS/KA K=3 N=3 M_D=3 M_E=3 zeta=0.9 "), err
+    assert err.startswith("numeric error: row v0 (SS/KA K=2 N=4 M_D=4 M_E=1 zeta=0.9 "), err
     assert "exceeds the bound log2(1 + K*M_D*lambda_D)" in err
     assert not out.exists()
+
+
+def test_the_os_row_past_the_jensen_bound_now_reads_quadrature(tmp_path):
+    # OS K=N=M=3 at 10 dB: its K-fold terms summed past the Jensen bound; the
+    # one-link integral agrees with quad_esr
+    config = _write_config(
+        tmp_path / "sweep.json", axis_values=[10], variants=[], outputs=["esr_exact", "quad"],
+        base={"K": 3, "N": 3, "M_D": 3, "M_E": 3, "lambda_E_dB": 5.0, "zeta": 0.9,
+              "R_th": 1.0, "scheme": "OS", "knowledge": "KA"})
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    (row,) = _rows(out)
+    assert float(row["esr_exact"]) == pytest.approx(float(row["quad_esr"]), rel=1e-9)
 
 
 def test_an_underflowed_term_integral_is_a_numeric_error_naming_the_row(tmp_path, capsys):
@@ -341,10 +355,11 @@ class TestImportHygiene:
 # sha256 of `run --threads 1` on perfbench/configs/closed_ladder.json (13
 # cold shapes up to K, N, M = 4), re-derived once when the closed-form sums
 # came to be exactly rounded by math.fsum (from the earlier code's term
-# values, summed that way). It pins bits, not correctness: three OS M >= 3
-# esr_exact cells are off quadrature, and ROADMAP item 1 will move them and
-# this pin.
-LADDER_CSV_SHA256 = "208e2d5a7717221fce421045eedbd416c2b2560a2fb29121a730e5b1a96fc46e"
+# values, summed that way), and again when OS over K >= 2 links came to read
+# its one-link sum: every SS cell kept its bytes, and every OS sop_exact and
+# esr_exact cell was checked within 1e-9 relative of the quadrature in
+# perfbench/reference.json first.
+LADDER_CSV_SHA256 = "a1bca5d7731c75e6c2c0d759cbf9123603b3bd7ac87140114d3ab613a9ea76ac"
 
 
 def test_closed_ladder_csv_keeps_its_bits(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from secrecy_lab import esr as esr_module
-from secrecy_lab.algebra import RationalExpTerm, TermSum, partial_fractions
+from secrecy_lab.algebra import RationalExpTerm, TermSum
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.esr import (
     DivergenceError,
@@ -26,8 +26,14 @@ from secrecy_lab.esr import (
     esr_high_snr,
     integrate_term,
 )
-from secrecy_lab.oracles import quad_esr
-from secrecy_lab.sop import build_cdf_term_sum, sop
+from secrecy_lab.oracles import quad_cdf_ratio, quad_esr
+from secrecy_lab.sop import (
+    build_cdf_term_sum,
+    build_high_snr_term_sum,
+    cdf_ratio,
+    one_link_base,
+    sop,
+)
 
 # double quadrature of the defining rate integral at K=N=1, M_D=M_E=1,
 # lam_D=100, lam_E=1, zeta=1; equals (e^(1/lam)/ln2)(E1(1/lam) - e E1((1+lam)/lam))
@@ -41,9 +47,12 @@ LN_2 = 0.69314718055994531
 # recorded before the kernels and partial-fraction rows were memoized, and
 # re-derived once when the rate's term contributions came to be summed by
 # math.fsum (from the earlier code's contributions, summed that way); keys
-# (K, N, M_D, M_E), lambda_D, lambda_E, scheme, knowledge. The last two rows
-# are closed_ladder's OS (2, 3, 3, 3) row, off quadrature by 3.5e-3 (ROADMAP
-# item 2): these pin bits, not correctness.
+# (K, N, M_D, M_E), lambda_D, lambda_E, scheme, knowledge. The OS rows were
+# re-pinned when OS over K >= 2 links came to integrate its one-link sum,
+# each checked within 1e-9 relative of its reference first: quad_esr for the
+# exact rate, a 40-digit quadrature of the K-fold unity-dropped recipes for
+# the high-SNR rate and the asymptote. The last two rows are closed_ladder's
+# OS (2, 3, 3, 3) row.
 LADDER_LAMBDA_E = 10.0 ** 0.5
 PINNED_RATE_HEXES = {
     ((2, 2, 2, 2), 10.0, 2.0, "SS", "KA"): (
@@ -51,15 +60,15 @@ PINNED_RATE_HEXES = {
     ((2, 2, 2, 2), 10.0, 2.0, "SS", "KU"): (
         "0x1.e1ba7ab00dab2p+0", "0x1.0cb2eb4b5550dp+1", "0x1.0b7c72220acb2p+1"),
     ((2, 2, 2, 2), 10.0, 2.0, "OS", "KA"): (
-        "0x1.0790fd8b3cafep+1", "0x1.29db6f41c8eeap+1", "0x1.26f9c8564f1cdp+1"),
+        "0x1.0790fd8b3d37ep+1", "0x1.29db6f41c86afp+1", "0x1.26f9c8564f406p+1"),
     ((2, 2, 2, 2), 10.0, 2.0, "OS", "KU"): (
-        "0x1.f8f109a2f59afp+0", "0x1.1d5a38c72fd45p+1", "0x1.1cad1a7421f77p+1"),
+        "0x1.f8f109a2f6c8ap+0", "0x1.1d5a38c72f41ep+1", "0x1.1cad1a74221edp+1"),
     ((3, 2, 2, 3), 100.0, LADDER_LAMBDA_E, "SS", "KA"): (
         "0x1.1cf3eb8652692p+2", "0x1.2526e2d942ab0p+2", "0x1.2523f2b6b6223p+2"),
     ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KA"): (
-        "0x1.24abe3c4e9fbdp+2", "0x1.29e8d506381dbp+2", "0x1.29e4108f8ec0cp+2"),
+        "0x1.24ccc3dd98f65p+2", "0x1.2c426b2028e7fp+2", "0x1.2c4181b068863p+2"),
     ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KU"): (
-        "0x1.101f32da13f72p+2", "0x1.1497767a18258p+2", "0x1.14932d6b18c8cp+2"),
+        "0x1.1043ba11f2d52p+2", "0x1.1733e45e073f6p+2", "0x1.1733e40160159p+2"),
 }
 
 # SS esr_asymptotic at lambda_D = 1e4, lambda_E = 2, recorded with a direct
@@ -147,6 +156,7 @@ class TestIntegrateTerm:
                    for r in caplog.records)
 
     def test_matches_quadrature_random_terms(self):
+        # integrate_term takes one pole; a two-pole draw must raise
         rng = random.Random(99)
         for _ in range(25):
             p = rng.randint(0, 3)
@@ -157,6 +167,10 @@ class TestIntegrateTerm:
             if a == 0.0 and sum(m for _, m in poles) <= p:
                 continue
             term = _unit_term(p, a, poles)
+            if count == 2:
+                with pytest.raises(ValueError, match="one pole"):
+                    integrate_term(term)
+                continue
 
             def shape(x):
                 value = x ** (p - 1) * math.exp(-a * x)
@@ -170,8 +184,9 @@ class TestIntegrateTerm:
 
 
 class TestKernels:
-    # rate a = k/lam_D; the SS recipes put the pole at (n+1) lam_D/(k lam_E),
-    # the OS recipes at (n+1) lam_D/lam_E
+    # rate a = k/lam_D; the K-link SS recipes put the pole at
+    # (n+1) lam_D/(k lam_E), the one-link recipes that OS reads at
+    # (n+1) lam_D/lam_E
     def test_ss_pole_frozen_value(self):
         # lam_D = lam_E = 1, k = 1, n = 0
         assert _kernel(1.0, 1.0, 0) == pytest.approx(E_GAMMA_0_2, rel=1e-12)
@@ -316,10 +331,11 @@ class TestHighSnrRate:
         assert esr_high_snr(_cfg(lambda_D=1e3)).form == "high_snr"
 
     def test_negative_term_sum_raises_instead_of_reading_zero(self):
-        # OS K = N = M = 3 at 10 dB: the 1,573 unity-dropped terms cancel to
-        # -139,147.8, which a clamp would report as a rate of exactly 0; the
-        # asymptote of the same terms is affine and may clamp to 0
-        cfg = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_E=10.0 ** 0.5, zeta=0.9, scheme="OS")
+        # SS K=4, N=3, M_D=1, M_E=4 at (-7, 10) dB: the 48 unity-dropped
+        # terms cancel to -5.1e-15, which a clamp would report as a rate of
+        # exactly 0; the asymptote of the same terms is affine and may clamp
+        # to 0
+        cfg = _cfg(K=4, N=3, M_D=1, M_E=4, lambda_D=10.0 ** -0.7, lambda_E=10.0, zeta=0.9)
         with pytest.raises(ArithmeticError, match="negative"):
             esr_high_snr(cfg)
         with pytest.raises(ArithmeticError, match="negative"):
@@ -327,13 +343,23 @@ class TestHighSnrRate:
         assert esr_asymptotic(cfg).value == 0.0
 
     def test_exact_rate_above_its_bound_raises(self):
-        # the same row: the 16,604 exact terms sum to 2,278.7 bpcu where
-        # quad_esr reads 1.632, above log2(1 + K M_D lambda_D) = 6.51, a
-        # bound no secrecy rate exceeds; KU meets it through its base
-        cfg = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_E=10.0 ** 0.5, zeta=0.9, scheme="OS")
+        # SS K=2, N=4, M_D=4, M_E=1 at (4.5, -29.2) dB: the 416 exact terms
+        # sum to 1,303.8 bpcu where quad_esr reads 3.737, above
+        # log2(1 + K M_D lambda_D) = 4.56, a bound no secrecy rate exceeds;
+        # KU meets it through its base
+        cfg = _cfg(K=2, N=4, M_D=4, M_E=1, lambda_D=10.0 ** 0.45, lambda_E=10.0 ** -2.92,
+                   zeta=0.9)
         for row in (cfg, replace(cfg, knowledge="KU")):
-            with pytest.raises(ArithmeticError, match=r"exceeds the bound .* = 6\.50"):
+            with pytest.raises(ArithmeticError, match=r"exceeds the bound .* = 4\.55"):
                 esr_exact(row)
+
+    def test_os_row_that_broke_both_backstops_reads_quadrature(self):
+        # OS K = N = M = 3 at 10 dB: its K-fold terms summed to 2,278.7 bpcu
+        # (exact) and -139,147.8 (high-SNR); the one-link integral reads
+        # quad_esr's 1.632
+        cfg = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_E=10.0 ** 0.5, zeta=0.9, scheme="OS")
+        assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), rel=1e-9)
+        assert 0.0 < esr_high_snr(cfg).value < math.inf
 
 
 class TestAsymptoticRate:
@@ -391,25 +417,21 @@ class TestMemoizedKernels:
     def test_pinned_bits_cold_warm_and_reversed(self):
         rows = list(PINNED_RATE_HEXES)
         _kernel.cache_clear()
-        partial_fractions.cache_clear()
         assert self._hexes(rows) == PINNED_RATE_HEXES
         assert _kernel.cache_info().hits > 0
-        assert partial_fractions.cache_info().hits > 0
         assert self._hexes(rows) == PINNED_RATE_HEXES
         _kernel.cache_clear()
-        partial_fractions.cache_clear()
         assert self._hexes(rows[::-1]) == PINNED_RATE_HEXES
 
     def test_memos_are_bounded(self):
-        for memo in (_kernel, partial_fractions):
-            maxsize = memo.cache_parameters()["maxsize"]
-            assert maxsize is not None and 0 < maxsize <= 65536
+        maxsize = _kernel.cache_parameters()["maxsize"]
+        assert maxsize is not None and 0 < maxsize <= 65536
 
 
 class TestShapeMemo:
-    # OS K=2, N=3, M_D=M_E=3 at 20 dB: 1,795 exact terms over 406 shapes
-    CFG = _cfg(K=2, N=3, M_D=3, M_E=3, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
-               zeta=0.9, scheme="OS")
+    # SS K=3, N=3, M_D=M_E=3 at 20 dB: 1,161 exact terms over 237 shapes
+    CFG = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
+               zeta=0.9)
 
     @staticmethod
     def _count_calls(monkeypatch, integrator):
@@ -424,9 +446,9 @@ class TestShapeMemo:
     def test_each_shape_integrated_once_per_rate(self, monkeypatch):
         calls = self._count_calls(monkeypatch, integrate_term)
         result = esr_exact(self.CFG)
-        assert result.term_count == 1795
-        assert len(calls) == 406
-        assert len({(t.exp_rate, t.poly_power, t.poles) for t in calls}) == 406
+        assert result.term_count == 1161
+        assert len(calls) == 237
+        assert len({(t.exp_rate, t.poly_power, t.poles) for t in calls}) == 237
 
     def test_zero_integral_raises_naming_its_shape(self, monkeypatch):
         # every exact integrand is positive, so 0.0 is an underflow
@@ -486,7 +508,7 @@ class TestScaleRatiosOutsideTheDoubleRange:
 
     def test_underflowed_pole_gaps_are_a_numeric_error(self):
         cfg = _cfg(lambda_D=1e-30, lambda_E=1e290)
-        with pytest.raises(ArithmeticError, match="zero constant term") as info:
+        with pytest.raises(ArithmeticError, match="underflows to 0.0") as info:
             esr_exact(cfg)
         assert not isinstance(info.value, ValueError)
         assert sop(cfg).value == 1.0  # the outage is still certified
@@ -510,7 +532,7 @@ class TestOrderFree:
     SS_CFG = _cfg(K=3, N=3, M_D=2, M_E=2, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
                   zeta=0.9)
 
-    @pytest.mark.parametrize("cfg", [TestShapeMemo.CFG, SS_CFG], ids=["OS", "SS"])
+    @pytest.mark.parametrize("cfg", [TestShapeMemo.CFG, SS_CFG], ids=["SS-3333", "SS"])
     def test_reversed_terms_keep_every_bit(self, cfg, monkeypatch):
         term_sum = build_cdf_term_sum(cfg)
         reversed_sum = TermSum(terms=term_sum.terms[::-1], recipes=term_sum.recipes[::-1],
@@ -520,3 +542,92 @@ class TestOrderFree:
         rate = esr_exact(cfg).value
         monkeypatch.setattr(esr_module, "build_cdf_term_sum", lambda cfg: reversed_sum)
         assert esr_exact(cfg).value.hex() == rate.hex()
+
+
+# OS rows against the oracles: (K, N, M_D, M_E), zeta, lambda_D and lambda_E
+# in dB. The K-fold expansion read the first five 4e-8 to 4e-3 relative off
+# quad_esr, raised on the next two and ran out of capacity on (4, 4, 4, 4).
+OS_ORACLE_ROWS = [
+    ((3, 3, 2, 2), 0.9, 20.0, 5.0),
+    ((4, 2, 2, 2), 0.9, 20.0, 5.0),
+    ((2, 3, 3, 3), 0.9, 20.0, 5.0),
+    ((3, 2, 3, 3), 0.9, 20.0, 5.0),
+    ((2, 2, 4, 4), 0.9, 20.0, 5.0),
+    ((3, 3, 3, 3), 1.0, 20.0, 5.0),
+    ((4, 3, 3, 3), 1.0, 20.0, 5.0),
+    ((4, 4, 4, 4), 0.9, 20.0, 5.0),
+    ((3, 2, 2, 2), 0.9, 10.0, -30.0),
+]
+
+
+def _os_row(shape, zeta, db_d, db_e, **overrides):
+    K, N, M_D, M_E = shape
+    return _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (db_d / 10.0),
+                lambda_E=10.0 ** (db_e / 10.0), zeta=zeta, scheme="OS", **overrides)
+
+
+class TestOneLinkOs:
+    # OS over K >= 2 i.i.d. links: F = (1 - zeta + zeta F_1)^K, and each
+    # rate is a certified 1-D integral of the one-link sum
+
+    @pytest.mark.parametrize("shape, zeta, db_d, db_e", OS_ORACLE_ROWS)
+    def test_matches_quadrature(self, shape, zeta, db_d, db_e):
+        cfg = _os_row(shape, zeta, db_d, db_e)
+        assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), rel=1e-9, abs=0.0)
+        assert sop(cfg).value == pytest.approx(quad_cdf_ratio(cfg.rho(), cfg),
+                                               rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("N, M_D, M_E", [(1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 4, 4)])
+    def test_one_link_os_is_ss_bit_for_bit(self, N, M_D, M_E):
+        for zeta, knowledge, lam_d in product((0.5, 1.0), ("KA", "KU"), (3.0, 300.0)):
+            ss = _cfg(K=1, N=N, M_D=M_D, M_E=M_E, lambda_D=lam_d, lambda_E=2.0, zeta=zeta,
+                      knowledge=knowledge)
+            os_ = replace(ss, scheme="OS")
+            for value in (lambda c: sop(c).value, lambda c: cdf_ratio(2.5, c),
+                          lambda c: esr_exact(c).value, lambda c: esr_high_snr(c).value,
+                          lambda c: esr_asymptotic(c).value):
+                assert value(os_).hex() == value(ss).hex()
+
+    def test_term_count_is_the_one_link_sums(self):
+        cfg = _os_row((3, 2, 3, 3), 0.9, 20.0, 5.0)
+        base = one_link_base(cfg)
+        assert (base.K, base.zeta, base.knowledge) == (1, 1.0, "KA")
+        assert sop(cfg).term_count == len(build_cdf_term_sum(base).terms) == 40
+        assert esr_exact(cfg).term_count == 40
+        assert esr_exact(replace(cfg, knowledge="KU")).term_count == 40
+        assert esr_high_snr(cfg).term_count == len(build_high_snr_term_sum(base).terms)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 3, 3), (4, 3, 3, 3)])
+    def test_high_snr_rate_meets_its_asymptote(self, shape):
+        cfg = _os_row(shape, 1.0, 90.0, 5.0)
+        assert abs(esr_high_snr(cfg).value - esr_asymptotic(cfg).value) < 1e-8
+
+    @pytest.mark.parametrize("knowledge", ["KA", "KU"])
+    @pytest.mark.parametrize("zeta", [0.5, 0.9, 1.0])
+    def test_asymptote_rises_by_its_slope_per_decade(self, knowledge, zeta):
+        cfg = _os_row((3, 2, 2, 3), zeta, 40.0, 5.0, knowledge=knowledge)
+        slope = 1.0 - (1.0 - zeta) ** 3 if knowledge == "KA" else zeta
+        rise = (esr_asymptotic(replace(cfg, lambda_D=1e5)).value
+                - esr_asymptotic(cfg).value)
+        assert abs(rise - slope * math.log2(10.0)) < 1e-12
+
+    def test_no_backhaul_keeps_the_empty_sum(self):
+        cfg = _os_row((3, 2, 2, 2), 0.0, 20.0, 5.0)
+        for knowledge in ("KA", "KU"):
+            row = replace(cfg, knowledge=knowledge)
+            assert sop(row).value == 1.0 and sop(row).term_count == 0
+            for rate in (esr_exact, esr_high_snr, esr_asymptotic):
+                assert rate(row).value == 0.0 and rate(row).term_count == 0
+
+    def test_rounding_past_the_target_raises_naming_the_row(self, monkeypatch):
+        # term values a million times noisier than doubles miss the target
+        monkeypatch.setattr(esr_module, "_EPS", 1e6 * esr_module._EPS)
+        with pytest.raises(ArithmeticError, match=r"exact rate of OS/KA K=3 N=2 M_D=2 M_E=2 "
+                           r"zeta=0\.9 .*rounding error of up to"):
+            esr_exact(_os_row((3, 2, 2, 2), 0.9, 20.0, 5.0))
+
+    def test_levels_that_never_agree_raise_naming_the_row(self, monkeypatch):
+        monkeypatch.setattr(esr_module, "_FINEST_STEP", 0.25)
+        with pytest.raises(ArithmeticError, match=r"high_snr rate of OS/KA K=3 .*levels still "
+                           r"differ"):
+            esr_high_snr(_os_row((3, 2, 2, 2), 0.9, 20.0, 5.0))

@@ -14,14 +14,14 @@ from functools import lru_cache
 
 import pytest
 
-from secrecy_lab import acceptance, algebra, esr, oracles
+from secrecy_lab import acceptance, esr, oracles
 
 # the package's `sop` attribute is the function, not the module
 sop = importlib.import_module("secrecy_lab.sop")
 
-_CLOSED_FORM_CACHES = (sop._term_sum_for_key, sop._ss_recipes, sop._os_recipes, esr._kernel,
-                       algebra.partial_fractions, acceptance._sop_closed,
-                       acceptance._esr_closed)
+_CLOSED_FORM_CACHES = (sop._term_sum_for_key, sop._ss_recipes, esr._kernel,
+                       acceptance._sop_closed, acceptance._esr_closed)
+_OTHER_SCHEME = {"SS": "OS", "OS": "SS"}
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +64,20 @@ def test_criterion_3_fails_when_the_backhaul_gate_is_counted_twice(monkeypatch):
     def gated_twice(build):
         return lambda *args: tuple(replace(r, zeta_pow=r.zeta_pow + 1) for r in build(*args))
     monkeypatch.setattr(sop, "_ss_recipes", gated_twice(sop._ss_recipes))
-    monkeypatch.setattr(sop, "_os_recipes", gated_twice(sop._os_recipes))
+    _fails(acceptance.check_sop_triple_oracle)
+
+
+def test_criterion_3_fails_when_the_os_product_squares_zeta(monkeypatch):
+    # F_OS = (1 - zeta^2 + zeta^2 F_1)^K: still a CDF, but the wrong one
+    cdf_ratio = sop.cdf_ratio
+
+    def squared_gate(x, cfg):
+        if cfg.scheme == "OS" and cfg.K > 1 and cfg.knowledge == "KA":
+            gate = cfg.zeta ** 2
+            link = cdf_ratio(x, sop.one_link_base(cfg))
+            return min(1.0, (1.0 - gate + gate * link) ** cfg.K)
+        return cdf_ratio(x, cfg)
+    monkeypatch.setattr(sop, "cdf_ratio", squared_gate)
     _fails(acceptance.check_sop_triple_oracle)
 
 
@@ -83,6 +96,20 @@ def test_criterion_3_fails_on_a_numeric_error_when_a_recipe_is_dropped(monkeypat
 def test_criterion_4_fails_when_the_kernel_is_off_by_1e_5(monkeypatch):
     kernel = esr._kernel
     monkeypatch.setattr(esr, "_kernel", lambda a, b, theta: kernel(a, b, theta) * (1.0 + 1e-5))
+    _fails(acceptance.check_esr_triple_oracle)
+
+
+def test_criterion_4_fails_when_the_os_rate_integrand_is_off_by_1e_5(monkeypatch):
+    os_integrand = esr._os_integrand
+
+    def scaled(terms, K, zeta):
+        integrand = os_integrand(terms, K, zeta)
+
+        def off(s):
+            value, bound = integrand(s)
+            return value * (1.0 + 1e-5), bound
+        return off
+    monkeypatch.setattr(esr, "_os_integrand", scaled)
     _fails(acceptance.check_esr_triple_oracle)
 
 
@@ -117,9 +144,14 @@ def test_criterion_7_slope_error_grows_when_the_asymptote_is_scaled(monkeypatch)
 
 
 def test_criterion_8_fails_when_the_schemes_swap_builders(monkeypatch):
-    ss_recipes, os_recipes = sop._ss_recipes, sop._os_recipes
-    monkeypatch.setattr(sop, "_ss_recipes", os_recipes)
-    monkeypatch.setattr(sop, "_os_recipes", ss_recipes)
+    # SS rows go through the one-link product and OS rows through the SS
+    # K-fold sum; a KU row swaps once, at its always-on base
+    cdf_ratio, rate = sop.cdf_ratio, esr._rate
+
+    def swapped(cfg):
+        return replace(cfg, scheme=_OTHER_SCHEME[cfg.scheme]) if cfg.knowledge == "KA" else cfg
+    monkeypatch.setattr(sop, "cdf_ratio", lambda x, cfg: cdf_ratio(x, swapped(cfg)))
+    monkeypatch.setattr(esr, "_rate", lambda cfg, *args: rate(swapped(cfg), *args))
     _fails(acceptance.check_orderings)
 
 

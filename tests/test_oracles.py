@@ -308,6 +308,16 @@ class TestQuadratureOracle:
         assert result.detail.startswith(
             "numeric error: tail quadrature failed to reach tolerance"), result.detail
 
+    def test_a_limit_too_small_for_the_breakpoints_is_a_quadrature_error(self, monkeypatch):
+        # QUADPACK rejects a subdivision limit below its breakpoints (ier 6);
+        # that escaped as a ValueError, past the checks and the CLI
+        monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 1)
+        with pytest.raises(QuadratureError, match=r"breakpoints: .*_qagpe rejected .*\(ier 6\)"):
+            quad_esr(_cfg(K=2, lambda_D=10.0))
+        result = acceptance.check_esr_triple_oracle(quick=True)
+        assert not result.passed
+        assert result.detail.startswith("numeric error: "), result.detail
+
     def test_agrees_with_simulator(self):
         cfg = _cfg(zeta=0.9, knowledge="KU", scheme="OS")
         est, rate = _mc_alone(cfg, 400000, seed=21)

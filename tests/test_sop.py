@@ -22,6 +22,7 @@ from secrecy_lab.sop import (
     build_high_snr_term_sum,
     cdf_ratio,
     diversity_order,
+    one_link_base,
     sop,
     sop_asymptotic,
 )
@@ -36,36 +37,33 @@ GOLDEN_RATIO_CDF = 0.030717715588085443
 # unity-dropped recipes)) at zeta = 0.9: a digest of the two recipe
 # multisets, whatever order the builders emit them in. Recorded from the
 # builders that still sorted their recipes. KU reads these KA recipes through
-# F_KU = 1 - zeta + zeta * F_on, so its cells check that the builders reject
-# a KU config.
+# F_KU = 1 - zeta + zeta * F_on, and OS over K >= 2 links reads the one-link
+# recipes through F_OS = (1 - zeta + zeta * F_1)^K, so their cells check that
+# the builders reject such a config.
 RECIPE_DIGESTS = {
     ((2, 2, 2, 2), "SS", "KA"):
         "4c53bd6b205dfa22a1f1ce912ef56a2010c28ce694b2875c07cc5cf6b8b3da1b",
-    ((2, 2, 2, 2), "OS", "KA"):
-        "c7362cb6852e612de0176910402d186294cf16600666f215003b1c52a40b9a9d",
     ((3, 3, 3, 3), "SS", "KA"):
         "48b9f87cbb941119f2dc37a29b5daad111596b6b947f583e2a2ebedf398dc0ae",
-    ((3, 3, 3, 3), "OS", "KA"):
-        "7b98356370f35c93ecdfa264e968df2d9b6582497d28dbd350bdc7d6dec02c75",
     ((4, 2, 3, 2), "SS", "KA"):
         "885bc1cb9ebf9feeff15ab6f05ca3b11653954930f7ed1fc00d374045963a863",
-    ((4, 2, 3, 2), "OS", "KA"):
-        "415e33976edb089aed6c287e865d60a5f885def6cddae41e8d115fdbe3a94e50",
     ((4, 3, 3, 3), "SS", "KA"):
         "52ef03c682954b41a095034c24b208a45c063de700c107a2553d4b715053fadc",
-    ((4, 3, 3, 3), "OS", "KA"):
-        "93a5331684d5ee4e7151d9fd2b52f8ebe33c9651d3803d4cac77642539aac5ce",
 }
 
-RECIPE_CELLS = sorted(set(RECIPE_DIGESTS)
-                      | {(shape, scheme, "KU") for shape, scheme, _ in RECIPE_DIGESTS})
+RECIPE_CELLS = sorted({(shape, scheme, knowledge) for shape, _, _ in RECIPE_DIGESTS
+                       for scheme in ("SS", "OS") for knowledge in ("KA", "KU")})
 
 # float.hex of (sop, cdf_ratio(3.0), esr_exact) and sop's term_count on KU
 # rows at lambda_E = 3, recorded while KU still had zeta-folded term sums of
 # its own, and re-derived once when the closed-form sums came to be exactly
 # rounded by math.fsum (from the earlier code's term values, summed that
 # way); keys (K, N, M_D, M_E), scheme, zeta, lambda_D. Values are
-# (sop hex, term_count, cdf_ratio hex, esr_exact hex).
+# (sop hex, term_count, cdf_ratio hex, esr_exact hex). The OS rows at
+# zeta > 0 were re-pinned when OS came to read the one-link sum, each
+# checked within 1e-9 relative of its reference first: quad_cdf_ratio for an
+# always-on CDF above 1e-6, a 60-digit rebuild of the K-fold recipes below
+# it, quad_esr for the rate; term_count became the one-link sum's size.
 KU_PINNED_HEXES = {
     ((2, 2, 2, 2), "SS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
@@ -98,23 +96,23 @@ KU_PINNED_HEXES = {
     ((2, 2, 2, 2), "OS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((2, 2, 2, 2), "OS", 0.5, 1.0): (
-        "0x1.fe4d87deff984p-1", 78, "0x1.ffcb43745abd6p-1", "0x1.2f6c09fc54bf7p-6"),
+        "0x1.fe4d87deff985p-1", 12, "0x1.ffcb43745abd6p-1", "0x1.2f6c09fc7f2cdp-6"),
     ((2, 2, 2, 2), "OS", 0.5, 100.0): (
-        "0x1.0011280472c0fp-1", 78, "0x1.004dd4c791c88p-1", "0x1.3d9e6c4f03ab8p+1"),
+        "0x1.0011280472c1bp-1", 12, "0x1.004dd4c791c83p-1", "0x1.3d9e6c4f030fap+1"),
     ((2, 2, 2, 2), "OS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 78, "0x1.0000000000000p-1", "0x1.23e1d96a008bbp+3"),
+        "0x1.0000000000000p-1", 12, "0x1.0000000000000p-1", "0x1.23e1d96a00d38p+3"),
     ((2, 2, 2, 2), "OS", 0.9, 1.0): (
-        "0x1.fcf1f49165abbp-1", 78, "0x1.ffa11304a354fp-1", "0x1.11146f631912bp-5"),
+        "0x1.fcf1f49165abcp-1", 12, "0x1.ffa11304a354ep-1", "0x1.11146f633f41fp-5"),
     ((2, 2, 2, 2), "OS", 0.9, 100.0): (
-        "0x1.9a90a6a67473dp-4", 78, "0x1.9dfa5e6d00146p-4", "0x1.1ddb617a501a6p+2"),
+        "0x1.9a90a6a6747e9p-4", 12, "0x1.9dfa5e6d000f9p-4", "0x1.1ddb617a4f8e1p+2"),
     ((2, 2, 2, 2), "OS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 78, "0x1.9999999999998p-4", "0x1.06b1aa129a175p+4"),
+        "0x1.9999999999998p-4", 12, "0x1.9999999999998p-4", "0x1.06b1aa129a57fp+4"),
     ((2, 2, 2, 2), "OS", 1.0, 1.0): (
-        "0x1.fc9b0fbdff309p-1", 78, "0x1.ff9686e8b57adp-1", "0x1.2f6c09fc54bf7p-5"),
+        "0x1.fc9b0fbdff30ap-1", 12, "0x1.ff9686e8b57acp-1", "0x1.2f6c09fc7f2cdp-5"),
     ((2, 2, 2, 2), "OS", 1.0, 100.0): (
-        "0x1.1280472c0f000p-12", 78, "0x1.37531e4722200p-10", "0x1.3d9e6c4f03ab8p+2"),
+        "0x1.1280472c1af4ep-12", 12, "0x1.37531e4720cc7p-10", "0x1.3d9e6c4f030fap+2"),
     ((2, 2, 2, 2), "OS", 1.0, 1e6): (
-        "0x1.5df94ea7517f2p-65", 78, "0x1.d6711bf1226eap-63", "0x1.23e1d96a008bbp+4"),
+        "0x1.5df94ea7517f1p-65", 12, "0x1.d6711bf1226ebp-63", "0x1.23e1d96a00d38p+4"),
     ((3, 2, 2, 3), "SS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "SS", 0.0, 100.0): (
@@ -146,23 +144,23 @@ KU_PINNED_HEXES = {
     ((3, 2, 2, 3), "OS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "OS", 0.5, 1.0): (
-        "0x1.ffd2df758e00ap-1", 507, "0x1.fffd35a0949f2p-1", "0x1.ff06d09df2e4dp-9"),
+        "0x1.ffd2df758e00ap-1", 16, "0x1.fffd35a0949f2p-1", "0x1.ff0b0194b89b8p-9"),
     ((3, 2, 2, 3), "OS", 0.5, 100.0): (
-        "0x1.0001908318702p-1", 507, "0x1.000ddee69e91ep-1", "0x1.3050b4b314359p+1"),
+        "0x1.00019083186e8p-1", 16, "0x1.000ddee69e8bcp-1", "0x1.3050b839ab543p+1"),
     ((3, 2, 2, 3), "OS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 507, "0x1.0000000000000p-1", "0x1.2095250f1a432p+3"),
+        "0x1.0000000000000p-1", 16, "0x1.0000000000000p-1", "0x1.2095249b2cb7cp+3"),
     ((3, 2, 2, 3), "OS", 0.9, 1.0): (
-        "0x1.ffaec56d32ce0p-1", 507, "0x1.fffafa210b84ep-1", "0x1.cbec888e27679p-8"),
+        "0x1.ffaec56d32ce0p-1", 16, "0x1.fffafa210b84dp-1", "0x1.cbf04e390c8bfp-8"),
     ((3, 2, 2, 3), "OS", 0.9, 100.0): (
-        "0x1.99b020f95fe89p-4", 507, "0x1.9a61569285015p-4", "0x1.11e23c3ac5637p+2"),
+        "0x1.99b020f95fd10p-4", 16, "0x1.9a61569284a8bp-4", "0x1.11e23f671a323p+2"),
     ((3, 2, 2, 3), "OS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 507, "0x1.9999999999998p-4", "0x1.03b96e27313c7p+4"),
+        "0x1.9999999999998p-4", 16, "0x1.9999999999998p-4", "0x1.03b96dbedb723p+4"),
     ((3, 2, 2, 3), "OS", 1.0, 1.0): (
-        "0x1.ffa5beeb1c015p-1", 507, "0x1.fffa6b41293e5p-1", "0x1.ff06d09df2e4dp-8"),
+        "0x1.ffa5beeb1c015p-1", 16, "0x1.fffa6b41293e4p-1", "0x1.ff0b0194b89b8p-8"),
     ((3, 2, 2, 3), "OS", 1.0, 100.0): (
-        "0x1.9083187028000p-16", 507, "0x1.bbdcd3d23c000p-13", "0x1.3050b4b314359p+2"),
+        "0x1.9083186e857edp-16", 16, "0x1.bbdcd3d177055p-13", "0x1.3050b839ab543p+2"),
     ((3, 2, 2, 3), "OS", 1.0, 1e6): (
-        "0x1.d23ff98635a4ep-95", 507, "0x1.636bfa26ecde6p-91", "0x1.2095250f1a432p+4"),
+        "0x1.d23ff98635a4dp-95", 16, "0x1.636bfa26ecde5p-91", "0x1.2095249b2cb7cp+4"),
 }
 
 
@@ -223,7 +221,7 @@ class TestRatioCdf:
             assert ka <= ku + 1e-9
 
     def test_term_sum_band(self):
-        ts = build_cdf_term_sum(_cfg(K=3, N=2, scheme="OS"))
+        ts = build_cdf_term_sum(_cfg(K=3, N=2))
         for x in (1.0, 1.1, 2.0, 10.0, 200.0):
             assert -1e-9 <= ts.eval(x) <= 1.0 + 1e-9
 
@@ -239,9 +237,9 @@ def test_recipes_pinned(shape, scheme, knowledge):
     K, N, M_D, M_E = shape
     cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
                zeta=0.9, scheme=scheme, knowledge=knowledge)
-    if knowledge == "KU":
+    if knowledge == "KU" or scheme == "OS":
         for build in (build_cdf_term_sum, build_high_snr_term_sum):
-            with pytest.raises(ValueError, match="KU"):
+            with pytest.raises(ValueError, match="F_KU" if knowledge == "KU" else "F_OS"):
                 build(cfg)
         return
     digest = hashlib.sha256(repr(_recipe_multisets(cfg)).encode()).hexdigest()
@@ -249,27 +247,29 @@ def test_recipes_pinned(shape, scheme, knowledge):
 
 
 # sha256 over every small shape, one line repr(_recipe_multisets(cfg)) + "\n"
-# per (K, N, M_D, M_E) in product(range(1, 4), repeat=4) and scheme (SS, then
-# OS), at the RECIPE_DIGESTS point; recorded from the builders that still
-# sorted their recipes
-SMALL_SHAPES_DIGEST = "f154e8249170d36dc8747c2c2bbccf1de69ef8e720617c37f7411acfa8bd9368"
+# per (K, N, M_D, M_E) in product(range(1, 4), repeat=4), SS, at the
+# RECIPE_DIGESTS point; recorded over the SS lines alone from the builders
+# that still built OS recipes of their own, so it shows the SS recipes
+# unchanged since
+SMALL_SHAPES_DIGEST = "f202792089c5e4df504b7cba6138acccefb70383390615c88e7c19c23f3304b7"
 
 
 def test_recipes_pinned_on_every_small_shape():
     digest = hashlib.sha256()
-    for (K, N, M_D, M_E), scheme in product(product(range(1, 4), repeat=4), ("SS", "OS")):
+    for K, N, M_D, M_E in product(range(1, 4), repeat=4):
         cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
-                   zeta=0.9, scheme=scheme)
+                   zeta=0.9)
         digest.update((repr(_recipe_multisets(cfg)) + "\n").encode())
     assert digest.hexdigest() == SMALL_SHAPES_DIGEST
 
 
 def test_unity_dropped_recipes_are_the_scale_free_exact_ones():
     # the products of the mu == m slots alone are the exact recipes whose
-    # lambda_D and lambda_E powers cancel, without the exponential
-    for (K, N, M_D, M_E), scheme in product(product(range(1, 4), repeat=4), ("SS", "OS")):
+    # lambda_D and lambda_E powers cancel, without the exponential; OS reads
+    # the K = 1 sums among these
+    for K, N, M_D, M_E in product(range(1, 4), repeat=4):
         cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
-                   zeta=0.9, scheme=scheme)
+                   zeta=0.9)
         scale_free = Counter(replace(r, exp_k=0) for r in build_cdf_term_sum(cfg).recipes
                              if r.lam_dest_pow + r.lam_eve_pow == 0)
         assert Counter(build_high_snr_term_sum(cfg).recipes) == scale_free
@@ -278,18 +278,18 @@ def test_unity_dropped_recipes_are_the_scale_free_exact_ones():
 @pytest.mark.parametrize("scheme", ["SS", "OS"])
 def test_rates_of_one_shape_build_its_recipes_once(scheme):
     # the unity-dropped recipes are filtered from the exact ones, so the
-    # high-SNR and asymptotic rates build nothing after the exact term sum
-    builders = (sop_module._ss_recipes, sop_module._os_recipes)
-    for builder in builders:
-        builder.cache_clear()
+    # high-SNR and asymptotic rates build nothing after the exact rate; OS
+    # builds the one-link recipes alone, whatever its scales
+    build = sop_module._ss_recipes
+    build.cache_clear()
     cfg = _cfg(K=2, N=3, M_D=3, M_E=2, lambda_D=123.0, lambda_E=7.0, zeta=0.8,
                scheme=scheme)
-    build_cdf_term_sum(cfg)
-    misses = [builder.cache_info().misses for builder in builders]
-    assert sum(misses) == 1
+    esr_exact(cfg)
+    assert build.cache_info().misses == 1
     esr_high_snr(cfg)
     esr_asymptotic(cfg)
-    assert [builder.cache_info().misses for builder in builders] == misses
+    sop(cfg)
+    assert build.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("build", [build_cdf_term_sum, build_high_snr_term_sum])
@@ -298,6 +298,15 @@ def test_builders_reject_gate_after_selection(build, zeta):
     # a KU config has no term sum of its own; the error names the identity
     with pytest.raises(ValueError, match=r"F_KU = 1 - zeta \+ zeta \* F_on"):
         build(_cfg(zeta=zeta, knowledge="KU"))
+
+
+@pytest.mark.parametrize("build", [build_cdf_term_sum, build_high_snr_term_sum])
+@pytest.mark.parametrize("K", [2, 3])
+def test_builders_reject_os_over_several_links(build, K):
+    # OS over K >= 2 links reads the one-link sum; the error names the identity
+    with pytest.raises(ValueError, match=r"F_OS = \(1 - zeta \+ zeta \* F_1\)\^K"):
+        build(_cfg(K=K, zeta=0.9, scheme="OS"))
+    assert build(one_link_base(_cfg(K=K, zeta=0.9, scheme="OS"))).terms
 
 
 @pytest.mark.parametrize("shape, scheme",
