@@ -16,12 +16,10 @@ from .channel import (
     sf_snr_dest,
 )
 from .esr import (
-    DivergenceError,
     EsrResult,
     esr_asymptotic,
     esr_exact,
     esr_high_snr,
-    integrate_term,
 )
 from .oracles import (
     MonteCarloEstimate,
@@ -58,11 +56,9 @@ __all__ = [
     "build_cdf_term_sum",
     "build_high_snr_term_sum",
     "EsrResult",
-    "DivergenceError",
     "esr_exact",
     "esr_high_snr",
     "esr_asymptotic",
-    "integrate_term",
     "MonteCarloEstimate",
     "QuadratureError",
     "mc_moments",

@@ -22,7 +22,7 @@ from itertools import chain, product
 from operator import itemgetter
 
 from .channel import SystemConfig
-from .esr import _kernel, esr_asymptotic, esr_exact, esr_high_snr
+from .esr import _log_stieltjes, esr_asymptotic, esr_exact, esr_high_snr
 from .oracles import (ESR_AGREEMENT, SOP_AGREEMENT, default_threads, mc_moments,
                       quad_cdf_ratio, quad_esr, quadpack)
 from .sop import diversity_order, sop, sop_asymptotic
@@ -233,11 +233,14 @@ def check_degeneracies(quick: bool = False):
 
 @_check("high-SNR / asymptotic rate fidelity")
 def check_esr_fidelity(quick: bool = False):
-    """High-SNR rate gap at the pinned config, asymptotic slope, N-independence."""
+    """High-SNR rate gap at the pinned config, its asymptote's offset at
+    lambda_D = 1e5, asymptotic slope, N-independence."""
     cfg = SystemConfig(K=2, N=2, M_D=2, M_E=2, lambda_D=1e3,
                        lambda_E=10.0 ** 0.9, zeta=1.0, R_th=1.0,
                        scheme="SS", knowledge="KA")
     gap = abs(esr_high_snr(cfg).value - _esr_closed(cfg))
+    far = replace(cfg, lambda_D=1e5)
+    offset = abs(esr_high_snr(far).value - esr_asymptotic(far).value)
     slope_ok = True
     slope_detail = []
     for scheme in ("SS", "OS"):
@@ -250,8 +253,9 @@ def check_esr_fidelity(quick: bool = False):
         n_spread = abs(slopes[1] - slopes[3])
         slope_ok = slope_ok and err <= 1e-2 and n_spread <= 1e-2
         slope_detail.append(f"{scheme}: slope err {err:.1e}, N-spread {n_spread:.1e}")
-    return gap <= 0.05 and slope_ok, (
+    return gap <= 0.05 and offset <= 1e-9 and slope_ok, (
         f"|high_snr - exact| = {gap:.4f} bpcu (tol 0.05) at {_brief(cfg)}; "
+        f"|high_snr - asymptotic| = {offset:.1e} (tol 1e-09) at lam_D=1e+05; "
         + "; ".join(slope_detail))
 
 
@@ -327,25 +331,25 @@ def check_special_functions(quick: bool = False):
     rng = random.Random(ACCEPT_SEED)
 
     def kernel_errors():
-        # kernels against quadrature of their defining integrals
+        # the rate kernel, integral_0^inf t^p e^(-at)/(1+t) dt, against
+        # quadrature of its definition, at a = k/lambda_D + n/lambda_E with
+        # p, k, n and lambda_D (up to criterion 7's 50 dB) covering the
+        # gate's rows
         for _ in range(10 if quick else 20):
-            lam_d, lam_e = rng.uniform(0.5, 200.0), rng.uniform(0.5, 8.0)
-            theta, k, n = rng.randint(0, 4), rng.randint(1, 3), rng.randint(0, 2)
-            # the K-link SS recipes put the pole at (n+1)/k times
-            # lambda_D/lambda_E, the one-link recipes that OS reads at n+1
-            # times it
-            for scheme, pole in (("SS", (n + 1) * lam_d / (k * lam_e)),
-                                 ("OS", (n + 1) * lam_d / lam_e)):
-                a = k / lam_d
-                closed = _kernel(a, pole, theta)
-                # pure relative tolerance: these integrals can sit near 1e-12
-                # where scipy's default absolute floor would swamp the
-                # comparison. _qagie on [1, inf) is the call quad(f, 1, inf,
-                # limit=800, epsabs=0, epsrel=1e-12) makes
-                est, _ = quadpack("_qagie", lambda x: math.exp(-a * x) / (x + pole) ** (theta + 1),
-                                  1.0, 1, (), 0, 0.0, 1e-12, 800)
-                yield (abs(closed - est) / max(abs(est), 1e-300),
-                       f"{scheme}-pole kernel theta={theta} k={k} n={n}")
+            lam_d, lam_e = 10.0 ** rng.uniform(-0.3, 5.0), rng.uniform(0.5, 8.0)
+            p, k, n = rng.randint(0, 6), rng.randint(1, 3), rng.randint(0, 2)
+            a = k / lam_d + n / lam_e
+            closed = math.exp(_log_stieltjes(p, a)[0])
+            # in u = a t, where the integrand peaks near u = p whatever a is.
+            # Pure relative tolerance: the integrals span many decades, where
+            # scipy's default absolute floor would swamp the comparison.
+            # _qagie on [0, inf) is the call quad(f, 0, inf, limit=800,
+            # epsabs=0, epsrel=1e-12) makes
+            est, _ = quadpack("_qagie", lambda u: u ** p * math.exp(-u) / (a + u),
+                              0.0, 1, (), 0, 0.0, 1e-12, 800)
+            est /= a ** p
+            yield (abs(closed - est) / max(abs(est), 1e-300),
+                   f"kernel p={p} k={k} n={n} a={a:.4g}")
     kernel_worst, worst_what = _worst(kernel_errors())
     return kernel_worst <= 1e-9, (
         f"log-form recurrence <= {log_worst:.2f} x its "

@@ -1,8 +1,8 @@
 """Combinatorial and rational-function machinery behind the closed forms.
 
-Two jobs live here: the expansion of a K-th power of a term sum into a flat
-merged term list, and the split of x^n/(x+b)^theta over its one pole
-(single_pole_split), the only shape the rate integrator sees.
+The expansion of a K-th power of a term sum into a flat merged term list
+lives here; the outage recipes and the rates' Poisson powers both use it,
+as the rates' mpmath fallback uses the precision ladder (_MP_DPS_LADDER).
 
 The module also owns the canonical carrier for every closed-form CDF:
 ``TermSum`` holds ``1 - sum of RationalExpTerm`` where each term is
@@ -87,35 +87,6 @@ def expand_powers_of_sum(inner_terms: Sequence[tuple],
         yield [(coeff,) + tuple((code // w) % r + off
                                 for w, r, off in zip(weights, radices, offsets))
                for code, coeff in acc.items()]
-
-
-def single_pole_split(b: float, theta: int, num_power: int) -> tuple[float, tuple[float, ...]]:
-    """(c_0, row) with x^n/(x+b)^theta = c_0/x + sum_t row[t-1]/(x+b)^t, n = num_power.
-
-    n = -1 adds the simple pole at zero of the logarithmic integrals: c_0 =
-    1/b^theta and row[theta-1-i] = (1/-b)/b^i, by sequential products and
-    divisions; a b^theta that underflows raises ArithmeticError. For
-    0 <= n < theta, c_0 = 0.0 and the row holds (u-b)^n, u = x+b, by the
-    multiply-add recurrence (u-b)^(j+1) = u (u-b)^j - b (u-b)^j.
-    """
-    if num_power < 0:
-        power = 1.0
-        for _ in range(theta):
-            power *= b
-        if power == 0.0:
-            raise ArithmeticError(f"pole location {b!r} to the power {theta} underflows to 0.0")
-        inv = [1.0 / -b]
-        for _ in range(theta - 1):
-            inv.append(inv[-1] / b)
-        return 1.0 / power, tuple(reversed(inv))
-    numer = [1.0]
-    for _ in range(num_power):
-        nxt = [0.0] * (len(numer) + 1)
-        for i, c in enumerate(numer):
-            nxt[i] += c * -b
-            nxt[i + 1] += c
-        numer = nxt
-    return 0.0, tuple(reversed((numer + [0.0] * theta)[:theta]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,13 +1,26 @@
-"""Ergodic secrecy rate from the ratio-CDF complement.
+"""Ergodic secrecy rate: exact, high-SNR and asymptotic.
 
-The rate is (1/ln 2) * integral_1^inf (1 - F(x))/x dx. SS selection, and
-either scheme at K = 1, integrate it term by term on the TermSum produced by
-the sop module. Each term c * x^p * e^(-a x) / (x+b)^m has one pole;
-integrate_term splits x^(p-1)/(x+b)^m over it (algebra.single_pole_split),
-and each piece integrates to an upper-incomplete-gamma kernel (a > 0) or a
-logarithm/finite-power piece (a = 0). The high-SNR variant integrates the
-unity-dropped TermSum (a = 0); the asymptotic variant collapses every 1 + b
-to b, the leading behavior as the poles grow, affine in ln(lambda_D/lambda_E).
+SS selection (any K), and either scheme at K = 1, pick a link whose
+destination SNR X is independent of the strongest eavesdropper SNR Y, so
+the rate is (1/ln 2) * integral_0^inf F_Y(t) (1 - F_X(t)) / (1+t) dt. With
+P_M(u) = sum_{j<M} u^j/j!, 1 - F_X(t) is the sum over k = 1..K of
+C(K,k) (-1)^(k+1) zeta^k e^(-kt/lambda_D) P_{M_D}(t/lambda_D)^k, and F_Y(t)
+the sum over n = 0..N of C(N,n) (-1)^n e^(-nt/lambda_E) P_{M_E}(t/lambda_E)^n,
+so each product term integrates to one positive kernel,
+integral_0^inf t^p e^(-at)/(1+t) dt = p! e^a Gamma(-p, a): no poles, no
+partial fractions. The terms' exact integer coefficients are built once per
+shape (_rate_terms), and term_count is their number. A row's float sum
+stands when its rounding bound is within _TARGET of it; otherwise the same
+integers are re-summed in mpmath (loaded then only) up the precision ladder,
+and a sum that cancels below the last rung, or whose certified value has no
+double, raises ArithmeticError naming the row.
+
+The high-SNR rate drops the destination unity only:
+E[(log2 X - log2(1+Y))^+] = (1/ln 2) integral_0^inf F_Y(u) (1 - F_X(1+u)) /
+(1+u) du, whose (1+u)^i factors expand binomially into the same kernels.
+Its limit as lambda_D grows is the asymptote (S ln lambda_D + E[ln G; G>0]
+- S E[ln(1+Y)]) / ln 2, S = 1 - (1-zeta)^K, G = X/lambda_D: its slope reads
+K and zeta alone.
 
 OS selection over K >= 2 links reads the paper's one-link closed form: the
 links are i.i.d., so each rate is the certified 1-D integral
@@ -15,47 +28,33 @@ links are i.i.d., so each rate is the certified 1-D integral
 the unity-dropped one-link survival S_1 (sop.one_link_base), and the
 asymptote its affine limit. Its exp-sinh levels and the rounding that the
 node sums carry must meet _TARGET, or the rate raises ArithmeticError
-naming the row. Every rate shares zeta = 0, the gate-after-selection
-rescaling (sop.gated_base) and the backstops.
-
-A term's integral depends on its shape (a, p, poles) alone: the exact SS
-rate at K=N=M_D=M_E=3, 20 dB, has 1,161 terms over 237 shapes, which call
-_kernel 831 times over 96 distinct (a, b, theta). Each shape is integrated
-once per rate, each term applies its coefficient in log space, and
-math.fsum rounds the sum whatever its order. The kernel is memoized in a
-bounded LRU cache, whose values are the floats a fresh call returns.
-
-A rate below the 1e-300 support floor takes the rational branch with a
-warning through the standard logging module, which loads on that warning
-only. An exact or high-SNR term integral of 0.0, or one that overflows,
-raises ArithmeticError naming the term's shape.
+naming the row. Every KA rate is memoized per config and form, so a KU row,
+zeta times the rate of its always-on row (sop.gated_base), reads it; every
+rate shares zeta = 0 and the backstops.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
-from .algebra import RationalExpTerm, TermSum, single_pole_split
+from .algebra import _MP_DPS_LADDER, expand_powers_of_sum
 from .channel import SystemConfig
 from .sop import build_cdf_term_sum, build_high_snr_term_sum, gated_base, one_link_base
-from .specialfn import log_upper_incomplete_gamma_int
+from .specialfn import EULER_GAMMA, log_upper_incomplete_gamma_int
 
 _LN2 = math.log(2.0)
-_RATE_FLOOR = 1e-300
 _EPS = 2.0 ** -52
 _HALF_PI = math.pi / 2.0
-_TARGET = 1e-9  # relative target of every one-link OS rate integral
+_TARGET = 1e-9  # relative target of every certified rate
 _FINEST_STEP = 2.0 ** -9
 
 _FORM_EXACT = "exact"
 _FORM_HIGH_SNR = "high_snr"
 _FORM_ASYMPTOTIC = "asymptotic"
-
-
-class DivergenceError(ArithmeticError):
-    """The requested term integral does not converge."""
 
 
 @dataclass(frozen=True)
@@ -69,140 +68,163 @@ class EsrResult:
             raise ValueError("ergodic secrecy rate must be nonnegative")
 
 
+@lru_cache(maxsize=None)
+def _powers(M: int, top: int) -> tuple:
+    """(k, (-1)^k C(top, k), D^k, ((i, c), ...)) for k = 0..top, where P_M(u)^k =
+    sum (c/D^k) u^i exactly: integers c over D = (M-1)!, P_M's common denominator."""
+    denom = math.factorial(M - 1)
+    inner = [(denom // math.factorial(j), j) for j in range(M)]
+    powers = [[(1, 0)]] + list(expand_powers_of_sum(inner, top))
+    return tuple((k, (-1) ** k * math.comb(top, k), denom ** k, tuple((i, c) for c, i in power))
+                 for k, power in enumerate(powers))
+
+
+@lru_cache(maxsize=None)
+def _rate_terms(K: int, N: int, M_D: int, M_E: int, form: str) -> tuple:
+    """The exact terms of one shape's rate: (ln|c|, sign, c's numerator and
+    denominator, k, n, i, j, p), the integers shared with the mpmath pass.
+
+    A term is c zeta^k lambda_D^-i lambda_E^-j times the kernel of t^p at
+    a = k/lambda_D + n/lambda_E, and times e^(-k/lambda_D) in the high-SNR
+    rate, where the destination factor (1+t)^i is expanded binomially. The
+    asymptote's terms are those of E[ln(1+Y)], at k = i = 0.
+    """
+    dest, eve = _powers(M_D, K), _powers(M_E, N)
+    if form == _FORM_ASYMPTOTIC:  # 1 times 1 - F_Y = -sum_{n>=1} ...
+        dest, eve = dest[:1], [(n, -pick, *rest) for n, pick, *rest in eve[1:]]
+    else:  # 1 - F_X = -sum_{k>=1} ... times F_Y
+        dest = [(k, -pick, *rest) for k, pick, *rest in dest[1:]]
+    terms = []
+    for (k, pick_d, den_d, power_d), (n, pick_e, den_e, power_e) in product(dest, eve):
+        den = den_d * den_e
+        log_den = math.log(den)
+        for (i, c_d), (j, c_e) in product(power_d, power_e):
+            for low in (range(i + 1) if form == _FORM_HIGH_SNR else (i,)):
+                c = pick_d * pick_e * math.comb(i, low) * c_d * c_e
+                terms.append((math.log(abs(c)) - log_den, 1 if c > 0 else -1, c, den,
+                              k, n, i, j, low + j))
+    return tuple(terms)
+
+
 @lru_cache(maxsize=4096)
-def _kernel(a: float, b: float, theta: int) -> float:
-    """integral_1^inf e^(-a x) / (x+b)^(theta+1) dx for a > 0, b >= 0.
-
-    Equals a^theta * e^(a b) * Gamma(-theta, a(1+b)); evaluated in the log
-    domain so the huge e^(a b) and tiny incomplete-gamma factors cancel
-    before exponentiation. theta may be negative (the numerator re-expansion
-    produces net positive powers of x+b). Memoized on (a, b, theta).
-    """
-    log_gamma = log_upper_incomplete_gamma_int(-theta, a * (1.0 + b))
-    return math.exp(theta * math.log(a) + a * b + log_gamma)
+def _log_stieltjes(p: int, a: float) -> tuple[float, float]:
+    """(ln of the kernel integral_0^inf t^p e^(-at)/(1+t) dt = p! e^a Gamma(-p, a),
+    the Stieltjes transform of t^p e^(-at) at 1, and the sum of its parts'
+    magnitudes), a > 0; finite where Gamma underflows."""
+    log_gamma = log_upper_incomplete_gamma_int(-p, a)
+    log_factorial = math.lgamma(p + 1)
+    return log_factorial + a + log_gamma, log_factorial + a + abs(log_gamma)
 
 
-def integrate_term(term: RationalExpTerm) -> float:
-    """integral_1^inf x^(p-1) e^(-a x) / (x+b)^m dx, unit coefficient.
-
-    p, a and the one pole (b, m), if any, come from the term; more poles
-    raise ValueError. The coefficient is NOT applied (callers fold it in
-    log space).
-    """
-    a = term.exp_rate
-    p = term.poly_power
-    poles = tuple(term.poles)
-    if len(poles) > 1:
-        raise ValueError(f"integrate_term takes at most one pole (got {poles!r})")
-    if 0.0 < a < _RATE_FLOOR:
-        import logging  # loads on this warning only; most processes log nothing
-        logging.getLogger(__name__).warning(
-            "exponential rate %.3e is below the support floor; "
-            "substituting the rational branch", a)
-        a = 0.0
-    total_degree = sum(m for _, m in poles)
-    if a == 0.0 and total_degree <= p:
-        raise DivergenceError(
-            f"pole degree {total_degree} <= polynomial power {p} with no "
-            "exponential decay: the tail integral diverges")
-    if a == 0.0:
-        return _integrate_rational(p, poles, asymptotic=False)
-    if not poles:
-        return _kernel(a, 0.0, -p)
-    (b, theta), = poles
-    if p == 0:
-        # x^-1 is a simple pole at zero
-        zero, row = single_pole_split(b, theta, -1)
-        pieces = [zero * _kernel(a, 0.0, 0)] if zero != 0.0 else []
-        pieces += [c * _kernel(a, b, t - 1) for t, c in enumerate(row, start=1) if c != 0.0]
-    else:
-        # x^(p-1) = sum_jj C(p-1,jj) (x+b)^jj (-b)^(p-1-jj)
-        pieces = [math.comb(p - 1, jj) * (-b) ** (p - 1 - jj) * _kernel(a, b, theta - jj - 1)
-                  for jj in range(p)]
-    return math.fsum(pieces)
+def _float_sum(terms, cfg: SystemConfig, shift: float) -> tuple[float, float]:
+    """(sum of the term values, its rounding bound), shift = 1/lambda_D in the
+    high-SNR rate. Each value exp(L) is off by a few ulps of each part of L."""
+    log_z, log_d, log_e = (math.log(cfg.zeta), math.log(cfg.lambda_D),
+                           math.log(cfg.lambda_E))
+    values, weight = [], 0.0
+    for log_c, sign, _c, _den, k, n, i, j, p in terms:
+        log_q, size = _log_stieltjes(p, k / cfg.lambda_D + n / cfg.lambda_E)
+        value = math.exp(log_c + k * log_z - i * log_d - j * log_e - k * shift + log_q)
+        values.append(sign * value)
+        weight += value * (2.0 + abs(log_c) + k * abs(log_z) + i * abs(log_d)
+                           + j * abs(log_e) + k * shift + size)
+    return math.fsum(values), 4.0 * _EPS * weight
 
 
-def _integrate_rational(p: int, poles: tuple, asymptotic: bool) -> float:
-    """integral_1^inf x^(p-1)/(x+b)^m dx via the split over its one pole.
+def _mp_sum(terms, cfg: SystemConfig, high_snr: bool, what: str) -> float:
+    # mpmath loads on the first fallback only; most processes make none
+    import mpmath
 
-    The simple-pole logarithms diverge piecewise but their coefficients sum
-    to zero, leaving -c_(b,1) ln(1+b) (at p = 0 the zero pole's is ln 1 = 0);
-    higher orders integrate to finite powers. With asymptotic=True, 1+b
-    collapses to b, the leading behavior as the pole grows.
-    """
-    (b, theta), = poles
-    _zero, row = single_pole_split(b, theta, p - 1)
-    base = b if asymptotic else 1.0 + b
-    pieces = []
-    for t, c in enumerate(row, start=1):
-        if c == 0.0:
-            continue
-        if t == 1:
-            pieces.append(-c * math.log(base))
-        else:
-            pieces.append(c / ((t - 1) * base ** (t - 1)))
-    return math.fsum(pieces)
-
-
-def _sum_integrated(term_sum: TermSum, integrator, form: str) -> float:
-    # each distinct shape is integrated once, its ln|integral| and sign taken
-    # once. Coefficients can be astronomically large while their integrals
-    # are tiny; combine per term in log space, then sum with exact rounding,
-    # so the rate depends on the contributions alone, not on their order.
-    integrals: dict[tuple, tuple] = {}  # shape -> (ln|integral|, sign)
-    contributions = []
-    for term in term_sum.terms:
-        shape = (term.exp_rate, term.poly_power, term.poles)
-        integral = integrals.get(shape)
-        if integral is None:
-            integral = integrals[shape] = _log_integral(term, integrator, form)
-        log_abs, sign = integral
-        contributions.append(term.sign * sign * math.exp(term.log_coeff + log_abs))
-    return math.fsum(contributions) / _LN2
+    for dps in _MP_DPS_LADDER:
+        with mpmath.workdps(dps):
+            lam_d, lam_e, zeta = map(mpmath.mpf, (cfg.lambda_D, cfg.lambda_E, cfg.zeta))
+            kernels, values = {}, []
+            for _log_c, _sign, c, den, k, n, i, j, p in terms:
+                kernel = kernels.get((k, n, p))
+                if kernel is None:
+                    a = k / lam_d + n / lam_e
+                    kernel = kernels[k, n, p] = (math.factorial(p) * mpmath.exp(a)
+                                                 * mpmath.gammainc(-p, a))
+                value = (mpmath.mpf(c) / den * zeta ** k
+                         * lam_d ** -i * lam_e ** -j * kernel)
+                values.append(value * mpmath.exp(-k / lam_d) if high_snr else value)
+            total, gross = mpmath.fsum(values), mpmath.fsum(values, absolute=True)
+            # each term holds all but a few of its dps digits
+            if gross * mpmath.mpf(10) ** (4 - dps) <= _TARGET * abs(total):
+                value = float(total)
+                if not 0.0 < abs(value) < math.inf:
+                    power = mpmath.nstr(mpmath.log10(abs(total)), 6)
+                    raise ArithmeticError(f"{what} is about 10^{power}, outside the double range")
+                return value
+    raise ArithmeticError(
+        f"{what}: its terms cancel below the {dps}-digit rounding floor (|sum| "
+        f"{mpmath.nstr(abs(total), 3)}, gross {mpmath.nstr(gross, 3)}); no certified value")
 
 
-def _log_integral(term: RationalExpTerm, integrator, form: str) -> tuple[float, float]:
-    """(ln|integral|, sign) of one term's integral, or an error naming its shape.
-
-    The exact and high-SNR integrands are positive, so an integral of 0.0
-    has underflowed and would drop a term whose coefficient may be huge.
-    The asymptotic one is affine in ln b and truly 0.0 at a pole b = 1.
-    """
+def _certified_sum(terms, cfg: SystemConfig, high_snr: bool, what: str) -> float:
     try:
-        value = integrator(term)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value) or (value == 0.0 and form != _FORM_ASYMPTOTIC):
-        raise ArithmeticError(
-            f"{form} rate: the integral of the term shape (exp_rate={term.exp_rate!r}, "
-            f"poly_power={term.poly_power}, poles={term.poles!r}) is {value!r}, "
-            "outside the double range")
-    return (math.log(abs(value)) if value else -math.inf, math.copysign(1.0, value))
+        total, bound = _float_sum(terms, cfg, 1.0 / cfg.lambda_D if high_snr else 0.0)
+        if bound <= _TARGET * abs(total):
+            return total
+    except ArithmeticError:  # a kernel or a term value outside the double range
+        pass
+    return _mp_sum(terms, cfg, high_snr, what)
 
 
-def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult:
+def _mean_log_gain(K: int, M_D: int, zeta: float) -> float:
+    """E[ln G; G > 0], G = X/lambda_D. Integrating by parts, each survival
+    term c g^i e^(-kg) adds c (-gamma - ln k) at i = 0, c (i-1)!/k^i above."""
+    return math.fsum(
+        -pick * zeta ** k * (float(sum(Fraction(c * math.factorial(i - 1), den * k ** i)
+                                       for i, c in power if i))
+                             - EULER_GAMMA - math.log(k))
+        for k, pick, den, power in _powers(M_D, K)[1:])
+
+
+def _closed_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
+    """(rate, term count) of a KA row whose X and Y are independent."""
+    what = _row(cfg, form)
+    terms = _rate_terms(cfg.K, cfg.N, cfg.M_D, cfg.M_E, form)
+    if form != _FORM_ASYMPTOTIC:
+        return _certified_sum(terms, cfg, form == _FORM_HIGH_SNR, what) / _LN2, len(terms)
+    slope = 1.0 - (1.0 - cfg.zeta) ** cfg.K
+    value = (slope * (math.log(cfg.lambda_D) - _certified_sum(terms, cfg, False, what))
+             + _mean_log_gain(cfg.K, cfg.M_D, cfg.zeta))
+    return value / _LN2, len(terms) + cfg.K
+
+
+def _row(cfg: SystemConfig, form: str) -> str:
+    return (f"{form} rate of {cfg.scheme}/KA K={cfg.K} N={cfg.N} M_D={cfg.M_D} "
+            f"M_E={cfg.M_E} zeta={cfg.zeta:g} lambda_D={cfg.lambda_D:g} "
+            f"lambda_E={cfg.lambda_E:g}")
+
+
+@lru_cache(maxsize=1024)
+def _ka_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
+    if cfg.zeta == 0.0:
+        return 0.0, 0  # no link ever transmits
+    if cfg.scheme == "OS" and cfg.K > 1:
+        return _one_link_rate(cfg, form)
+    return _closed_rate(cfg, form)
+
+
+def _rate(cfg: SystemConfig, form: str) -> EsrResult:
     if cfg.knowledge == "KU":
         # gate after selection scales the rate linearly: zeta times the
         # always-on rate, exactly.
-        base = _rate(gated_base(cfg), form, build_term_sum, integrator)
+        base = _rate(gated_base(cfg), form)
         return EsrResult(value=cfg.zeta * base.value, form=form,
                          term_count=base.term_count)
-    if cfg.scheme == "OS" and cfg.K > 1:
-        value, count = _one_link_rate(cfg, form, build_term_sum)
-    else:
-        term_sum = build_term_sum(cfg)
-        value = _sum_integrated(term_sum, integrator, form)
-        count = len(term_sum.terms)
+    value, count = _ka_rate(cfg, form)
     if value < 0.0 and form != _FORM_ASYMPTOTIC:
-        # a rate is never negative, so the alternating terms cancelled past
-        # double precision; the asymptote is affine in ln(lambda_D) and
-        # legitimately negative at low lambda_D, so only it is clamped
+        # a rate is never negative; the asymptote is affine in ln(lambda_D)
+        # and legitimately negative at low lambda_D, so only it is clamped
         raise ArithmeticError(
             f"{form} rate term sum is negative ({value!r}) over "
             f"{count} terms: cancellation exceeded double precision")
     # no secrecy rate exceeds E[log2(1 + gamma_D,sel)], at most log2(1 + K M_D
-    # lambda_D) since gamma_D,sel <= sum_k gamma_D,k and by Jensen; the
-    # high-SNR rate is that of gamma_D/gamma_E, which this does not bound
+    # lambda_D) since gamma_D,sel <= sum_k gamma_D,k and by Jensen; the OS
+    # high-SNR rate at K >= 2 is that of gamma_D/gamma_E, which this does not bound
     bound = math.log2(1.0 + cfg.K * cfg.M_D * cfg.lambda_D)
     if form == _FORM_EXACT and value > bound:
         raise ArithmeticError(
@@ -212,7 +234,7 @@ def _rate(cfg: SystemConfig, form: str, build_term_sum, integrator) -> EsrResult
     return EsrResult(value=max(0.0, value), form=form, term_count=count)
 
 
-def _one_link_rate(cfg: SystemConfig, form: str, build_term_sum) -> tuple[float, int]:
+def _one_link_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
     """(rate, one-link term count) of OS/KA over K >= 2 links. The asymptote,
     the high-SNR rate's affine limit, is (S ln(lambda_D/lambda_E) + C)/ln 2:
     S = 1 - (1-zeta)^K, C = integral_0^inf [H(w) - S 1{w<1}]/w dw with H read
@@ -221,11 +243,9 @@ def _one_link_rate(cfg: SystemConfig, form: str, build_term_sum) -> tuple[float,
     base = one_link_base(cfg)
     if form == _FORM_ASYMPTOTIC:
         base = replace(base, lambda_D=1.0, lambda_E=1.0)
-    terms = build_term_sum(base).terms
-    if not terms:
-        return 0.0, 0  # zeta = 0: no link ever transmits
-    what = (f"{form} rate of OS/KA K={cfg.K} N={cfg.N} M_D={cfg.M_D} M_E={cfg.M_E} "
-            f"zeta={cfg.zeta:g} lambda_D={cfg.lambda_D:g} lambda_E={cfg.lambda_E:g}")
+    build = build_cdf_term_sum if form == _FORM_EXACT else build_high_snr_term_sum
+    terms = build(base).terms
+    what = _row(cfg, form)
     integrand = _os_integrand(terms, cfg.K, cfg.zeta)
     value = _exp_sinh(integrand, what)
     if form == _FORM_ASYMPTOTIC:
@@ -316,22 +336,16 @@ def _exp_sinh(f, what: str) -> float:
     return estimate
 
 
-def _integrate_asymptotic(term: RationalExpTerm) -> float:
-    return _integrate_rational(term.poly_power, tuple(term.poles), asymptotic=True)
-
-
 def esr_exact(cfg: SystemConfig) -> EsrResult:
     """Exact ergodic secrecy rate in bits per channel use."""
-    return _rate(cfg, _FORM_EXACT, build_cdf_term_sum, integrate_term)
+    return _rate(cfg, _FORM_EXACT)
 
 
 def esr_high_snr(cfg: SystemConfig) -> EsrResult:
-    """Rate of the unity-dropped CDF: every term integrates without kernels."""
-    return _rate(cfg, _FORM_HIGH_SNR, build_high_snr_term_sum, integrate_term)
+    """High-SNR rate: the destination unity dropped (OS at K >= 2: both unities)."""
+    return _rate(cfg, _FORM_HIGH_SNR)
 
 
 def esr_asymptotic(cfg: SystemConfig) -> EsrResult:
-    """Large lambda_D/lambda_E limit: slope log2(10) per decade at zeta = 1."""
-    return _rate(cfg, _FORM_ASYMPTOTIC, build_high_snr_term_sum,
-                 _integrate_asymptotic)
-
+    """Large lambda_D limit: slope (1 - (1-zeta)^K) log2(10) per decade."""
+    return _rate(cfg, _FORM_ASYMPTOTIC)

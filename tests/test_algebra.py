@@ -13,7 +13,6 @@ from secrecy_lab.algebra import (
     TermSum,
     expand_powers_of_sum,
     materialize_recipes,
-    single_pole_split,
 )
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.sop import _integer_powers, build_cdf_term_sum, sop
@@ -123,56 +122,6 @@ class TestExpandPowerOfSum:
         assert [len(next(powers)) for _ in range(2)] == [10, 19]
         with pytest.raises(CapacityError, match="190 raw terms"):
             next(powers)
-
-
-def _split_exactly(b: Fraction, theta: int, n: int) -> tuple:
-    """(c_0, row) of x^n/(x+b)^theta in exact arithmetic, from the binomial
-    expansion of x^n = (u-b)^n, u = x+b, and for n = -1 from
-    1/(x u^theta) = 1/(b^theta x) - sum_t 1/(b^(theta-t+1) u^t)."""
-    if n < 0:
-        return 1 / b ** theta, tuple(-1 / b ** (theta - t + 1) for t in range(1, theta + 1))
-    return Fraction(0), tuple(math.comb(n, theta - t) * (-b) ** (n - theta + t)
-                              if theta - t <= n else Fraction(0)
-                              for t in range(1, theta + 1))
-
-
-class TestSinglePoleSplit:
-    def test_simple_pole_with_zero(self):
-        # 1/(x(x+2)) = (1/2)/x - (1/2)/(x+2)
-        assert single_pole_split(2.0, 1, -1) == (0.5, (-0.5,))
-
-    def test_zero_pole_with_double_pole(self):
-        zero, row = single_pole_split(2.0, 2, -1)
-        assert (zero, row) == (0.25, (-0.25, -0.5))
-
-    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 4])
-    def test_matches_exact_arithmetic(self, n):
-        rng = random.Random(20260815 + n)
-        for _ in range(40):
-            theta = rng.randint(max(1, n + 1), 12)
-            b = Fraction(rng.randint(1, 4000), rng.randint(1, 400))
-            zero, row = single_pole_split(float(b), theta, n)
-            exact_zero, exact_row = _split_exactly(b, theta, n)
-            assert len(row) == theta
-            assert zero == pytest.approx(float(exact_zero), rel=1e-13, abs=0.0)
-            for got, want in zip(row, exact_row):
-                assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
-
-    def test_recombines_to_the_rational_function(self):
-        rng = random.Random(99)
-        for _ in range(30):
-            theta = rng.randint(1, 8)
-            n = rng.randint(-1, theta - 1)
-            b = rng.choice([0.5, 1.0, 1.5, 2.5, 4.0, 7.0])
-            zero, row = single_pole_split(b, theta, n)
-            for x in (rng.uniform(1.0, 100.0) for _ in range(10)):
-                recombined = zero / x + sum(c / (x + b) ** t for t, c in enumerate(row, start=1))
-                assert recombined == pytest.approx(x ** n / (x + b) ** theta, rel=1e-9)
-
-    def test_underflowed_power_is_a_numeric_error(self):
-        with pytest.raises(ArithmeticError, match="underflows") as info:
-            single_pole_split(1e-200, 2, -1)
-        assert not isinstance(info.value, ValueError)
 
 
 class TestRationalExpTerm:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from secrecy_lab import cli, oracles
+from secrecy_lab import cli, esr, oracles
 from secrecy_lab.acceptance import CheckResult
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.oracles import mc_moments
@@ -196,9 +196,12 @@ def test_threshold_past_the_double_range_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_an_impossible_exact_rate_is_a_numeric_error_naming_the_row(tmp_path, capsys):
-    # SS K=2, N=4, M_D=4, M_E=1 at (4.5, -29.2) dB: the exact terms sum past
-    # the Jensen bound
+def test_an_impossible_exact_rate_is_a_numeric_error_naming_the_row(tmp_path, capsys,
+                                                                    monkeypatch):
+    # SS K=2, N=4, M_D=4, M_E=1 at (4.5, -29.2) dB: the term-by-term
+    # integrator summed its exact terms to 1,303.8 bpcu, past the Jensen
+    # bound (the closed form reads quadrature's 3.737); planted here
+    monkeypatch.setattr(esr, "_ka_rate", lambda cfg, form: (1303.8, 55))
     config = _write_config(
         tmp_path / "sweep.json", axis_values=[4.5], variants=[], outputs=["esr_exact"],
         base={"K": 2, "N": 4, "M_D": 4, "M_E": 1, "lambda_E_dB": -29.2, "zeta": 0.9,
@@ -224,19 +227,27 @@ def test_the_os_row_past_the_jensen_bound_now_reads_quadrature(tmp_path):
     assert float(row["esr_exact"]) == pytest.approx(float(row["quad_esr"]), rel=1e-9)
 
 
-def test_an_underflowed_term_integral_is_a_numeric_error_naming_the_row(tmp_path, capsys):
-    # at 2000 dB the one exact term's integral underflows to 0.0; the rate
-    # read 0.0 without a word
-    config = _write_config(
-        tmp_path / "sweep.json", axis_values=[2000], variants=[], outputs=["esr_exact"],
-        base={"K": 1, "N": 1, "M_D": 1, "M_E": 2, "lambda_E_dB": 10.0, "zeta": 1.0,
-              "R_th": 1.0, "scheme": "SS", "knowledge": "KA"})
+def test_an_underflowed_rate_is_a_numeric_error_naming_the_row(tmp_path, capsys):
+    # at 2000 dB the term-by-term integrator's one exact term integral
+    # underflowed to 0.0, and the rate read 0.0 without a word; the closed
+    # form reads quadrature's 659.49 bpcu. At -3230 dB the rate itself,
+    # about 1e-647, has no double
+    base = {"K": 1, "N": 1, "M_D": 1, "M_E": 2, "lambda_E_dB": 10.0, "zeta": 1.0,
+            "R_th": 1.0, "scheme": "SS", "knowledge": "KA"}
+    config = _write_config(tmp_path / "sweep.json", axis_values=[2000], variants=[],
+                           outputs=["esr_exact", "quad"], base=base)
     out = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    (row,) = _rows(out)
+    assert float(row["esr_exact"]) == pytest.approx(float(row["quad_esr"]), rel=1e-9)
+    config = _write_config(tmp_path / "sweep.json", axis_values=[-3230], variants=[],
+                           outputs=["esr_exact"], base=dict(base, M_E=1))
+    out = tmp_path / "low.csv"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("numeric error: row v0 (SS/KA K=1 N=1 M_D=1 M_E=2 zeta=1 "), err
-    assert "exact rate: the integral of the term shape" in err
-    assert "is 0.0, outside the double range" in err
+    assert err.startswith("numeric error: row v0 (SS/KA K=1 N=1 M_D=1 M_E=1 zeta=1 "), err
+    assert "exact rate of SS/KA K=1 N=1 M_D=1 M_E=1 zeta=1 lambda_D=9.88131e-324" in err
+    assert ", outside the double range" in err
     assert not out.exists()
 
 
@@ -329,8 +340,8 @@ class TestImportHygiene:
         assert _heavy_modules_after("import secrecy_lab.cli") == []
 
     def test_importing_the_cli_loads_no_logging_or_thread_pool(self):
-        # esr imports logging on its sub-floor-rate warning and mc_moments
-        # imports concurrent.futures for more than one thread
+        # the package logs nothing, and mc_moments imports
+        # concurrent.futures for more than one thread
         assert _heavy_modules_after("import secrecy_lab.cli",
                                     ("logging", "concurrent.futures")) == []
 
@@ -358,8 +369,13 @@ class TestImportHygiene:
 # values, summed that way), and again when OS over K >= 2 links came to read
 # its one-link sum: every SS cell kept its bytes, and every OS sop_exact and
 # esr_exact cell was checked within 1e-9 relative of the quadrature in
-# perfbench/reference.json first.
-LADDER_CSV_SHA256 = "a1bca5d7731c75e6c2c0d759cbf9123603b3bd7ac87140114d3ab613a9ea76ac"
+# perfbench/reference.json first. Re-derived when SS rates came to be
+# closed-form kernel sums: every sop_exact and OS cell kept its bytes, the
+# SS esr_exact cells stayed within 1.2e-11 relative of that quadrature, and
+# the SS esr_high_snr cells, which moved by 0.08 to 0.21 bpcu to the
+# destination-unity-dropped rate, met a QUADPACK integral of its definition
+# within 1e-14.
+LADDER_CSV_SHA256 = "b1449e87a5012c7ff33811ae203bd577f5084e7d0c6cc58e527d3d92ddbcf8e4"
 
 
 def test_closed_ladder_csv_keeps_its_bits(tmp_path):

@@ -4,27 +4,23 @@ Golden and frozen constants were produced by independent quadrature (mpmath
 plus scipy cross-checks) before the closed forms were wired up.
 """
 
-import logging
 import math
-import random
-from collections import Counter
+import warnings
 from dataclasses import replace
 from itertools import product
 
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import exp1
 
 from secrecy_lab import esr as esr_module
-from secrecy_lab.algebra import RationalExpTerm, TermSum
-from secrecy_lab.channel import SystemConfig
+from secrecy_lab.algebra import TermSum
+from secrecy_lab.channel import SystemConfig, cdf_snr_eve_max, sf_snr_dest
 from secrecy_lab.esr import (
-    DivergenceError,
     EsrResult,
-    _kernel,
     esr_asymptotic,
     esr_exact,
     esr_high_snr,
-    integrate_term,
 )
 from secrecy_lab.oracles import quad_cdf_ratio, quad_esr
 from secrecy_lab.sop import (
@@ -39,9 +35,6 @@ from secrecy_lab.sop import (
 # lam_D=100, lam_E=1, zeta=1; equals (e^(1/lam)/ln2)(E1(1/lam) - e E1((1+lam)/lam))
 GOLDEN_RATE = 5.0294816453969297
 
-E_GAMMA_0_2 = 0.1329253696600895     # e * Gamma(0, 2)
-E2_GAMMA_0_2P2 = 0.27480739805974807  # e^2 * Gamma(0, 2.2)
-LN_2 = 0.69314718055994531
 
 # float.hex of (esr_exact, esr_high_snr, esr_asymptotic) at zeta = 0.9,
 # recorded before the kernels and partial-fraction rows were memoized, and
@@ -52,40 +45,47 @@ LN_2 = 0.69314718055994531
 # each checked within 1e-9 relative of its reference first: quad_esr for the
 # exact rate, a 40-digit quadrature of the K-fold unity-dropped recipes for
 # the high-SNR rate and the asymptote. The last two rows are closed_ladder's
-# OS (2, 3, 3, 3) row.
+# OS (2, 3, 3, 3) row. The SS rows were re-pinned when SS rates came to be
+# closed-form sums of the kernel integral_0^inf t^p e^(-at)/(1+t) dt, each
+# checked within 1e-9 relative of its reference first: quad_esr for the
+# exact rate, and for the new high-SNR rate and asymptote the QUADPACK
+# integrals of their definitions from channel's CDFs (_quad_high_snr,
+# _quad_asymptote), which they met within 4e-15.
 LADDER_LAMBDA_E = 10.0 ** 0.5
 PINNED_RATE_HEXES = {
     ((2, 2, 2, 2), 10.0, 2.0, "SS", "KA"): (
-        "0x1.fa3dada2423b5p+0", "0x1.1ade76525111dp+1", "0x1.178130d93a418p+1"),
+        "0x1.fa3dada2423bep+0", "0x1.e95cffd67d233p+0", "0x1.e07d99ebb705fp+0"),
     ((2, 2, 2, 2), 10.0, 2.0, "SS", "KU"): (
-        "0x1.e1ba7ab00dab2p+0", "0x1.0cb2eb4b5550dp+1", "0x1.0b7c72220acb2p+1"),
+        "0x1.e1ba7ab00dab0p+0", "0x1.d2ff4b70d2bccp+0", "0x1.cf97747823813p+0"),
     ((2, 2, 2, 2), 10.0, 2.0, "OS", "KA"): (
         "0x1.0790fd8b3d37ep+1", "0x1.29db6f41c86afp+1", "0x1.26f9c8564f406p+1"),
     ((2, 2, 2, 2), 10.0, 2.0, "OS", "KU"): (
         "0x1.f8f109a2f6c8ap+0", "0x1.1d5a38c72f41ep+1", "0x1.1cad1a74221edp+1"),
     ((3, 2, 2, 3), 100.0, LADDER_LAMBDA_E, "SS", "KA"): (
-        "0x1.1cf3eb8652692p+2", "0x1.2526e2d942ab0p+2", "0x1.2523f2b6b6223p+2"),
+        "0x1.1cf3eb86526a8p+2", "0x1.1c8ef570e2fffp+2", "0x1.1c8b9b17efd25p+2"),
     ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KA"): (
         "0x1.24ccc3dd98f65p+2", "0x1.2c426b2028e7fp+2", "0x1.2c4181b068863p+2"),
     ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KU"): (
         "0x1.1043ba11f2d52p+2", "0x1.1733e45e073f6p+2", "0x1.1733e40160159p+2"),
 }
 
-# SS esr_asymptotic at lambda_D = 1e4, lambda_E = 2, recorded with a direct
-# float sum of the log-affine limit; keys (K, N, M_D, M_E), knowledge, zeta
+# SS esr_asymptotic at lambda_D = 1e4, lambda_E = 2, re-pinned when the
+# asymptote became the limit of the destination-unity-dropped rate, each
+# within 5e-16 relative of _quad_asymptote; keys (K, N, M_D, M_E),
+# knowledge, zeta
 SS_ASYMPTOTIC_RATES = {
-    ((2, 2, 2, 2), "KA", 0.5): 8.89612116477321,
-    ((2, 2, 2, 2), "KA", 1.0): 12.287712379549454,
-    ((2, 2, 2, 2), "KU", 0.5): 6.143856189774727,
-    ((2, 2, 2, 2), "KU", 1.0): 12.287712379549454,
-    ((3, 2, 2, 3), "KA", 0.5): 10.03434981751342,
-    ((3, 2, 2, 3), "KA", 1.0): 11.983072144310775,
-    ((3, 2, 2, 3), "KU", 0.5): 5.991536072155387,
-    ((3, 2, 2, 3), "KU", 1.0): 11.983072144310775,
-    ((2, 3, 3, 1), "KA", 0.5): 9.90355647612664,
-    ((2, 3, 3, 1), "KA", 1.0): 13.540791021298467,
-    ((2, 3, 3, 1), "KU", 0.5): 6.770395510649234,
-    ((2, 3, 3, 1), "KU", 1.0): 13.540791021298467,
+    ((2, 2, 2, 2), "KA", 0.5): 8.663762401323686,
+    ((2, 2, 2, 2), "KA", 1.0): 11.977900694950089,
+    ((2, 2, 2, 2), "KU", 0.5): 5.988950347475044,
+    ((2, 2, 2, 2), "KU", 1.0): 11.977900694950089,
+    ((3, 2, 2, 3), "KA", 0.5): 9.85400755581587,
+    ((3, 2, 2, 3), "KA", 1.0): 11.776966702370714,
+    ((3, 2, 2, 3), "KU", 0.5): 5.888483351185357,
+    ((3, 2, 2, 3), "KU", 1.0): 11.776966702370714,
+    ((2, 3, 3, 1), "KA", 0.5): 9.545206488860396,
+    ((2, 3, 3, 1), "KA", 1.0): 13.062991038276808,
+    ((2, 3, 3, 1), "KU", 0.5): 6.531495519138404,
+    ((2, 3, 3, 1), "KU", 1.0): 13.062991038276808,
 }
 
 
@@ -96,148 +96,87 @@ def _cfg(**overrides):
     return SystemConfig(**base)
 
 
-def _unit_term(poly_power, exp_rate, poles):
-    return RationalExpTerm(log_coeff=0.0, sign=1,
-                           poly_power=poly_power, exp_rate=exp_rate,
-                           poles=poles)
+def _quad_sum(f, scales):
+    # integral_0^inf f, split at 1/4 to 64 times each scale. A rough pass
+    # sets the absolute tolerance, 1e-13 of the integral, that pieces where
+    # f is negligible meet; each piece must meet it or 1e-12 relative
+    edges = [0.0] + sorted({scale * 2.0 ** m for scale in scales for m in range(-2, 7)})
+    bounds = list(zip(edges, edges[1:] + [math.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        rough = math.fsum(quad(f, lo, hi, limit=200, epsrel=1e-6)[0] for lo, hi in bounds)
+    return math.fsum(quad(f, lo, hi, limit=800, epsabs=1e-13 * abs(rough), epsrel=1e-12)[0]
+                     for lo, hi in bounds)
 
 
-class TestIntegrateTerm:
-    def test_exponential_over_simple_pole(self):
-        # integral_1^inf e^-x/(x+1) dx
-        term = _unit_term(poly_power=1, exp_rate=1.0, poles=((1.0, 1),))
-        assert integrate_term(term) == pytest.approx(E_GAMMA_0_2, rel=1e-12)
-
-    def test_telescoping_logarithm(self):
-        # integral_1^inf 1/(x(x+1)) dx = ln 2
-        term = _unit_term(poly_power=0, exp_rate=0.0, poles=((1.0, 1),))
-        assert integrate_term(term) == pytest.approx(LN_2, rel=1e-12)
-
-    def test_power_over_triple_pole(self):
-        # integral_1^inf x/(x+2)^3 dx = 2/9 by the hand antiderivative
-        # -(x+2)^-1 + 2 (x+2)^-2 evaluated... directly checked by quadrature
-        term = _unit_term(poly_power=2, exp_rate=0.0, poles=((2.0, 3),))
-        assert integrate_term(term) == pytest.approx(2.0 / 9.0, rel=1e-12)
-
-    def test_divergent_tail_rejected(self):
-        bad = _unit_term(poly_power=2, exp_rate=0.0, poles=((1.0, 1),))
-        with pytest.raises(DivergenceError):
-            integrate_term(bad)
-        no_poles = _unit_term(poly_power=1, exp_rate=0.0, poles=())
-        with pytest.raises(DivergenceError):
-            integrate_term(no_poles)
-
-    def test_sub_floor_rate_diverges_like_zero(self):
-        # a rate below the support floor takes the rational branch, so it
-        # must meet the same convergence test as rate 0
-        for rate in (0.0, 1e-301):
-            bad = _unit_term(poly_power=3, exp_rate=rate, poles=((1.0, 1),))
-            with pytest.raises(DivergenceError):
-                integrate_term(bad)
-        fine = _unit_term(poly_power=0, exp_rate=1e-301, poles=((1.0, 1),))
-        assert integrate_term(fine) == pytest.approx(LN_2, rel=1e-12)
-
-    def test_sub_floor_rate_warns_once_per_shape_per_rate(self, caplog):
-        # at lambda_D = 1e301 every exact term's rate k/lambda_D is below
-        # 1e-300; each distinct shape is integrated, and warns, once per
-        # rate call, and its warning names the rate it replaced
-        cfg = _cfg(K=2, N=2, M_D=1, M_E=1, lambda_D=1e301, lambda_E=10.0)
-        shapes = {(t.exp_rate, t.poly_power, t.poles)
-                  for t in build_cdf_term_sum(cfg).terms}
-        assert len({rate for rate, _p, _poles in shapes}) == 2
-        assert all(0.0 < rate < 1e-300 for rate, _p, _poles in shapes)
-        expected = Counter(f"{rate:.3e}" for rate, _p, _poles in shapes)
-        with caplog.at_level(logging.WARNING, logger="secrecy_lab.esr"):
-            for _ in range(2):
-                caplog.clear()
-                assert esr_exact(cfg).value > 0.0
-                assert Counter(f"{r.args[0]:.3e}" for r in caplog.records) == expected
-        assert all(r.levelno == logging.WARNING and "below the support floor" in r.getMessage()
-                   for r in caplog.records)
-
-    def test_matches_quadrature_random_terms(self):
-        # integrate_term takes one pole; a two-pole draw must raise
-        rng = random.Random(99)
-        for _ in range(25):
-            p = rng.randint(0, 3)
-            a = rng.choice([0.0, rng.uniform(0.01, 2.0)])
-            count = rng.randint(1, 2)
-            locations = rng.sample([0.5, 1.5, 3.0, 8.0], count)
-            poles = tuple((b, rng.randint(1, 3)) for b in locations)
-            if a == 0.0 and sum(m for _, m in poles) <= p:
-                continue
-            term = _unit_term(p, a, poles)
-            if count == 2:
-                with pytest.raises(ValueError, match="one pole"):
-                    integrate_term(term)
-                continue
-
-            def shape(x):
-                value = x ** (p - 1) * math.exp(-a * x)
-                for b, m in poles:
-                    value /= (x + b) ** m
-                return value
-
-            est, _ = quad(shape, 1.0, math.inf, limit=800,
-                          epsabs=0.0, epsrel=1e-12)
-            assert integrate_term(term) == pytest.approx(est, rel=1e-9)
+def _one_minus_power(s, K):
+    # 1 - (1 - s)^K without cancellation, for s in [0, 1]
+    return 1.0 if s >= 1.0 else -math.expm1(K * math.log1p(-s))
 
 
-class TestKernels:
-    # rate a = k/lam_D; the K-link SS recipes put the pole at
-    # (n+1) lam_D/(k lam_E), the one-link recipes that OS reads at
-    # (n+1) lam_D/lam_E
-    def test_ss_pole_frozen_value(self):
-        # lam_D = lam_E = 1, k = 1, n = 0
-        assert _kernel(1.0, 1.0, 0) == pytest.approx(E_GAMMA_0_2, rel=1e-12)
+def _dest_survival(cfg, x, lam_d):
+    # P(X > x) of the SS/KA selected link, 1 - (1 - zeta S_D(x))^K
+    return _one_minus_power(cfg.zeta * sf_snr_dest(x, cfg.M_D, lam_d), cfg.K)
 
-    def test_os_pole_frozen_value(self):
-        # lam_D = 10, lam_E = 1, k = 2, n = 0
-        assert _kernel(0.2, 10.0, 0) == pytest.approx(E2_GAMMA_0_2P2, rel=1e-12)
 
-    @pytest.mark.parametrize("pole", ["SS", "OS"])
-    def test_gamma_recurrence(self, pole):
-        # a K(theta-1) + theta K(theta) = e^-a (1+b)^-theta for the kernel's
-        # own rate a and pole b
-        cfg = _cfg(K=3, lambda_D=5.0, lambda_E=1.5)
-        k, n = 2, 1
-        a = k / cfg.lambda_D
-        if pole == "SS":
-            b = (n + 1) * cfg.lambda_D / (k * cfg.lambda_E)
-        else:
-            b = (n + 1) * cfg.lambda_D / cfg.lambda_E
-        for theta in range(0, 5):
-            lhs = a * _kernel(a, b, theta - 1) + theta * _kernel(a, b, theta)
-            rhs = math.exp(-a) / (1.0 + b) ** theta
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+def _quad_high_snr(cfg):
+    """(1/ln 2) integral_0^inf F_Y(u) (1 - F_X(1+u))/(1+u) du from channel's CDFs."""
+    def f(u):
+        return (cdf_snr_eve_max(u, cfg.N, cfg.M_E, cfg.lambda_E)
+                * _dest_survival(cfg, 1.0 + u, cfg.lambda_D) / (1.0 + u))
+    return _quad_sum(f, [cfg.lambda_E, cfg.lambda_D]) / math.log(2.0)
 
-    @pytest.mark.parametrize("a, b, theta, ref", [
-        # mpmath a^theta e^(ab) Gamma(-theta, a(1+b)) at 40 digits
-        (1.0, 1000.0, 0, 3.67145515824e-4),
-        (1.0, 1000.0, 2, 3.65683142403e-10),
-        (1.0, 745.0, 0, 4.92476705071e-4),
-        (0.5, 2000.0, 1, 3.02358478784e-7),
-    ])
-    def test_past_the_incomplete_gamma_underflow(self, a, b, theta, ref):
-        # Gamma(-theta, a(1+b)) underflows a double once a(1+b) passes about
-        # 708, while the kernel itself stays of order 1/b
-        assert _kernel(a, b, theta) == pytest.approx(ref, rel=1e-9)
 
-    def test_kernels_match_defining_integrals(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            cfg = _cfg(K=3, N=3,
-                       lambda_D=rng.uniform(0.5, 300.0),
-                       lambda_E=rng.uniform(0.5, 6.0))
-            theta = rng.randint(0, 4)
-            k = rng.randint(1, 3)
-            n = rng.randint(0, 2)
-            a = k / cfg.lambda_D
-            for b in ((n + 1) * cfg.lambda_D / (k * cfg.lambda_E),
-                      (n + 1) * cfg.lambda_D / cfg.lambda_E):
-                est, _ = quad(lambda x: math.exp(-a * x) / (x + b) ** (theta + 1),
-                              1.0, math.inf, limit=800, epsabs=0.0, epsrel=1e-12)
-                assert _kernel(a, b, theta) == pytest.approx(est, rel=1e-9)
+def _quad_asymptote(cfg):
+    """(S ln lambda_D + E[ln G; G>0] - S E[ln(1+Y)]) / ln 2 from channel's CDFs.
+
+    With S_G(g) = P(X > lambda_D g), E[ln G; G>0] = integral_1^inf S_G/g dg
+    - integral_0^1 (S - S_G)/g dg by parts, and E[ln(1+Y)] =
+    integral_0^inf (1 - F_Y(t))/(1+t) dt.
+    """
+    slope = 1.0 - (1.0 - cfg.zeta) ** cfg.K
+    below = quad(lambda g: (slope - _dest_survival(cfg, g, 1.0)) / g, 0.0, 1.0,
+                 limit=800, epsabs=0.0, epsrel=1e-12)[0]
+    above = quad(lambda g: _dest_survival(cfg, g, 1.0) / g, 1.0, math.inf,
+                 limit=800, epsabs=0.0, epsrel=1e-12)[0]
+    log_one_plus_y = _quad_sum(
+        lambda t: _one_minus_power(sf_snr_dest(t, cfg.M_E, cfg.lambda_E), cfg.N) / (1.0 + t),
+        [cfg.lambda_E])
+    return (slope * math.log(cfg.lambda_D) + above - below
+            - slope * log_one_plus_y) / math.log(2.0)
+
+
+@pytest.fixture(autouse=True)
+def fresh_rates():
+    # KA rates are memoized per config and form: a value computed under a
+    # planted fault must not outlive its test
+    esr_module._ka_rate.cache_clear()
+    yield
+    esr_module._ka_rate.cache_clear()
+
+
+class TestKernel:
+    # integral_0^inf t^p e^(-at)/(1+t) dt = p! e^a Gamma(-p, a), taken as a
+    # logarithm; the reference is mpmath's gammainc at 40 digits
+    @staticmethod
+    def _reference(p, a):
+        import mpmath
+        with mpmath.workdps(40):
+            return float(math.factorial(p) * mpmath.exp(a) * mpmath.gammainc(-p, mpmath.mpf(a)))
+
+    @pytest.mark.parametrize("p, a", [(0, 745.0), (0, 1000.0), (2, 1000.0), (5, 2000.5)])
+    def test_past_the_incomplete_gamma_underflow(self, p, a):
+        # Gamma(-p, a) underflows a double once a passes about 708, while the
+        # kernel stays near (p!)/a, as at lambda_E = -30 dB
+        log_kernel, _size = esr_module._log_stieltjes(p, a)
+        assert math.exp(log_kernel) == pytest.approx(self._reference(p, a), rel=1e-12)
+
+    @pytest.mark.parametrize("p, a", [(0, 1e-300), (3, 1e-5), (6, 0.7)])
+    def test_small_rates(self, p, a):
+        # at lambda_D far above the eavesdroppers' the kernel grows like
+        # (p-1)!/a^p, or ln(1/a) at p = 0
+        log_kernel, _size = esr_module._log_stieltjes(p, a)
+        assert math.exp(log_kernel) == pytest.approx(self._reference(p, a), rel=1e-12)
 
 
 class TestExactRate:
@@ -330,25 +269,31 @@ class TestHighSnrRate:
     def test_form_label(self):
         assert esr_high_snr(_cfg(lambda_D=1e3)).form == "high_snr"
 
-    def test_negative_term_sum_raises_instead_of_reading_zero(self):
-        # SS K=4, N=3, M_D=1, M_E=4 at (-7, 10) dB: the 48 unity-dropped
-        # terms cancel to -5.1e-15, which a clamp would report as a rate of
-        # exactly 0; the asymptote of the same terms is affine and may clamp
-        # to 0
+    def test_negative_term_sum_raises_instead_of_reading_zero(self, monkeypatch):
+        # SS K=4, N=3, M_D=1, M_E=4 at (-7, 10) dB: the term-by-term
+        # integrator's 48 unity-dropped terms cancelled to -5.1e-15; the
+        # closed form reads 1.55e-19, the QUADPACK integral of its definition.
+        # The asymptote is affine in ln(lambda_D) and clamps to 0 here
         cfg = _cfg(K=4, N=3, M_D=1, M_E=4, lambda_D=10.0 ** -0.7, lambda_E=10.0, zeta=0.9)
-        with pytest.raises(ArithmeticError, match="negative"):
-            esr_high_snr(cfg)
-        with pytest.raises(ArithmeticError, match="negative"):
-            esr_high_snr(replace(cfg, knowledge="KU"))
+        assert esr_high_snr(cfg).value == pytest.approx(_quad_high_snr(cfg), rel=1e-9, abs=0.0)
+        assert _quad_asymptote(cfg) < 0.0 and esr_asymptotic(cfg).value == 0.0
+        # the backstop: a negative sum raises instead of clamping to 0
+        monkeypatch.setattr(esr_module, "_ka_rate", lambda cfg, form: (-5.1e-15, 48))
+        for row in (cfg, replace(cfg, knowledge="KU")):
+            with pytest.raises(ArithmeticError, match="negative"):
+                esr_high_snr(row)
         assert esr_asymptotic(cfg).value == 0.0
 
-    def test_exact_rate_above_its_bound_raises(self):
-        # SS K=2, N=4, M_D=4, M_E=1 at (4.5, -29.2) dB: the 416 exact terms
-        # sum to 1,303.8 bpcu where quad_esr reads 3.737, above
+    def test_exact_rate_above_its_bound_raises(self, monkeypatch):
+        # SS K=2, N=4, M_D=4, M_E=1 at (4.5, -29.2) dB: the term-by-term
+        # integrator's 416 exact terms summed to 1,303.8 bpcu, above
         # log2(1 + K M_D lambda_D) = 4.56, a bound no secrecy rate exceeds;
-        # KU meets it through its base
+        # the closed form reads quad_esr's 3.737
         cfg = _cfg(K=2, N=4, M_D=4, M_E=1, lambda_D=10.0 ** 0.45, lambda_E=10.0 ** -2.92,
                    zeta=0.9)
+        assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), rel=1e-9, abs=0.0)
+        # the backstop, which KU meets through its base
+        monkeypatch.setattr(esr_module, "_ka_rate", lambda cfg, form: (1303.8, 416))
         for row in (cfg, replace(cfg, knowledge="KU")):
             with pytest.raises(ArithmeticError, match=r"exceeds the bound .* = 4\.55"):
                 esr_exact(row)
@@ -370,8 +315,11 @@ class TestAsymptoticRate:
         assert diff == pytest.approx(math.log2(10.0), abs=1e-3)
 
     def test_smallest_case_closed_form(self):
+        # K = N = M = 1: log2 lambda_D - (gamma + e^(1/lambda_E) E1(1/lambda_E)) / ln 2,
+        # E[ln X] of an exponential X less E[ln(1+Y)]
         cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=5e3, lambda_E=1.0)
-        expected = math.log(cfg.lambda_D / cfg.lambda_E) / math.log(2.0)
+        expected = (math.log2(cfg.lambda_D) - (0.5772156649015329 + math.exp(1.0 / cfg.lambda_E)
+                                               * exp1(1.0 / cfg.lambda_E)) / math.log(2.0))
         assert esr_asymptotic(cfg).value == pytest.approx(expected, rel=1e-12)
 
     def test_matches_high_snr_far_out(self):
@@ -416,70 +364,44 @@ class TestMemoizedKernels:
 
     def test_pinned_bits_cold_warm_and_reversed(self):
         rows = list(PINNED_RATE_HEXES)
-        _kernel.cache_clear()
+        memos = (esr_module._log_stieltjes, esr_module._ka_rate)
+        for memo in memos:
+            memo.cache_clear()
         assert self._hexes(rows) == PINNED_RATE_HEXES
-        assert _kernel.cache_info().hits > 0
+        assert esr_module._log_stieltjes.cache_info().hits > 0
         assert self._hexes(rows) == PINNED_RATE_HEXES
-        _kernel.cache_clear()
+        assert esr_module._ka_rate.cache_info().hits > 0
+        for memo in memos:
+            memo.cache_clear()
         assert self._hexes(rows[::-1]) == PINNED_RATE_HEXES
 
     def test_memos_are_bounded(self):
-        maxsize = _kernel.cache_parameters()["maxsize"]
-        assert maxsize is not None and 0 < maxsize <= 65536
+        for memo in (esr_module._log_stieltjes, esr_module._ka_rate):
+            maxsize = memo.cache_parameters()["maxsize"]
+            assert maxsize is not None and 0 < maxsize <= 65536
 
-
-class TestShapeMemo:
-    # SS K=3, N=3, M_D=M_E=3 at 20 dB: 1,161 exact terms over 237 shapes
-    CFG = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
-               zeta=0.9)
-
-    @staticmethod
-    def _count_calls(monkeypatch, integrator):
+    def test_a_ku_row_after_its_always_on_row_integrates_nothing(self, monkeypatch):
+        # OS over K >= 2 links: the KU rate is zeta times the memoized KA rate
+        # of its always-on row, so it runs no exp-sinh integral of its own
         calls = []
-
-        def counted(term):
-            calls.append(term)
-            return integrator(term)
-        monkeypatch.setattr(esr_module, "integrate_term", counted)
-        return calls
-
-    def test_each_shape_integrated_once_per_rate(self, monkeypatch):
-        calls = self._count_calls(monkeypatch, integrate_term)
-        result = esr_exact(self.CFG)
-        assert result.term_count == 1161
-        assert len(calls) == 237
-        assert len({(t.exp_rate, t.poly_power, t.poles) for t in calls}) == 237
-
-    def test_zero_integral_raises_naming_its_shape(self, monkeypatch):
-        # every exact integrand is positive, so 0.0 is an underflow
-        calls = self._count_calls(monkeypatch, lambda term: 0.0)
-        with pytest.raises(ArithmeticError, match="exact rate: the integral of the term shape "
-                           r"\(exp_rate=.*, poly_power=\d+, poles=.*\) is 0\.0, outside"):
-            esr_exact(self.CFG)
-        assert len(calls) == 1
-
-    def test_overflow_raises_the_same_named_error(self, monkeypatch):
-        def overflows(term):
-            raise OverflowError(34, "Numerical result out of range")
-        monkeypatch.setattr(esr_module, "integrate_term", overflows)
-        with pytest.raises(ArithmeticError, match="high_snr rate: the integral of the term "
-                           "shape .* is inf, outside the double range") as info:
-            esr_high_snr(self.CFG)
-        assert type(info.value) is ArithmeticError
-
-    def test_divergence_still_propagates(self, monkeypatch):
-        def diverges(term):
-            raise DivergenceError("diverges")
-        monkeypatch.setattr(esr_module, "integrate_term", diverges)
-        with pytest.raises(DivergenceError):
-            esr_exact(self.CFG)
+        exp_sinh = esr_module._exp_sinh
+        monkeypatch.setattr(esr_module, "_exp_sinh",
+                            lambda *args: calls.append(args) or exp_sinh(*args))
+        on = _cfg(K=3, zeta=1.0, lambda_D=100.0, scheme="OS")
+        for rate in (esr_exact, esr_high_snr, esr_asymptotic):
+            value = rate(on).value
+            before = len(calls)
+            assert before > 0
+            assert rate(replace(on, zeta=0.7, knowledge="KU")).value == 0.7 * value
+            assert len(calls) == before
 
 
 class TestIntegralsOutsideTheDoubleRange:
     # SS/KA K = N = 1, M_E = 2, lambda_E = 10, zeta = 1, far above the usual
-    # destination SNRs: a term integral of about ln(b)/b^2 at the pole b =
-    # lambda_D/lambda_E underflows past lambda_D ~ 1e160, and at 1e301 one
-    # more shape's rational branch overflows
+    # destination SNRs: the term-by-term integrator's term integral of about
+    # ln(b)/b^2 at the pole b = lambda_D/lambda_E underflowed past lambda_D ~
+    # 1e160, and at 1e301 one more shape's rational branch overflowed. The
+    # closed form's kernels, taken in log form, stay in range
     @staticmethod
     def _cfg(M_D, lambda_D):
         return _cfg(K=1, N=1, M_D=M_D, M_E=2, lambda_D=lambda_D, lambda_E=10.0, zeta=1.0)
@@ -488,16 +410,16 @@ class TestIntegralsOutsideTheDoubleRange:
         assert esr_exact(self._cfg(2, 1e150)).value == pytest.approx(494.84, rel=1e-4)
 
     @pytest.mark.parametrize("M_D, lambda_D", [(1, 1e200), (2, 1e200), (2, 1e301)])
-    def test_raises_naming_the_shape(self, M_D, lambda_D):
-        # these read 0.0, 0.1152 and a bare OverflowError before
-        with pytest.raises(ArithmeticError, match="exact rate: the integral of the term "
-                           "shape .* outside the double range") as info:
-            esr_exact(self._cfg(M_D, lambda_D))
-        assert type(info.value) is ArithmeticError
+    def test_reads_quadrature(self, M_D, lambda_D):
+        # these read 0.0, 0.1152 and a bare OverflowError once, then raised
+        cfg = self._cfg(M_D, lambda_D)
+        assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), rel=1e-9, abs=0.0)
 
     def test_asymptotic_zero_integral_is_a_value(self):
-        # the asymptote is affine in ln b; at a pole b = 1 its integral is 0.0
+        # at lambda_D = lambda_E = 2 the affine asymptote, 1 - (gamma +
+        # e^0.5 E1(0.5)) / ln 2, is negative, and reads 0
         cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=2.0, lambda_E=2.0, zeta=1.0)
+        assert _quad_asymptote(cfg) < 0.0
         assert esr_asymptotic(cfg).value == 0.0
 
 
@@ -507,41 +429,151 @@ class TestScaleRatiosOutsideTheDoubleRange:
     # ValueError, as if the config were invalid
 
     def test_underflowed_pole_gaps_are_a_numeric_error(self):
+        # (-300, 2900) dB: the closed-form terms cancel by about 1e1280,
+        # past even the 480-digit rung of the mpmath fallback
         cfg = _cfg(lambda_D=1e-30, lambda_E=1e290)
-        with pytest.raises(ArithmeticError, match="underflows to 0.0") as info:
+        with pytest.raises(ArithmeticError, match=r"exact rate of SS/KA K=2 N=2 M_D=2 M_E=2 "
+                           r"zeta=1 lambda_D=1e-30 lambda_E=1e\+290: its terms cancel below "
+                           r"the 480-digit rounding floor") as info:
             esr_exact(cfg)
         assert not isinstance(info.value, ValueError)
         assert sop(cfg).value == 1.0  # the outage is still certified
 
     def test_underflowed_pole_is_a_numeric_error_naming_its_ratio(self):
+        # the rates, about 1e-647 and far less, have no double; the
+        # asymptote reads lambda_D through ln(lambda_D) alone, and its
+        # negative affine value reads 0
         cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=10.0 ** -323, lambda_E=10.0)
-        for rate in (esr_exact, esr_high_snr, esr_asymptotic):
-            with pytest.raises(ArithmeticError, match=r"pole location 1 \* lambda_D / "
-                               r"lambda_E = 0\.0") as info:
+        for rate in (esr_exact, esr_high_snr):
+            with pytest.raises(ArithmeticError, match=r"rate of SS/KA K=1 N=1 M_D=1 M_E=1 "
+                               r"zeta=1 lambda_D=9\.88131e-324 lambda_E=10 is about "
+                               r"10\^-\d.*, outside the double range") as info:
                 rate(cfg)
             assert not isinstance(info.value, ValueError)
+        assert _quad_asymptote(cfg) < 0.0 and esr_asymptotic(cfg).value == 0.0
         with pytest.raises(ArithmeticError, match="pole location"):
             sop(cfg)
+
+
+# SS rows against quad_esr: (K, N, M_D, M_E), zeta, lambda_D and lambda_E in
+# dB. The term-by-term integrator raised "negative" on the first and last,
+# read the second 2.4e-6 relative off without a word, and summed the third
+# past its Jensen bound.
+SS_ORACLE_ROWS = [
+    ((3, 4, 3, 2), 0.5, 20.0, -30.0),
+    ((4, 4, 4, 4), 0.9, 40.0, -10.0),
+    ((2, 4, 4, 1), 0.9, 4.5, -29.2),
+    ((4, 4, 3, 2), 0.9, 30.0, -30.0),
+]
+
+
+def _ss_row(shape, zeta, db_d, db_e, **overrides):
+    K, N, M_D, M_E = shape
+    return _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (db_d / 10.0),
+                lambda_E=10.0 ** (db_e / 10.0), zeta=zeta, **overrides)
+
+
+class TestClosedFormSs:
+    # SS for any K, and either scheme at K = 1: X and Y are independent, so
+    # each rate is a closed-form sum of the kernel
+    # integral_0^inf t^p e^(-at)/(1+t) dt
+
+    @pytest.mark.parametrize("shape, zeta, db_d, db_e", SS_ORACLE_ROWS)
+    def test_weak_eavesdropper_rows_read_quadrature(self, shape, zeta, db_d, db_e):
+        for knowledge in ("KA", "KU"):
+            cfg = _ss_row(shape, zeta, db_d, db_e, knowledge=knowledge)
+            assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), rel=1e-9, abs=0.0)
+
+    def test_a_cancelling_sum_escalates_to_mpmath(self, monkeypatch):
+        # K = N = M = 4 at (0, 15) dB: the float terms cancel by 3.5e15 and
+        # read 3.8e-14; quadrature is the weaker side this far down
+        calls = []
+        mp_sum = esr_module._mp_sum
+        monkeypatch.setattr(esr_module, "_mp_sum", lambda *args: calls.append(args) or mp_sum(*args))
+        cfg = _ss_row((4, 4, 4, 4), 0.5, 0.0, 15.0)
+        assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), rel=1e-6, abs=0.0)
+        assert len(calls) == 1
+
+    def test_rows_that_stay_in_floats_call_no_mpmath(self, monkeypatch):
+        def no_mpmath(*args):
+            raise AssertionError("escalated")
+        monkeypatch.setattr(esr_module, "_mp_sum", no_mpmath)
+        for shape, zeta, db_d, db_e in SS_ORACLE_ROWS:
+            for rate in (esr_exact, esr_high_snr, esr_asymptotic):
+                assert rate(_ss_row(shape, zeta, db_d, db_e)).value > 0.0
+
+    def test_term_counts(self):
+        # K = N = M_D = M_E = 2: P_2(u)^k has k + 1 powers of u, so 1 - F_X
+        # has 2 + 3 terms and F_Y 1 + 2 + 3; the high-SNR rate expands each
+        # destination power u^i into i + 1 binomial terms, (1 + 2) + (1 + 2 +
+        # 3); the asymptote reads the 2 + 3 terms of 1 - F_Y and K terms of
+        # E[ln G; G > 0]
+        cfg = _cfg(zeta=0.9)
+        counts = [rate(cfg).term_count for rate in (esr_exact, esr_high_snr, esr_asymptotic)]
+        assert counts == [5 * 6, 9 * 6, 5 + 2]
+        assert [rate(replace(cfg, knowledge="KU")).term_count
+                for rate in (esr_exact, esr_high_snr, esr_asymptotic)] == counts
+
+    @pytest.mark.parametrize("shape, zeta, db_e", [
+        ((2, 2, 2, 2), 1.0, 9.0), ((1, 1, 1, 1), 1.0, 0.0), ((3, 2, 3, 2), 0.9, 5.0),
+        ((1, 3, 2, 1), 0.5, -10.0)])
+    def test_high_snr_rate_meets_quadrature_and_the_exact_rate(self, shape, zeta, db_e):
+        # drop only the destination unity: the gap to the exact rate shrinks
+        # as lambda_D grows, where dropping both left a constant 0.086 bpcu
+        # at criterion 7's row (the first)
+        gaps = []
+        for db_d in (30.0, 50.0, 70.0):
+            cfg = _ss_row(shape, zeta, db_d, db_e)
+            high_snr = esr_high_snr(cfg).value
+            assert high_snr == pytest.approx(_quad_high_snr(cfg), rel=1e-9, abs=0.0)
+            gaps.append(abs(esr_exact(cfg).value - high_snr))
+        assert gaps[1] < 0.05 * gaps[0] and gaps[2] < 0.05 * gaps[1] and gaps[2] < 1e-4
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 2, 1), (3, 2, 3, 2)])
+    @pytest.mark.parametrize("zeta", [0.5, 0.9, 1.0])
+    def test_asymptote_meets_quadrature_and_rises_by_its_slope(self, shape, zeta):
+        # the slope, (1 - (1-zeta)^K) log2(10) per decade, reads K and zeta
+        # alone, so N moves the offset only
+        cfg = _ss_row(shape, zeta, 40.0, 5.0)
+        assert esr_asymptotic(cfg).value == pytest.approx(_quad_asymptote(cfg), rel=1e-9)
+        for knowledge, slope in (("KA", 1.0 - (1.0 - zeta) ** cfg.K), ("KU", zeta)):
+            for N in (1, 2, 4):
+                row = replace(cfg, N=N, knowledge=knowledge)
+                rise = (esr_asymptotic(replace(row, lambda_D=1e5)).value
+                        - esr_asymptotic(row).value)
+                assert abs(rise - slope * math.log2(10.0)) < 1e-12
+
+    def test_high_snr_rate_meets_its_asymptote(self):
+        # criterion 7's row at 50 and 90 dB
+        for db_d, tol in ((50.0, 1e-9), (90.0, 1e-12)):
+            cfg = _ss_row((2, 2, 2, 2), 1.0, db_d, 9.0)
+            assert abs(esr_high_snr(cfg).value - esr_asymptotic(cfg).value) < tol
 
 
 class TestOrderFree:
     # every closed-form series is summed by math.fsum, so a value depends
     # only on the multiset of its term values: reversing a term sum's terms
-    # and recipes keeps every bit of its CDF and its rate (a pairwise sum
-    # moved the last bits of both, on both configs)
+    # and recipes keeps every bit of its CDF, and reversing a rate's
+    # closed-form terms every bit of the rate (a pairwise sum moved the last
+    # bits of both, on both configs)
+    SS_3333 = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
+                   zeta=0.9)
     SS_CFG = _cfg(K=3, N=3, M_D=2, M_E=2, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
                   zeta=0.9)
 
-    @pytest.mark.parametrize("cfg", [TestShapeMemo.CFG, SS_CFG], ids=["SS-3333", "SS"])
+    @pytest.mark.parametrize("cfg", [SS_3333, SS_CFG], ids=["SS-3333", "SS"])
     def test_reversed_terms_keep_every_bit(self, cfg, monkeypatch):
         term_sum = build_cdf_term_sum(cfg)
         reversed_sum = TermSum(terms=term_sum.terms[::-1], recipes=term_sum.recipes[::-1],
                                scales=term_sum.scales)
         for x in (1.0, 2.0, 3.7):
             assert reversed_sum.eval(x).hex() == term_sum.eval(x).hex()
-        rate = esr_exact(cfg).value
-        monkeypatch.setattr(esr_module, "build_cdf_term_sum", lambda cfg: reversed_sum)
-        assert esr_exact(cfg).value.hex() == rate.hex()
+        rates = (esr_exact, esr_high_snr, esr_asymptotic)
+        forward = [rate(cfg).value.hex() for rate in rates]
+        rate_terms = esr_module._rate_terms
+        monkeypatch.setattr(esr_module, "_rate_terms", lambda *key: rate_terms(*key)[::-1])
+        esr_module._ka_rate.cache_clear()
+        assert [rate(cfg).value.hex() for rate in rates] == forward
 
 
 # OS rows against the oracles: (K, N, M_D, M_E), zeta, lambda_D and lambda_E

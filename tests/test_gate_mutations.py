@@ -8,6 +8,7 @@ closed-form caches empty, so no faulty value outlives it.
 """
 
 import importlib
+import math
 import re
 from dataclasses import replace
 from functools import lru_cache
@@ -19,8 +20,8 @@ from secrecy_lab import acceptance, esr, oracles
 # the package's `sop` attribute is the function, not the module
 sop = importlib.import_module("secrecy_lab.sop")
 
-_CLOSED_FORM_CACHES = (sop._term_sum_for_key, sop._ss_recipes, esr._kernel,
-                       acceptance._sop_closed, acceptance._esr_closed)
+_CLOSED_FORM_CACHES = (sop._term_sum_for_key, sop._ss_recipes, esr._log_stieltjes,
+                       esr._ka_rate, acceptance._sop_closed, acceptance._esr_closed)
 _OTHER_SCHEME = {"SS": "OS", "OS": "SS"}
 
 
@@ -93,9 +94,16 @@ def test_criterion_3_fails_on_a_numeric_error_when_a_recipe_is_dropped(monkeypat
     assert not outage.passed and outage.detail.startswith("numeric error: "), outage.detail
 
 
+def _scaled_kernel(kernel, factor):
+    # the kernel times factor; it returns (ln kernel, its parts' size)
+    def scaled(p, a):
+        log_kernel, size = kernel(p, a)
+        return log_kernel + math.log(factor), size
+    return scaled
+
+
 def test_criterion_4_fails_when_the_kernel_is_off_by_1e_5(monkeypatch):
-    kernel = esr._kernel
-    monkeypatch.setattr(esr, "_kernel", lambda a, b, theta: kernel(a, b, theta) * (1.0 + 1e-5))
+    monkeypatch.setattr(esr, "_log_stieltjes", _scaled_kernel(esr._log_stieltjes, 1.0 + 1e-5))
     _fails(acceptance.check_esr_triple_oracle)
 
 
@@ -134,13 +142,26 @@ def test_criterion_6_fails_when_ku_gates_a_gated_base(monkeypatch):
 
 
 def test_criterion_7_slope_error_grows_when_the_asymptote_is_scaled(monkeypatch):
-    # criterion 7 already FAILs on its high-SNR gap (README, known failure),
-    # so the planted fault must show in the slope figure of its detail
-    integrate = esr._integrate_asymptotic
-    monkeypatch.setattr(esr, "_integrate_asymptotic", lambda term: 1.1 * integrate(term))
+    # the SS asymptote times 1.1: its slope is 10% off, and so is its offset
+    closed_rate = esr._closed_rate
+
+    def scaled(cfg, form):
+        value, count = closed_rate(cfg, form)
+        return (1.1 * value if form == "asymptotic" else value), count
+    monkeypatch.setattr(esr, "_closed_rate", scaled)
     detail = _fails(acceptance.check_esr_fidelity).detail
     slope_err = float(re.search(r"SS: slope err (\S+),", detail).group(1))
     assert slope_err > 1e-2, detail
+
+
+def test_criterion_7_fails_when_the_asymptote_constant_is_off_by_1e_6(monkeypatch):
+    # an offset leaves every slope as it is; only the offset clause sees it
+    mean_log_gain = esr._mean_log_gain
+    monkeypatch.setattr(esr, "_mean_log_gain", lambda *args: mean_log_gain(*args) + 1e-6)
+    detail = _fails(acceptance.check_esr_fidelity).detail
+    offset = float(re.search(r"\|high_snr - asymptotic\| = (\S+) ", detail).group(1))
+    assert offset > 1e-9, detail
+    assert float(re.search(r"SS: slope err (\S+),", detail).group(1)) <= 1e-2, detail
 
 
 def test_criterion_8_fails_when_the_schemes_swap_builders(monkeypatch):
@@ -157,9 +178,8 @@ def test_criterion_8_fails_when_the_schemes_swap_builders(monkeypatch):
 
 def test_criterion_9_fails_when_the_kernel_is_off_by_1e_7(monkeypatch):
     # the name criterion 9 reads; 1e-7 stays below criterion 4's 1e-5
-    kernel = acceptance._kernel
-    monkeypatch.setattr(acceptance, "_kernel",
-                        lambda a, b, theta: kernel(a, b, theta) * (1.0 + 1e-7))
+    monkeypatch.setattr(acceptance, "_log_stieltjes",
+                        _scaled_kernel(acceptance._log_stieltjes, 1.0 + 1e-7))
     _fails(acceptance.check_special_functions)
 
 
