@@ -31,7 +31,6 @@ from .oracles import (
 from .sop import (
     SopResult,
     build_cdf_term_sum,
-    build_high_snr_term_sum,
     cdf_ratio,
     diversity_order,
     sop,
@@ -54,7 +53,6 @@ __all__ = [
     "cdf_ratio",
     "diversity_order",
     "build_cdf_term_sum",
-    "build_high_snr_term_sum",
     "EsrResult",
     "esr_exact",
     "esr_high_snr",

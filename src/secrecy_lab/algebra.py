@@ -1,32 +1,31 @@
-"""Combinatorial and rational-function machinery behind the closed forms.
+"""Combinatorial machinery behind the closed forms, and their term-sum carrier.
 
-The expansion of a K-th power of a term sum into a flat merged term list
-lives here; the outage recipes and the rates' Poisson powers both use it,
-as the rates' mpmath fallback uses the precision ladder (_MP_DPS_LADDER).
+Every closed form reads the exact integer coefficients of the Poisson
+powers P_M(u)^k, P_M(u) = sum_{j<M} u^j/j! (poisson_powers, built by the
+expansion of a K-th power of a term sum into a flat merged term list):
+the outage term table of sop and the rate terms of esr.
 
-The module also owns the canonical carrier for every closed-form CDF:
-``TermSum`` holds ``1 - sum of RationalExpTerm`` where each term is
-``c * x^p * e^(-a x) / prod (x+b_q)^(m_q)``. Terms are materialized as floats
-with the coefficient kept as ln |c| and its sign, and each TermSum also
-carries an exact rational "recipe" per term (integer-fraction coefficient,
-integer powers of the two scale parameters). The recipes allow the evaluator
-to redo a catastrophically cancelling sum in arbitrary precision: the deep
-tail of the outage CDF is ~1e-20 while individual terms are O(1), which no
-double-precision summation can resolve. When even the deepest precision rung
-cannot lift the sum clear of its rounding floor, evaluation raises
-ArithmeticError instead of returning an uncertified float.
+``TermSum`` carries one KA config's outage: its integer term table, read
+in floats through log-domain terms, with one fallback for cancellation.
+The deep tail of the outage CDF is ~1e-20 while individual terms are O(1),
+which no double-precision summation can resolve, so a cancelling sum is
+redone from the same integers in arbitrary precision up the precision
+ladder (_MP_DPS_LADDER, which the rates' mpmath pass climbs too). When even
+the deepest rung cannot lift the sum clear of its rounding floor,
+evaluation raises ArithmeticError instead of returning an uncertified
+float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 EXPANSION_TERM_CAP = 10_000_000
 
 _MP_DPS_LADDER = (60, 120, 240, 480)
+_EPS = 2.0 ** -52
 
 
 class CapacityError(RuntimeError):
@@ -39,14 +38,13 @@ def expand_powers_of_sum(inner_terms: Sequence[tuple],
 
     Each inner term is ``(coeff, e1, e2, ...)`` with integer exponent slots
     (the two-slot case is a coefficient with an x power and a y power).
-    Coefficients only need ``*`` and ``+`` between themselves. The recipe
-    builders pass integers, their exact Fractions scaled over a common
-    denominator D, and divide the k-th power by D^k; Fractions and floats
-    work too. Power k is power k-1 times the sum, so like terms (identical
-    exponent vectors) merge as they appear, and the kappa powers cost one
-    expansion. Inside, each exponent vector is one integer code, so a
-    product adds two integers instead of building a tuple; the merge order,
-    and so every coefficient, is that of adding the vectors slot by slot.
+    Coefficients only need ``*`` and ``+`` between themselves:
+    poisson_powers passes integers; Fractions and floats work too. Power k
+    is power k-1 times the sum, so like terms (identical exponent vectors)
+    merge as they appear, and the kappa powers cost one expansion. Inside,
+    each exponent vector is one integer code, so a product adds two integers
+    instead of building a tuple; the merge order, and so every coefficient,
+    is that of adding the vectors slot by slot.
     Each list holds one term per exponent vector, in the order the merge
     first meets the vector. Any multiplication step of more than
     EXPANSION_TERM_CAP raw products raises CapacityError before its power
@@ -89,178 +87,119 @@ def expand_powers_of_sum(inner_terms: Sequence[tuple],
                for code, coeff in acc.items()]
 
 
-@dataclass(frozen=True, slots=True)
-class RationalExpTerm:
-    """One summand c * x^p * e^(-a x) / prod (x+b_q)^(m_q).
-
-    The coefficient is carried as ln |c| and the sign of c, so products of
-    hundreds of binomials and gamma factors never leave the float range even
-    when c itself would overflow a double; c is never zero. Pole locations
-    are strictly positive (every pole arising from the fading algebra sits at
-    a positive multiple of the SNR-scale ratio, so the term is analytic on
-    [1, inf)).
-    """
-
-    log_coeff: float
-    sign: int
-    poly_power: int
-    exp_rate: float
-    poles: tuple
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be 1 or -1 (got {self.sign!r})")
-        if self.poly_power < 0:
-            raise ValueError("poly_power must be nonnegative")
-        if self.exp_rate < 0:
-            raise ValueError("exp_rate must be nonnegative")
-        for b, m in self.poles:
-            if b <= 0:
-                raise ValueError(f"pole locations must be positive (got {b})")
-            if m < 1:
-                raise ValueError(f"pole multiplicities must be positive (got {m})")
-
-    def value_at(self, x: float) -> float:
-        """The term at x, summed in the log domain."""
-        log_val = self.log_coeff - self.exp_rate * x
-        if self.poly_power:
-            log_val += self.poly_power * math.log(x)
-        for b, m in self.poles:
-            log_val -= m * math.log(x + b)
-        return self.sign * math.exp(log_val)
+@lru_cache(maxsize=None)
+def poisson_powers(M: int, top: int) -> tuple:
+    """(k, (-1)^k C(top, k), D^k, ((i, c), ...)) for k = 0..top, where P_M(u)^k =
+    sum (c/D^k) u^i exactly: integers c over D = (M-1)!, P_M's common denominator."""
+    denom = math.factorial(M - 1)
+    inner = [(denom // math.factorial(j), j) for j in range(M)]
+    powers = [[(1, 0)]] + (list(expand_powers_of_sum(inner, top)) if top else [])
+    return tuple((k, (-1) ** k * math.comb(top, k), denom ** k, tuple((i, c) for c, i in power))
+                 for k, power in enumerate(powers))
 
 
-@dataclass(frozen=True, slots=True)
-class ExactTermRecipe:
-    """Exact rebuild data for one term: value(x) = frac * zeta^zp * lam_d^dp *
-    lam_e^ep * e^(exp_k (1-x)/lam_d) * x^poly / prod (x + r lam_d/lam_e)^m.
-
-    Everything except the two scale parameters and zeta is exact integer
-    arithmetic, so the term can be re-materialized at any precision.
-    """
-
-    frac: Fraction
-    zeta_pow: int
-    lam_dest_pow: int
-    lam_eve_pow: int
-    exp_k: int
-    poly_power: int
-    poles: tuple  # of (Fraction ratio, int multiplicity)
-
-
-@dataclass(frozen=True)
 class TermSum:
-    """1 - sum of terms; the canonical closed-form CDF carrier.
+    """The outage of one KA config: F(x) = 1 - S(x) with S(x) = E_Y[S_X(x(1+Y) - u)].
 
-    Evaluation detects catastrophic cancellation and redoes the sum in
-    arbitrary precision from the exact recipes, one per term.
+    key is (K, N, M_D, M_E, lambda_D, lambda_E, zeta) and terms its shape's
+    integer table: a row (c, den, k, n, i, mu, theta) is the term
+    c/den zeta^k lambda_D^-i lambda_E^(mu-theta) x^mu (x-u)^(i-mu)
+    e^(-k(x-u)/lambda_D) / a^theta, a = k x/lambda_D + (n+1)/lambda_E, the
+    kernel scale. u = 1 gives the ratio survival; u = 0 drops the destination
+    unity, the survival of X/(1+Y). Each term is taken in log space, with
+    every x-free part of its log computed once per config.
     """
 
-    terms: tuple
-    recipes: tuple = field(repr=False)
-    scales: tuple = field(repr=False)  # (lambda_D, lambda_E, zeta)
+    __slots__ = ("terms", "key", "_kernels", "_rows")
+
+    def __init__(self, terms: tuple, key: tuple):
+        self.terms, self.key = terms, key
+        self._kernels = sorted({(k, n) for _c, _den, k, n, *_rest in terms})
+        self._rows = []
+        if not terms:
+            return  # zeta = 0: no link ever transmits
+        logs = [math.log(v) for v in key[4:]]  # lambda_D, lambda_E, zeta
+        for c, den, k, n, i, mu, theta in terms:
+            parts = (math.log(abs(c)), -math.log(den), k * logs[2], -i * logs[0],
+                     (mu - theta) * logs[1])
+            self._rows.append((math.fsum(parts), 1 if c > 0 else -1,
+                               2.0 + sum(map(abs, parts)), mu, i - mu, k,
+                               self._kernels.index((k, n)), theta))
+
+    def _values(self, x: float, unity: float) -> tuple[list, float]:
+        """The float term values at x, and the sum of their magnitudes, each
+        weighted by the parts of its log (a value exp(L) is off by a few ulps
+        of each)."""
+        lam_d, lam_e = self.key[4:6]
+        if not 0.0 < x < math.inf:
+            raise OverflowError(f"x={x!r} is outside the double range{self._where()}")
+        w = x - unity
+        rate, log_x = w / lam_d, math.log(x)
+        log_w = math.log(w) if w else 0.0
+        logs_a = []
+        for k, n in self._kernels:
+            a = k * x / lam_d + (n + 1) / lam_e
+            if not a < math.inf:
+                raise OverflowError(
+                    f"kernel scale k*x/lambda_D + (n+1)/lambda_E = {a!r} at x={x!r}, k={k}, "
+                    f"n={n} is outside the double range{self._where()}")
+            logs_a.append(math.log(a))
+        values, weight = [], 0.0
+        for log_c, sign, size, mu, d, k, kernel, theta in self._rows:
+            if d and not w:
+                continue  # (x - u)^d vanishes
+            log_a = logs_a[kernel]
+            value = math.exp(log_c + mu * log_x + d * log_w - k * rate - theta * log_a)
+            values.append(sign * value)
+            weight += value * (size + mu * abs(log_x) + d * (1.0 + abs(log_w)) + k * rate
+                               + theta * (1.0 + abs(log_a)))
+        return values, weight
+
+    def _where(self) -> str:
+        K, N, M_D, M_E, lam_d, lam_e, zeta = self.key
+        return (f", in the outage of K={K} N={N} M_D={M_D} M_E={M_E} zeta={zeta:g} "
+                f"lambda_D={lam_d:g} lambda_E={lam_e:g}")
+
+    def survival(self, x: float, unity: float) -> tuple[float, float]:
+        """(S(x) in floats, a bound on its rounding error), u = unity."""
+        values, weight = self._values(x, unity)
+        return math.fsum(values), 4.0 * _EPS * weight
 
     def eval(self, x: float) -> float:
-        """1 - sum of the terms at x, or the mpmath rebuild when that cancels.
+        """F(x) = 1 - S(x), or the same integers re-summed in mpmath when that cancels.
 
         math.fsum rounds the sum of the term values exactly, so the total
         depends on the values alone, not on the order of the terms.
         """
-        values = [t.value_at(x) for t in self.terms]
+        values, _weight = self._values(x, 1.0)
         total = 1.0 - math.fsum(values)
         if values:
             gross = math.fsum(map(abs, values)) + 1.0
-            # an off-band CDF has lost its digits too: (L + k/lam_D) - (k/lam_D) x
-            # loses L once k/lam_D dwarfs it (1e20 at lam_D = -200 dB)
+            # a total off the probability band has lost its digits to the
+            # cancellation as well
             if abs(total) < 1e-9 * gross or not -1e-9 <= total <= 1.0 + 1e-9:
-                total = _eval_recipes_mp(self.recipes, x, self.scales)
+                total = self._eval_mp(x)
         return total
 
+    def _eval_mp(self, x: float) -> float:
+        # mpmath loads on the first fallback only; most processes make none
+        import mpmath
 
-def log_abs_fraction(frac: Fraction) -> float:
-    """ln |frac| for fractions whose parts can dwarf the float range."""
-    return math.log(abs(frac.numerator)) - math.log(frac.denominator)
-
-
-def materialize_recipes(recipes: Sequence[ExactTermRecipe],
-                        lam_dest: float, lam_eve: float, zeta: float) -> tuple:
-    """Float RationalExpTerms from exact recipes (single source of truth).
-
-    Each pole location is numerator * lam_dest / (denominator * lam_eve) of
-    its reduced ratio, so equal ratios give equal floats. The recipe builder
-    gives every recipe of one pole tuple the same tuple object (the benchmark
-    ladder's 9,541 recipes carry 566), so each tuple's float poles are
-    computed once per call, in a memo keyed by the tuple's identity (the
-    recipes are held for the whole call, so no identity is reused). zeta and
-    every coefficient must be nonzero (math.log raises otherwise): a zeta = 0
-    row has no terms. A pole location that underflows to 0.0 or overflows
-    raises ArithmeticError naming its ratio.
-    """
-    recipes = tuple(recipes)  # keeps every pole tuple, and so its id, alive
-    log_ld = math.log(lam_dest)
-    log_le = math.log(lam_eve)
-    log_z = math.log(zeta)
-    float_poles: dict[int, tuple] = {}  # id of a recipe's poles -> float poles
-    out = []
-    for r in recipes:
-        poles = float_poles.get(id(r.poles))
-        if poles is None:
-            poles = float_poles[id(r.poles)] = tuple(
-                (_pole_location(ratio, lam_dest, lam_eve), mult) for ratio, mult in r.poles)
-        rate = r.exp_k / lam_dest
-        log_mag = (log_abs_fraction(r.frac)
-                   + r.zeta_pow * log_z
-                   + r.lam_dest_pow * log_ld
-                   + r.lam_eve_pow * log_le
-                   + rate)
-        out.append(RationalExpTerm(log_mag, 1 if r.frac.numerator > 0 else -1,
-                                   r.poly_power, rate, poles))
-    return tuple(out)
-
-
-def _pole_location(ratio: Fraction, lam_dest: float, lam_eve: float) -> float:
-    location = ratio.numerator * lam_dest / (ratio.denominator * lam_eve)
-    if not 0.0 < location < math.inf:
+        for dps in _MP_DPS_LADDER:
+            with mpmath.workdps(dps):
+                lam_d, lam_e, zeta, xx = map(mpmath.mpf, self.key[4:] + (x,))
+                w = xx - 1
+                kernels = {(k, n): k * xx / lam_d + (n + 1) / lam_e for k, n in self._kernels}
+                values = [mpmath.mpf(c) / den * zeta ** k * lam_d ** -i * lam_e ** (mu - theta)
+                          * xx ** mu * w ** (i - mu) * mpmath.exp(-k * w / lam_d)
+                          / kernels[k, n] ** theta
+                          for c, den, k, n, i, mu, theta in self.terms]
+                total = 1 - mpmath.fsum(values)
+                gross = 1 + mpmath.fsum(values, absolute=True)
+                # enough headroom left between the result and the rounding floor?
+                if abs(total) > gross * mpmath.mpf(10) ** (15 - dps):
+                    return float(total)
         raise ArithmeticError(
-            f"pole location {ratio} * lambda_D / lambda_E = {location!r} at "
-            f"lambda_D = {lam_dest!r}, lambda_E = {lam_eve!r} is outside the double range")
-    return location
-
-
-def _eval_recipes_mp(recipes: Sequence[ExactTermRecipe], x: float,
-                     scales: tuple) -> float:
-    # mpmath loads on the first fallback only; most processes make none
-    import mpmath
-
-    lam_dest, lam_eve, zeta = scales
-    for dps in _MP_DPS_LADDER:
-        with mpmath.workdps(dps):
-            ld = mpmath.mpf(lam_dest)
-            le = mpmath.mpf(lam_eve)
-            zt = mpmath.mpf(zeta)
-            xx = mpmath.mpf(x)
-            total = mpmath.mpf(1)
-            gross = abs(total)
-            for r in recipes:
-                v = mpmath.mpf(r.frac.numerator) / r.frac.denominator
-                if r.zeta_pow:
-                    v *= zt ** r.zeta_pow
-                if r.lam_dest_pow:
-                    v *= ld ** r.lam_dest_pow
-                if r.lam_eve_pow:
-                    v *= le ** r.lam_eve_pow
-                if r.exp_k:
-                    v *= mpmath.exp(r.exp_k * (1 - xx) / ld)
-                if r.poly_power:
-                    v *= xx ** r.poly_power
-                for ratio, mult in r.poles:
-                    v /= (xx + mpmath.mpf(ratio.numerator) * ld / (ratio.denominator * le)) ** mult
-                total -= v
-                gross += abs(v)
-            # enough headroom left between the result and the rounding floor?
-            if abs(total) > gross * mpmath.mpf(10) ** (15 - dps):
-                return float(total)
-    raise ArithmeticError(
-        f"term sum at x={x!r} cancels below the {dps}-digit rounding floor "
-        f"(|sum| {mpmath.nstr(abs(total), 3)}, gross {mpmath.nstr(gross, 3)}); "
-        "no certified value")
+            f"term sum at x={x!r} cancels below the {dps}-digit rounding floor "
+            f"(|sum| {mpmath.nstr(abs(total), 3)}, gross {mpmath.nstr(gross, 3)}); "
+            "no certified value")

@@ -9,13 +9,14 @@ the sum over n = 0..N of C(N,n) (-1)^n e^(-nt/lambda_E) P_{M_E}(t/lambda_E)^n,
 so each product term integrates to one positive kernel,
 integral_0^inf t^p e^(-at)/(1+t) dt = p! e^a Gamma(-p, a): no poles, no
 partial fractions. The terms' exact integer coefficients are built once per
-shape (_rate_terms), and term_count is their number. A row's float sum
-stands when its rounding bound is within _TARGET of it; otherwise the same
-integers are re-summed in mpmath (loaded then only) up the precision ladder,
-and a sum that cancels below the last rung, or whose certified value has no
-double, raises ArithmeticError naming the row.
+shape from algebra.poisson_powers (_rate_terms), and term_count is their
+number. A row's float sum stands when its rounding bound is within _TARGET
+of it; otherwise the same integers are re-summed in mpmath (loaded then
+only) up the precision ladder, and a sum that cancels below the last rung,
+or whose certified value has no double, raises ArithmeticError naming the
+row.
 
-The high-SNR rate drops the destination unity only:
+Every high-SNR rate drops the destination unity only. Here that is
 E[(log2 X - log2(1+Y))^+] = (1/ln 2) integral_0^inf F_Y(u) (1 - F_X(1+u)) /
 (1+u) du, whose (1+u)^i factors expand binomially into the same kernels.
 Its limit as lambda_D grows is the asymptote (S ln lambda_D + E[ln G; G>0]
@@ -24,10 +25,11 @@ K and zeta alone.
 
 OS selection over K >= 2 links reads the paper's one-link closed form: the
 links are i.i.d., so each rate is the certified 1-D integral
-(1/ln 2) * integral_0^inf [1 - (1 - zeta S_1(e^s))^K] ds of the exact or
-the unity-dropped one-link survival S_1 (sop.one_link_base), and the
-asymptote its affine limit. Its exp-sinh levels and the rounding that the
-node sums carry must meet _TARGET, or the rate raises ArithmeticError
+(1/ln 2) * integral_0^inf [1 - (1 - zeta S_1(e^s))^K] ds of the one-link
+survival S_1 that the outage reads (sop.one_link_base), exact or with the
+destination unity dropped, and the asymptote the high-SNR rate's affine
+limit, (S ln lambda_D + C)/ln 2. Its exp-sinh levels and the rounding that
+the node sums carry must meet _TARGET, or the rate raises ArithmeticError
 naming the row. Every KA rate is memoized per config and form, so a KU row,
 zeta times the rate of its always-on row (sop.gated_base), reads it; every
 rate shares zeta = 0 and the backstops.
@@ -41,13 +43,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import _MP_DPS_LADDER, expand_powers_of_sum
+from .algebra import _EPS, _MP_DPS_LADDER, poisson_powers
 from .channel import SystemConfig
-from .sop import build_cdf_term_sum, build_high_snr_term_sum, gated_base, one_link_base
+from .sop import build_cdf_term_sum, gated_base, one_link_base
 from .specialfn import EULER_GAMMA, log_upper_incomplete_gamma_int
 
 _LN2 = math.log(2.0)
-_EPS = 2.0 ** -52
 _HALF_PI = math.pi / 2.0
 _TARGET = 1e-9  # relative target of every certified rate
 _FINEST_STEP = 2.0 ** -9
@@ -69,17 +70,6 @@ class EsrResult:
 
 
 @lru_cache(maxsize=None)
-def _powers(M: int, top: int) -> tuple:
-    """(k, (-1)^k C(top, k), D^k, ((i, c), ...)) for k = 0..top, where P_M(u)^k =
-    sum (c/D^k) u^i exactly: integers c over D = (M-1)!, P_M's common denominator."""
-    denom = math.factorial(M - 1)
-    inner = [(denom // math.factorial(j), j) for j in range(M)]
-    powers = [[(1, 0)]] + list(expand_powers_of_sum(inner, top))
-    return tuple((k, (-1) ** k * math.comb(top, k), denom ** k, tuple((i, c) for c, i in power))
-                 for k, power in enumerate(powers))
-
-
-@lru_cache(maxsize=None)
 def _rate_terms(K: int, N: int, M_D: int, M_E: int, form: str) -> tuple:
     """The exact terms of one shape's rate: (ln|c|, sign, c's numerator and
     denominator, k, n, i, j, p), the integers shared with the mpmath pass.
@@ -89,7 +79,7 @@ def _rate_terms(K: int, N: int, M_D: int, M_E: int, form: str) -> tuple:
     rate, where the destination factor (1+t)^i is expanded binomially. The
     asymptote's terms are those of E[ln(1+Y)], at k = i = 0.
     """
-    dest, eve = _powers(M_D, K), _powers(M_E, N)
+    dest, eve = poisson_powers(M_D, K), poisson_powers(M_E, N)
     if form == _FORM_ASYMPTOTIC:  # 1 times 1 - F_Y = -sum_{n>=1} ...
         dest, eve = dest[:1], [(n, -pick, *rest) for n, pick, *rest in eve[1:]]
     else:  # 1 - F_X = -sum_{k>=1} ... times F_Y
@@ -178,7 +168,7 @@ def _mean_log_gain(K: int, M_D: int, zeta: float) -> float:
         -pick * zeta ** k * (float(sum(Fraction(c * math.factorial(i - 1), den * k ** i)
                                        for i, c in power if i))
                              - EULER_GAMMA - math.log(k))
-        for k, pick, den, power in _powers(M_D, K)[1:])
+        for k, pick, den, power in poisson_powers(M_D, K)[1:])
 
 
 def _closed_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
@@ -223,30 +213,31 @@ def _rate(cfg: SystemConfig, form: str) -> EsrResult:
             f"{form} rate term sum is negative ({value!r}) over "
             f"{count} terms: cancellation exceeded double precision")
     # no secrecy rate exceeds E[log2(1 + gamma_D,sel)], at most log2(1 + K M_D
-    # lambda_D) since gamma_D,sel <= sum_k gamma_D,k and by Jensen; the OS
-    # high-SNR rate at K >= 2 is that of gamma_D/gamma_E, which this does not bound
+    # lambda_D) since gamma_D,sel <= sum_k gamma_D,k and by Jensen; dropping
+    # the destination unity only lowers the rate
     bound = math.log2(1.0 + cfg.K * cfg.M_D * cfg.lambda_D)
-    if form == _FORM_EXACT and value > bound:
+    if form != _FORM_ASYMPTOTIC and value > bound:
         raise ArithmeticError(
-            f"exact rate term sum {value!r} exceeds the bound log2(1 + K*M_D*lambda_D)"
+            f"{_row(cfg, form)}: {value!r} exceeds the bound log2(1 + K*M_D*lambda_D)"
             f" = {bound!r} over {count} terms: cancellation exceeded"
             " double precision")
     return EsrResult(value=max(0.0, value), form=form, term_count=count)
 
 
 def _one_link_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
-    """(rate, one-link term count) of OS/KA over K >= 2 links. The asymptote,
-    the high-SNR rate's affine limit, is (S ln(lambda_D/lambda_E) + C)/ln 2:
-    S = 1 - (1-zeta)^K, C = integral_0^inf [H(w) - S 1{w<1}]/w dw with H read
-    at lambda_D = lambda_E = 1, as it depends on w = x lambda_E/lambda_D only.
+    """(rate, one-link term count) of OS/KA over K >= 2 links. The exact rate
+    reads the one-link survival at u = 1, the high-SNR rate at u = 0 (see
+    algebra.TermSum). The asymptote, the high-SNR rate's affine limit, is
+    (S ln lambda_D + C)/ln 2: S = 1 - (1-zeta)^K, C = integral_0^inf [H(w) -
+    S 1{w<1}]/w dw with H read at lambda_D = 1, as it depends on w = x/lambda_D
+    only.
     """
     base = one_link_base(cfg)
     if form == _FORM_ASYMPTOTIC:
-        base = replace(base, lambda_D=1.0, lambda_E=1.0)
-    build = build_cdf_term_sum if form == _FORM_EXACT else build_high_snr_term_sum
-    terms = build(base).terms
+        base = replace(base, lambda_D=1.0)
+    term_sum = build_cdf_term_sum(base)
     what = _row(cfg, form)
-    integrand = _os_integrand(terms, cfg.K, cfg.zeta)
+    integrand = _os_integrand(term_sum, cfg.K, cfg.zeta, 1.0 if form == _FORM_EXACT else 0.0)
     value = _exp_sinh(integrand, what)
     if form == _FORM_ASYMPTOTIC:
         slope = 1.0 - (1.0 - cfg.zeta) ** cfg.K
@@ -254,35 +245,22 @@ def _one_link_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
         def below_one(u: float) -> tuple[float, float]:  # S - H(e^-u)
             above, bound = integrand(-u)
             return slope - above, bound + _EPS * slope
-        value = (slope * (math.log(cfg.lambda_D) - math.log(cfg.lambda_E))
-                 + (value - _exp_sinh(below_one, what)))
-    return value / _LN2, len(terms)
+        value = slope * math.log(cfg.lambda_D) + (value - _exp_sinh(below_one, what))
+    return value / _LN2, len(term_sum.terms)
 
 
-def _os_integrand(terms, K: int, zeta: float):
+def _os_integrand(term_sum, K: int, zeta: float, unity: float):
     """s -> (H(e^s), a bound on its rounding error), H = 1 - (1 - zeta S_1)^K.
 
-    S_1 is the math.fsum of the one-link term values at x = e^s (1 -
-    TermSum.eval would lose it where it is small), taking log x = s and each
-    pole's log(x+b) once. Each value exp(L) is off by a few ulps of each part
-    of L, relative; S_1's bound adds those and its clamp to [0, 1], and H
-    moves by at most K zeta times that.
+    S_1 is the one-link survival at x = e^s and u = unity, summed by
+    math.fsum (1 - TermSum.eval would lose it where it is small); its bound
+    adds the term sum's rounding bound and its clamp to [0, 1], and H moves
+    by at most K zeta times that.
     """
-    locations = sorted({term.poles[0][0] for term in terms})
-    rows = [(t.log_coeff, t.sign, t.poly_power, t.exp_rate, locations.index(t.poles[0][0]),
-             t.poles[0][1]) for t in terms]
-
     def integrand(s: float) -> tuple[float, float]:
-        x = math.exp(s)
-        logs = [math.log(x + b) for b in locations]
-        values, weight = [], 0.0
-        for log_coeff, sign, p, a, j, m in rows:
-            value = math.exp(log_coeff - a * x + p * s - m * logs[j])
-            values.append(sign * value)
-            weight += value * (2.0 + abs(log_coeff) + a * x + p * abs(s) + m * (1.0 + abs(logs[j])))
-        link = math.fsum(values)
+        link, bound = term_sum.survival(math.exp(s), unity)
         clamped = min(1.0, max(0.0, link))
-        bound = 4.0 * _EPS * weight + abs(link - clamped)
+        bound += abs(link - clamped)
         active = zeta * clamped
         value = 1.0 if active >= 1.0 else -math.expm1(K * math.log1p(-active))
         return value, K * zeta * bound + 4.0 * _EPS * value
@@ -342,7 +320,7 @@ def esr_exact(cfg: SystemConfig) -> EsrResult:
 
 
 def esr_high_snr(cfg: SystemConfig) -> EsrResult:
-    """High-SNR rate: the destination unity dropped (OS at K >= 2: both unities)."""
+    """High-SNR rate: the destination unity dropped."""
     return _rate(cfg, _FORM_HIGH_SNR)
 
 

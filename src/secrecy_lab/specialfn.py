@@ -19,6 +19,13 @@ _TINY = 1e-300
 _CF_LOG_FROM = 700.0
 
 
+def _require_finite(x: float) -> None:
+    # inf or NaN would run a loop to its cap before failing; an ArithmeticError
+    # lets a caller fall back to arbitrary precision
+    if not math.isfinite(x):
+        raise ArithmeticError(f"x={x!r} is not finite")
+
+
 def _exp_integral_one_series(x: float) -> float:
     # E_1(x) = -gamma - ln x + sum_{j>=1} (-1)^(j+1) x^j / (j * j!), for small x.
     total = -EULER_GAMMA - math.log(x)
@@ -71,6 +78,7 @@ def exp_integral(n: int, x: float) -> float:
         raise ValueError("x must be positive: E_n diverges at the origin")
     if n < 1:
         raise ValueError("n must be at least 1")
+    _require_finite(x)
     if x >= 1.0:
         return _exp_integral_cf(n, x) * math.exp(-x)
     e = _exp_integral_one_series(x)
@@ -90,6 +98,7 @@ def log_upper_incomplete_gamma_int(s: int, x: float) -> float:
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
+    _require_finite(x)
     if s >= 1:
         # log of the Poisson partial sum with the peak factored out, so the
         # result stays finite for x far beyond the exp underflow point.

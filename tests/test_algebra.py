@@ -8,14 +8,12 @@ import pytest
 from secrecy_lab import algebra
 from secrecy_lab.algebra import (
     CapacityError,
-    ExactTermRecipe,
-    RationalExpTerm,
     TermSum,
     expand_powers_of_sum,
-    materialize_recipes,
+    poisson_powers,
 )
 from secrecy_lab.channel import SystemConfig
-from secrecy_lab.sop import _integer_powers, build_cdf_term_sum, sop
+from secrecy_lab.sop import build_cdf_term_sum, sop
 
 
 def _power(inner, kappa):
@@ -66,26 +64,6 @@ class TestExpandPowerOfSum:
         assert got[(1, 1)] == Fraction(-1, 3)
         assert got[(0, 2)] == Fraction(1, 9)
 
-    @pytest.mark.parametrize("inner", [
-        [(Fraction(1, 2), 1, 0), (Fraction(-1, 3), 0, 1)],
-        [(Fraction(3, 4), 0, 0), (Fraction(-5, 6), 1, 0), (Fraction(7, 10), 1, 1),
-         (Fraction(1, 15), 0, 0)],
-        [(Fraction(2), 2, 1), (Fraction(-1, 6), 0, 2), (Fraction(5, 12), 1, 2)],
-        [(Fraction(-9, 14), 1, 0, 3), (Fraction(4, 21), 0, 3, 0)],
-    ])
-    @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
-    def test_integer_scaled_expansion_is_the_fraction_expansion(self, inner, kappa):
-        # the recipe builders expand integers over a common denominator D
-        # and divide by D^k; every ascending power must be the Fraction
-        # expansion of that power exactly
-        powers = list(_integer_powers(inner, kappa))
-        assert len(powers) == kappa
-        for (denom_power, expanded), reference in zip(powers,
-                                                      expand_powers_of_sum(inner, kappa)):
-            assert all(isinstance(t[0], int) for t in expanded)
-            scaled_back = [(Fraction(t[0], denom_power),) + t[1:] for t in expanded]
-            assert _as_mapping(scaled_back) == _as_mapping(reference)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_negative_exponents_and_wide_vectors_match_every_product(self, seed):
         # the expansion packs each exponent vector into one integer code;
@@ -124,117 +102,83 @@ class TestExpandPowerOfSum:
             next(powers)
 
 
-class TestRationalExpTerm:
-    def test_value_at(self):
-        term = RationalExpTerm(log_coeff=math.log(2.0), sign=1,
-                               poly_power=1, exp_rate=0.5,
-                               poles=((1.0, 2),))
-        x = 3.0
-        assert term.value_at(x) == pytest.approx(
-            2.0 * x * math.exp(-0.5 * x) / (x + 1.0) ** 2, rel=1e-12)
-
-    def test_positive_pole_locations_enforced(self):
-        with pytest.raises(ValueError):
-            RationalExpTerm(log_coeff=0.0, sign=1,
-                            poly_power=0, exp_rate=1.0, poles=((-1.0, 1),))
-
-    @pytest.mark.parametrize("sign", [0, 2, -2])
-    def test_sign_is_plus_or_minus_one(self, sign):
-        # materialized terms never carry a zero coefficient
-        with pytest.raises(ValueError, match="sign"):
-            RationalExpTerm(log_coeff=0.0, sign=sign,
-                            poly_power=0, exp_rate=1.0, poles=((1.0, 1),))
-
-
-class TestTermSumAndRecipes:
-    def test_materialized_recipes_evaluate_like_the_formula(self):
-        # c = 1/6 * zeta^2 * lam_D^-1 * lam_E^-2, pole at (3/2)*lam_D/lam_E
-        recipe = ExactTermRecipe(frac=Fraction(1, 6), zeta_pow=2,
-                                 lam_dest_pow=-1, lam_eve_pow=-2, exp_k=2,
-                                 poly_power=1, poles=((Fraction(3, 2), 2),))
-        lam_d, lam_e, zeta = 8.0, 2.0, 0.7
-        terms = materialize_recipes([recipe], lam_d, lam_e, zeta)
-        assert len(terms) == 1
-        term = terms[0]
-        x = 2.5
-        # the exponential enters as e^(k(1-x)/lam_D): the decay in x plus a
-        # constant factor folded into the coefficient
-        expected = ((1.0 / 6.0) * zeta ** 2 / (lam_d * lam_e ** 2)
-                    * x * math.exp(2.0 * (1.0 - x) / lam_d)
-                    / (x + 1.5 * lam_d / lam_e) ** 2)
-        assert term.value_at(x) == pytest.approx(expected, rel=1e-12)
-        assert term.exp_rate == pytest.approx(2.0 / lam_d, rel=1e-15)
-
-    def test_eval_is_constant_minus_terms(self):
-        term = RationalExpTerm(log_coeff=math.log(0.25), sign=1,
-                               poly_power=0, exp_rate=1.0, poles=((1.0, 1),))
-        ts = TermSum(terms=(term,), recipes=(), scales=(1.0, 1.0, 1.0))
-        x = 2.0
-        assert ts.eval(x) == pytest.approx(
-            1.0 - 0.25 * math.exp(-x) / (x + 1.0), rel=1e-12)
-
-
-class TestSharedPoles:
-    # materialize_recipes computes each recipe pole tuple's floats once,
-    # keyed by the tuple's identity; that may change no bit
-
+class TestPoissonPowers:
     @staticmethod
-    def _recipe(frac, poles):
-        return ExactTermRecipe(frac, 1, -1, 2, 1, 1, poles)
+    def _fraction_power(M, k):
+        # P_M(u)^k by Fraction polynomial products, {power of u: coefficient}
+        power = {0: Fraction(1)}
+        for _ in range(k):
+            nxt = {}
+            for i, c in power.items():
+                for j in range(M):
+                    nxt[i + j] = nxt.get(i + j, 0) + c * Fraction(1, math.factorial(j))
+            power = nxt
+        return power
 
-    def test_equal_poles_in_distinct_tuples_materialize_like_shared_ones(self):
-        shared = ((Fraction(3, 2), 2), (Fraction(5, 3), 1))
-        twin = tuple((Fraction(r.numerator, r.denominator), m) for r, m in shared)
-        assert twin == shared and twin is not shared
-        args = (8.0, 2.0, 0.7)
-        one = materialize_recipes([self._recipe(Fraction(1, 3), shared),
-                                   self._recipe(Fraction(-2, 7), shared)], *args)
-        two = materialize_recipes([self._recipe(Fraction(1, 3), shared),
-                                   self._recipe(Fraction(-2, 7), twin)], *args)
-        assert one == two
-        assert one[0].poles is one[1].poles  # one float tuple per recipe tuple
-        assert one[0].poles == ((3 * 8.0 / (2 * 2.0), 2), (5 * 8.0 / (3 * 2.0), 1))
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    def test_each_power_is_the_fraction_expansion_over_its_denominator(self, M, top):
+        # top = 0 is the one-eavesdropper case: P_M^0 = 1 alone
+        powers = poisson_powers(M, top)
+        assert [k for k, *_rest in powers] == list(range(top + 1))
+        for k, pick, denom, power in powers:
+            assert pick == (-1) ** k * math.comb(top, k)
+            assert denom == math.factorial(M - 1) ** k
+            assert all(isinstance(c, int) for _i, c in power)
+            assert {i: Fraction(c, denom) for i, c in power} == self._fraction_power(M, k)
 
-    def test_fresh_tuples_from_a_generator_keep_their_own_poles(self):
-        # no recipe is freed during the call, so no identity is reused
-        terms = materialize_recipes(
-            (self._recipe(Fraction(1, n), ((Fraction(n, 7), 1),)) for n in range(1, 200)),
-            8.0, 2.0, 0.7)
-        assert [t.poles for t in terms] == [((n * 8.0 / (7 * 2.0), 1),) for n in range(1, 200)]
 
-    @pytest.mark.parametrize("lam_d, lam_e, location", [
-        (10.0 ** -323, 10.0, "0.0"), (1e300, 1e-300, "inf")])
-    def test_pole_outside_the_double_range_raises_naming_its_ratio(self, lam_d, lam_e,
-                                                                   location):
-        recipe = self._recipe(Fraction(1, 3), ((Fraction(3, 2), 1),))
-        with pytest.raises(ArithmeticError, match=rf"pole location 3/2 \* lambda_D / "
-                           rf"lambda_E = {location} ") as info:
-            materialize_recipes([recipe], lam_d, lam_e, 0.7)
-        assert not isinstance(info.value, ValueError)
+# K, N, M_D, M_E, lambda_D, lambda_E, zeta
+KEY = (2, 3, 2, 2, 10.0, 3.0, 0.9)
 
-    @pytest.mark.parametrize("frac", [Fraction(-3, 4), Fraction(-10 ** 400, 3)])
-    def test_negative_coefficient_gives_minus_one_and_log_of_its_magnitude(self, frac):
-        (term,) = materialize_recipes(
-            [ExactTermRecipe(frac, 0, 0, 0, 0, 0, ((Fraction(1), 1),))], 2.0, 3.0, 0.5)
-        assert term.sign == -1
-        assert term.log_coeff == math.log(-frac.numerator) - math.log(frac.denominator)
+
+class TestTermSum:
+    @pytest.mark.parametrize("x, unity", [(0.5, 0.0), (1.0, 0.0), (40.0, 0.0),
+                                          (1.0, 1.0), (2.5, 1.0), (40.0, 1.0)])
+    def test_a_row_is_its_formula(self, x, unity):
+        # c/den zeta^k lambda_D^-i lambda_E^(mu-theta) x^mu (x-u)^(i-mu)
+        # e^(-k(x-u)/lambda_D) / (k x/lambda_D + (n+1)/lambda_E)^theta
+        row = (-35, 6, 2, 1, 3, 1, 4)
+        survival, bound = TermSum((row,), KEY).survival(x, unity)
+        lam_d, lam_e, zeta = KEY[4:]
+        expected = (-35 / 6 * zeta ** 2 * lam_d ** -3 * lam_e ** -3 * x * (x - unity) ** 2
+                    * math.exp(-2 * (x - unity) / lam_d) / (2 * x / lam_d + 2 / lam_e) ** 4)
+        assert survival == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert 0.0 <= bound <= 1e-12 * abs(survival)
 
     @pytest.mark.parametrize("x", [1.0, 2.0, 3.7, 41.5])
-    def test_eval_is_one_minus_the_exact_sum_of_each_term_bit_for_bit(self, x):
+    def test_eval_is_one_minus_the_survival_bit_for_bit(self, x):
         term_sum = build_cdf_term_sum(SystemConfig(
             K=2, N=3, M_D=2, M_E=2, lambda_D=10.0, lambda_E=3.0, zeta=0.9,
             R_th=1.0, scheme="SS", knowledge="KA"))
-        assert len({b for t in term_sum.terms for b, _m in t.poles}) > 1
-        values = [t.value_at(x) for t in term_sum.terms]
-        assert term_sum.eval(x).hex() == (1.0 - math.fsum(values)).hex()
-        # each term has the bits of the direct formula
-        for term, value in zip(term_sum.terms, values):
-            log_val = term.log_coeff - term.exp_rate * x
-            if term.poly_power:
-                log_val += term.poly_power * math.log(x)
-            for b, m in term.poles:
-                log_val -= m * math.log(x + b)
-            assert value.hex() == (term.sign * math.exp(log_val)).hex()
+        assert term_sum.key == KEY
+        assert term_sum.eval(x).hex() == (1.0 - term_sum.survival(x, 1.0)[0]).hex()
+
+    def test_at_x_one_only_the_rows_without_x_minus_one_count(self):
+        # (x - 1)^(i - mu) vanishes at x = 1 for i > mu
+        term_sum = build_cdf_term_sum(SystemConfig(
+            K=2, N=3, M_D=2, M_E=2, lambda_D=10.0, lambda_E=3.0, zeta=0.9,
+            R_th=0.0, scheme="SS", knowledge="KA"))
+        kept = TermSum(tuple(r for r in term_sum.terms if r[4] == r[5]), term_sum.key)
+        assert len(kept.terms) < len(term_sum.terms)
+        assert term_sum.survival(1.0, 1.0) == kept.survival(1.0, 1.0)
+
+    def test_no_rows_is_a_certain_outage(self):
+        # zeta = 0: no link ever transmits
+        term_sum = TermSum((), KEY[:-1] + (0.0,))
+        assert term_sum.eval(2.0) == 1.0 and term_sum.survival(2.0, 0.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("lam_d, lam_e, scale", [
+        (10.0 ** -323, 10.0, "inf at x=2.0, k=1, n=0"), (1.0, 1e-310, "inf at x=2.0, k=1, n=0")])
+    def test_a_kernel_scale_outside_the_double_range_raises_naming_the_row(self, lam_d, lam_e,
+                                                                             scale):
+        term_sum = build_cdf_term_sum(SystemConfig(
+            K=1, N=1, M_D=1, M_E=1, lambda_D=lam_d, lambda_E=lam_e, zeta=1.0, R_th=1.0,
+            scheme="SS", knowledge="KA"))
+        with pytest.raises(ArithmeticError, match=rf"kernel scale .* = {scale} is outside the "
+                           r"double range, in the outage of K=1 N=1 M_D=1 M_E=1 zeta=1 ") as info:
+            term_sum.eval(2.0)
+        assert not isinstance(info.value, ValueError)
 
 
 class TestPrecisionLadder:

@@ -251,9 +251,10 @@ def test_an_underflowed_rate_is_a_numeric_error_naming_the_row(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_an_underflowed_pole_location_is_a_numeric_error_naming_the_row(tmp_path, capsys):
-    # at -3230 dB the pole lambda_D/lambda_E underflows to 0.0, which used to
-    # raise a ValueError out of main
+def test_an_overflowed_kernel_scale_is_a_numeric_error_naming_the_row(tmp_path, capsys):
+    # at -3230 dB the kernel scale x/lambda_D overflows (the pole location
+    # lambda_D/lambda_E underflowed to 0.0 once, which raised a ValueError
+    # out of main)
     config = _write_config(
         tmp_path / "sweep.json", axis_values=[-3230], variants=[], outputs=["sop_exact"],
         base={"K": 1, "N": 1, "M_D": 1, "M_E": 1, "lambda_E_dB": 10.0, "zeta": 1.0,
@@ -262,7 +263,7 @@ def test_an_underflowed_pole_location_is_a_numeric_error_naming_the_row(tmp_path
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numeric error: row v0 (SS/KA K=1 N=1 M_D=1 M_E=1 zeta=1 "), err
-    assert "pole location 1 * lambda_D / lambda_E = 0.0" in err
+    assert "kernel scale k*x/lambda_D + (n+1)/lambda_E = inf at x=2.0" in err
     assert not out.exists()
 
 
@@ -285,8 +286,8 @@ def test_a_quadrature_failure_is_a_numeric_error_naming_the_row(tmp_path, capsys
 
 
 def test_a_destination_far_below_the_eavesdroppers_is_a_certain_outage(tmp_path):
-    # -200 dB at R_th = 0: the float term sum leaves the band, the exact one
-    # does not
+    # -200 dB at R_th = 0: the outage rounds to 1 (the pole-form float term
+    # sum left the band there)
     config = _write_config(
         tmp_path / "sweep.json", axis_values=[-200], variants=[], outputs=["sop_exact"],
         base={"K": 1, "N": 2, "M_D": 2, "M_E": 2, "lambda_E_dB": 0.0, "zeta": 0.9,
@@ -374,8 +375,13 @@ class TestImportHygiene:
 # SS esr_exact cells stayed within 1.2e-11 relative of that quadrature, and
 # the SS esr_high_snr cells, which moved by 0.08 to 0.21 bpcu to the
 # destination-unity-dropped rate, met a QUADPACK integral of its definition
-# within 1e-14.
-LADDER_CSV_SHA256 = "b1449e87a5012c7ff33811ae203bd577f5084e7d0c6cc58e527d3d92ddbcf8e4"
+# within 1e-14. Re-derived when the outage came to be read from the integer
+# term table: every SS rate cell kept its bytes, every sop_exact cell met
+# quad_cdf_ratio within 5.0e-10 relative, every OS esr_exact cell quad_esr
+# within 9.7e-13, and the OS esr_high_snr cells, which moved by 2.2e-2 to
+# 4.9e-2 relative to the destination-unity-dropped rate, met a QUADPACK
+# integral of its definition from channel's functions within 1e-15.
+LADDER_CSV_SHA256 = "e225f834988b5d1feae41cc19cb932979931eb9225d3f7ab44c018164fb6f284"
 
 
 def test_closed_ladder_csv_keeps_its_bits(tmp_path):

@@ -4,6 +4,7 @@ Golden and frozen constants were produced by independent quadrature (mpmath
 plus scipy cross-checks) before the closed forms were wired up.
 """
 
+import importlib
 import math
 import warnings
 from dataclasses import replace
@@ -13,9 +14,10 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import exp1
 
+from secrecy_lab import algebra
 from secrecy_lab import esr as esr_module
 from secrecy_lab.algebra import TermSum
-from secrecy_lab.channel import SystemConfig, cdf_snr_eve_max, sf_snr_dest
+from secrecy_lab.channel import SystemConfig, cdf_snr_eve_max, pdf_snr_eve_max, sf_snr_dest
 from secrecy_lab.esr import (
     EsrResult,
     esr_asymptotic,
@@ -23,9 +25,11 @@ from secrecy_lab.esr import (
     esr_high_snr,
 )
 from secrecy_lab.oracles import quad_cdf_ratio, quad_esr
+
+# the package's `sop` attribute is the function, not the module
+sop_module = importlib.import_module("secrecy_lab.sop")
 from secrecy_lab.sop import (
     build_cdf_term_sum,
-    build_high_snr_term_sum,
     cdf_ratio,
     one_link_base,
     sop,
@@ -50,7 +54,12 @@ GOLDEN_RATE = 5.0294816453969297
 # checked within 1e-9 relative of its reference first: quad_esr for the
 # exact rate, and for the new high-SNR rate and asymptote the QUADPACK
 # integrals of their definitions from channel's CDFs (_quad_high_snr,
-# _quad_asymptote), which they met within 4e-15.
+# _quad_asymptote), which they met within 4e-15. The OS rows were re-pinned
+# when OS came to read the one-link term table, whose high-SNR rate drops
+# the destination unity alone: each exact rate checked within 9.7e-13 of
+# quad_esr first, each high-SNR rate within 9.7e-16 of _quad_os_high_snr,
+# and each asymptote within 6.8e-16 of the same QUADPACK integrals at
+# lambda_D = 1, S log2(lambda_D) + C from channel's functions alone.
 LADDER_LAMBDA_E = 10.0 ** 0.5
 PINNED_RATE_HEXES = {
     ((2, 2, 2, 2), 10.0, 2.0, "SS", "KA"): (
@@ -58,15 +67,15 @@ PINNED_RATE_HEXES = {
     ((2, 2, 2, 2), 10.0, 2.0, "SS", "KU"): (
         "0x1.e1ba7ab00dab0p+0", "0x1.d2ff4b70d2bccp+0", "0x1.cf97747823813p+0"),
     ((2, 2, 2, 2), 10.0, 2.0, "OS", "KA"): (
-        "0x1.0790fd8b3d37ep+1", "0x1.29db6f41c86afp+1", "0x1.26f9c8564f406p+1"),
+        "0x1.0790fd8b3d37fp+1", "0x1.fcce4c7c4ad21p+0", "0x1.f507b8556f996p+0"),
     ((2, 2, 2, 2), 10.0, 2.0, "OS", "KU"): (
-        "0x1.f8f109a2f6c8ap+0", "0x1.1d5a38c72f41ep+1", "0x1.1cad1a74221edp+1"),
+        "0x1.f8f109a2f6c8cp+0", "0x1.e899a09ad3b8ap+0", "0x1.e669cf267ecf6p+0"),
     ((3, 2, 2, 3), 100.0, LADDER_LAMBDA_E, "SS", "KA"): (
         "0x1.1cf3eb86526a8p+2", "0x1.1c8ef570e2fffp+2", "0x1.1c8b9b17efd25p+2"),
     ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KA"): (
-        "0x1.24ccc3dd98f65p+2", "0x1.2c426b2028e7fp+2", "0x1.2c4181b068863p+2"),
+        "0x1.24ccc3dd98f6cp+2", "0x1.247853e3f896bp+2", "0x1.247743631ad4ep+2"),
     ((2, 3, 3, 3), 100.0, LADDER_LAMBDA_E, "OS", "KU"): (
-        "0x1.1043ba11f2d52p+2", "0x1.1733e45e073f6p+2", "0x1.1733e40160159p+2"),
+        "0x1.1043ba11f2d56p+2", "0x1.0ffd2f92d5585p+2", "0x1.0ffd2f14c21fap+2"),
 }
 
 # SS esr_asymptotic at lambda_D = 1e4, lambda_E = 2, re-pinned when the
@@ -144,6 +153,34 @@ def _quad_asymptote(cfg):
         [cfg.lambda_E])
     return (slope * math.log(cfg.lambda_D) + above - below
             - slope * log_one_plus_y) / math.log(2.0)
+
+
+def _os_link_survival(cfg, x):
+    # E_Y[sf_D(x(1+Y))]: one always-on link's survival with the destination
+    # unity dropped, split where either factor turns
+    def f(y):
+        return (pdf_snr_eve_max(y, cfg.N, cfg.M_E, cfg.lambda_E)
+                * sf_snr_dest(x * (1.0 + y), cfg.M_D, cfg.lambda_D))
+    turns = [scale * 2.0 ** m for scale in (cfg.lambda_E, cfg.lambda_D / x) for m in range(-2, 6)]
+    edges = [0.0] + sorted(t for t in turns if t > 0.0) + [math.inf]
+    return math.fsum(quad(f, lo, hi, epsabs=1e-17, epsrel=1e-13, limit=200)[0]
+                     for lo, hi in zip(edges, edges[1:]))
+
+
+def _quad_os_high_snr(cfg):
+    """(1/ln 2) integral_0^inf [1 - (1 - zeta S(e^s))^K] ds of OS/KA from channel's
+    functions alone, S the one-link survival of X/(1+Y), split around its knee
+    s = ln(lambda_D/(1 + lambda_E)). S(e^s) < e^-2900 past x = e^8 lambda_D."""
+    def f(s):
+        return _one_minus_power(cfg.zeta * _os_link_survival(cfg, math.exp(s)), cfg.K)
+    knee = math.log(cfg.lambda_D / (1.0 + cfg.lambda_E))
+    edges = [0.0] + sorted({knee + m for m in (-3, -1, 0, 1, 2, 4) if knee + m > 0.0})
+    edges.append(max(edges[-1] + 1.0, math.log(cfg.lambda_D) + 8.0))
+    with warnings.catch_warnings():
+        # pieces where the survival has vanished cannot meet a relative tolerance
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return math.fsum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                         for lo, hi in zip(edges, edges[1:])) / math.log(2.0)
 
 
 @pytest.fixture(autouse=True)
@@ -298,6 +335,17 @@ class TestHighSnrRate:
             with pytest.raises(ArithmeticError, match=r"exceeds the bound .* = 4\.55"):
                 esr_exact(row)
 
+    def test_high_snr_rate_above_its_bound_raises_naming_the_row(self, monkeypatch):
+        # dropping the destination unity only lowers a rate, so the exact
+        # rate's bound holds for the high-SNR rate of every row too
+        cfg = _cfg(K=3, N=2, lambda_D=10.0, zeta=0.9, scheme="OS")
+        monkeypatch.setattr(esr_module, "_ka_rate", lambda cfg, form: (7.5, 9))
+        for row in (cfg, replace(cfg, knowledge="KU")):
+            with pytest.raises(ArithmeticError, match=r"high_snr rate of OS/KA K=3 N=2 M_D=2 "
+                               r"M_E=2 zeta=(0\.9|1) lambda_D=10 lambda_E=1: 7\.5 exceeds the "
+                               r"bound log2\(1 \+ K\*M_D\*lambda_D\) = 5\.93"):
+                esr_high_snr(row)
+
     def test_os_row_that_broke_both_backstops_reads_quadrature(self):
         # OS K = N = M = 3 at 10 dB: its K-fold terms summed to 2,278.7 bpcu
         # (exact) and -139,147.8 (high-SNR); the one-link integral reads
@@ -439,10 +487,12 @@ class TestScaleRatiosOutsideTheDoubleRange:
         assert not isinstance(info.value, ValueError)
         assert sop(cfg).value == 1.0  # the outage is still certified
 
-    def test_underflowed_pole_is_a_numeric_error_naming_its_ratio(self):
+    def test_overflowed_kernel_scale_is_a_numeric_error_naming_the_row(self):
         # the rates, about 1e-647 and far less, have no double; the
         # asymptote reads lambda_D through ln(lambda_D) alone, and its
-        # negative affine value reads 0
+        # negative affine value reads 0. The outage's kernel scale x/lambda_D
+        # overflows (its pole location underflowed once), and so does that of
+        # every OS rate at K >= 2
         cfg = _cfg(K=1, N=1, M_D=1, M_E=1, lambda_D=10.0 ** -323, lambda_E=10.0)
         for rate in (esr_exact, esr_high_snr):
             with pytest.raises(ArithmeticError, match=r"rate of SS/KA K=1 N=1 M_D=1 M_E=1 "
@@ -451,8 +501,14 @@ class TestScaleRatiosOutsideTheDoubleRange:
                 rate(cfg)
             assert not isinstance(info.value, ValueError)
         assert _quad_asymptote(cfg) < 0.0 and esr_asymptotic(cfg).value == 0.0
-        with pytest.raises(ArithmeticError, match="pole location"):
+        with pytest.raises(ArithmeticError, match=r"kernel scale k\*x/lambda_D \+ \(n\+1\)/lambda_E "
+                           r"= inf at x=2\.0, k=1, n=0 is outside the double range, in the "
+                           r"outage of K=1 N=1 M_D=1 M_E=1 zeta=1 lambda_D=9\.88131e-324"):
             sop(cfg)
+        for rate in (esr_exact, esr_high_snr):
+            with pytest.raises(ArithmeticError, match=r"rate of OS/KA K=2 N=1 .*lambda_D=9\.88131e"
+                               r"-324 lambda_E=10: the integrand leaves the double range"):
+                rate(replace(cfg, K=2, scheme="OS"))
 
 
 # SS rows against quad_esr: (K, N, M_D, M_E), zeta, lambda_D and lambda_E in
@@ -552,28 +608,34 @@ class TestClosedFormSs:
 
 class TestOrderFree:
     # every closed-form series is summed by math.fsum, so a value depends
-    # only on the multiset of its term values: reversing a term sum's terms
-    # and recipes keeps every bit of its CDF, and reversing a rate's
-    # closed-form terms every bit of the rate (a pairwise sum moved the last
-    # bits of both, on both configs)
+    # only on the multiset of its term values: reversing the outage table
+    # keeps every bit of the outage and of the OS rates, and reversing a
+    # rate's closed-form terms every bit of the rate (a pairwise sum moved
+    # the last bits of both)
     SS_3333 = _cfg(K=3, N=3, M_D=3, M_E=3, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
                    zeta=0.9)
     SS_CFG = _cfg(K=3, N=3, M_D=2, M_E=2, lambda_D=100.0, lambda_E=LADDER_LAMBDA_E,
                   zeta=0.9)
+    OS_CFG = replace(SS_CFG, scheme="OS")
 
-    @pytest.mark.parametrize("cfg", [SS_3333, SS_CFG], ids=["SS-3333", "SS"])
+    @pytest.mark.parametrize("cfg", [SS_3333, SS_CFG, OS_CFG], ids=["SS-3333", "SS", "OS"])
     def test_reversed_terms_keep_every_bit(self, cfg, monkeypatch):
-        term_sum = build_cdf_term_sum(cfg)
-        reversed_sum = TermSum(terms=term_sum.terms[::-1], recipes=term_sum.recipes[::-1],
-                               scales=term_sum.scales)
+        term_sum = build_cdf_term_sum(one_link_base(cfg) if cfg.scheme == "OS" else cfg)
+        reversed_sum = TermSum(term_sum.terms[::-1], term_sum.key)
         for x in (1.0, 2.0, 3.7):
             assert reversed_sum.eval(x).hex() == term_sum.eval(x).hex()
-        rates = (esr_exact, esr_high_snr, esr_asymptotic)
-        forward = [rate(cfg).value.hex() for rate in rates]
-        rate_terms = esr_module._rate_terms
+            assert (reversed_sum.survival(x, 0.0)[0].hex()
+                    == term_sum.survival(x, 0.0)[0].hex())
+        values = (lambda c: sop(c).value, lambda c: esr_exact(c).value,
+                  lambda c: esr_high_snr(c).value, lambda c: esr_asymptotic(c).value)
+        forward = [value(cfg).hex() for value in values]
+        rate_terms, term_table = esr_module._rate_terms, sop_module._term_table
         monkeypatch.setattr(esr_module, "_rate_terms", lambda *key: rate_terms(*key)[::-1])
+        monkeypatch.setattr(sop_module, "_term_table", lambda *shape: term_table(*shape)[::-1])
+        sop_module._term_sum_for_key.cache_clear()
         esr_module._ka_rate.cache_clear()
-        assert [rate(cfg).value.hex() for rate in rates] == forward
+        assert [value(cfg).hex() for value in values] == forward
+        sop_module._term_sum_for_key.cache_clear()
 
 
 # OS rows against the oracles: (K, N, M_D, M_E), zeta, lambda_D and lambda_E
@@ -621,13 +683,41 @@ class TestOneLinkOs:
                 assert value(os_).hex() == value(ss).hex()
 
     def test_term_count_is_the_one_link_sums(self):
+        # P_3(u) has 3 powers of u, split into i + 1 terms each, times the 1 +
+        # 3 eavesdropper terms of N = 2, M_E = 3; every rate reads that table
         cfg = _os_row((3, 2, 3, 3), 0.9, 20.0, 5.0)
         base = one_link_base(cfg)
         assert (base.K, base.zeta, base.knowledge) == (1, 1.0, "KA")
-        assert sop(cfg).term_count == len(build_cdf_term_sum(base).terms) == 40
-        assert esr_exact(cfg).term_count == 40
-        assert esr_exact(replace(cfg, knowledge="KU")).term_count == 40
-        assert esr_high_snr(cfg).term_count == len(build_high_snr_term_sum(base).terms)
+        assert sop(cfg).term_count == len(build_cdf_term_sum(base).terms) == 6 * 4
+        for rate in (esr_exact, esr_high_snr, esr_asymptotic):
+            assert rate(cfg).term_count == rate(replace(cfg, knowledge="KU")).term_count == 24
+
+    @pytest.mark.parametrize("N, M_D, M_E", [(1, 1, 1), (2, 3, 2), (3, 2, 4)])
+    def test_unity_dropped_survival_is_that_of_x_over_one_plus_y(self, N, M_D, M_E):
+        # u = 0 in t = x y + (x - u) drops the destination unity: the one-link
+        # survival of X/(1+Y) that the high-SNR rate reads, below x = 1 too
+        cfg = _cfg(K=1, N=N, M_D=M_D, M_E=M_E, lambda_D=50.0, lambda_E=2.0)
+        term_sum = build_cdf_term_sum(cfg)
+        for x in (0.01, 0.5, 1.0, 4.0, 30.0):
+            survival, bound = term_sum.survival(x, 0.0)
+            assert survival == pytest.approx(_os_link_survival(cfg, x), rel=1e-10)
+            assert 0.0 < bound < 1e-12
+
+    @pytest.mark.parametrize("shape, zeta, db_d, db_e", [
+        ((3, 3, 2, 2), 0.9, 20.0, 5.0), ((2, 3, 3, 3), 0.9, 20.0, 5.0),
+        ((3, 2, 2, 2), 0.9, 10.0, -30.0)])
+    def test_high_snr_rate_meets_the_channel_reference(self, shape, zeta, db_d, db_e):
+        # the destination unity dropped from the one-link ratio, as for SS
+        cfg = _os_row(shape, zeta, db_d, db_e)
+        assert esr_high_snr(cfg).value == pytest.approx(_quad_os_high_snr(cfg), rel=1e-9)
+
+    def test_high_snr_gap_shrinks_100_fold_per_20_db(self):
+        # dropping both unities left the gap near +0.19 here at every lambda_D
+        gaps = [esr_high_snr(cfg).value - esr_exact(cfg).value
+                for cfg in (_os_row((3, 3, 2, 2), 0.9, db_d, 5.0) for db_d in (20.0, 40.0, 60.0))]
+        assert gaps[0] < 0.0 and abs(gaps[0]) < 1e-2
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert 50.0 < wide / narrow < 200.0
 
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 3, 3), (4, 3, 3, 3)])
     def test_high_snr_rate_meets_its_asymptote(self, shape):
@@ -653,7 +743,7 @@ class TestOneLinkOs:
 
     def test_rounding_past_the_target_raises_naming_the_row(self, monkeypatch):
         # term values a million times noisier than doubles miss the target
-        monkeypatch.setattr(esr_module, "_EPS", 1e6 * esr_module._EPS)
+        monkeypatch.setattr(algebra, "_EPS", 1e6 * algebra._EPS)
         with pytest.raises(ArithmeticError, match=r"exact rate of OS/KA K=3 N=2 M_D=2 M_E=2 "
                            r"zeta=0\.9 .*rounding error of up to"):
             esr_exact(_os_row((3, 2, 2, 2), 0.9, 20.0, 5.0))

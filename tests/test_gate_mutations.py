@@ -20,7 +20,7 @@ from secrecy_lab import acceptance, esr, oracles
 # the package's `sop` attribute is the function, not the module
 sop = importlib.import_module("secrecy_lab.sop")
 
-_CLOSED_FORM_CACHES = (sop._term_sum_for_key, sop._ss_recipes, esr._log_stieltjes,
+_CLOSED_FORM_CACHES = (sop._term_sum_for_key, sop._term_table, esr._log_stieltjes,
                        esr._ka_rate, acceptance._sop_closed, acceptance._esr_closed)
 _OTHER_SCHEME = {"SS": "OS", "OS": "SS"}
 
@@ -55,16 +55,18 @@ def test_criterion_1_fails_when_the_ku_identity_squares_zeta(monkeypatch):
 
 def test_criterion_2_fails_when_the_link_cdf_drops_its_last_poisson_term(monkeypatch):
     # M_D paths summed as M_D - 1: the outage decays one order per link too slowly
-    dest_slots = sop._dest_slots
-    monkeypatch.setattr(sop, "_dest_slots", lambda M_D: dest_slots(max(1, M_D - 1)))
+    term_table = sop._term_table
+    monkeypatch.setattr(sop, "_term_table",
+                        lambda K, N, M_D, M_E: term_table(K, N, max(1, M_D - 1), M_E))
     _fails(acceptance.check_diversity_order)
 
 
 def test_criterion_3_fails_when_the_backhaul_gate_is_counted_twice(monkeypatch):
-    # zeta^(k+1) for zeta^k: still a CDF, 1 - zeta + zeta F, but the wrong one
-    def gated_twice(build):
-        return lambda *args: tuple(replace(r, zeta_pow=r.zeta_pow + 1) for r in build(*args))
-    monkeypatch.setattr(sop, "_ss_recipes", gated_twice(sop._ss_recipes))
+    # the term table read at zeta^2 for zeta, each link's gate counted twice:
+    # still a CDF, but the wrong one
+    term_sum = sop.TermSum
+    monkeypatch.setattr(sop, "TermSum",
+                        lambda terms, key: term_sum(terms, key[:-1] + (key[-1] ** 2,)))
     _fails(acceptance.check_sop_triple_oracle)
 
 
@@ -83,10 +85,10 @@ def test_criterion_3_fails_when_the_os_product_squares_zeta(monkeypatch):
 
 
 def test_criterion_3_fails_on_a_numeric_error_when_a_recipe_is_dropped(monkeypatch):
-    # an incomplete SS sum leaves the probability band, so the closed form
+    # an incomplete sum leaves the probability band, so the closed form
     # raises; the gate reports that as a FAIL and still runs every check
-    ss_recipes = sop._ss_recipes
-    monkeypatch.setattr(sop, "_ss_recipes", lambda *args: ss_recipes(*args)[1:])
+    term_table = sop._term_table
+    monkeypatch.setattr(sop, "_term_table", lambda *shape: term_table(*shape)[1:])
     results = acceptance.run_all(quick=True)
     assert len(results) == 9
     outage = results[2]
@@ -110,8 +112,8 @@ def test_criterion_4_fails_when_the_kernel_is_off_by_1e_5(monkeypatch):
 def test_criterion_4_fails_when_the_os_rate_integrand_is_off_by_1e_5(monkeypatch):
     os_integrand = esr._os_integrand
 
-    def scaled(terms, K, zeta):
-        integrand = os_integrand(terms, K, zeta)
+    def scaled(term_sum, K, zeta, unity):
+        integrand = os_integrand(term_sum, K, zeta, unity)
 
         def off(s):
             value, bound = integrand(s)

@@ -9,7 +9,7 @@ protocol.
 import hashlib
 import importlib
 import math
-from collections import Counter
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -18,9 +18,9 @@ import pytest
 from secrecy_lab import esr as esr_module
 from secrecy_lab.channel import SystemConfig
 from secrecy_lab.esr import esr_asymptotic, esr_exact, esr_high_snr
+from secrecy_lab.oracles import quad_cdf_ratio
 from secrecy_lab.sop import (
     build_cdf_term_sum,
-    build_high_snr_term_sum,
     cdf_ratio,
     diversity_order,
     one_link_base,
@@ -34,25 +34,26 @@ sop_module = importlib.import_module("secrecy_lab.sop")
 # quad_cdf_ratio(x=2) at K=2, N=2, M_D=M_E=2, lam_D=10, lam_E=1, zeta=1, SS/KA
 GOLDEN_RATIO_CDF = 0.030717715588085443
 
-# sha256 of repr((sorted reprs of the exact recipes, sorted reprs of the
-# unity-dropped recipes)) at zeta = 0.9: a digest of the two recipe
-# multisets, whatever order the builders emit them in. Recorded from the
-# builders that still sorted their recipes. KU reads these KA recipes through
-# F_KU = 1 - zeta + zeta * F_on, and OS over K >= 2 links reads the one-link
-# recipes through F_OS = (1 - zeta + zeta * F_1)^K, so their cells check that
-# the builders reject such a config.
-RECIPE_DIGESTS = {
+# sha256 of repr(sorted(rows)) of each shape's integer term table, a
+# digest of the row multiset whatever order the builder emits the rows in;
+# recorded when the outage came to be read from the table, after every SS
+# shape here and below was checked against quad_cdf_ratio at lambda_D =
+# 100, lambda_E = 3, zeta = 0.9 and x = 1, 2, 3.7 (at most 2.6e-9 relative
+# off it). KU reads the KA table through F_KU = 1 - zeta + zeta * F_on, and
+# OS over K >= 2 links reads the one-link table through F_OS = (1 - zeta +
+# zeta * F_1)^K, so their cells check that the builder rejects such a config.
+TABLE_DIGESTS = {
     ((2, 2, 2, 2), "SS", "KA"):
-        "4c53bd6b205dfa22a1f1ce912ef56a2010c28ce694b2875c07cc5cf6b8b3da1b",
+        "cf8173e739c0693a03f93a8313183f1e8aeecb93ca978e6a7d1ca9d0bb5ec59d",
     ((3, 3, 3, 3), "SS", "KA"):
-        "48b9f87cbb941119f2dc37a29b5daad111596b6b947f583e2a2ebedf398dc0ae",
+        "4a8fcd7b801e7365f4773c721049200bdd2fca733259f3c5c43de891e672afa4",
     ((4, 2, 3, 2), "SS", "KA"):
-        "885bc1cb9ebf9feeff15ab6f05ca3b11653954930f7ed1fc00d374045963a863",
+        "cf7ac6ed5e4ad6d58307ed72ade977ef7d983ca342f042905e2aa81a15681eed",
     ((4, 3, 3, 3), "SS", "KA"):
-        "52ef03c682954b41a095034c24b208a45c063de700c107a2553d4b715053fadc",
+        "11947c8f7f64daad4a24ac8d9f2d3c468de092edf94a87b6c77faec8f4f03695",
 }
 
-RECIPE_CELLS = sorted({(shape, scheme, knowledge) for shape, _, _ in RECIPE_DIGESTS
+TABLE_CELLS = sorted({(shape, scheme, knowledge) for shape, _, _ in TABLE_DIGESTS
                        for scheme in ("SS", "OS") for knowledge in ("KA", "KU")})
 
 # float.hex of (sop, cdf_ratio(3.0), esr_exact) and sop's term_count on KU
@@ -67,7 +68,13 @@ RECIPE_CELLS = sorted({(shape, scheme, knowledge) for shape, _, _ in RECIPE_DIGE
 # it, quad_esr for the rate; term_count became the one-link sum's size.
 # The SS esr_exact hexes were re-pinned when SS rates came to be closed-form
 # sums of the kernel integral_0^inf t^p e^(-at)/(1+t) dt, each checked
-# within 1e-9 relative of quad_esr first (at most 4.4e-12 off it).
+# within 1e-9 relative of quad_esr first (at most 4.4e-12 off it). Every
+# row at zeta > 0 was re-pinned when the outage came to be read from the
+# integer term table: each outage and cdf_ratio(3.0) checked first against
+# quad_cdf_ratio above 1e-6 (at most 1.3e-10 relative off it) and against a
+# 60-digit sum of the earlier exact recipes below it (at most 1.6e-16), each
+# OS esr_exact against quad_esr (at most 7.3e-14); term_count became the
+# table's size, and no SS esr_exact hex moved.
 KU_PINNED_HEXES = {
     ((2, 2, 2, 2), "SS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
@@ -76,23 +83,23 @@ KU_PINNED_HEXES = {
     ((2, 2, 2, 2), "SS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((2, 2, 2, 2), "SS", 0.5, 1.0): (
-        "0x1.fe639c672b582p-1", 42, "0x1.ffcc6b41cc3b8p-1", "0x1.136f10f41fb0fp-6"),
+        "0x1.fe639c672b581p-1", 27, "0x1.ffcc6b41cc3b8p-1", "0x1.136f10f41fb0fp-6"),
     ((2, 2, 2, 2), "SS", 0.5, 100.0): (
-        "0x1.0021c4fcb4760p-1", 42, "0x1.008ed0388da48p-1", "0x1.3669b10d3174ep+1"),
+        "0x1.0021c4fcb4765p-1", 27, "0x1.008ed0388da58p-1", "0x1.3669b10d3174ep+1"),
     ((2, 2, 2, 2), "SS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 42, "0x1.0000000000000p-1", "0x1.221769449d611p+3"),
+        "0x1.0000000000000p-1", 27, "0x1.0000000000000p-1", "0x1.221769449d611p+3"),
     ((2, 2, 2, 2), "SS", 0.9, 1.0): (
-        "0x1.fd19b3201ad1cp-1", 42, "0x1.ffa327766f9e4p-1", "0x1.efc7eb5105d82p-6"),
+        "0x1.fd19b3201ad1bp-1", 27, "0x1.ffa327766f9e4p-1", "0x1.efc7eb5105d82p-6"),
     ((2, 2, 2, 2), "SS", 0.9, 100.0): (
-        "0x1.9b7fe16a26a2ap-4", 42, "0x1.a1a21cc7f7a6ap-4", "0x1.175f1f58ac82dp+2"),
+        "0x1.9b7fe16a26a7ap-4", 27, "0x1.a1a21cc7f7b58p-4", "0x1.175f1f58ac82dp+2"),
     ((2, 2, 2, 2), "SS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 42, "0x1.9999999999998p-4", "0x1.051511f0f40a9p+4"),
+        "0x1.9999999999998p-4", 27, "0x1.9999999999998p-4", "0x1.051511f0f40a9p+4"),
     ((2, 2, 2, 2), "SS", 1.0, 1.0): (
-        "0x1.fcc738ce56b03p-1", 42, "0x1.ff98d6839876fp-1", "0x1.136f10f41fb0fp-5"),
+        "0x1.fcc738ce56b02p-1", 27, "0x1.ff98d6839876fp-1", "0x1.136f10f41fb0fp-5"),
     ((2, 2, 2, 2), "SS", 1.0, 100.0): (
-        "0x1.0e27e5a3afc00p-11", 42, "0x1.1da0711b48f00p-9", "0x1.3669b10d3174ep+2"),
+        "0x1.0e27e5a3b2800p-11", 27, "0x1.1da0711b4b000p-9", "0x1.3669b10d3174ep+2"),
     ((2, 2, 2, 2), "SS", 1.0, 1e6): (
-        "0x1.8669aeb982f10p-64", 42, "0x1.018ad10feb8d8p-61", "0x1.221769449d611p+4"),
+        "0x1.8669aeb982f10p-64", 27, "0x1.018ad10feb8d8p-61", "0x1.221769449d611p+4"),
     ((2, 2, 2, 2), "OS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((2, 2, 2, 2), "OS", 0.0, 100.0): (
@@ -100,23 +107,23 @@ KU_PINNED_HEXES = {
     ((2, 2, 2, 2), "OS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((2, 2, 2, 2), "OS", 0.5, 1.0): (
-        "0x1.fe4d87deff985p-1", 12, "0x1.ffcb43745abd6p-1", "0x1.2f6c09fc7f2cdp-6"),
+        "0x1.fe4d87deff985p-1", 9, "0x1.ffcb43745abd6p-1", "0x1.2f6c09fc7f2d0p-6"),
     ((2, 2, 2, 2), "OS", 0.5, 100.0): (
-        "0x1.0011280472c1bp-1", 12, "0x1.004dd4c791c83p-1", "0x1.3d9e6c4f030fap+1"),
+        "0x1.0011280472c1bp-1", 9, "0x1.004dd4c791c83p-1", "0x1.3d9e6c4f030f9p+1"),
     ((2, 2, 2, 2), "OS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 12, "0x1.0000000000000p-1", "0x1.23e1d96a00d38p+3"),
+        "0x1.0000000000000p-1", 9, "0x1.0000000000000p-1", "0x1.23e1d96a00d37p+3"),
     ((2, 2, 2, 2), "OS", 0.9, 1.0): (
-        "0x1.fcf1f49165abcp-1", 12, "0x1.ffa11304a354ep-1", "0x1.11146f633f41fp-5"),
+        "0x1.fcf1f49165abcp-1", 9, "0x1.ffa11304a354ep-1", "0x1.11146f633f422p-5"),
     ((2, 2, 2, 2), "OS", 0.9, 100.0): (
-        "0x1.9a90a6a6747e9p-4", 12, "0x1.9dfa5e6d000f9p-4", "0x1.1ddb617a4f8e1p+2"),
+        "0x1.9a90a6a6747e8p-4", 9, "0x1.9dfa5e6d000fdp-4", "0x1.1ddb617a4f8e0p+2"),
     ((2, 2, 2, 2), "OS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 12, "0x1.9999999999998p-4", "0x1.06b1aa129a57fp+4"),
+        "0x1.9999999999998p-4", 9, "0x1.9999999999998p-4", "0x1.06b1aa129a57ep+4"),
     ((2, 2, 2, 2), "OS", 1.0, 1.0): (
-        "0x1.fc9b0fbdff30ap-1", 12, "0x1.ff9686e8b57acp-1", "0x1.2f6c09fc7f2cdp-5"),
+        "0x1.fc9b0fbdff30ap-1", 9, "0x1.ff9686e8b57acp-1", "0x1.2f6c09fc7f2d0p-5"),
     ((2, 2, 2, 2), "OS", 1.0, 100.0): (
-        "0x1.1280472c1af4ep-12", 12, "0x1.37531e4720cc7p-10", "0x1.3d9e6c4f030fap+2"),
+        "0x1.1280472c1ae45p-12", 9, "0x1.37531e4720dbep-10", "0x1.3d9e6c4f030f9p+2"),
     ((2, 2, 2, 2), "OS", 1.0, 1e6): (
-        "0x1.5df94ea7517f1p-65", 12, "0x1.d6711bf1226ebp-63", "0x1.23e1d96a00d38p+4"),
+        "0x1.5df94ea7517f1p-65", 9, "0x1.d6711bf1226ebp-63", "0x1.23e1d96a00d37p+4"),
     ((3, 2, 2, 3), "SS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "SS", 0.0, 100.0): (
@@ -124,23 +131,23 @@ KU_PINNED_HEXES = {
     ((3, 2, 2, 3), "SS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "SS", 0.5, 1.0): (
-        "0x1.ffd492e2fad66p-1", 136, "0x1.fffd40106d0d2p-1", "0x1.d27a69fa10e9ap-9"),
+        "0x1.ffd492e2fad66p-1", 76, "0x1.fffd40106d0d2p-1", "0x1.d27a69fa10e9ap-9"),
     ((3, 2, 2, 3), "SS", 0.5, 100.0): (
-        "0x1.000611d0a9ce8p-1", 136, "0x1.002d6295527aep-1", "0x1.27968fd1557d1p+1"),
+        "0x1.000611d0a9cf3p-1", 76, "0x1.002d6295527f8p-1", "0x1.27968fd1557d1p+1"),
     ((3, 2, 2, 3), "SS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 136, "0x1.0000000000000p-1", "0x1.1e693010e0247p+3"),
+        "0x1.0000000000000p-1", 76, "0x1.0000000000000p-1", "0x1.1e693010e0247p+3"),
     ((3, 2, 2, 3), "SS", 0.9, 1.0): (
-        "0x1.ffb1d53229e84p-1", 136, "0x1.fffb0cea5de46p-1", "0x1.a3d49294426bep-8"),
+        "0x1.ffb1d53229e84p-1", 76, "0x1.fffb0cea5de46p-1", "0x1.a3d49294426bep-8"),
     ((3, 2, 2, 3), "SS", 0.9, 100.0): (
-        "0x1.99f100898d36ap-4", 136, "0x1.9c2725330a1c8p-4", "0x1.0a07816f99bd6p+2"),
+        "0x1.99f100898d410p-4", 76, "0x1.9c2725330a5f9p-4", "0x1.0a07816f99bd6p+2"),
     ((3, 2, 2, 3), "SS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 136, "0x1.9999999999998p-4", "0x1.01c511a8c9ba6p+4"),
+        "0x1.9999999999998p-4", 76, "0x1.9999999999998p-4", "0x1.01c511a8c9ba6p+4"),
     ((3, 2, 2, 3), "SS", 1.0, 1.0): (
-        "0x1.ffa925c5f5accp-1", 136, "0x1.fffa8020da1a3p-1", "0x1.d27a69fa10e9ap-8"),
+        "0x1.ffa925c5f5accp-1", 76, "0x1.fffa8020da1a3p-1", "0x1.d27a69fa10e9ap-8"),
     ((3, 2, 2, 3), "SS", 1.0, 100.0): (
-        "0x1.84742a739e000p-14", 136, "0x1.6b14aa93d7000p-11", "0x1.27968fd1557d1p+2"),
+        "0x1.84742a73cc000p-14", 76, "0x1.6b14aa93fc400p-11", "0x1.27968fd1557d1p+2"),
     ((3, 2, 2, 3), "SS", 1.0, 1e6): (
-        "0x1.459be07007641p-92", 136, "0x1.e2ad46cf0a78ap-89", "0x1.1e693010e0247p+4"),
+        "0x1.459be07007641p-92", 76, "0x1.e2ad46cf0a78ap-89", "0x1.1e693010e0247p+4"),
     ((3, 2, 2, 3), "OS", 0.0, 1.0): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "OS", 0.0, 100.0): (
@@ -148,23 +155,23 @@ KU_PINNED_HEXES = {
     ((3, 2, 2, 3), "OS", 0.0, 1e6): (
         "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0", "0x0.0p+0"),
     ((3, 2, 2, 3), "OS", 0.5, 1.0): (
-        "0x1.ffd2df758e00ap-1", 16, "0x1.fffd35a0949f2p-1", "0x1.ff0b0194b89b8p-9"),
+        "0x1.ffd2df758e00ap-1", 12, "0x1.fffd35a0949f2p-1", "0x1.ff0b0194b89b2p-9"),
     ((3, 2, 2, 3), "OS", 0.5, 100.0): (
-        "0x1.00019083186e8p-1", 16, "0x1.000ddee69e8bcp-1", "0x1.3050b839ab543p+1"),
+        "0x1.00019083186e8p-1", 12, "0x1.000ddee69e8bcp-1", "0x1.3050b839ab547p+1"),
     ((3, 2, 2, 3), "OS", 0.5, 1e6): (
-        "0x1.0000000000000p-1", 16, "0x1.0000000000000p-1", "0x1.2095249b2cb7cp+3"),
+        "0x1.0000000000000p-1", 12, "0x1.0000000000000p-1", "0x1.2095249b2cb7dp+3"),
     ((3, 2, 2, 3), "OS", 0.9, 1.0): (
-        "0x1.ffaec56d32ce0p-1", 16, "0x1.fffafa210b84dp-1", "0x1.cbf04e390c8bfp-8"),
+        "0x1.ffaec56d32ce0p-1", 12, "0x1.fffafa210b84dp-1", "0x1.cbf04e390c8bap-8"),
     ((3, 2, 2, 3), "OS", 0.9, 100.0): (
-        "0x1.99b020f95fd10p-4", 16, "0x1.9a61569284a8bp-4", "0x1.11e23f671a323p+2"),
+        "0x1.99b020f95fd10p-4", 12, "0x1.9a61569284a8dp-4", "0x1.11e23f671a326p+2"),
     ((3, 2, 2, 3), "OS", 0.9, 1e6): (
-        "0x1.9999999999998p-4", 16, "0x1.9999999999998p-4", "0x1.03b96dbedb723p+4"),
+        "0x1.9999999999998p-4", 12, "0x1.9999999999998p-4", "0x1.03b96dbedb724p+4"),
     ((3, 2, 2, 3), "OS", 1.0, 1.0): (
-        "0x1.ffa5beeb1c015p-1", 16, "0x1.fffa6b41293e4p-1", "0x1.ff0b0194b89b8p-8"),
+        "0x1.ffa5beeb1c015p-1", 12, "0x1.fffa6b41293e4p-1", "0x1.ff0b0194b89b2p-8"),
     ((3, 2, 2, 3), "OS", 1.0, 100.0): (
-        "0x1.9083186e857edp-16", 16, "0x1.bbdcd3d177055p-13", "0x1.3050b839ab543p+2"),
+        "0x1.9083186e85561p-16", 12, "0x1.bbdcd3d1774c4p-13", "0x1.3050b839ab547p+2"),
     ((3, 2, 2, 3), "OS", 1.0, 1e6): (
-        "0x1.d23ff98635a4dp-95", 16, "0x1.636bfa26ecde5p-91", "0x1.2095249b2cb7cp+4"),
+        "0x1.d23ff98635a4dp-95", 12, "0x1.636bfa26ecde5p-91", "0x1.2095249b2cb7dp+4"),
 }
 
 
@@ -230,62 +237,41 @@ class TestRatioCdf:
             assert -1e-9 <= ts.eval(x) <= 1.0 + 1e-9
 
 
-def _recipe_multisets(cfg):
-    """The exact and the unity-dropped recipes, each as its sorted reprs."""
-    return tuple(sorted(map(repr, build(cfg).recipes))
-                 for build in (build_cdf_term_sum, build_high_snr_term_sum))
+def _table_digest(terms):
+    return hashlib.sha256(repr(sorted(terms)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("shape, scheme, knowledge", RECIPE_CELLS)
-def test_recipes_pinned(shape, scheme, knowledge):
+@pytest.mark.parametrize("shape, scheme, knowledge", TABLE_CELLS)
+def test_tables_pinned(shape, scheme, knowledge):
     K, N, M_D, M_E = shape
     cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
                zeta=0.9, scheme=scheme, knowledge=knowledge)
     if knowledge == "KU" or scheme == "OS":
-        for build in (build_cdf_term_sum, build_high_snr_term_sum):
-            with pytest.raises(ValueError, match="F_KU" if knowledge == "KU" else "F_OS"):
-                build(cfg)
+        with pytest.raises(ValueError, match="F_KU" if knowledge == "KU" else "F_OS"):
+            build_cdf_term_sum(cfg)
         return
-    digest = hashlib.sha256(repr(_recipe_multisets(cfg)).encode()).hexdigest()
-    assert digest == RECIPE_DIGESTS[shape, scheme, knowledge]
+    assert _table_digest(build_cdf_term_sum(cfg).terms) == TABLE_DIGESTS[shape, scheme, knowledge]
 
 
-# sha256 over every small shape, one line repr(_recipe_multisets(cfg)) + "\n"
-# per (K, N, M_D, M_E) in product(range(1, 4), repeat=4), SS, at the
-# RECIPE_DIGESTS point; recorded over the SS lines alone from the builders
-# that still built OS recipes of their own, so it shows the SS recipes
-# unchanged since
-SMALL_SHAPES_DIGEST = "f202792089c5e4df504b7cba6138acccefb70383390615c88e7c19c23f3304b7"
+# sha256 over every small shape, one line repr(sorted(rows)) + "\n" per
+# (K, N, M_D, M_E) in product(range(1, 4), repeat=4), checked as
+# TABLE_DIGESTS is
+SMALL_SHAPES_DIGEST = "f03079d9abc05de6983a67b2b5269cc17a1eb12d6a22256ae309919ee36261fb"
 
 
-def test_recipes_pinned_on_every_small_shape():
+def test_tables_pinned_on_every_small_shape():
     digest = hashlib.sha256()
-    for K, N, M_D, M_E in product(range(1, 4), repeat=4):
-        cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
-                   zeta=0.9)
-        digest.update((repr(_recipe_multisets(cfg)) + "\n").encode())
+    for shape in product(range(1, 4), repeat=4):
+        digest.update((repr(sorted(sop_module._term_table(*shape))) + "\n").encode())
     assert digest.hexdigest() == SMALL_SHAPES_DIGEST
 
 
-def test_unity_dropped_recipes_are_the_scale_free_exact_ones():
-    # the products of the mu == m slots alone are the exact recipes whose
-    # lambda_D and lambda_E powers cancel, without the exponential; OS reads
-    # the K = 1 sums among these
-    for K, N, M_D, M_E in product(range(1, 4), repeat=4):
-        cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=100.0, lambda_E=3.0,
-                   zeta=0.9)
-        scale_free = Counter(replace(r, exp_k=0) for r in build_cdf_term_sum(cfg).recipes
-                             if r.lam_dest_pow + r.lam_eve_pow == 0)
-        assert Counter(build_high_snr_term_sum(cfg).recipes) == scale_free
-
-
 @pytest.mark.parametrize("scheme", ["SS", "OS"])
-def test_rates_of_one_shape_build_its_recipes_once(scheme):
-    # the unity-dropped recipes are filtered from the exact ones, so the
-    # high-SNR and asymptotic rates build nothing after the exact rate; OS
-    # builds the one-link recipes alone, whatever its scales. SS rates read
-    # terms of their own, so only the outage builds its recipes
-    build = sop_module._ss_recipes
+def test_rates_of_one_shape_build_its_table_once(scheme):
+    # every OS rate reads the one-link table, whatever its scales, and so
+    # does the outage; SS rates read terms of their own, so only the outage
+    # builds its table
+    build = sop_module._term_table
     build.cache_clear()
     esr_module._ka_rate.cache_clear()
     cfg = _cfg(K=2, N=3, M_D=3, M_E=2, lambda_D=123.0, lambda_E=7.0, zeta=0.8,
@@ -298,21 +284,19 @@ def test_rates_of_one_shape_build_its_recipes_once(scheme):
     assert build.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("build", [build_cdf_term_sum, build_high_snr_term_sum])
 @pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0])
-def test_builders_reject_gate_after_selection(build, zeta):
+def test_builder_rejects_gate_after_selection(zeta):
     # a KU config has no term sum of its own; the error names the identity
     with pytest.raises(ValueError, match=r"F_KU = 1 - zeta \+ zeta \* F_on"):
-        build(_cfg(zeta=zeta, knowledge="KU"))
+        build_cdf_term_sum(_cfg(zeta=zeta, knowledge="KU"))
 
 
-@pytest.mark.parametrize("build", [build_cdf_term_sum, build_high_snr_term_sum])
 @pytest.mark.parametrize("K", [2, 3])
-def test_builders_reject_os_over_several_links(build, K):
+def test_builder_rejects_os_over_several_links(K):
     # OS over K >= 2 links reads the one-link sum; the error names the identity
     with pytest.raises(ValueError, match=r"F_OS = \(1 - zeta \+ zeta \* F_1\)\^K"):
-        build(_cfg(K=K, zeta=0.9, scheme="OS"))
-    assert build(one_link_base(_cfg(K=K, zeta=0.9, scheme="OS"))).terms
+        build_cdf_term_sum(_cfg(K=K, zeta=0.9, scheme="OS"))
+    assert build_cdf_term_sum(one_link_base(_cfg(K=K, zeta=0.9, scheme="OS"))).terms
 
 
 @pytest.mark.parametrize("shape, scheme",
@@ -369,12 +353,46 @@ class TestSop:
     @pytest.mark.parametrize("knowledge", ["KA", "KU"])
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_destination_far_below_the_eavesdroppers(self, scheme, knowledge, K):
-        # lambda_D = -200 dB: at x = 1 every float term reads +-1 and the sum
-        # leaves the band (3.0 at K = 1); the exact recipes give the outage,
-        # 1 - O(1e-80), which rounds to 1
+        # lambda_D = -200 dB: the outage, 1 - O(1e-80), rounds to 1 (the
+        # pole-form float terms read +-1 each at x = 1 and left the band,
+        # 3.0 at K = 1)
         cfg = _cfg(K=K, lambda_D=1e-20, zeta=0.9, R_th=0.0, scheme=scheme,
                    knowledge=knowledge)
         assert sop(cfg).value == 1.0
+
+
+def _scan_rows(count: int = 60):
+    """(id, config) of a seeded sample across the shapes and scales the API accepts."""
+    rng = random.Random(30)
+    for index in range(count):
+        K, N, M_D, M_E = (rng.randint(1, 4) for _ in range(4))
+        db_d, db_e = rng.uniform(-10.0, 30.0), rng.uniform(-20.0, 15.0)
+        cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (db_d / 10.0),
+                   lambda_E=10.0 ** (db_e / 10.0), zeta=rng.choice((0.5, 0.9, 1.0)),
+                   R_th=rng.choice((0.0, 0.5, 1.0, 2.0)), scheme=rng.choice(("SS", "OS")),
+                   knowledge=rng.choice(("KA", "KU")))
+        yield f"{index}-{cfg.scheme}{cfg.knowledge}-{K}{N}{M_D}{M_E}-R{cfg.R_th:g}", cfg
+
+
+@pytest.mark.parametrize("cfg", [pytest.param(cfg, id=name) for name, cfg in _scan_rows()])
+def test_seeded_scan_meets_quadrature(cfg):
+    # R_th = 0 puts x at 1, where (x - 1)^(i - mu) leaves only the i = mu
+    # terms; below 1e-6 quadrature is the weaker side, and both are tiny
+    reference = quad_cdf_ratio(cfg.rho(), cfg)
+    value = sop(cfg).value
+    if reference > 1e-6:
+        assert value == pytest.approx(reference, rel=1e-8, abs=0.0)
+    else:
+        assert value == pytest.approx(reference, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam_d, lam_e", [(1e300, 1e-300), (1e200, 1e-120)])
+@pytest.mark.parametrize("K", [1, 2])
+def test_scale_ratio_past_the_double_range_reads_quadrature(K, lam_d, lam_e):
+    # lambda_D/lambda_E overflows a double, which raised while the outage had
+    # poles there; each kernel scale k x/lambda_D + (n+1)/lambda_E is finite
+    cfg = _cfg(K=K, lambda_D=lam_d, lambda_E=lam_e, zeta=0.9)
+    assert sop(cfg).value == pytest.approx(quad_cdf_ratio(cfg.rho(), cfg), rel=1e-9, abs=0.0)
 
 
 class TestAsymptoticFloor:

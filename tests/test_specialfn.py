@@ -4,6 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from secrecy_lab.acceptance import _LOG_GAMMA_RECURRENCE_C
+from secrecy_lab import specialfn
 from secrecy_lab.specialfn import exp_integral, log_upper_incomplete_gamma_int
 
 GAMMA_0_1 = 0.21938393439552027
@@ -90,3 +91,27 @@ class TestExpIntegral:
         with pytest.raises(ValueError):
             exp_integral(0, 2.0)
 
+
+@pytest.fixture
+def no_loops(monkeypatch):
+    # a non-finite x must raise before the series or the continued fraction
+    def loop(*args):
+        raise AssertionError("entered a loop")
+    monkeypatch.setattr(specialfn, "_exp_integral_cf", loop)
+    monkeypatch.setattr(specialfn, "_exp_integral_one_series", loop)
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+@pytest.mark.parametrize("s", [-3, 0, 2])
+def test_log_gamma_rejects_non_finite_x_naming_it(no_loops, s, x):
+    # an ArithmeticError, so that a rate's float pass falls through to mpmath
+    with pytest.raises(ArithmeticError, match=rf"x={x!r} is not finite") as info:
+        log_upper_incomplete_gamma_int(s, x)
+    assert not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+@pytest.mark.parametrize("n", [1, 4])
+def test_exp_integral_rejects_non_finite_x_naming_it(no_loops, n, x):
+    with pytest.raises(ArithmeticError, match=rf"x={x!r} is not finite"):
+        exp_integral(n, x)
