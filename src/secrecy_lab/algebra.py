@@ -1,4 +1,5 @@
-"""Combinatorial machinery behind the closed forms, and their term-sum carrier.
+"""Combinatorial machinery behind the closed forms, their term-sum carrier,
+and the certified sum that every closed form returns through.
 
 Every closed form reads the exact integer coefficients of the Poisson
 powers P_M(u)^k, P_M(u) = sum_{j<M} u^j/j! (poisson_powers, built by the
@@ -6,14 +7,13 @@ expansion of a K-th power of a term sum into a flat merged term list):
 the outage term table of sop and the rate terms of esr.
 
 ``TermSum`` carries one KA config's outage: its integer term table, read
-in floats through log-domain terms, with one fallback for cancellation.
-The deep tail of the outage CDF is ~1e-20 while individual terms are O(1),
-which no double-precision summation can resolve, so a cancelling sum is
-redone from the same integers in arbitrary precision up the precision
-ladder (_MP_DPS_LADDER, which the rates' mpmath pass climbs too). When even
-the deepest rung cannot lift the sum clear of its rounding floor,
-evaluation raises ArithmeticError instead of returning an uncertified
-float.
+in floats through log-domain terms. The deep tail of the outage CDF is
+~1e-20 while individual terms are O(1), which no double-precision
+summation can resolve. So every outage and SS rate is certified: the
+float sum stands when its rounding estimate is within TARGET of it, else
+the same integers are re-summed in mpmath up _MP_DPS_LADDER, and a sum
+that cancels below the deepest rung, or has no double, raises
+ArithmeticError naming the row (certify).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 
 EXPANSION_TERM_CAP = 10_000_000
 
+TARGET = 1e-9  # relative target of every certified closed-form value
 _MP_DPS_LADDER = (60, 120, 240, 480)
 _EPS = 2.0 ** -52
 
@@ -98,6 +99,39 @@ def poisson_powers(M: int, top: int) -> tuple:
                  for k, power in enumerate(powers))
 
 
+def certify(total: float, bound: float, mp_terms, what: str) -> float:
+    """A sum certified to TARGET relative, or ArithmeticError naming `what`.
+
+    total is the float sum and bound the caller's estimate of its rounding
+    error; the total stands when the bound is within TARGET of it (a NaN
+    total or an infinite bound never does). Otherwise mp_terms(mpmath)
+    lists the same term values in mpmath, re-summed up the precision ladder.
+    """
+    if bound <= TARGET * abs(total) < math.inf:
+        return total
+    return _certify_mp(mp_terms, what)
+
+
+def _certify_mp(mp_terms, what: str) -> float:
+    # mpmath loads on the first escalation only; most processes make none
+    import mpmath
+
+    for dps in _MP_DPS_LADDER:
+        with mpmath.workdps(dps):
+            values = mp_terms(mpmath)
+            total, gross = mpmath.fsum(values), mpmath.fsum(values, absolute=True)
+            # each term holds all but a few of its dps digits
+            if gross * mpmath.mpf(10) ** (4 - dps) <= TARGET * abs(total):
+                value = float(total)
+                if not 0.0 < abs(value) < math.inf:
+                    power = mpmath.nstr(mpmath.log10(abs(total)), 6)
+                    raise ArithmeticError(f"{what} is about 10^{power}, outside the double range")
+                return value
+    raise ArithmeticError(
+        f"{what}: its terms cancel below the {dps}-digit rounding floor (|sum| "
+        f"{mpmath.nstr(abs(total), 3)}, gross {mpmath.nstr(gross, 3)}); no certified value")
+
+
 class TermSum:
     """The outage of one KA config: F(x) = 1 - S(x) with S(x) = E_Y[S_X(x(1+Y) - u)].
 
@@ -166,40 +200,27 @@ class TermSum:
         return math.fsum(values), 4.0 * _EPS * weight
 
     def eval(self, x: float) -> float:
-        """F(x) = 1 - S(x), or the same integers re-summed in mpmath when that cancels.
+        """F(x) = 1 - S(x) through certify, whose float rounding estimate is
+        4 eps times the gross 1 + sum |v|.
 
         math.fsum rounds the sum of the term values exactly, so the total
         depends on the values alone, not on the order of the terms.
         """
         values, _weight = self._values(x, 1.0)
         total = 1.0 - math.fsum(values)
-        if values:
-            gross = math.fsum(map(abs, values)) + 1.0
-            # a total off the probability band has lost its digits to the
-            # cancellation as well
-            if abs(total) < 1e-9 * gross or not -1e-9 <= total <= 1.0 + 1e-9:
-                total = self._eval_mp(x)
-        return total
+        # a total off the probability band has lost its digits to the
+        # cancellation as well
+        bound = (4.0 * _EPS * (1.0 + math.fsum(map(abs, values)))
+                 if -1e-9 <= total <= 1.0 + 1e-9 else math.inf)
+        return certify(total, bound, lambda mpmath: self._mp_terms(mpmath, x),
+                       f"term sum at x={x!r}{self._where()}")
 
-    def _eval_mp(self, x: float) -> float:
-        # mpmath loads on the first fallback only; most processes make none
-        import mpmath
-
-        for dps in _MP_DPS_LADDER:
-            with mpmath.workdps(dps):
-                lam_d, lam_e, zeta, xx = map(mpmath.mpf, self.key[4:] + (x,))
-                w = xx - 1
-                kernels = {(k, n): k * xx / lam_d + (n + 1) / lam_e for k, n in self._kernels}
-                values = [mpmath.mpf(c) / den * zeta ** k * lam_d ** -i * lam_e ** (mu - theta)
-                          * xx ** mu * w ** (i - mu) * mpmath.exp(-k * w / lam_d)
-                          / kernels[k, n] ** theta
-                          for c, den, k, n, i, mu, theta in self.terms]
-                total = 1 - mpmath.fsum(values)
-                gross = 1 + mpmath.fsum(values, absolute=True)
-                # enough headroom left between the result and the rounding floor?
-                if abs(total) > gross * mpmath.mpf(10) ** (15 - dps):
-                    return float(total)
-        raise ArithmeticError(
-            f"term sum at x={x!r} cancels below the {dps}-digit rounding floor "
-            f"(|sum| {mpmath.nstr(abs(total), 3)}, gross {mpmath.nstr(gross, 3)}); "
-            "no certified value")
+    def _mp_terms(self, mpmath, x: float) -> list:
+        """1 and the negated term values at x, in mpmath."""
+        lam_d, lam_e, zeta, xx = map(mpmath.mpf, self.key[4:] + (x,))
+        w = xx - 1
+        kernels = {(k, n): k * xx / lam_d + (n + 1) / lam_e for k, n in self._kernels}
+        return [1] + [-(mpmath.mpf(c) / den * zeta ** k * lam_d ** -i * lam_e ** (mu - theta)
+                        * xx ** mu * w ** (i - mu) * mpmath.exp(-k * w / lam_d)
+                        / kernels[k, n] ** theta)
+                      for c, den, k, n, i, mu, theta in self.terms]

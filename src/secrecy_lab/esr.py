@@ -10,11 +10,10 @@ so each product term integrates to one positive kernel,
 integral_0^inf t^p e^(-at)/(1+t) dt = p! e^a Gamma(-p, a): no poles, no
 partial fractions. The terms' exact integer coefficients are built once per
 shape from algebra.poisson_powers (_rate_terms), and term_count is their
-number. A row's float sum stands when its rounding bound is within _TARGET
-of it; otherwise the same integers are re-summed in mpmath (loaded then
-only) up the precision ladder, and a sum that cancels below the last rung,
-or whose certified value has no double, raises ArithmeticError naming the
-row.
+number. A row's sum goes through algebra.certify with its float rounding
+bound, 4 eps times each value's weight: it stands in floats within TARGET,
+is re-summed from the same integers in mpmath, or raises ArithmeticError
+naming the row.
 
 Every high-SNR rate drops the destination unity only. Here that is
 E[(log2 X - log2(1+Y))^+] = (1/ln 2) integral_0^inf F_Y(u) (1 - F_X(1+u)) /
@@ -29,7 +28,7 @@ links are i.i.d., so each rate is the certified 1-D integral
 survival S_1 that the outage reads (sop.one_link_base), exact or with the
 destination unity dropped, and the asymptote the high-SNR rate's affine
 limit, (S ln lambda_D + C)/ln 2. Its exp-sinh levels and the rounding that
-the node sums carry must meet _TARGET, or the rate raises ArithmeticError
+the node sums carry must meet TARGET, or the rate raises ArithmeticError
 naming the row. Every KA rate is memoized per config and form, so a KU row,
 zeta times the rate of its always-on row (sop.gated_base), reads it; every
 rate shares zeta = 0 and the backstops.
@@ -43,14 +42,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import _EPS, _MP_DPS_LADDER, poisson_powers
+from .algebra import _EPS, TARGET, certify, poisson_powers
 from .channel import SystemConfig
-from .sop import build_cdf_term_sum, gated_base, one_link_base
+from .sop import build_cdf_term_sum, gated_base, one_link_base, row_label
 from .specialfn import EULER_GAMMA, log_upper_incomplete_gamma_int
 
 _LN2 = math.log(2.0)
 _HALF_PI = math.pi / 2.0
-_TARGET = 1e-9  # relative target of every certified rate
 _FINEST_STEP = 2.0 ** -9
 
 _FORM_EXACT = "exact"
@@ -121,44 +119,15 @@ def _float_sum(terms, cfg: SystemConfig, shift: float) -> tuple[float, float]:
     return math.fsum(values), 4.0 * _EPS * weight
 
 
-def _mp_sum(terms, cfg: SystemConfig, high_snr: bool, what: str) -> float:
-    # mpmath loads on the first fallback only; most processes make none
-    import mpmath
-
-    for dps in _MP_DPS_LADDER:
-        with mpmath.workdps(dps):
-            lam_d, lam_e, zeta = map(mpmath.mpf, (cfg.lambda_D, cfg.lambda_E, cfg.zeta))
-            kernels, values = {}, []
-            for _log_c, _sign, c, den, k, n, i, j, p in terms:
-                kernel = kernels.get((k, n, p))
-                if kernel is None:
-                    a = k / lam_d + n / lam_e
-                    kernel = kernels[k, n, p] = (math.factorial(p) * mpmath.exp(a)
-                                                 * mpmath.gammainc(-p, a))
-                value = (mpmath.mpf(c) / den * zeta ** k
-                         * lam_d ** -i * lam_e ** -j * kernel)
-                values.append(value * mpmath.exp(-k / lam_d) if high_snr else value)
-            total, gross = mpmath.fsum(values), mpmath.fsum(values, absolute=True)
-            # each term holds all but a few of its dps digits
-            if gross * mpmath.mpf(10) ** (4 - dps) <= _TARGET * abs(total):
-                value = float(total)
-                if not 0.0 < abs(value) < math.inf:
-                    power = mpmath.nstr(mpmath.log10(abs(total)), 6)
-                    raise ArithmeticError(f"{what} is about 10^{power}, outside the double range")
-                return value
-    raise ArithmeticError(
-        f"{what}: its terms cancel below the {dps}-digit rounding floor (|sum| "
-        f"{mpmath.nstr(abs(total), 3)}, gross {mpmath.nstr(gross, 3)}); no certified value")
-
-
-def _certified_sum(terms, cfg: SystemConfig, high_snr: bool, what: str) -> float:
-    try:
-        total, bound = _float_sum(terms, cfg, 1.0 / cfg.lambda_D if high_snr else 0.0)
-        if bound <= _TARGET * abs(total):
-            return total
-    except ArithmeticError:  # a kernel or a term value outside the double range
-        pass
-    return _mp_sum(terms, cfg, high_snr, what)
+def _mp_terms(mpmath, terms, cfg: SystemConfig, high_snr: bool) -> list:
+    """The term values of _float_sum in mpmath, each kernel computed once."""
+    lam_d, lam_e, zeta = map(mpmath.mpf, (cfg.lambda_D, cfg.lambda_E, cfg.zeta))
+    kernels = {(k, n, p): math.factorial(p) * mpmath.exp(k / lam_d + n / lam_e)
+               * mpmath.gammainc(-p, k / lam_d + n / lam_e)
+               for k, n, p in {(k, n, p) for *_head, k, n, _i, _j, p in terms}}
+    return [mpmath.mpf(c) / den * zeta ** k * lam_d ** -i * lam_e ** -j * kernels[k, n, p]
+            * (mpmath.exp(-k / lam_d) if high_snr else 1)
+            for _log_c, _sign, c, den, k, n, i, j, p in terms]
 
 
 def _mean_log_gain(K: int, M_D: int, zeta: float) -> float:
@@ -173,20 +142,19 @@ def _mean_log_gain(K: int, M_D: int, zeta: float) -> float:
 
 def _closed_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
     """(rate, term count) of a KA row whose X and Y are independent."""
-    what = _row(cfg, form)
     terms = _rate_terms(cfg.K, cfg.N, cfg.M_D, cfg.M_E, form)
+    high_snr = form == _FORM_HIGH_SNR
+    try:
+        total, bound = _float_sum(terms, cfg, 1.0 / cfg.lambda_D if high_snr else 0.0)
+    except ArithmeticError:  # a kernel or a term value outside the double range
+        total, bound = math.nan, math.inf
+    value = certify(total, bound, lambda mpmath: _mp_terms(mpmath, terms, cfg, high_snr),
+                    row_label(cfg, f"{form} rate"))
     if form != _FORM_ASYMPTOTIC:
-        return _certified_sum(terms, cfg, form == _FORM_HIGH_SNR, what) / _LN2, len(terms)
+        return value / _LN2, len(terms)
     slope = 1.0 - (1.0 - cfg.zeta) ** cfg.K
-    value = (slope * (math.log(cfg.lambda_D) - _certified_sum(terms, cfg, False, what))
-             + _mean_log_gain(cfg.K, cfg.M_D, cfg.zeta))
+    value = slope * (math.log(cfg.lambda_D) - value) + _mean_log_gain(cfg.K, cfg.M_D, cfg.zeta)
     return value / _LN2, len(terms) + cfg.K
-
-
-def _row(cfg: SystemConfig, form: str) -> str:
-    return (f"{form} rate of {cfg.scheme}/KA K={cfg.K} N={cfg.N} M_D={cfg.M_D} "
-            f"M_E={cfg.M_E} zeta={cfg.zeta:g} lambda_D={cfg.lambda_D:g} "
-            f"lambda_E={cfg.lambda_E:g}")
 
 
 @lru_cache(maxsize=1024)
@@ -210,7 +178,7 @@ def _rate(cfg: SystemConfig, form: str) -> EsrResult:
         # a rate is never negative; the asymptote is affine in ln(lambda_D)
         # and legitimately negative at low lambda_D, so only it is clamped
         raise ArithmeticError(
-            f"{form} rate term sum is negative ({value!r}) over "
+            f"{row_label(cfg, f'{form} rate')}: its term sum is negative ({value!r}) over "
             f"{count} terms: cancellation exceeded double precision")
     # no secrecy rate exceeds E[log2(1 + gamma_D,sel)], at most log2(1 + K M_D
     # lambda_D) since gamma_D,sel <= sum_k gamma_D,k and by Jensen; dropping
@@ -218,9 +186,9 @@ def _rate(cfg: SystemConfig, form: str) -> EsrResult:
     bound = math.log2(1.0 + cfg.K * cfg.M_D * cfg.lambda_D)
     if form != _FORM_ASYMPTOTIC and value > bound:
         raise ArithmeticError(
-            f"{_row(cfg, form)}: {value!r} exceeds the bound log2(1 + K*M_D*lambda_D)"
-            f" = {bound!r} over {count} terms: cancellation exceeded"
-            " double precision")
+            f"{row_label(cfg, f'{form} rate')}: {value!r} exceeds the bound log2(1 + "
+            f"K*M_D*lambda_D) = {bound!r} over {count} terms: cancellation exceeded "
+            "double precision")
     return EsrResult(value=max(0.0, value), form=form, term_count=count)
 
 
@@ -236,7 +204,7 @@ def _one_link_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
     if form == _FORM_ASYMPTOTIC:
         base = replace(base, lambda_D=1.0)
     term_sum = build_cdf_term_sum(base)
-    what = _row(cfg, form)
+    what = row_label(cfg, f"{form} rate")
     integrand = _os_integrand(term_sum, cfg.K, cfg.zeta, 1.0 if form == _FORM_EXACT else 0.0)
     value = _exp_sinh(integrand, what)
     if form == _FORM_ASYMPTOTIC:
@@ -269,14 +237,14 @@ def _os_integrand(term_sum, K: int, zeta: float, unity: float):
 
 
 def _exp_sinh(f, what: str) -> float:
-    """integral_0^inf f(u) du to _TARGET, or ArithmeticError naming `what`.
+    """integral_0^inf f(u) du to TARGET, or ArithmeticError naming `what`.
 
     f(u) returns (value, rounding bound). The trapezoid rule in t on u =
     exp(pi/2 sinh t) halves its step h, each level adding odd nodes, until
     two levels agree. Each side of t = 0 stops at a weighted value below
-    1e-6 _TARGET of the sum, or, towards u = inf where f decays like e^-u
+    1e-6 TARGET of the sum, or, towards u = inf where f decays like e^-u
     or faster, at a value below its bound; the rounding, h * sum of w *
-    bound plus that tail, must meet _TARGET too.
+    bound plus that tail, must meet TARGET too.
     """
     weighted, bounds, total, tail = [], [], 0.0, 0.0
     h, first, step, estimate = 0.5, 0, 1, None
@@ -295,11 +263,11 @@ def _exp_sinh(f, what: str) -> float:
                     if side > 0 and abs(value) <= bound:
                         tail = max(tail, abs(value) + bound)
                         break
-                    if abs(w * value) <= 1e-6 * _TARGET * abs(total):
+                    if abs(w * value) <= 1e-6 * TARGET * abs(total):
                         break
                     k += step
             previous, estimate = estimate, h * math.fsum(weighted)
-            if previous is not None and abs(estimate - previous) <= _TARGET * abs(estimate):
+            if previous is not None and abs(estimate - previous) <= TARGET * abs(estimate):
                 break
             if h <= _FINEST_STEP:
                 raise ArithmeticError(f"{what}: the exp-sinh levels still differ by "
@@ -308,7 +276,7 @@ def _exp_sinh(f, what: str) -> float:
     except OverflowError as exc:
         raise ArithmeticError(f"{what}: the integrand leaves the double range") from exc
     rounding = h * math.fsum(bounds) + tail
-    if rounding > _TARGET * abs(estimate):
+    if rounding > TARGET * abs(estimate):
         raise ArithmeticError(f"{what}: the node sums carry a rounding error of up to "
                               f"{rounding:.3e} into the integral {estimate!r}")
     return estimate

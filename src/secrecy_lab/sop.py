@@ -5,7 +5,7 @@ A KA config's outage is F(x) = P((1+X)/(1+Y) <= x) = 1 - E_Y[S_X(x(1+Y) -
 SNR. Both S_X (SS: the max over K gated links; at K = 1 one link, either
 scheme) and the density of Y are finite sums of Poisson powers, so one
 integer term table per shape (K, N, M_D, M_E) carries it (_term_table), and
-algebra.TermSum reads it in floats or, where that cancels, in mpmath. The
+algebra.TermSum reads it, certified by algebra.certify. The
 same table with the destination unity dropped, E_Y[S_X(x(1+Y))], is the
 survival that esr reads for the OS high-SNR rate. Other values use
 identities:
@@ -89,6 +89,13 @@ def one_link_base(cfg: SystemConfig) -> SystemConfig:
     return replace(cfg, K=1, zeta=1.0 if cfg.zeta > 0.0 else 0.0, knowledge="KA")
 
 
+def row_label(cfg: SystemConfig, value: str) -> str:
+    """Names cfg's row in an error: `value` of scheme/knowledge and every parameter."""
+    return (f"{value} of {cfg.scheme}/{cfg.knowledge} K={cfg.K} N={cfg.N} M_D={cfg.M_D} "
+            f"M_E={cfg.M_E} zeta={cfg.zeta:g} lambda_D={cfg.lambda_D:g} "
+            f"lambda_E={cfg.lambda_E:g}")
+
+
 def _config_key(cfg: SystemConfig) -> tuple:
     if cfg.knowledge == "KU":
         raise ValueError(
@@ -126,8 +133,12 @@ def cdf_ratio(x: float, cfg: SystemConfig) -> float:
         base = cdf_ratio(x, gated_base(cfg))
         return min(1.0, 1.0 - cfg.zeta + cfg.zeta * base)
     if cfg.scheme == "OS" and cfg.K > 1:
-        link = cdf_ratio(x, one_link_base(cfg))
-        return min(1.0, (1.0 - cfg.zeta + cfg.zeta * link) ** cfg.K)
+        base = 1.0 - cfg.zeta + cfg.zeta * cdf_ratio(x, one_link_base(cfg))
+        value = base ** cfg.K
+        if value == 0.0 < base:  # as algebra.certify, a positive value needs a double
+            raise ArithmeticError(f"{row_label(cfg, 'outage')} at x={x!r} is about 10^"
+                                  f"{cfg.K * math.log10(base):.6g}, outside the double range")
+        return min(1.0, value)
     value = build_cdf_term_sum(cfg).eval(x)
     if not (-1e-9 <= value <= 1.0 + 1e-9):
         raise ArithmeticError(

@@ -316,8 +316,11 @@ class TestHighSnrRate:
         assert _quad_asymptote(cfg) < 0.0 and esr_asymptotic(cfg).value == 0.0
         # the backstop: a negative sum raises instead of clamping to 0
         monkeypatch.setattr(esr_module, "_ka_rate", lambda cfg, form: (-5.1e-15, 48))
-        for row in (cfg, replace(cfg, knowledge="KU")):
-            with pytest.raises(ArithmeticError, match="negative"):
+        for row, zeta in ((cfg, "0.9"), (replace(cfg, knowledge="KU"), "1")):
+            # a KU row reads its always-on row, which the error names
+            with pytest.raises(ArithmeticError, match=rf"^high_snr rate of SS/KA K=4 N=3 M_D=1 "
+                               rf"M_E=4 zeta={zeta} lambda_D=0\.199526 lambda_E=10: its term sum "
+                               rf"is negative \(-5\.1e-15\) over 48 terms"):
                 esr_high_snr(row)
         assert esr_asymptotic(cfg).value == 0.0
 
@@ -544,8 +547,9 @@ class TestClosedFormSs:
         # K = N = M = 4 at (0, 15) dB: the float terms cancel by 3.5e15 and
         # read 3.8e-14; quadrature is the weaker side this far down
         calls = []
-        mp_sum = esr_module._mp_sum
-        monkeypatch.setattr(esr_module, "_mp_sum", lambda *args: calls.append(args) or mp_sum(*args))
+        certify_mp = algebra._certify_mp
+        monkeypatch.setattr(algebra, "_certify_mp",
+                            lambda *args: calls.append(args) or certify_mp(*args))
         cfg = _ss_row((4, 4, 4, 4), 0.5, 0.0, 15.0)
         assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), rel=1e-6, abs=0.0)
         assert len(calls) == 1
@@ -553,7 +557,7 @@ class TestClosedFormSs:
     def test_rows_that_stay_in_floats_call_no_mpmath(self, monkeypatch):
         def no_mpmath(*args):
             raise AssertionError("escalated")
-        monkeypatch.setattr(esr_module, "_mp_sum", no_mpmath)
+        monkeypatch.setattr(algebra, "_certify_mp", no_mpmath)
         for shape, zeta, db_d, db_e in SS_ORACLE_ROWS:
             for rate in (esr_exact, esr_high_snr, esr_asymptotic):
                 assert rate(_ss_row(shape, zeta, db_d, db_e)).value > 0.0

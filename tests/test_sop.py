@@ -13,6 +13,7 @@ import random
 from dataclasses import replace
 from itertools import product
 
+import mpmath
 import pytest
 
 from secrecy_lab import esr as esr_module
@@ -23,6 +24,7 @@ from secrecy_lab.sop import (
     build_cdf_term_sum,
     cdf_ratio,
     diversity_order,
+    gated_base,
     one_link_base,
     sop,
     sop_asymptotic,
@@ -374,6 +376,26 @@ def _scan_rows(count: int = 60):
         yield f"{index}-{cfg.scheme}{cfg.knowledge}-{K}{N}{M_D}{M_E}-R{cfg.R_th:g}", cfg
 
 
+def _resum(x: float, cfg: SystemConfig):
+    """The outage at x in 60 digits: 1 minus the base table's rows, each
+    c/den zeta^k lambda_D^-i lambda_E^(mu-theta) x^mu (x-1)^(i-mu)
+    e^(-k(x-1)/lambda_D) / (k x/lambda_D + (n+1)/lambda_E)^theta, mapped
+    through F_KU = 1 - zeta + zeta F_on and F_OS = (1 - zeta + zeta F_1)^K."""
+    with mpmath.workdps(60):
+        zeta = mpmath.mpf(cfg.zeta)
+        if cfg.knowledge == "KU":
+            return 1 - zeta + zeta * _resum(x, gated_base(cfg))
+        if cfg.scheme == "OS" and cfg.K > 1:
+            return (1 - zeta + zeta * _resum(x, one_link_base(cfg))) ** cfg.K
+        lam_d, lam_e, x = mpmath.mpf(cfg.lambda_D), mpmath.mpf(cfg.lambda_E), mpmath.mpf(x)
+        rows = sop_module._term_table(cfg.K, cfg.N, cfg.M_D, cfg.M_E) if cfg.zeta else ()
+        return 1 - mpmath.fsum(
+            mpmath.mpf(c) / den * zeta ** k * lam_d ** -i * lam_e ** (mu - theta) * x ** mu
+            * (x - 1) ** (i - mu) * mpmath.exp(-k * (x - 1) / lam_d)
+            / (k * x / lam_d + (n + 1) / lam_e) ** theta
+            for c, den, k, n, i, mu, theta in rows)
+
+
 @pytest.mark.parametrize("cfg", [pytest.param(cfg, id=name) for name, cfg in _scan_rows()])
 def test_seeded_scan_meets_quadrature(cfg):
     # R_th = 0 puts x at 1, where (x - 1)^(i - mu) leaves only the i = mu
@@ -384,6 +406,48 @@ def test_seeded_scan_meets_quadrature(cfg):
         assert value == pytest.approx(reference, rel=1e-8, abs=0.0)
     else:
         assert value == pytest.approx(reference, rel=0.0, abs=1e-12)
+    # the second referee holds every row, the deep tail too, to the
+    # certified sum's relative target
+    assert value == pytest.approx(float(_resum(cfg.rho(), cfg)), rel=1e-9, abs=0.0)
+
+
+def test_float_sums_that_miss_the_target_escalate():
+    # SS K=3 N=2 M_D=1 M_E=4 at (20.0, -19.1) dB, zeta = 1, R_th = 0.5: the
+    # worst of 400 SS/KA outages drawn from random.Random(6) (K, N, M_D, M_E
+    # by randint(1, 4), lambda_D uniform in [0, 40] dB, lambda_E in [-20, 15]
+    # dB, zeta and R_th by choice). Its terms cancel by 1.7e8, and the float
+    # sum read 1.13e-7 relative off; its rounding estimate misses the target
+    rng = random.Random(6)
+    for _index in range(153):
+        K, N, M_D, M_E = (rng.randint(1, 4) for _ in range(4))
+        db_d, db_e = rng.uniform(0.0, 40.0), rng.uniform(-20.0, 15.0)
+        zeta, R_th = rng.choice((0.5, 0.9, 1.0)), rng.choice((0.0, 0.5, 1.0, 2.0))
+    cfg = _cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=10.0 ** (db_d / 10.0),
+               lambda_E=10.0 ** (db_e / 10.0), zeta=zeta, R_th=R_th)
+    assert (K, N, M_D, M_E, zeta, R_th) == (3, 2, 1, 4, 1.0, 0.5)
+    assert (round(db_d, 2), round(db_e, 2)) == (19.98, -19.12)
+    assert sop(cfg).value == pytest.approx(float(_resum(cfg.rho(), cfg)), rel=1e-9, abs=0.0)
+
+
+class TestOutsideTheDoubleRange:
+    # lambda_D = 400 dB at K = 4, M_D = 4: the outage is about 1e-640
+    ROW = _cfg(K=4, N=2, M_D=4, M_E=2, lambda_D=1e40, lambda_E=3.0)
+
+    def test_an_outage_cancelling_below_the_last_rung_names_the_row(self):
+        with pytest.raises(ArithmeticError, match=r"^term sum at x=2\.0, in the outage of K=4 "
+                           r"N=2 M_D=4 M_E=2 zeta=1 lambda_D=1e\+40 lambda_E=3: its terms "
+                           r"cancel below the 480-digit rounding floor"):
+            sop(self.ROW)
+
+    def test_an_os_outage_without_a_double_raises_naming_the_row(self):
+        # the one-link outage, about 1e-160, is certified; its K-th power
+        # underflowed to 0.0 without a word
+        row = replace(self.ROW, scheme="OS")
+        assert 0.0 < cdf_ratio(2.0, one_link_base(row)) < 1e-150
+        with pytest.raises(ArithmeticError, match=r"^outage of OS/KA K=4 N=2 M_D=4 M_E=2 zeta=1 "
+                           r"lambda_D=1e\+40 lambda_E=3 at x=2\.0 is about 10\^-6\d\d\.\d+, "
+                           r"outside the double range"):
+            sop(row)
 
 
 @pytest.mark.parametrize("lam_d, lam_e", [(1e300, 1e-300), (1e200, 1e-120)])
