@@ -15,25 +15,45 @@ left fold of whole-array adds over the path slices, with ndarray.sum's
 bits; 8 or more paths keep ndarray.sum. The eavesdropper maximum is an
 np.maximum fold over the N slices, exact in any order.
 
-Monte Carlo selection: once a chunk's three draws are made, each is copied
-to one contiguous row per link. A shape's configs are grouped by (lambda_D,
-lambda_E); a group builds its destination SNRs, ratios and per-link rates
-max(log2(ratio), 0) once, for both schemes, and frees them before the next
-group. The log2 is taken once per link, over the contiguous (K, trials)
-array, and the selections gather rates instead of ratios. numpy's log2
-gives an element the same bits wherever it sits in an array (tests check
-this across SIMD tails), so every rate array has the bits of a per-config
-argmax over links followed by log2 of the chosen ratio. Per scheme, the unmasked
-selection ignores the gates and runs once: KU rows at every zeta gate its
-pick, and KA rows at zeta = 1 take its rate, because every gate draw lies
-in [0, 1) and so every link is on. KA rows below zeta = 1 get one masked
-selection per zeta, on masks computed once per zeta. Links are compared one
-row at a time with a strict >, which keeps np.argmax's first maximum on
-ties; a trial with every link masked picks link 0 and transmits nothing.
-With K = 1 there is nothing to select: both schemes share the one pick, and
-a KA row below zeta = 1 is the KU row at its zeta. Rows that share a rate
-array share its statistics (outage count, sum, sum of squares), computed
-once per array and threshold.
+Monte Carlo selection: each of a chunk's three draws is copied to one
+contiguous row per link, a (K, trials) array, before the next draw is made.
+A shape's configs are grouped by (lambda_D, lambda_E); a group builds its
+destination SNRs, ratios and per-link rates max(log2(ratio), 0) once, for
+both schemes. The log2 is taken once per link, over the contiguous (K,
+trials) array, and the selections gather rates instead of ratios. numpy's
+log2 gives an element the same bits wherever it sits in an array (tests
+check this across SIMD tails), so every rate array has the bits of a
+per-config argmax over links followed by log2 of the chosen ratio. A
+selection scans the links in order, picking link k where its score beats
+the best so far by a strict >, which keeps np.argmax's first maximum on
+ties. It then gathers the picked entries by flat index (pick * trials +
+trial) instead of blending rows with np.where, whose branch per element a
+random mask mispredicts. Per scheme, the unmasked selection ignores the
+gates and runs once: KU rows at every zeta gate its pick, and KA rows at
+zeta = 1 take its rate, because every gate draw lies in [0, 1) and so every
+link is on. KA rows below zeta = 1 get one masked selection per zeta, in
+which an off link scores -inf, below every score, so a trial with every
+link off picks link 0 and transmits nothing. With K = 1 there is nothing to
+select: both schemes share the one pick, and a KA row below zeta = 1 is the
+KU row at its zeta.
+
+Monte Carlo gates and masks: every score is +0.0 or more, and every rate
++0.0 or more, +inf where a destination SNR overflows, or NaN where two
+overflowed SNRs meet in a ratio. A gate keeps a rate where its link is on
+and gives +0.0 elsewhere, as a bitwise and of the rate's bits with all-ones
+or zero words: exact for every float, where a product with the 0/1 mask
+would turn inf * 0 into NaN. A masked score is an int64 minimum of the
+score's bits with -inf's bits at off links and the largest int64 at on
+links; read as int64, the bits of every score are at least -inf's, so the
+minimum is -inf or the score itself. Both give np.where's bits without its
+branches.
+
+Monte Carlo memory: one (lambda_D, lambda_E) group's arrays are alive at a
+time. Within a group each selection's rate array is reduced to its
+statistics (outage count per threshold, sum, sum of squares) as soon as it
+is made, before the next one is built; rows that share a selection share
+its array and its statistics, and a scheme's score rows are dropped once its
+selections are done.
 
 Gate after selection (KU): the always-on selection runs first and one
 backhaul gate then blocks the selected link, so a KU row is its always-on KA
@@ -103,7 +123,6 @@ from .channel import SystemConfig, pdf_snr_eve_max
 _CHUNK = 65536
 _MIN_TRIALS = 10_000
 _LN2 = math.log(2.0)
-_MASK64 = (1 << 64) - 1
 
 # QUADPACK tolerances and subdivision limit of every oracle integral
 _ABS_TOL = 1e-10
@@ -504,66 +523,113 @@ def _path_sum(draws):
 
 
 def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
-                    count: int) -> list[np.ndarray]:
-    """Per-trial secrecy rates of every config, all from one set of draws.
+                    count: int) -> list[tuple[float, float, float]]:
+    """(outage count, rate sum, sum of squares) of every config over one chunk.
 
-    The configs share (K, N, M_D, M_E); the rest of each config is applied to
-    the unit-scale draws afterwards, so every rate array is bit-identical to
-    a draw made for its config alone. Draw order is part of the
-    reproducibility contract: destination SNRs, then eavesdropper SNRs, then
-    backhaul gates.
+    The configs share (K, N, M_D, M_E) and one set of draws; the rest of each
+    config is applied to the unit-scale draws afterwards, so every config's
+    statistics are bit-identical to those of a draw made for it alone. Draw
+    order is part of the reproducibility contract: destination SNRs, then
+    eavesdropper SNRs, then backhaul gates. Each selection's rate array is
+    reduced before the next one is built.
     """
     import numpy as np
 
     K, N, M_D, M_E = _shape(cfgs[0])
-    dest_sum = _path_sum(rng.standard_exponential((count, K, M_D)))
+    # one contiguous row per link, each draw copied before the next is made
+    dest_sum = np.ascontiguousarray(_path_sum(rng.standard_exponential((count, K, M_D))).T)
     # scaling by lambda_E > 0 is monotone under rounding, so the scaled
     # maximum over eavesdroppers equals the maximum of the scaled sums; a
-    # maximum is exact in any order
+    # maximum is exact in any order. The fold overwrites the first
+    # eavesdropper's sums, which nothing reads again
     eve_sums = _path_sum(rng.standard_exponential((count, K, N, M_E)))
     eve_max = eve_sums[..., 0]
     for n in range(1, N):
-        eve_max = np.maximum(eve_max, eve_sums[..., n])
-    gate_u = rng.random((count, K))
-    # one contiguous row per link, copied only after every draw is made
-    dest_sum, eve_max, gate_u = (np.ascontiguousarray(a.T) for a in (dest_sum, eve_max, gate_u))
+        np.maximum(eve_max, eve_sums[..., n], out=eve_max)
+    eve_max = np.ascontiguousarray(eve_max.T)
+    del eve_sums
+    gate_u = np.ascontiguousarray(rng.random((count, K)).T)
 
-    masks: dict = {}  # KA zeta below 1 -> (per-link active masks, any link active)
     groups: dict = {}  # (lambda_D, lambda_E) -> indices of its configs
     for i, cfg in enumerate(cfgs):
-        _scheme, knowledge, zeta = _selection(cfg)
-        if knowledge == "KA" and zeta < 1.0 and zeta not in masks:
-            on = gate_u < zeta
-            masks[zeta] = on, on.any(axis=0)
         groups.setdefault((cfg.lambda_D, cfg.lambda_E), []).append(i)
-    rates = [None] * len(cfgs)
-    for (lambda_D, lambda_E), members in groups.items():
-        # one group's SNR arrays at a time: they are freed when it returns
-        for i, rate in zip(members, _group_rates(
-                [cfgs[i] for i in members], dest_sum * lambda_D, eve_max * lambda_E,
-                gate_u, masks)):
-            rates[i] = rate
-    return rates
+    caps: dict = {}  # KA zeta below 1 -> its masking words and links on (see _masked)
+    stats = [None] * len(cfgs)
+    for members in groups.values():
+        group = [cfgs[i] for i in members]
+        for key, rate in _group_rates(group, dest_sum, eve_max, gate_u, caps):
+            rows = [i for i in members if _selection(cfgs[i]) == key]
+            at = _rate_stats(rate, {cfgs[i].R_th for i in rows})
+            for i in rows:
+                stats[i] = at[cfgs[i].R_th]
+    return stats
 
 
-def _first_max(score, payloads, on=None) -> list:
-    """Per trial, each payload's row at the first link of maximal score.
+def _first_max(score, payloads) -> list:
+    """Per trial, each payload's entry at the first link of maximal score.
 
-    Only links whose `on` mask is set compete; a trial with every link off
-    takes link 0. Rows are links; the strict > keeps np.argmax's
-    first-maximum rule on ties.
+    Rows are links, each array C-contiguous (K, trials). A link is picked
+    where its score beats the best so far by a strict >, which keeps
+    np.argmax's first maximum on ties, and each payload is gathered at the
+    pick by its flat index pick * trials + trial. The best so far is the
+    score at the pick, gathered the same way, and is not needed after the
+    last link. With one link the payload rows are returned as they are.
     """
     import numpy as np
 
-    best = score[0] if on is None else np.where(on[0], score[0], -np.inf)
-    picked = [payload[0] for payload in payloads]
-    for k in range(1, len(score)):
-        better = score[k] > best
-        if on is not None:
-            better &= on[k]
-        best = np.where(better, score[k], best)
-        picked = [np.where(better, payload[k], row) for payload, row in zip(payloads, picked)]
-    return picked
+    K, count = score.shape
+    if K == 1:
+        return [payload[0] for payload in payloads]
+    trial = np.arange(count)
+    best, index = score[0], None
+    for k in range(1, K):
+        link = (score[k] > best) * (k * count)
+        link += trial
+        # link k lies past every earlier pick, so the larger flat index wins
+        index = link if index is None else np.maximum(index, link, out=link)
+        if k < K - 1:
+            best = score.ravel().take(index)
+    return [payload.ravel().take(index) for payload in payloads]
+
+
+# the bits of -inf read as an int64, and the largest int64
+_NEG_INF_WORD = -(1 << 52)
+_MAX_WORD = (1 << 63) - 1
+
+
+def _masked(score, gate_u, zeta: float, caps: dict):
+    """(np.where(on, score, -inf) bit for bit, on.any(axis=0)) for on = gate_u < zeta.
+
+    Read as int64, the bits of every score (+0.0 or more, or NaN of either
+    sign) are at least those of -inf, and no int64 exceeds _MAX_WORD, so a
+    minimum with -inf's bits at off links and _MAX_WORD at on links yields
+    -inf or the score's own bits. The caps, and whether any link is on,
+    depend on the gates only and are built once per zeta.
+    """
+    import numpy as np
+
+    if zeta not in caps:
+        on = gate_u < zeta
+        cap = np.negative(on, dtype=np.int64)  # all ones at on links
+        cap &= _MAX_WORD ^ _NEG_INF_WORD
+        cap ^= _NEG_INF_WORD
+        caps[zeta] = cap, on.any(axis=0)
+    cap, any_on = caps[zeta]
+    return np.minimum(score.view(np.int64), cap).view(np.float64), any_on
+
+
+def _gated(rate, on):
+    """`rate` where `on` is set and +0.0 elsewhere, bit for bit as
+    np.where(on, rate, 0.0), as a bitwise and with all-ones or zero words.
+
+    Exact for every float, infinities and NaN included, and free of
+    np.where's branch per element, which a random mask mispredicts.
+    """
+    import numpy as np
+
+    words = np.negative(on, dtype=np.int64)
+    words &= rate.view(np.int64)
+    return words.view(np.float64)
 
 
 def _selection(cfg: SystemConfig) -> tuple[str, str, float]:
@@ -576,61 +642,66 @@ def _selection(cfg: SystemConfig) -> tuple[str, str, float]:
     return cfg.scheme, cfg.knowledge, cfg.zeta
 
 
-def _group_rates(cfgs: list, dest, eve, gate_u, masks: dict) -> list:
-    # rates of configs that share lambda_D and lambda_E. Per scheme, one
-    # unmasked selection serves KU at every zeta and KA at zeta = 1 (each
-    # gate draw lies in [0, 1), so every link is on), and KA below zeta = 1
-    # gets one masked selection per zeta. Each link's rate is taken once,
-    # and the selections gather rates
-    import numpy as np
+def _group_rates(cfgs: list, dest_sum, eve_max, gate_u, caps: dict):
+    """Yield (selection, per-trial rates) once per distinct selection (see
+    `_selection`) of configs that share lambda_D and lambda_E.
 
-    ratio = (1.0 + dest) / (1.0 + eve)
-    link_rates = np.log2(ratio)
-    np.maximum(link_rates, 0.0, out=link_rates)
-
-    rates: dict = {}  # selection -> rate array
-    unmasked: dict = {}  # scheme -> that selection's rate and the gate draw of its link
-    for cfg in cfgs:
-        key = scheme, knowledge, zeta = _selection(cfg)
-        if key in rates:
-            continue
-        score = dest if scheme == "SS" else ratio
-        if knowledge == "KA" and zeta < 1.0:
-            on, any_on = masks[zeta]
-            (chosen,) = _first_max(score, [link_rates], on)
-            rates[key] = np.where(any_on, chosen, 0.0)
-            continue
-        if scheme not in unmasked:
-            unmasked[scheme] = _first_max(score, [link_rates, gate_u])
-        on_rate, on_u = unmasked[scheme]
-        rates[key] = on_rate if zeta == 1.0 else np.where(on_u < zeta, on_rate, 0.0)
-    return [rates[_selection(cfg)] for cfg in cfgs]
-
-
-def _rate_stats(cfgs: tuple[SystemConfig, ...], rates: list) -> list[tuple[float, float, float]]:
-    """(outage count, rate sum, sum of squares) of each config's rate array.
-
-    Configs share rate arrays, so each array's statistics at a threshold
-    are computed once. Arrays are told apart by identity, which is sound
-    while `rates` holds every one of them.
+    dest_sum, eve_max and gate_u are a chunk's unit-scale link rows, each a
+    C-contiguous (K, trials) array; `caps` keeps the masking words of each
+    KA zeta below 1 across the groups of one chunk. Per scheme, one unmasked
+    selection serves KU at every zeta and KA at zeta = 1 (each gate draw
+    lies in [0, 1), so every link is on), and KA below zeta = 1 gets one
+    masked selection per zeta. Each link's rate is taken once, and the
+    selections gather rates. Each array is yielded as soon as it is made,
+    and a scheme's score rows are dropped once its selections are done.
     """
     import numpy as np
 
-    done: dict = {}  # (id of a rate array, R_th) -> its statistics
-    stats = []
-    for cfg, rate in zip(cfgs, rates):
-        key = id(rate), cfg.R_th
-        if key not in done:
-            done[key] = (float(np.count_nonzero(rate <= cfg.R_th)), float(rate.sum()),
-                         float((rate * rate).sum()))
-        stats.append(done[key])
-    return stats
+    dest = dest_sum * cfgs[0].lambda_D
+    # (1 + dest)/(1 + eve), formed in the scaled eavesdropper array
+    ratio = eve_max * cfgs[0].lambda_E
+    ratio += 1.0
+    np.divide(dest + 1.0, ratio, out=ratio)
+    link_rates = np.log2(ratio)
+    np.maximum(link_rates, 0.0, out=link_rates)
+
+    # a scheme's score rows are dropped once its selections are done
+    scores = {"SS": dest, "OS": ratio}
+    del dest, ratio
+    selections = dict.fromkeys(_selection(cfg) for cfg in cfgs)
+    for scheme in ("SS", "OS"):
+        score = scores.pop(scheme)
+        unmasked = None  # the always-on selection's rate and the gate draw of its link
+        for key in selections:
+            _scheme, knowledge, zeta = key
+            if _scheme != scheme:
+                continue
+            if knowledge == "KA" and zeta < 1.0:
+                # a trial with every link off picks link 0 and transmits nothing
+                masked, any_on = _masked(score, gate_u, zeta, caps)
+                (chosen,) = _first_max(masked, [link_rates])
+                del masked  # before the consumer reduces the rates
+                yield key, _gated(chosen, any_on)
+                continue
+            if unmasked is None:
+                unmasked = _first_max(score, [link_rates, gate_u])
+            on_rate, on_u = unmasked
+            yield key, on_rate if zeta == 1.0 else _gated(on_rate, on_u < zeta)
+
+
+def _rate_stats(rate, thresholds) -> dict:
+    """R_th -> (outage count, rate sum, sum of squares) of one rate array."""
+    import numpy as np
+
+    total, squares = float(rate.sum()), float((rate * rate).sum())
+    return {r_th: (float(np.count_nonzero(rate <= r_th)), total, squares)
+            for r_th in thresholds}
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     import numpy as np
 
-    key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -639,12 +710,18 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
     """Simulated P(rate <= R_th) and mean rate of every config, in input order.
 
     Configs of one (K, N, M_D, M_E) shape share draws; every chunk of a shape
-    comes from the stream a pass of its own would use, and only one shape's
-    rate arrays are held at a time, so each pair is bit-identical to a pass
-    over its config alone, for any mix of shapes and any thread count.
+    comes from the stream a pass of its own would use, and each selection's
+    rate array is reduced before the next is built, so each pair is
+    bit-identical to a pass over its config alone, for any mix of shapes and
+    any thread count. `trials` must be an int of at least 10000, `seed` an
+    unsigned 64-bit int and `threads` a positive int; anything else raises
+    ValueError naming the argument.
     """
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"trials must be at least {_MIN_TRIALS} (got {trials})")
+    for name, value, low in (("trials", trials, _MIN_TRIALS), ("threads", threads, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"{name}: expected an integer of at least {low} (got {value!r})")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed: expected an unsigned 64-bit integer (got {seed!r})")
 
     groups: dict = {}  # shape -> indices of its configs
     for i, cfg in enumerate(cfgs):
@@ -657,10 +734,8 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
         index, size = index_size
         stats = [None] * len(cfgs)
         for members in groups.values():
-            # the rate arrays live only through _rate_stats: one shape's at a time
             group = tuple(cfgs[i] for i in members)
-            for i, stat in zip(members, _rate_stats(
-                    group, _rates_with_rng(group, _chunk_rng(seed, index), size))):
+            for i, stat in zip(members, _rates_with_rng(group, _chunk_rng(seed, index), size)):
                 stats[i] = stat
         return stats
 

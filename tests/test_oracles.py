@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -24,7 +25,9 @@ from secrecy_lab.esr import esr_exact
 from secrecy_lab.oracles import (
     QuadratureError,
     _chunk_rng,
+    _group_rates,
     _rates_with_rng,
+    _selection,
     mc_moments,
     quad_cdf_ratio,
     quad_esr,
@@ -64,6 +67,26 @@ class TestSimulatorDeterminism:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             _mc_alone(_cfg(), 5000, seed=1)
+
+    # each of these used to alias another stream, crash inside the chunk
+    # loop or run serially without a word
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.0, True, "7"])
+    def test_seed_outside_the_unsigned_64_bit_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seed: expected an unsigned 64-bit integer"):
+            _mc_alone(_cfg(), 20000, seed=seed)
+
+    @pytest.mark.parametrize("trials", [5000, 1e5, 100000.0, True, "100000"])
+    def test_trials_must_be_an_integer_of_at_least_the_minimum(self, trials):
+        with pytest.raises(ValueError, match=r"^trials: expected an integer of at least 10000"):
+            _mc_alone(_cfg(), trials, seed=1)
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.0, True])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        with pytest.raises(ValueError, match=r"^threads: expected an integer of at least 1"):
+            _mc_alone(_cfg(), 20000, seed=1, threads=threads)
+
+    def test_largest_seed_accepted(self):
+        assert _mc_alone(_cfg(), 20000, seed=2 ** 64 - 1)[0].mean >= 0.0
 
 
 class TestSharedDraws:
@@ -197,16 +220,44 @@ def _argmax_rates(cfg, dest_sum, eve_max, gate_u):
     return np.where(transmitting, np.maximum(np.log2(chosen_ratio), 0.0), 0.0)
 
 
+def _scan_rates(cfg, dest_sum, eve_max, gate_u):
+    # reference with the simulator's NaN rule: links scanned in order, the
+    # best so far replaced on a strict >, the chosen rate blended in by
+    # np.where; a NaN score never wins, and a NaN at link 0 is never replaced
+    dest = dest_sum * cfg.lambda_D
+    ratio = (1.0 + dest) / (1.0 + eve_max * cfg.lambda_E)
+    active = gate_u < cfg.zeta
+    score = dest if cfg.scheme == "SS" else ratio
+    if cfg.knowledge == "KA":
+        score = np.where(active, score, -np.inf)
+    trials = np.arange(len(score))
+    chosen, best = np.zeros(len(score), dtype=int), score[:, 0]
+    for k in range(1, score.shape[1]):
+        better = score[:, k] > best
+        chosen[better] = k
+        best = np.where(better, score[:, k], best)
+    transmitting = active.any(axis=1) if cfg.knowledge == "KA" else active[trials, chosen]
+    rate = np.maximum(np.log2(ratio[trials, chosen]), 0.0)
+    return np.where(transmitting, rate, 0.0)
+
+
+def _link_rows(draws):
+    # trial-major (trials, K) draws as the simulator's (K, trials) link rows
+    return np.ascontiguousarray(draws.T)
+
+
 class TestSelection:
-    @pytest.mark.parametrize("count", [640, 643])
-    @pytest.mark.parametrize("K", [1, 2, 3, 4])
-    def test_ties_and_dark_trials_match_argmax(self, K, count):
+    ROWS = tuple(dict(lambda_D=lam, zeta=zeta, scheme=scheme, knowledge=knowledge)
+                 for lam, zeta, scheme, knowledge in product(
+                     (2.0, 50.0), (0.0, 0.5, 1.0), ("SS", "OS"), ("KA", "KU")))
+
+    @staticmethod
+    def _draws(K, count):
         # draws from a few values make exact ties between links; blocks of
         # trials tie on every link (SS on the destination SNR, OS on the
         # ratio too, with the gates differing) or have every gate off at
-        # zeta 0.5, one block exactly at the gate threshold. The simulator
-        # takes each link's log2 rate and the reference the selected one's;
-        # 643 trials leave a tail off every SIMD width
+        # zeta 0.5, one block exactly at the gate threshold. 643 trials
+        # leave a tail off every SIMD width
         N, M_D, M_E = 2, 2, 1
         pick = np.random.default_rng(K)
         dest = pick.choice([0.5, 1.0, 2.0], size=(count, K, M_D))
@@ -216,17 +267,88 @@ class TestSelection:
         eve[64:128] = 1.0
         gates[128:192] = 0.75
         gates[192:256] = 0.5
-        rows = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, lambda_D=lam, zeta=zeta,
-                          scheme=scheme, knowledge=knowledge)
-                     for lam, zeta, scheme, knowledge in product(
-                         (2.0, 50.0), (0.0, 0.5, 1.0), ("SS", "OS"), ("KA", "KU")))
-        rates = _rates_with_rng(rows, _CraftedDraws(dest.copy(), eve.copy(), gates.copy()),
+        rows = tuple(_cfg(K=K, N=N, M_D=M_D, M_E=M_E, R_th=r_th, **row)
+                     for row, r_th in product(TestSelection.ROWS, (0.5, 1.0)))
+        return rows, dest, eve, gates
+
+    @pytest.mark.parametrize("count", [640, 643])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_ties_and_dark_trials_match_argmax(self, K, count):
+        # each (lambda_D, lambda_E) group's selections against np.argmax
+        # over links per config; the simulator takes each link's log2 rate
+        # and the reference the selected one's
+        rows, dest, eve, gates = self._draws(K, count)
+        dest_sum, eve_max = dest.sum(axis=2), eve.sum(axis=3).max(axis=2)
+        caps: dict = {}  # shared across groups, as within a chunk
+        for lam in (2.0, 50.0):
+            group = [cfg for cfg in rows if cfg.lambda_D == lam]
+            rates = dict(_group_rates(group, _link_rows(dest_sum), _link_rows(eve_max),
+                                      _link_rows(gates), caps))
+            assert len(rates) == len({_selection(cfg) for cfg in group})
+            for cfg in group:
+                rate = rates[_selection(cfg)]
+                expected = _argmax_rates(cfg, dest_sum, eve_max, gates)
+                assert rate.dtype == expected.dtype and rate.shape == (count,)
+                assert rate.tobytes() == expected.tobytes(), cfg
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_chunk_statistics_match_argmax(self, K):
+        # the whole chunk, from the draws in the simulator's order to each
+        # config's (outage count, rate sum, sum of squares)
+        count = 643
+        rows, dest, eve, gates = self._draws(K, count)
+        stats = _rates_with_rng(rows, _CraftedDraws(dest.copy(), eve.copy(), gates.copy()),
                                 count)
         dest_sum, eve_max = dest.sum(axis=2), eve.sum(axis=3).max(axis=2)
-        for cfg, rate in zip(rows, rates):
-            expected = _argmax_rates(cfg, dest_sum, eve_max, gates)
-            assert rate.dtype == expected.dtype and rate.shape == (count,)
-            assert rate.tobytes() == expected.tobytes(), cfg
+        assert len(stats) == len(rows)
+        for cfg, stat in zip(rows, stats):
+            rate = _argmax_rates(cfg, dest_sum, eve_max, gates)
+            expected = (np.count_nonzero(rate <= cfg.R_th), rate.sum(), (rate * rate).sum())
+            assert [x.hex() for x in stat] == [float(x).hex() for x in expected], cfg
+
+    def test_overflowing_snrs_match_a_strict_scan(self):
+        # at lambda_D near the double's limit destination SNRs overflow and
+        # rates are inf; a link gated off must still read +0.0 (a product
+        # with the gate would read inf * 0 = NaN). With lambda_E there too,
+        # OS ratios of two overflowed SNRs are NaN, where np.argmax takes
+        # the first NaN and the simulator's strict > never does
+        count, K = 643, 3
+        pick = np.random.default_rng(5)
+        dest = pick.choice([0.5, 1.5, 3.0], size=(count, K, 2))
+        eve = pick.choice([0.5, 1.5, 3.0], size=(count, K, 2, 1))
+        gates = pick.choice([0.0, 0.25, 0.5, 0.75], size=(count, K))
+        dest_sum, eve_max = dest.sum(axis=2), eve.sum(axis=3).max(axis=2)
+        for lambda_E in (1.0, 1e308):
+            rows = [_cfg(K=K, M_D=2, M_E=1, lambda_D=1e308, lambda_E=lambda_E, zeta=zeta,
+                         scheme=scheme, knowledge=knowledge)
+                    for zeta, scheme, knowledge in product(
+                        (0.5, 1.0), ("SS", "OS"), ("KA", "KU"))]
+            with np.errstate(all="ignore"):
+                rates = dict(_group_rates(rows, _link_rows(dest_sum), _link_rows(eve_max),
+                                          _link_rows(gates), {}))
+                expected = [_scan_rates(cfg, dest_sum, eve_max, gates) for cfg in rows]
+            assert np.isinf(expected[0]).any()
+            if lambda_E > 1.0:
+                assert any(np.isnan(rate).any() for rate in expected)
+            for cfg, rate in zip(rows, expected):
+                assert rates[_selection(cfg)].tobytes() == rate.tobytes(), cfg
+
+    def test_chunk_memory_peak(self):
+        # tracemalloc peak of one 65,536-trial chunk over the 16 quick-grid
+        # rows of shape (2, 2, 2, 2): 16.76 MiB while every rate array of a
+        # shape was held until its statistics were taken, 10.07 MiB with
+        # each selection's rates reduced before the next are built
+        rows = tuple(cfg for cfg in acceptance._sop_grid(True)
+                     if (cfg.K, cfg.N, cfg.M_D, cfg.M_E) == (2, 2, 2, 2))
+        assert len(rows) == 16
+        mc_moments(rows, 65536, acceptance.ACCEPT_SEED)  # imports and first-call setup
+        tracemalloc.start()
+        try:
+            mc_moments(rows, 65536, acceptance.ACCEPT_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2 ** 20, peak / 2 ** 20
 
 
 class TestSimulatorDistributions:
@@ -247,8 +369,9 @@ class TestSimulatorDistributions:
         assert abs(samples.mean() - lam) <= 3.0 * stderr
 
     def test_single_trial_surface(self):
-        (rates,) = _rates_with_rng((_cfg(),), _chunk_rng(seed=0, chunk_index=0), 1)
-        assert rates.shape == (1,) and rates[0] >= 0.0
+        ((outages, total, squares),) = _rates_with_rng(
+            (_cfg(),), _chunk_rng(seed=0, chunk_index=0), 1)
+        assert outages in (0.0, 1.0) and total >= 0.0 and squares == total * total
 
     def test_no_backhaul_trivials(self):
         cfg = _cfg(zeta=0.0)
