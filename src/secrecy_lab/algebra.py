@@ -2,9 +2,11 @@
 and the certified sum that every closed form returns through.
 
 Every closed form reads the exact integer coefficients of the Poisson
-powers P_M(u)^k, P_M(u) = sum_{j<M} u^j/j! (poisson_powers, built by the
-expansion of a K-th power of a term sum into a flat merged term list):
-the outage term table of sop and the rate terms of esr.
+powers P_M(u)^k, P_M(u) = sum_{j<M} u^j/j!: the outage term table of sop
+and the rate terms of esr. Over the common denominator (M-1)!, P_M is the
+integer polynomial with coefficients (M-1)!/j!, and poisson_powers builds
+each power by one integer convolution of the last power with it, so every
+coefficient is exact.
 
 ``TermSum`` carries one KA config's outage: its integer term table, read
 in floats through log-domain terms. The deep tail of the outage CDF is
@@ -20,82 +22,29 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
-
-EXPANSION_TERM_CAP = 10_000_000
 
 TARGET = 1e-9  # relative target of every certified closed-form value
 _MP_DPS_LADDER = (60, 120, 240, 480)
 _EPS = 2.0 ** -52
 
 
-class CapacityError(RuntimeError):
-    """Raised when an expansion would exceed the configured term cap."""
-
-
-def expand_powers_of_sum(inner_terms: Sequence[tuple],
-                         kappa: int) -> Iterator[list[tuple]]:
-    """Yield (sum of inner terms)^k for k = 1..kappa as flat, merged term lists.
-
-    Each inner term is ``(coeff, e1, e2, ...)`` with integer exponent slots
-    (the two-slot case is a coefficient with an x power and a y power).
-    Coefficients only need ``*`` and ``+`` between themselves:
-    poisson_powers passes integers; Fractions and floats work too. Power k
-    is power k-1 times the sum, so like terms (identical exponent vectors)
-    merge as they appear, and the kappa powers cost one expansion. Inside,
-    each exponent vector is one integer code, so a product adds two integers
-    instead of building a tuple; the merge order, and so every coefficient,
-    is that of adding the vectors slot by slot.
-    Each list holds one term per exponent vector, in the order the merge
-    first meets the vector. Any multiplication step of more than
-    EXPANSION_TERM_CAP raw products raises CapacityError before its power
-    is yielded, never truncates.
-    """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    width = len(inner_terms[0]) - 1 if inner_terms else 0
-    for t in inner_terms:
-        if len(t) - 1 != width:
-            raise ValueError("inner terms must share one exponent-vector width")
-    # the code's digits are the slots, first slot most significant: slot i,
-    # less its least inner exponent, is a digit of radix kappa * span_i + 1.
-    # No digit of a power up to kappa overflows, so adding codes adds
-    # vectors.
-    lows = [min(t[i] for t in inner_terms) for i in range(1, width + 1)]
-    radices = [kappa * (max(t[i] for t in inner_terms) - low) + 1
-               for i, low in zip(range(1, width + 1), lows)]
-    weights = [math.prod(radices[i + 1:]) for i in range(width)]
-    inner = [(t[0], sum((e - low) * w for e, low, w in zip(t[1:], lows, weights)))
-             for t in inner_terms]
-    acc: dict[int, object] = {0: 1}
-    for k in range(1, kappa + 1):
-        if len(acc) * len(inner) > EXPANSION_TERM_CAP:
-            raise CapacityError(
-                f"expansion would create {len(acc) * len(inner)} raw terms "
-                f"(cap {EXPANSION_TERM_CAP}); reduce K, N, or the multipath orders")
-        nxt: dict[int, object] = {}
-        for code_a, coeff_a in acc.items():
-            for coeff_b, code_b in inner:
-                key = code_a + code_b
-                coeff = coeff_a * coeff_b
-                prev = nxt.get(key)
-                nxt[key] = coeff if prev is None else prev + coeff
-        acc = nxt
-        offsets = [k * low for low in lows]  # power k's digits are shifted k times
-        # no local keeps the yielded list, so the caller can free it
-        yield [(coeff,) + tuple((code // w) % r + off
-                                for w, r, off in zip(weights, radices, offsets))
-               for code, coeff in acc.items()]
-
-
 @lru_cache(maxsize=None)
 def poisson_powers(M: int, top: int) -> tuple:
     """(k, (-1)^k C(top, k), D^k, ((i, c), ...)) for k = 0..top, where P_M(u)^k =
-    sum (c/D^k) u^i exactly: integers c over D = (M-1)!, P_M's common denominator."""
+    sum (c/D^k) u^i exactly: integers c over D = (M-1)!, P_M's common denominator.
+
+    Power k is power k-1 convolved with the integers D/j!, j < M, so the
+    coefficients of u^0 .. u^(k(M-1)) come in ascending order of i.
+    """
     denom = math.factorial(M - 1)
-    inner = [(denom // math.factorial(j), j) for j in range(M)]
-    powers = [[(1, 0)]] + (list(expand_powers_of_sum(inner, top)) if top else [])
-    return tuple((k, (-1) ** k * math.comb(top, k), denom ** k, tuple((i, c) for c, i in power))
+    inner = [denom // math.factorial(j) for j in range(M)]
+    powers = [[1]]
+    for _k in range(top):
+        last = powers[-1]
+        powers.append([sum(last[i - j] * inner[j]
+                           for j in range(max(0, i - len(last) + 1), min(i + 1, M)))
+                       for i in range(len(last) + M - 1)])
+    return tuple((k, (-1) ** k * math.comb(top, k), denom ** k, tuple(enumerate(power)))
                  for k, power in enumerate(powers))
 
 

@@ -414,12 +414,13 @@ def _rate_integrand(cfg: SystemConfig, scale: float):
 
 
 @lru_cache(maxsize=64)
-def _survival_table(M_D: int, lambda_D: float, N: int, M_E: int, lambda_E: float) -> dict:
-    """Inner survival integrals x -> value of the OS rate of one family.
+def _survival_table(M_D: int, lambda_D: float, N: int, M_E: int, lambda_E: float,
+                    *settings) -> dict:
+    """Inner survival integrals x -> value of the OS rate of one family:
+    (M_D, lambda_D) and the eavesdropper law (see the module docstring).
 
-    A family is (M_D, lambda_D) and the eavesdropper law (see the module
-    docstring). Each value is the single-link integral as QUADPACK returns
-    it; it is clamped where it is read.
+    `settings` is _quad_settings(), in the key only. Each value is the
+    single-link integral as QUADPACK returns it, clamped where it is read.
     """
     return {}
 
@@ -431,7 +432,8 @@ def _os_survival(cfg: SystemConfig):
     because the ESR integrand weights the far tail logarithmically.
     """
     K, gate = cfg.K, cfg.zeta
-    table = _survival_table(cfg.M_D, cfg.lambda_D, cfg.N, cfg.M_E, cfg.lambda_E)
+    table = _survival_table(cfg.M_D, cfg.lambda_D, cfg.N, cfg.M_E, cfg.lambda_E,
+                            *_quad_settings())
 
     def survival(x: float) -> float:
         inner = table.get(x)
@@ -715,7 +717,8 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
     bit-identical to a pass over its config alone, for any mix of shapes and
     any thread count. `trials` must be an int of at least 10000, `seed` an
     unsigned 64-bit int and `threads` a positive int; anything else raises
-    ValueError naming the argument.
+    ValueError naming the argument. A config whose rate sum or sum of
+    squares is not finite raises ArithmeticError naming it.
     """
     for name, value, low in (("trials", trials, _MIN_TRIALS), ("threads", threads, 1)):
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -750,10 +753,13 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
 
     n = float(trials)
     pairs = []
-    for rows in zip(*chunks):  # one config's per-chunk sums, in chunk order
+    for cfg, rows in zip(cfgs, zip(*chunks)):  # one config's per-chunk sums, in chunk order
         outage_count = math.fsum(r[0] for r in rows)
         rate_sum = math.fsum(r[1] for r in rows)
         rate_sq_sum = math.fsum(r[2] for r in rows)
+        if not (math.isfinite(rate_sum) and math.isfinite(rate_sq_sum)):
+            raise ArithmeticError(f"Monte Carlo rate of {cfg!r}: rate sum {rate_sum!r}, sum of "
+                                  f"squares {rate_sq_sum!r}; a simulated SNR overflows")
 
         p = outage_count / n
         var_p = max(0.0, (outage_count - outage_count * outage_count / n) / (n - 1.0))

@@ -85,6 +85,15 @@ class TestSimulatorDeterminism:
         with pytest.raises(ValueError, match=r"^threads: expected an integer of at least 1"):
             _mc_alone(_cfg(), 20000, seed=1, threads=threads)
 
+    @pytest.mark.parametrize("lambda_E, total", [(1.0, "inf"), (1e308, "nan")])
+    def test_overflowing_rates_raise(self, lambda_E, total):
+        # at lambda_D = 1e308 the destination SNRs overflow: the rates are
+        # inf, and NaN where the eavesdropper SNRs overflow too
+        cfg = _cfg(N=1, M_E=1, lambda_D=1e308, lambda_E=lambda_E, zeta=0.5, scheme="OS")
+        named = rf"^Monte Carlo rate of SystemConfig\(K=2, N=1, .*\): rate sum {total},"
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=named):
+            _mc_alone(cfg, 10000, seed=1)
+
     def test_largest_seed_accepted(self):
         assert _mc_alone(_cfg(), 20000, seed=2 ** 64 - 1)[0].mean >= 0.0
 
@@ -711,6 +720,23 @@ class TestQuadratureBits:
             quad_esr(cfg)
         with pytest.raises(QuadratureError):
             quad_cdf_ratio(cfg.rho(), cfg)
+
+    def test_inner_survival_memo_honors_the_quadpack_settings(self, monkeypatch):
+        # the OS rate's inner integrals are memoized per family and x; under
+        # settings a fresh quadrature cannot meet, a stored x fails as a
+        # cold one would instead of returning the stored value
+        cfg = _cfg(lambda_E=3.0, zeta=0.9, scheme="OS")
+        x = 1.1211914426761411  # a node of the outer quadrature
+        _empty_tables()
+        assert quad_esr(cfg) > 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "_quad_unit", None)  # the stored value is read
+            assert oracles._os_survival(cfg)(x) == 0.8994293209009615
+        monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 1)
+        monkeypatch.setattr(oracles, "_ABS_TOL", 1e-14)
+        monkeypatch.setattr(oracles, "_REL_TOL", 1e-14)
+        with pytest.raises(QuadratureError):
+            oracles._os_survival(cfg)(x)
 
     def test_ku_row_reuses_its_always_on_quadratures(self):
         # every KU row is one multiply-add on its always-on KA value
