@@ -27,11 +27,12 @@ links are i.i.d., so each rate is the certified 1-D integral
 (1/ln 2) * integral_0^inf [1 - (1 - zeta S_1(e^s))^K] ds of the one-link
 survival S_1 that the outage reads (sop.one_link_base), exact or with the
 destination unity dropped, and the asymptote the high-SNR rate's affine
-limit, (S ln lambda_D + C)/ln 2. Its exp-sinh levels and the rounding that
-the node sums carry must meet TARGET, or the rate raises ArithmeticError
-naming the row. Every KA rate is memoized per config and form, so a KU row,
-zeta times the rate of its always-on row (sop.gated_base), reads it; every
-rate shares zeta = 0 and the backstops.
+limit, (S ln lambda_D + C)/ln 2, where C reads K, zeta and the lambda_D-free
+base alone and is integrated once per such key. Its exp-sinh levels and the
+rounding that the node sums carry must meet TARGET, or the rate raises
+ArithmeticError naming the row. Every KA rate is memoized per config and
+form, so a KU row, zeta times the rate of its always-on row
+(sop.gated_base), reads it; every rate shares zeta = 0 and the backstops.
 """
 
 from __future__ import annotations
@@ -196,25 +197,40 @@ def _one_link_rate(cfg: SystemConfig, form: str) -> tuple[float, int]:
     """(rate, one-link term count) of OS/KA over K >= 2 links. The exact rate
     reads the one-link survival at u = 1, the high-SNR rate at u = 0 (see
     algebra.TermSum). The asymptote, the high-SNR rate's affine limit, is
-    (S ln lambda_D + C)/ln 2: S = 1 - (1-zeta)^K, C = integral_0^inf [H(w) -
-    S 1{w<1}]/w dw with H read at lambda_D = 1, as it depends on w = x/lambda_D
-    only.
+    (S ln lambda_D + C)/ln 2, S = 1 - (1-zeta)^K, with C read once per
+    lambda_D-free base (see _os_asymptote_constant).
     """
     base = one_link_base(cfg)
+    what = row_label(cfg, f"{form} rate")
     if form == _FORM_ASYMPTOTIC:
         base = replace(base, lambda_D=1.0)
+        try:
+            constant = _os_asymptote_constant(base, cfg.K, cfg.zeta)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"{what}: {exc}") from exc
+        value = (1.0 - (1.0 - cfg.zeta) ** cfg.K) * math.log(cfg.lambda_D) + constant
+        return value / _LN2, len(build_cdf_term_sum(base).terms)
     term_sum = build_cdf_term_sum(base)
-    what = row_label(cfg, f"{form} rate")
     integrand = _os_integrand(term_sum, cfg.K, cfg.zeta, 1.0 if form == _FORM_EXACT else 0.0)
-    value = _exp_sinh(integrand, what)
-    if form == _FORM_ASYMPTOTIC:
-        slope = 1.0 - (1.0 - cfg.zeta) ** cfg.K
+    return _exp_sinh(integrand, what) / _LN2, len(term_sum.terms)
 
-        def below_one(u: float) -> tuple[float, float]:  # S - H(e^-u)
-            above, bound = integrand(-u)
-            return slope - above, bound + _EPS * slope
-        value = slope * math.log(cfg.lambda_D) + (value - _exp_sinh(below_one, what))
-    return value / _LN2, len(term_sum.terms)
+
+@lru_cache(maxsize=256)
+def _os_asymptote_constant(base: SystemConfig, K: int, zeta: float) -> float:
+    """C = integral_0^inf [H(w) - S 1{w<1}]/w dw of the OS asymptote, with H
+    the high-SNR integrand of the one-link `base` at lambda_D = 1: it depends
+    on w = x/lambda_D only, so every lambda_D of a row reads one C. The
+    ArithmeticError of a missed target names the constant; the caller adds
+    its row.
+    """
+    slope = 1.0 - (1.0 - zeta) ** K
+    integrand = _os_integrand(build_cdf_term_sum(base), K, zeta, 0.0)
+
+    def below_one(u: float) -> tuple[float, float]:  # S - H(e^-u)
+        above, bound = integrand(-u)
+        return slope - above, bound + _EPS * slope
+    what = "the constant of its asymptote"
+    return _exp_sinh(integrand, what) - _exp_sinh(below_one, what)
 
 
 def _os_integrand(term_sum, K: int, zeta: float, unity: float):

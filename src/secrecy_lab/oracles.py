@@ -15,45 +15,59 @@ left fold of whole-array adds over the path slices, with ndarray.sum's
 bits; 8 or more paths keep ndarray.sum. The eavesdropper maximum is an
 np.maximum fold over the N slices, exact in any order.
 
-Monte Carlo selection: each of a chunk's three draws is copied to one
-contiguous row per link, a (K, trials) array, before the next draw is made.
-A shape's configs are grouped by (lambda_D, lambda_E); a group builds its
-destination SNRs, ratios and per-link rates max(log2(ratio), 0) once, for
-both schemes. The log2 is taken once per link, over the contiguous (K,
-trials) array, and the selections gather rates instead of ratios. numpy's
-log2 gives an element the same bits wherever it sits in an array (tests
-check this across SIMD tails), so every rate array has the bits of a
-per-config argmax over links followed by log2 of the chosen ratio. A
-selection scans the links in order, picking link k where its score beats
-the best so far by a strict >, which keeps np.argmax's first maximum on
-ties. It then gathers the picked entries by flat index (pick * trials +
-trial) instead of blending rows with np.where, whose branch per element a
-random mask mispredicts. Per scheme, the unmasked selection ignores the
-gates and runs once: KU rows at every zeta gate its pick, and KA rows at
-zeta = 1 take its rate, because every gate draw lies in [0, 1) and so every
-link is on. KA rows below zeta = 1 get one masked selection per zeta, in
-which an off link scores -inf, below every score, so a trial with every
-link off picks link 0 and transmits nothing. With K = 1 there is nothing to
-select: both schemes share the one pick, and a KA row below zeta = 1 is the
-KU row at its zeta.
+Monte Carlo selection: each of a chunk's draws is reduced to one contiguous
+row per link, a (K, trials) array, before the next draw is made. A shape's
+configs are grouped by (lambda_D, lambda_E); a group builds its ratios and
+per-link rates max(log2(ratio), 0) once, for both schemes. The log2 is
+taken once per link, over the contiguous (K, trials) array, and the
+selections gather rates instead of ratios. numpy's log2 gives an element
+the same bits wherever it sits in an array (tests check this across SIMD
+tails), so every rate array has the bits of a per-config argmax over links
+followed by log2 of the chosen ratio. A selection scans the links in order,
+picking link k where its score beats the best so far by a strict >, which
+keeps np.argmax's first maximum on ties. It then gathers the picked entries
+by flat index (pick * trials + trial) instead of blending rows with
+np.where, whose branch per element a random mask mispredicts. OS selects
+first, on the ratio rows; SS then selects on the destination SNRs
+lambda_D * dest_sum, the product the ratio's numerator was built from. Per
+scheme, KA rows below zeta = 1 get one masked selection per zeta, in which
+an off link scores -inf, below every score, so a trial with every link off
+picks link 0 and transmits nothing. The unmasked selection ignores the gates
+and runs once: KU rows below zeta = 1 gate its pick, and rows at zeta = 1
+take its rate, KU and KA alike, because every gate draw lies in [0, 1) and
+so every link is on. With K = 1 there is nothing to select: both schemes
+share the one pick, and a KA row below zeta = 1 is the KU row at its zeta.
 
-Monte Carlo gates and masks: every score is +0.0 or more, and every rate
-+0.0 or more, +inf where a destination SNR overflows, or NaN where two
-overflowed SNRs meet in a ratio. A gate keeps a rate where its link is on
-and gives +0.0 elsewhere, as a bitwise and of the rate's bits with all-ones
-or zero words: exact for every float, where a product with the 0/1 mask
-would turn inf * 0 into NaN. A masked score is an int64 minimum of the
-score's bits with -inf's bits at off links and the largest int64 at on
+Monte Carlo gates and masks: every use of a gate draw is the comparison
+gate_u < zeta, so right after the draw a chunk keeps one bool (K, trials)
+mask per distinct zeta below 1 among its configs, and drops the draw. A KU
+row gathers its mask at the unmasked pick. Every score is +0.0 or more, and
+every rate +0.0 or more, +inf where a destination SNR overflows, or NaN
+where two overflowed SNRs meet in a ratio. A gate keeps a rate where its
+link is on and gives +0.0 elsewhere, as a bitwise and of the rate's bits
+with all-ones or zero words: exact for every float, where a product with
+the 0/1 mask would turn inf * 0 into NaN. A masked selection scans the
+unmasked scores and folds its mask into the scan: link k >= 1 is picked
+only where it is on, since an off link's -inf beats nothing, and only the
+best so far is masked, one (trials,) row at a time, as an int64 minimum of
+the score's bits with -inf's bits at off links and the largest int64 at on
 links; read as int64, the bits of every score are at least -inf's, so the
 minimum is -inf or the score itself. Both give np.where's bits without its
-branches.
+branches, and no masked copy of the (K, trials) scores is made.
 
-Monte Carlo memory: one (lambda_D, lambda_E) group's arrays are alive at a
-time. Within a group each selection's rate array is reduced to its
-statistics (outage count per threshold, sum, sum of squares) as soon as it
-is made, before the next one is built; rows that share a selection share
-its array and its statistics, and a scheme's score rows are dropped once its
-selections are done.
+Monte Carlo memory: a chunk holds its destination sums, eavesdropper
+maxima and gate masks; the draws themselves are gone before a selection
+runs. The eavesdropper SNRs are drawn in blocks of _EVE_BLOCK trials, each
+block's path sums and maximum folded straight into the (K, trials) maxima:
+the stream is trial-major, so consecutive draws of (b, K, N, M_E) give the
+values of one (trials, K, N, M_E) draw. One (lambda_D, lambda_E) group's
+arrays are alive at a time, and one score at a time within it: the ratio
+rows are dropped before SS forms its destination SNRs. Each selection's
+rate array is reduced to its statistics (outage count per threshold, sum,
+sum of squares) as soon as it is made, and dropped before the next one is
+built; rows that share a selection share its array and its statistics. A
+scheme's masked selections run before its unmasked one, whose pick is
+alive through no other selection.
 
 Gate after selection (KU): the always-on selection runs first and one
 backhaul gate then blocks the selected link, so a KU row is its always-on KA
@@ -81,7 +95,9 @@ bisecting its way toward the knee.
 Quadrature sharing: a KU row gates its always-on KA row, which is a row of
 its own in most sweeps, so the KA value of each oracle (the rate, and the
 eavesdropper average inside the outage CDF) is memoized per config and
-point. Under OS with K >= 2 the inner integral depends on x, (M_D,
+point. Under OS that average is one link's and reads neither K nor zeta, so
+it is keyed by the one-link law (K = 1, zeta = 1), which rows of every K and
+zeta share. Under OS with K >= 2 the inner integral depends on x, (M_D,
 lambda_D) and the eavesdropper law only. Rows that agree there and share K
 and lambda_E (and so the outer map) meet the same x, and the first row's
 inner value serves the others. QUADPACK is deterministic and every input of
@@ -121,6 +137,7 @@ from typing import Sequence
 from .channel import SystemConfig, pdf_snr_eve_max
 
 _CHUNK = 65536
+_EVE_BLOCK = 4096  # trials per eavesdropper draw (see "Monte Carlo memory")
 _MIN_TRIALS = 10_000
 _LN2 = math.log(2.0)
 
@@ -363,7 +380,9 @@ def quad_cdf_ratio(x: float, cfg: SystemConfig) -> float:
         return 1.0
     if cfg.knowledge == "KU":
         return min(1.0, 1.0 - cfg.zeta + cfg.zeta * quad_cdf_ratio(x, _always_on(cfg)))
-    value = _ka_cdf_integral(x, cfg, *_quad_settings())
+    # under OS one link's average is read, which reads neither K nor zeta
+    law = replace(cfg, K=1, zeta=1.0) if cfg.scheme == "OS" else cfg
+    value = _ka_cdf_integral(x, law, *_quad_settings())
     if cfg.scheme == "OS":
         value = ((1.0 - cfg.zeta) + cfg.zeta * value) ** cfg.K
     return min(1.0, max(0.0, value))
@@ -540,58 +559,84 @@ def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
     K, N, M_D, M_E = _shape(cfgs[0])
     # one contiguous row per link, each draw copied before the next is made
     dest_sum = np.ascontiguousarray(_path_sum(rng.standard_exponential((count, K, M_D))).T)
-    # scaling by lambda_E > 0 is monotone under rounding, so the scaled
-    # maximum over eavesdroppers equals the maximum of the scaled sums; a
-    # maximum is exact in any order. The fold overwrites the first
-    # eavesdropper's sums, which nothing reads again
-    eve_sums = _path_sum(rng.standard_exponential((count, K, N, M_E)))
-    eve_max = eve_sums[..., 0]
-    for n in range(1, N):
-        np.maximum(eve_max, eve_sums[..., n], out=eve_max)
-    eve_max = np.ascontiguousarray(eve_max.T)
-    del eve_sums
-    gate_u = np.ascontiguousarray(rng.random((count, K)).T)
+    # the eavesdropper draw in trial blocks, each folded into the link rows
+    # (see "Monte Carlo memory"). Scaling by lambda_E > 0 is monotone under
+    # rounding, so the scaled maximum over eavesdroppers equals the maximum
+    # of the scaled sums; a maximum is exact in any order
+    eve_max = np.empty((K, count))
+    for start in range(0, count, _EVE_BLOCK):
+        sums = _path_sum(rng.standard_exponential((min(_EVE_BLOCK, count - start), K, N, M_E)))
+        top = sums[..., 0]  # overwritten by the fold, as nothing reads it again
+        for n in range(1, N):
+            np.maximum(top, sums[..., n], out=top)
+        eve_max[:, start:start + len(top)] = top.T
+        del sums, top
+    gates = _gate_masks(rng.random((count, K)), cfgs)
 
     groups: dict = {}  # (lambda_D, lambda_E) -> indices of its configs
     for i, cfg in enumerate(cfgs):
         groups.setdefault((cfg.lambda_D, cfg.lambda_E), []).append(i)
-    caps: dict = {}  # KA zeta below 1 -> its masking words and links on (see _masked)
     stats = [None] * len(cfgs)
     for members in groups.values():
         group = [cfgs[i] for i in members]
-        for key, rate in _group_rates(group, dest_sum, eve_max, gate_u, caps):
+        for key, rate in _group_rates(group, dest_sum, eve_max, gates):
             rows = [i for i in members if _selection(cfgs[i]) == key]
             at = _rate_stats(rate, {cfgs[i].R_th for i in rows})
+            del rate  # before the next selection is built
             for i in rows:
                 stats[i] = at[cfgs[i].R_th]
     return stats
 
 
-def _first_max(score, payloads) -> list:
-    """Per trial, each payload's entry at the first link of maximal score.
+def _gate_masks(gate_u, cfgs) -> dict:
+    """zeta -> the links on, gate_u < zeta, as C-contiguous (K, trials) bool
+    rows, for each zeta below 1 among cfgs; gate_u is the trial-major
+    (trials, K) gate draw. Every use of a gate draw is that comparison."""
+    import numpy as np
+
+    return {zeta: np.ascontiguousarray((gate_u < zeta).T)
+            for zeta in dict.fromkeys(cfg.zeta for cfg in cfgs if cfg.zeta < 1.0)}
+
+
+def _first_max(score, on=None):
+    """Per trial, the flat index pick * trials + trial of the first link of
+    maximal score, or None with one link, where row 0 is every pick; with
+    `on`, that of np.where(on, score, -inf), bit for bit.
 
     Rows are links, each array C-contiguous (K, trials). A link is picked
     where its score beats the best so far by a strict >, which keeps
-    np.argmax's first maximum on ties, and each payload is gathered at the
-    pick by its flat index pick * trials + trial. The best so far is the
-    score at the pick, gathered the same way, and is not needed after the
-    last link. With one link the payload rows are returned as they are.
+    np.argmax's first maximum on ties. The best so far is the score at the
+    pick, gathered by its flat index, and is not needed after the last link.
+    With `on`, link k >= 1 is picked where it is on as well: an off link's
+    -inf beats nothing. Only the best so far is masked, so link 0 off, or a
+    pick of it, leaves -inf there; a later pick is on.
     """
     import numpy as np
 
     K, count = score.shape
     if K == 1:
-        return [payload[0] for payload in payloads]
+        return None
     trial = np.arange(count)
-    best, index = score[0], None
+    best, index = score[0] if on is None else _masked(score[0], on[0]), None
     for k in range(1, K):
-        link = (score[k] > best) * (k * count)
+        better = score[k] > best
+        if on is not None:
+            better &= on[k]
+        link = better * (k * count)
         link += trial
         # link k lies past every earlier pick, so the larger flat index wins
         index = link if index is None else np.maximum(index, link, out=link)
         if k < K - 1:
             best = score.ravel().take(index)
-    return [payload.ravel().take(index) for payload in payloads]
+            if on is not None:
+                best = _masked(best, on.ravel().take(index))
+    return index
+
+
+def _at(rows, index):
+    # each trial's entry of C-contiguous (K, trials) rows at its pick's flat
+    # index from _first_max
+    return rows[0] if index is None else rows.ravel().take(index)
 
 
 # the bits of -inf read as an int64, and the largest int64
@@ -599,25 +644,22 @@ _NEG_INF_WORD = -(1 << 52)
 _MAX_WORD = (1 << 63) - 1
 
 
-def _masked(score, gate_u, zeta: float, caps: dict):
-    """(np.where(on, score, -inf) bit for bit, on.any(axis=0)) for on = gate_u < zeta.
+def _masked(score, on):
+    """np.where(on, score, -inf), bit for bit, for one row of scores.
 
     Read as int64, the bits of every score (+0.0 or more, or NaN of either
     sign) are at least those of -inf, and no int64 exceeds _MAX_WORD, so a
     minimum with -inf's bits at off links and _MAX_WORD at on links yields
-    -inf or the score's own bits. The caps, and whether any link is on,
-    depend on the gates only and are built once per zeta.
+    -inf or the score's own bits. The minimum is taken in the array of those
+    words.
     """
     import numpy as np
 
-    if zeta not in caps:
-        on = gate_u < zeta
-        cap = np.negative(on, dtype=np.int64)  # all ones at on links
-        cap &= _MAX_WORD ^ _NEG_INF_WORD
-        cap ^= _NEG_INF_WORD
-        caps[zeta] = cap, on.any(axis=0)
-    cap, any_on = caps[zeta]
-    return np.minimum(score.view(np.int64), cap).view(np.float64), any_on
+    words = np.negative(on, dtype=np.int64)  # all ones at on links
+    words &= _MAX_WORD ^ _NEG_INF_WORD
+    words ^= _NEG_INF_WORD
+    np.minimum(score.view(np.int64), words, out=words)
+    return words.view(np.float64)
 
 
 def _gated(rate, on):
@@ -638,57 +680,67 @@ def _selection(cfg: SystemConfig) -> tuple[str, str, float]:
     # (scheme, knowledge, zeta) of the selection a config's rates come from.
     # With one link there is nothing to select: both schemes pick it, and a
     # KA row's "some link is on" is the KU row's "the picked link is on", so
-    # every K = 1 row is the SS KU row at its zeta, bit for bit
-    if cfg.K == 1:
-        return "SS", "KU", cfg.zeta
-    return cfg.scheme, cfg.knowledge, cfg.zeta
+    # every K = 1 row is the SS KU row at its zeta, bit for bit. At zeta = 1
+    # every gate draw is on, so KU is KA there
+    scheme, knowledge = ("SS", "KU") if cfg.K == 1 else (cfg.scheme, cfg.knowledge)
+    return scheme, "KA" if cfg.zeta == 1.0 else knowledge, cfg.zeta
 
 
-def _group_rates(cfgs: list, dest_sum, eve_max, gate_u, caps: dict):
+def _group_rates(cfgs: list, dest_sum, eve_max, gates: dict):
     """Yield (selection, per-trial rates) once per distinct selection (see
     `_selection`) of configs that share lambda_D and lambda_E.
 
-    dest_sum, eve_max and gate_u are a chunk's unit-scale link rows, each a
-    C-contiguous (K, trials) array; `caps` keeps the masking words of each
-    KA zeta below 1 across the groups of one chunk. Per scheme, one unmasked
-    selection serves KU at every zeta and KA at zeta = 1 (each gate draw
-    lies in [0, 1), so every link is on), and KA below zeta = 1 gets one
-    masked selection per zeta. Each link's rate is taken once, and the
-    selections gather rates. Each array is yielded as soon as it is made,
-    and a scheme's score rows are dropped once its selections are done.
+    dest_sum and eve_max are a chunk's unit-scale link rows, each a
+    C-contiguous (K, trials) array, and `gates` its links on per zeta below 1
+    (see `_gate_masks`). Per scheme, KA below zeta = 1 gets one masked
+    selection per zeta, and then one unmasked selection serves KA at zeta = 1
+    and KU at every zeta. Each link's rate is taken once, and the selections
+    gather rates. Each array is yielded as soon as it is made and dropped
+    before the next is built; OS runs first, on the ratio rows, which are
+    dropped before SS forms its destination SNRs.
     """
     import numpy as np
 
-    dest = dest_sum * cfgs[0].lambda_D
+    lambda_D = cfgs[0].lambda_D
     # (1 + dest)/(1 + eve), formed in the scaled eavesdropper array
-    ratio = eve_max * cfgs[0].lambda_E
-    ratio += 1.0
-    np.divide(dest + 1.0, ratio, out=ratio)
-    link_rates = np.log2(ratio)
+    score = eve_max * cfgs[0].lambda_E
+    score += 1.0
+    dest = dest_sum * lambda_D
+    dest += 1.0
+    np.divide(dest, score, out=score)
+    del dest
+    link_rates = np.log2(score)
     np.maximum(link_rates, 0.0, out=link_rates)
 
-    # a scheme's score rows are dropped once its selections are done
-    scores = {"SS": dest, "OS": ratio}
-    del dest, ratio
     selections = dict.fromkeys(_selection(cfg) for cfg in cfgs)
-    for scheme in ("SS", "OS"):
-        score = scores.pop(scheme)
-        unmasked = None  # the always-on selection's rate and the gate draw of its link
-        for key in selections:
-            _scheme, knowledge, zeta = key
-            if _scheme != scheme:
+    for scheme in ("OS", "SS"):
+        keys = [key for key in selections if key[0] == scheme]
+        if not keys:
+            continue
+        if scheme == "SS":
+            del score  # the ratio rows, before the same destination SNRs are formed
+            score = dest_sum * lambda_D
+        masked_keys = [key for key in keys if key[1] == "KA" and key[2] < 1.0]
+        for key in masked_keys:
+            on = gates[key[2]]
+            chosen = _at(link_rates, _first_max(score, on))
+            # a trial with every link off picks link 0 and transmits nothing
+            rate = _gated(chosen, on.any(axis=0))
+            del chosen
+            yield key, rate
+            del rate
+        index = on_rate = None  # the unmasked pick and its rates
+        for key in keys:
+            if key in masked_keys:
                 continue
-            if knowledge == "KA" and zeta < 1.0:
-                # a trial with every link off picks link 0 and transmits nothing
-                masked, any_on = _masked(score, gate_u, zeta, caps)
-                (chosen,) = _first_max(masked, [link_rates])
-                del masked  # before the consumer reduces the rates
-                yield key, _gated(chosen, any_on)
-                continue
-            if unmasked is None:
-                unmasked = _first_max(score, [link_rates, gate_u])
-            on_rate, on_u = unmasked
-            yield key, on_rate if zeta == 1.0 else _gated(on_rate, on_u < zeta)
+            if on_rate is None:
+                index = _first_max(score)
+                on_rate = _at(link_rates, index)
+            zeta = key[2]
+            rate = on_rate if zeta == 1.0 else _gated(on_rate, _at(gates[zeta], index))
+            yield key, rate
+            del rate
+        del index, on_rate
 
 
 def _rate_stats(rate, thresholds) -> dict:

@@ -415,7 +415,8 @@ class TestMemoizedKernels:
 
     def test_pinned_bits_cold_warm_and_reversed(self):
         rows = list(PINNED_RATE_HEXES)
-        memos = (esr_module._log_stieltjes, esr_module._ka_rate)
+        memos = (esr_module._log_stieltjes, esr_module._ka_rate,
+                 esr_module._os_asymptote_constant)
         for memo in memos:
             memo.cache_clear()
         assert self._hexes(rows) == PINNED_RATE_HEXES
@@ -427,7 +428,8 @@ class TestMemoizedKernels:
         assert self._hexes(rows[::-1]) == PINNED_RATE_HEXES
 
     def test_memos_are_bounded(self):
-        for memo in (esr_module._log_stieltjes, esr_module._ka_rate):
+        for memo in (esr_module._log_stieltjes, esr_module._ka_rate,
+                     esr_module._os_asymptote_constant):
             maxsize = memo.cache_parameters()["maxsize"]
             assert maxsize is not None and 0 < maxsize <= 65536
 
@@ -438,6 +440,8 @@ class TestMemoizedKernels:
         exp_sinh = esr_module._exp_sinh
         monkeypatch.setattr(esr_module, "_exp_sinh",
                             lambda *args: calls.append(args) or exp_sinh(*args))
+        esr_module._ka_rate.cache_clear()
+        esr_module._os_asymptote_constant.cache_clear()
         on = _cfg(K=3, zeta=1.0, lambda_D=100.0, scheme="OS")
         for rate in (esr_exact, esr_high_snr, esr_asymptotic):
             value = rate(on).value
@@ -751,6 +755,37 @@ class TestOneLinkOs:
         with pytest.raises(ArithmeticError, match=r"exact rate of OS/KA K=3 N=2 M_D=2 M_E=2 "
                            r"zeta=0\.9 .*rounding error of up to"):
             esr_exact(_os_row((3, 2, 2, 2), 0.9, 20.0, 5.0))
+
+    def test_a_lambda_d_sweep_integrates_the_asymptote_constant_once(self, monkeypatch):
+        # the constant reads K, zeta and the lambda_D-free base alone; every
+        # rate keeps the bits it has on empty memos
+        cfg = _os_row((3, 2, 2, 3), 0.9, 40.0, 5.0)
+        sweep = [replace(cfg, lambda_D=lam) for lam in (1e4, 1e5, 1e6)]
+        cold = []
+        for row in sweep:
+            esr_module._ka_rate.cache_clear()
+            esr_module._os_asymptote_constant.cache_clear()
+            cold.append(esr_asymptotic(row).value.hex())
+        calls = []
+        exp_sinh = esr_module._exp_sinh
+        monkeypatch.setattr(esr_module, "_exp_sinh",
+                            lambda *args: calls.append(args) or exp_sinh(*args))
+        esr_module._ka_rate.cache_clear()
+        esr_module._os_asymptote_constant.cache_clear()
+        assert [esr_asymptotic(row).value.hex() for row in sweep] == cold
+        assert len(calls) == 2  # above and below w = 1, once
+
+    def test_a_missed_asymptote_constant_names_each_row(self, monkeypatch):
+        # a failure is not memoized: every row that reads the constant
+        # raises naming itself
+        monkeypatch.setattr(esr_module, "_FINEST_STEP", 0.25)
+        esr_module._ka_rate.cache_clear()
+        esr_module._os_asymptote_constant.cache_clear()
+        for lam in (1e4, 1e5):
+            with pytest.raises(ArithmeticError, match=rf"^asymptotic rate of OS/KA K=3 .* "
+                               rf"lambda_D={lam:g} .*: the constant of its asymptote: "
+                               r"the exp-sinh levels still differ"):
+                esr_asymptotic(_os_row((3, 2, 2, 2), 0.9, 10.0 * math.log10(lam), 5.0))
 
     def test_levels_that_never_agree_raise_naming_the_row(self, monkeypatch):
         monkeypatch.setattr(esr_module, "_FINEST_STEP", 0.25)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 
@@ -25,6 +26,7 @@ from secrecy_lab.esr import esr_exact
 from secrecy_lab.oracles import (
     QuadratureError,
     _chunk_rng,
+    _gate_masks,
     _group_rates,
     _rates_with_rng,
     _selection,
@@ -132,6 +134,33 @@ class TestSharedDraws:
                 assert shared.mean == single.mean
                 assert shared.stderr == single.stderr
 
+    def test_many_gate_levels_equal_row_by_row(self):
+        # a chunk keeps one gate mask per zeta below 1: seven levels at K = 3,
+        # over a full chunk and a ragged one
+        rows = tuple(_cfg(K=3, lambda_D=lam, zeta=zeta, scheme=scheme, knowledge=knowledge)
+                     for lam, zeta, scheme, knowledge in product(
+                         (2.0, 50.0), (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0), ("SS", "OS"),
+                         ("KA", "KU")))
+        for cfg, pair in zip(rows, mc_moments(rows, 70000, seed=29)):
+            alone = _mc_alone(cfg, 70000, seed=29)
+            for shared, single in zip(pair, alone):
+                assert shared.mean == single.mean
+                assert shared.stderr == single.stderr
+
+    def test_blocked_draws_equal_one_draw(self):
+        # the eavesdropper SNRs are drawn in trial blocks; the stream is
+        # trial-major, so the blocks hold the values of one draw, and the
+        # gate draw after them is the same too
+        trials, shape = 65536 + 4465, (3, 2, 2)
+        one = _chunk_rng(seed=7, chunk_index=1)
+        whole, gates = one.standard_exponential((trials, *shape)), one.random((trials, 3))
+        rng = _chunk_rng(seed=7, chunk_index=1)
+        blocks = [rng.standard_exponential((min(oracles._EVE_BLOCK, trials - start), *shape))
+                  for start in range(0, trials, oracles._EVE_BLOCK)]
+        assert len(blocks) > 2 and len(blocks[-1]) < oracles._EVE_BLOCK
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert rng.random((trials, 3)).tobytes() == gates.tobytes()
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity masks")
     def test_default_threads_follow_the_affinity_mask(self):
@@ -197,16 +226,22 @@ class TestSimulatorBits:
 
 class _CraftedDraws:
     """Stands in for a chunk's generator: hands out crafted arrays in the
-    simulator's draw order (destination, eavesdropper, gates)."""
+    simulator's draw order (destination, eavesdropper, gates), each draw
+    of exponentials in one piece or in consecutive blocks of trials."""
 
     def __init__(self, dest, eve, gates):
         self._exponentials = [dest, eve]
         self._gates = gates
 
     def standard_exponential(self, shape):
-        draw = self._exponentials.pop(0)
-        assert draw.shape == shape
-        return draw
+        draw = self._exponentials[0]
+        block, rest = draw[:shape[0]], draw[shape[0]:]
+        if len(rest):
+            self._exponentials[0] = rest
+        else:
+            self._exponentials.pop(0)
+        assert block.shape == shape
+        return block
 
     def random(self, shape):
         assert self._gates.shape == shape
@@ -288,11 +323,10 @@ class TestSelection:
         # and the reference the selected one's
         rows, dest, eve, gates = self._draws(K, count)
         dest_sum, eve_max = dest.sum(axis=2), eve.sum(axis=3).max(axis=2)
-        caps: dict = {}  # shared across groups, as within a chunk
+        masks = _gate_masks(gates, rows)  # shared across groups, as within a chunk
         for lam in (2.0, 50.0):
             group = [cfg for cfg in rows if cfg.lambda_D == lam]
-            rates = dict(_group_rates(group, _link_rows(dest_sum), _link_rows(eve_max),
-                                      _link_rows(gates), caps))
+            rates = dict(_group_rates(group, _link_rows(dest_sum), _link_rows(eve_max), masks))
             assert len(rates) == len({_selection(cfg) for cfg in group})
             for cfg in group:
                 rate = rates[_selection(cfg)]
@@ -300,11 +334,12 @@ class TestSelection:
                 assert rate.dtype == expected.dtype and rate.shape == (count,)
                 assert rate.tobytes() == expected.tobytes(), cfg
 
+    @pytest.mark.parametrize("count", [643, 2 * oracles._EVE_BLOCK + 643])
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
-    def test_chunk_statistics_match_argmax(self, K):
+    def test_chunk_statistics_match_argmax(self, K, count):
         # the whole chunk, from the draws in the simulator's order to each
-        # config's (outage count, rate sum, sum of squares)
-        count = 643
+        # config's (outage count, rate sum, sum of squares); past one block
+        # the eavesdropper draw comes in three
         rows, dest, eve, gates = self._draws(K, count)
         stats = _rates_with_rng(rows, _CraftedDraws(dest.copy(), eve.copy(), gates.copy()),
                                 count)
@@ -334,7 +369,7 @@ class TestSelection:
                         (0.5, 1.0), ("SS", "OS"), ("KA", "KU"))]
             with np.errstate(all="ignore"):
                 rates = dict(_group_rates(rows, _link_rows(dest_sum), _link_rows(eve_max),
-                                          _link_rows(gates), {}))
+                                          _gate_masks(gates, rows)))
                 expected = [_scan_rates(cfg, dest_sum, eve_max, gates) for cfg in rows]
             assert np.isinf(expected[0]).any()
             if lambda_E > 1.0:
@@ -342,11 +377,26 @@ class TestSelection:
             for cfg, rate in zip(rows, expected):
                 assert rates[_selection(cfg)].tobytes() == rate.tobytes(), cfg
 
+    def test_full_reliability_rows_share_one_selection(self, monkeypatch):
+        # at zeta = 1 every gate draw is on, so a KU row reads the KA row's
+        # selection: the quick grid's 256 rows reduce 128 rate arrays a chunk
+        for K, scheme in product((1, 3), ("SS", "OS")):
+            ka = _cfg(K=K, scheme=scheme)
+            assert _selection(replace(ka, knowledge="KU")) == _selection(ka)
+        reduced = []
+        rate_stats = oracles._rate_stats
+        monkeypatch.setattr(oracles, "_rate_stats",
+                            lambda *args: reduced.append(args) or rate_stats(*args))
+        mc_moments(tuple(acceptance._sop_grid(True)), 65536, acceptance.ACCEPT_SEED)
+        assert len(reduced) == 128
+
     def test_chunk_memory_peak(self):
         # tracemalloc peak of one 65,536-trial chunk over the 16 quick-grid
         # rows of shape (2, 2, 2, 2): 16.76 MiB while every rate array of a
         # shape was held until its statistics were taken, 10.07 MiB with
-        # each selection's rates reduced before the next are built
+        # each selection's rates reduced before the next are built, 6.13 MiB
+        # with bool gate masks in place of the gate draw, one score alive at
+        # a time and the eavesdropper draw in trial blocks
         rows = tuple(cfg for cfg in acceptance._sop_grid(True)
                      if (cfg.K, cfg.N, cfg.M_D, cfg.M_E) == (2, 2, 2, 2))
         assert len(rows) == 16
@@ -357,7 +407,7 @@ class TestSelection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13 * 2 ** 20, peak / 2 ** 20
+        assert peak < 6.75 * 2 ** 20, peak / 2 ** 20
 
 
 class TestSimulatorDistributions:
@@ -749,6 +799,20 @@ class TestQuadratureBits:
         assert quad_cdf_ratio(ku.rho(), ku) == min(1.0, 1.0 - 0.9 + 0.9 * outage)
         assert (oracles._ka_esr.cache_info().misses,
                 oracles._ka_cdf_integral.cache_info().misses) == misses
+
+    def test_os_outage_rows_share_one_link_average(self):
+        # under OS the eavesdropper average is one link's, read by rows of
+        # every K and zeta, each with the bits of a row on empty tables
+        rows = [_cfg(K=K, lambda_E=10.0 ** 0.5, zeta=zeta, scheme="OS", knowledge=knowledge)
+                for K, zeta, knowledge in product((1, 2, 3), (0.5, 0.9, 1.0), ("KA", "KU"))]
+        x = rows[0].rho()
+        alone = []
+        for cfg in rows:
+            _empty_tables()
+            alone.append(quad_cdf_ratio(x, cfg).hex())
+        _empty_tables()
+        assert [quad_cdf_ratio(x, cfg).hex() for cfg in rows] == alone
+        assert oracles._ka_cdf_integral.cache_info().misses == 1
 
     @pytest.mark.parametrize("scheme", ["SS", "OS"])
     def test_gate_after_selection_at_full_reliability_is_bitwise_ka(self, scheme):
