@@ -572,6 +572,9 @@ def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
         eve_max[:, start:start + len(top)] = top.T
         del sums, top
     gates = _gate_masks(rng.random((count, K)), cfgs)
+    # every selection's flat indices, made after the draws are folded; one
+    # link needs none (see _first_max)
+    trial = np.arange(count) if K > 1 else None
 
     groups: dict = {}  # (lambda_D, lambda_E) -> indices of its configs
     for i, cfg in enumerate(cfgs):
@@ -579,7 +582,7 @@ def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
     stats = [None] * len(cfgs)
     for members in groups.values():
         group = [cfgs[i] for i in members]
-        for key, rate in _group_rates(group, dest_sum, eve_max, gates):
+        for key, rate in _group_rates(group, dest_sum, eve_max, gates, trial):
             rows = [i for i in members if _selection(cfgs[i]) == key]
             at = _rate_stats(rate, {cfgs[i].R_th for i in rows})
             del rate  # before the next selection is built
@@ -598,10 +601,11 @@ def _gate_masks(gate_u, cfgs) -> dict:
             for zeta in dict.fromkeys(cfg.zeta for cfg in cfgs if cfg.zeta < 1.0)}
 
 
-def _first_max(score, on=None):
+def _first_max(score, trial, on=None):
     """Per trial, the flat index pick * trials + trial of the first link of
     maximal score, or None with one link, where row 0 is every pick; with
-    `on`, that of np.where(on, score, -inf), bit for bit.
+    `on`, that of np.where(on, score, -inf), bit for bit. `trial` is the
+    chunk's np.arange(trials), None with one link.
 
     Rows are links, each array C-contiguous (K, trials). A link is picked
     where its score beats the best so far by a strict >, which keeps
@@ -616,7 +620,6 @@ def _first_max(score, on=None):
     K, count = score.shape
     if K == 1:
         return None
-    trial = np.arange(count)
     best, index = score[0] if on is None else _masked(score[0], on[0]), None
     for k in range(1, K):
         better = score[k] > best
@@ -686,18 +689,20 @@ def _selection(cfg: SystemConfig) -> tuple[str, str, float]:
     return scheme, "KA" if cfg.zeta == 1.0 else knowledge, cfg.zeta
 
 
-def _group_rates(cfgs: list, dest_sum, eve_max, gates: dict):
+def _group_rates(cfgs: list, dest_sum, eve_max, gates: dict, trial):
     """Yield (selection, per-trial rates) once per distinct selection (see
     `_selection`) of configs that share lambda_D and lambda_E.
 
     dest_sum and eve_max are a chunk's unit-scale link rows, each a
     C-contiguous (K, trials) array, and `gates` its links on per zeta below 1
-    (see `_gate_masks`). Per scheme, KA below zeta = 1 gets one masked
-    selection per zeta, and then one unmasked selection serves KA at zeta = 1
-    and KU at every zeta. Each link's rate is taken once, and the selections
-    gather rates. Each array is yielded as soon as it is made and dropped
-    before the next is built; OS runs first, on the ratio rows, which are
-    dropped before SS forms its destination SNRs.
+    (see `_gate_masks`); `trial` is the chunk's np.arange(trials), shared by
+    every selection, or None with one link (see `_first_max`). Per scheme,
+    KA below zeta = 1 gets one masked selection per zeta, and then one
+    unmasked selection serves KA at zeta = 1 and KU at every zeta. Each
+    link's rate is taken once, and the selections gather rates. Each array
+    is yielded as soon as it is made and dropped before the next is built;
+    OS runs first, on the ratio rows, which are dropped before SS forms its
+    destination SNRs.
     """
     import numpy as np
 
@@ -723,7 +728,7 @@ def _group_rates(cfgs: list, dest_sum, eve_max, gates: dict):
         masked_keys = [key for key in keys if key[1] == "KA" and key[2] < 1.0]
         for key in masked_keys:
             on = gates[key[2]]
-            chosen = _at(link_rates, _first_max(score, on))
+            chosen = _at(link_rates, _first_max(score, trial, on))
             # a trial with every link off picks link 0 and transmits nothing
             rate = _gated(chosen, on.any(axis=0))
             del chosen
@@ -734,7 +739,7 @@ def _group_rates(cfgs: list, dest_sum, eve_max, gates: dict):
             if key in masked_keys:
                 continue
             if on_rate is None:
-                index = _first_max(score)
+                index = _first_max(score, trial)
                 on_rate = _at(link_rates, index)
             zeta = key[2]
             rate = on_rate if zeta == 1.0 else _gated(on_rate, _at(gates[zeta], index))

@@ -160,36 +160,18 @@ def sop(cfg: SystemConfig) -> SopResult:
     return SopResult(value=value, form=_FORM_EXACT, term_count=len(term_sum.terms))
 
 
-def _perfect_backhaul_bracket(links: int, dest_factorial_count: int,
-                              cfg: SystemConfig) -> tuple[float, int]:
-    # Leading lambda_D^(-links*M_D per bracket) coefficient of the outage
-    # CDF at rho: sum over the binomial split of (rho-1+rho*lambda_E*u)^Lam
-    # against the strongest-eavesdropper density moments.
-    lam = links
-    rho = cfg.rho()
-    log_lam_e = math.log(cfg.lambda_E)
-    log_rho = math.log(rho)
-    eve_den = math.factorial(cfg.M_E - 1)
-    eve = [(n, me_hat, Fraction(cfg.N * pick * c, den * eve_den))
-           for n, pick, den, power in poisson_powers(cfg.M_E, cfg.N - 1) for me_hat, c in power]
-    pieces = []
-    for mu in range(lam + 1):
-        if rho == 1.0 and mu != lam:
-            continue  # (rho-1)^(lam-mu) vanishes
-        for n, me_hat, eve_frac in eve:
-            phi = cfg.M_E + mu + me_hat
-            frac = (eve_frac * math.comb(lam, mu) * math.factorial(phi - 1)
-                    / Fraction((n + 1) ** phi))
-            log_mag = (math.log(abs(frac.numerator)) - math.log(frac.denominator)
-                       + mu * (log_lam_e + log_rho))
-            if mu != lam:
-                log_mag += (lam - mu) * math.log(rho - 1.0)
-            sign = 1 if frac > 0 else -1
-            pieces.append(sign * math.exp(log_mag))
-    total = math.fsum(pieces)
-    log_scale = (-lam * math.log(cfg.lambda_D)
-                 - dest_factorial_count * math.lgamma(cfg.M_D + 1))
-    return total * math.exp(log_scale), len(pieces)
+def _eve_moment(mu: int, N: int, M_E: int) -> Fraction:
+    """E[Z^mu] exactly, Z the strongest of N unit-scale Gamma(M_E) SNRs.
+
+    Z's density is N/(M_E-1)! z^(M_E-1) e^(-z) times the sum over n of
+    (-1)^n C(N-1,n) e^(-nz) P_{M_E}(z)^n (see _term_table), and the z^j term
+    of the n-th power integrates against z^mu to (mu+M_E+j-1)!/(n+1)^(mu+M_E+j).
+    """
+    eve_den = math.factorial(M_E - 1)
+    return sum((Fraction(N * pick * c * math.factorial(mu + M_E + j - 1),
+                         den * eve_den * (n + 1) ** (mu + M_E + j))
+                for n, pick, den, power in poisson_powers(M_E, N - 1) for j, c in power),
+               Fraction(0))
 
 
 def sop_asymptotic(cfg: SystemConfig) -> SopResult:
@@ -199,20 +181,31 @@ def sop_asymptotic(cfg: SystemConfig) -> SopResult:
     is independent of every other parameter: selection over active links
     leaves outage only when every backhaul is down, (1-zeta)^K, and
     gate-after-selection is blocked whenever the one selected gate is down,
-    1-zeta. At zeta = 1 both schemes decay as lambda_D^(-K*M_D); the
-    max-ratio scheme's value is the K-th power of its single-link bracket.
-    The form labels the two regimes.
+    1-zeta. At zeta = 1 both schemes decay as lambda_D^(-K*M_D). A link is
+    in outage when its SNR is at most t = rho(1+Y) - 1, with probability
+    (t/lambda_D)^M_D / M_D! to leading order, so the SS outage over K links
+    is E_Y[t^L] / (M_D!^K lambda_D^L), L = K*M_D, and the OS outage is the
+    K-th power of the one-link value (L = M_D). With Y = lambda_E Z,
+    t = (rho-1) + rho lambda_E Z splits binomially over the exact moments
+    of Z (_eve_moment): every weight is nonnegative, as rho >= 1. The sum
+    is exact in the Fractions of the float inputs, clamped to 1 and rounded
+    once; term_count is its L + 1 binomial terms. The form labels the two
+    regimes.
     """
     if cfg.zeta < 1.0:
         value = (1.0 - cfg.zeta) ** cfg.K if cfg.knowledge == "KA" else 1.0 - cfg.zeta
         return SopResult(value=value, form=_FORM_ASYMPTOTIC, term_count=1)
-    if cfg.scheme == "SS":
-        value, count = _perfect_backhaul_bracket(diversity_order(cfg), cfg.K, cfg)
-    else:
-        bracket, count = _perfect_backhaul_bracket(cfg.M_D, 1, cfg)
-        value = bracket ** cfg.K
-    return SopResult(value=min(1.0, max(0.0, value)),
-                     form=_FORM_ASYMPTOTIC_PERFECT, term_count=count)
+    links = cfg.K if cfg.scheme == "SS" else 1
+    L = links * cfg.M_D
+    rho = Fraction(cfg.rho())
+    scale = rho * Fraction(cfg.lambda_E)
+    mean_power = sum(math.comb(L, mu) * (rho - 1) ** (L - mu) * scale ** mu
+                     * _eve_moment(mu, cfg.N, cfg.M_E) for mu in range(L + 1))
+    value = mean_power / (math.factorial(cfg.M_D) ** links * Fraction(cfg.lambda_D) ** L)
+    if cfg.scheme == "OS":
+        value **= cfg.K
+    return SopResult(value=float(min(value, 1)),
+                     form=_FORM_ASYMPTOTIC_PERFECT, term_count=L + 1)
 
 
 def diversity_order(cfg: SystemConfig) -> int:

@@ -348,7 +348,8 @@ class TestImportHygiene:
 
     def test_closed_form_run_loads_none(self, tmp_path):
         config = _write_config(tmp_path / "sweep.json",
-                               outputs=["sop_exact", "esr_exact", "esr_high_snr"])
+                               outputs=["sop_exact", "sop_asymptotic", "esr_exact",
+                                        "esr_high_snr", "esr_asymptotic"])
         out = tmp_path / "out.csv"
         assert _heavy_modules_after(_cli_run(config, out)) == []
         assert len(_rows(out)) == 6

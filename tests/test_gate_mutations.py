@@ -21,7 +21,7 @@ from secrecy_lab import acceptance, esr, oracles
 sop = importlib.import_module("secrecy_lab.sop")
 
 _CLOSED_FORM_CACHES = (sop._term_sum_for_key, sop._term_table, esr._log_stieltjes,
-                       esr._ka_rate, acceptance._sop_closed, acceptance._esr_closed)
+                       esr._ka_rate, acceptance._sop_closed)
 _OTHER_SCHEME = {"SS": "OS", "OS": "SS"}
 
 

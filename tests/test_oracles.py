@@ -326,7 +326,8 @@ class TestSelection:
         masks = _gate_masks(gates, rows)  # shared across groups, as within a chunk
         for lam in (2.0, 50.0):
             group = [cfg for cfg in rows if cfg.lambda_D == lam]
-            rates = dict(_group_rates(group, _link_rows(dest_sum), _link_rows(eve_max), masks))
+            rates = dict(_group_rates(group, _link_rows(dest_sum), _link_rows(eve_max), masks,
+                                      np.arange(count)))
             assert len(rates) == len({_selection(cfg) for cfg in group})
             for cfg in group:
                 rate = rates[_selection(cfg)]
@@ -369,7 +370,7 @@ class TestSelection:
                         (0.5, 1.0), ("SS", "OS"), ("KA", "KU"))]
             with np.errstate(all="ignore"):
                 rates = dict(_group_rates(rows, _link_rows(dest_sum), _link_rows(eve_max),
-                                          _gate_masks(gates, rows)))
+                                          _gate_masks(gates, rows), np.arange(count)))
                 expected = [_scan_rates(cfg, dest_sum, eve_max, gates) for cfg in rows]
             assert np.isinf(expected[0]).any()
             if lambda_E > 1.0:

@@ -476,12 +476,65 @@ class TestAsymptoticFloor:
         assert ka == ku == pytest.approx(0.1, rel=1e-15)
 
 
+def _quad_perfect_backhaul(cfg):
+    """The zeta = 1 outage asymptote to 40 digits, from the eavesdropper CDF
+    alone: E_Y[(rho(1+Y) - 1)^L] / (M_D!^links lambda_D^L), the OS value the
+    K-th power of the one-link one. With Y = lambda_E Z and h the power,
+    E[h(Y)] = h(0) + int h'(lambda_E z) lambda_E P(Z > z) dz, where P(Z > z)
+    = 1 - (1 - Q(M_E, z))^N reads the regularized upper gamma Q."""
+    links = cfg.K if cfg.scheme == "SS" else 1
+    L = links * cfg.M_D
+    with mpmath.workdps(40):
+        rho, lam_e = mpmath.mpf(cfg.rho()), mpmath.mpf(cfg.lambda_E)
+
+        def tail(z):
+            upper = mpmath.gammainc(cfg.M_E, z, mpmath.inf, regularized=True)
+            return (L * rho * lam_e * (rho - 1 + rho * lam_e * z) ** (L - 1)
+                    * -mpmath.expm1(cfg.N * mpmath.log1p(-upper)))
+
+        moment = (rho - 1) ** L + mpmath.quad(tail, [0, 1, 4 * cfg.M_E, mpmath.inf])
+        value = moment / (mpmath.factorial(cfg.M_D) ** links * mpmath.mpf(cfg.lambda_D) ** L)
+        return value ** cfg.K if cfg.scheme == "OS" else value
+
+
+# (K, M_D, N, M_E, scheme, R_th): every (K, M_D) pair over {1, 2, 4}, each
+# N and M_E in {1, 3}, both schemes and R_th in {0, 2}
+_REFERENCE_ROWS = [
+    (1, 1, 1, 1, "SS", 0.0), (1, 1, 3, 3, "SS", 2.0), (1, 2, 3, 1, "OS", 2.0),
+    (1, 4, 1, 3, "SS", 2.0), (1, 4, 3, 1, "OS", 0.0), (2, 1, 3, 3, "OS", 0.0),
+    (2, 2, 1, 1, "OS", 2.0), (2, 2, 3, 3, "SS", 2.0), (2, 4, 3, 3, "SS", 0.0),
+    (2, 4, 1, 1, "OS", 2.0), (4, 1, 1, 3, "SS", 2.0), (4, 1, 3, 3, "OS", 2.0),
+    (4, 2, 3, 1, "SS", 0.0), (4, 2, 1, 3, "OS", 2.0), (4, 4, 1, 1, "OS", 0.0),
+    (4, 4, 3, 3, "SS", 2.0),
+]
+
+
 class TestPerfectBackhaulAsymptote:
+    @pytest.mark.parametrize("K, M_D, N, M_E, scheme, R_th", _REFERENCE_ROWS)
+    def test_within_an_ulp_of_the_quadrature(self, K, M_D, N, M_E, scheme, R_th):
+        cfg = _cfg(K=K, M_D=M_D, N=N, M_E=M_E, scheme=scheme, R_th=R_th, lambda_D=1e3,
+                   lambda_E=10.0 ** 0.5)
+        got = sop_asymptotic(cfg).value
+        assert 0.0 < got < 1.0
+        assert abs(mpmath.mpf(got) - _quad_perfect_backhaul(cfg)) <= math.ulp(got)
+
+    @pytest.mark.parametrize("lam_e, lam_d, expected", [(1e20, 1e3, 1.0), (1e30, 1e300, 0.0)])
+    @pytest.mark.parametrize("scheme", ["SS", "OS"])
+    def test_past_the_double_range_saturates(self, scheme, lam_e, lam_d, expected):
+        # powers of lambda_E or lambda_D, or the value itself, leave the double range
+        cfg = _cfg(K=4, N=4, M_D=4, M_E=4, R_th=2.0, lambda_E=lam_e, lambda_D=lam_d,
+                   scheme=scheme)
+        assert sop_asymptotic(cfg).value == expected
+
+    def test_term_count_is_the_binomial_split(self):
+        for scheme, L in (("SS", 2 * 3), ("OS", 3)):
+            assert sop_asymptotic(_cfg(K=2, M_D=3, scheme=scheme)).term_count == L + 1
+
     def test_single_transmitter_schemes_coincide(self):
         cfg = _cfg(K=1, lambda_D=1e4)
         ss = sop_asymptotic(cfg).value
         os_ = sop_asymptotic(replace(cfg, scheme="OS")).value
-        assert ss == pytest.approx(os_, rel=1e-12)
+        assert ss.hex() == os_.hex()
 
     def test_decay_rate_matches_diversity_order(self):
         lo = sop_asymptotic(_cfg(lambda_D=1e5)).value
