@@ -165,11 +165,25 @@ class TermSum:
                        f"term sum at x={x!r}{self._where()}")
 
     def _mp_terms(self, mpmath, x: float) -> list:
-        """1 and the negated term values at x, in mpmath."""
+        """1 and the negated term values at x, in mpmath.
+
+        Each power and exponential is computed once per call, for each
+        exponent the rows use, and every term multiplies them in one fixed
+        order, so each value is the per-row product's.
+        """
         lam_d, lam_e, zeta, xx = map(mpmath.mpf, self.key[4:] + (x,))
         w = xx - 1
-        kernels = {(k, n): k * xx / lam_d + (n + 1) / lam_e for k, n in self._kernels}
-        return [1] + [-(mpmath.mpf(c) / den * zeta ** k * lam_d ** -i * lam_e ** (mu - theta)
-                        * xx ** mu * w ** (i - mu) * mpmath.exp(-k * w / lam_d)
-                        / kernels[k, n] ** theta)
-                      for c, den, k, n, i, mu, theta in self.terms]
+        rows = self.terms
+        ks = {row[2] for row in rows}
+        zeta_k = {k: zeta ** k for k in ks}
+        decay_k = {k: mpmath.exp(-k * w / lam_d) for k in ks}
+        lam_d_i = {i: lam_d ** -i for i in {row[4] for row in rows}}
+        lam_e_j = {j: lam_e ** j for j in {mu - theta for *_head, mu, theta in rows}}
+        x_mu = {mu: xx ** mu for mu in {row[5] for row in rows}}
+        w_d = {d: w ** d for d in {i - mu for *_head, i, mu, _theta in rows}}
+        scales = {(k, n): k * xx / lam_d + (n + 1) / lam_e for k, n in self._kernels}
+        kernels = {(k, n, theta): scales[k, n] ** theta
+                   for k, n, theta in {(row[2], row[3], row[6]) for row in rows}}
+        return [1] + [-(mpmath.mpf(c) / den * zeta_k[k] * lam_d_i[i] * lam_e_j[mu - theta]
+                        * x_mu[mu] * w_d[i - mu] * decay_k[k] / kernels[k, n, theta])
+                      for c, den, k, n, i, mu, theta in rows]

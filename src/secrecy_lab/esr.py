@@ -121,13 +121,19 @@ def _float_sum(terms, cfg: SystemConfig, shift: float) -> tuple[float, float]:
 
 
 def _mp_terms(mpmath, terms, cfg: SystemConfig, high_snr: bool) -> list:
-    """The term values of _float_sum in mpmath, each kernel computed once."""
+    """The term values of _float_sum in mpmath, each kernel, power and
+    exponential computed once per call and multiplied in one fixed order."""
     lam_d, lam_e, zeta = map(mpmath.mpf, (cfg.lambda_D, cfg.lambda_E, cfg.zeta))
     kernels = {(k, n, p): math.factorial(p) * mpmath.exp(k / lam_d + n / lam_e)
                * mpmath.gammainc(-p, k / lam_d + n / lam_e)
                for k, n, p in {(k, n, p) for *_head, k, n, _i, _j, p in terms}}
-    return [mpmath.mpf(c) / den * zeta ** k * lam_d ** -i * lam_e ** -j * kernels[k, n, p]
-            * (mpmath.exp(-k / lam_d) if high_snr else 1)
+    ks = {row[4] for row in terms}
+    zeta_k = {k: zeta ** k for k in ks}
+    shift_k = {k: mpmath.exp(-k / lam_d) if high_snr else 1 for k in ks}
+    lam_d_i = {i: lam_d ** -i for i in {row[6] for row in terms}}
+    lam_e_j = {j: lam_e ** -j for j in {row[7] for row in terms}}
+    return [mpmath.mpf(c) / den * zeta_k[k] * lam_d_i[i] * lam_e_j[j] * kernels[k, n, p]
+            * shift_k[k]
             for _log_c, _sign, c, den, k, n, i, j, p in terms]
 
 

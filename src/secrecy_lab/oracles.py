@@ -7,20 +7,32 @@ each chunk gets its own counter-based (Philox) stream keyed by (seed, chunk
 index). Per-chunk reductions happen inside the chunk and the cross-chunk
 reduction runs in chunk order, so the estimate is bit-identical for any
 worker count. The draws depend only on (K, N, M_D, M_E), so configs of one
-such shape share draws and still get the bits of a pass of their own.
+such shape share draws and still get the bits of a pass of their own. A
+shape's stream opens with its destination draw, which depends on (K, M_D)
+alone: shapes of one such family share it, drawn once per chunk, and each
+shape restores the generator's state from just after it before making its
+own eavesdropper and gate draws, which are then the values of its own
+stream.
 
 Monte Carlo reductions: numpy's pairwise sum adds a run of fewer than 8
 elements one by one from 0.0, so a path sum over fewer than 8 paths is a
 left fold of whole-array adds over the path slices, with ndarray.sum's
 bits; 8 or more paths keep ndarray.sum. The eavesdropper maximum is an
-np.maximum fold over the N slices, exact in any order.
+np.maximum fold over the N slices, exact in any order. A run of more than
+128 elements is split at n2 = n//2 - (n//2 mod 8), and the halves' sums
+are added. A chunk's selections run per leaf of that tree, splitting the
+chunk the same way until a block holds at most _LEAF trials; each block's
+rate sum and sum of squares are ndarray sums, added back up the tree, so
+each equals ndarray.sum over the whole chunk's rates, bit for bit (tests
+check this on lengths either side of the leaf size). Outage counts are
+integers and add exactly.
 
 Monte Carlo selection: each of a chunk's draws is reduced to one contiguous
 row per link, a (K, trials) array, before the next draw is made. A shape's
 configs are grouped by (lambda_D, lambda_E); a group builds its ratios and
-per-link rates max(log2(ratio), 0) once, for both schemes. The log2 is
-taken once per link, over the contiguous (K, trials) array, and the
-selections gather rates instead of ratios. numpy's log2 gives an element
+per-link rates max(log2(ratio), 0) once per block, for both schemes. The
+log2 is taken once per link, over the block's contiguous (K, trials) array,
+and the selections gather rates instead of ratios. numpy's log2 gives an element
 the same bits wherever it sits in an array (tests check this across SIMD
 tails), so every rate array has the bits of a per-config argmax over links
 followed by log2 of the chosen ratio. A selection scans the links in order,
@@ -39,35 +51,39 @@ so every link is on. With K = 1 there is nothing to select: both schemes
 share the one pick, and a KA row below zeta = 1 is the KU row at its zeta.
 
 Monte Carlo gates and masks: every use of a gate draw is the comparison
-gate_u < zeta, so right after the draw a chunk keeps one bool (K, trials)
-mask per distinct zeta below 1 among its configs, and drops the draw. A KU
-row gathers its mask at the unmasked pick. Every score is +0.0 or more, and
-every rate +0.0 or more, +inf where a destination SNR overflows, or NaN
-where two overflowed SNRs meet in a ratio. A gate keeps a rate where its
-link is on and gives +0.0 elsewhere, as a bitwise and of the rate's bits
-with all-ones or zero words: exact for every float, where a product with
-the 0/1 mask would turn inf * 0 into NaN. A masked selection scans the
-unmasked scores and folds its mask into the scan: link k >= 1 is picked
-only where it is on, since an off link's -inf beats nothing, and only the
-best so far is masked, one (trials,) row at a time, as an int64 minimum of
-the score's bits with -inf's bits at off links and the largest int64 at on
-links; read as int64, the bits of every score are at least -inf's, so the
+gate_u < zeta, so right after each block of the draw a chunk fills one bool
+(K, trials) mask per distinct zeta below 1 among its configs, and drops the
+block. A KU row gathers its mask at the unmasked pick. Every score is +0.0
+or more, and every rate +0.0 or more, +inf where a destination SNR
+overflows, or NaN where two overflowed SNRs meet in a ratio. A gate keeps a
+rate where its link is on and gives +0.0 elsewhere, as a bitwise and of the
+rate's bits with all-ones or zero words: exact for every float, where a
+product with the 0/1 mask would turn inf * 0 into NaN. A masked selection
+scans the unmasked scores and folds its mask into the scan: link k >= 1 is
+picked only where it is on, since an off link's -inf beats nothing, and only
+the best so far is masked, one (trials,) row at a time, as an int64 minimum
+of the score's bits with -inf's bits at off links and the largest int64 at
+on links; read as int64, the bits of every score are at least -inf's, so the
 minimum is -inf or the score itself. Both give np.where's bits without its
 branches, and no masked copy of the (K, trials) scores is made.
 
-Monte Carlo memory: a chunk holds its destination sums, eavesdropper
-maxima and gate masks; the draws themselves are gone before a selection
-runs. The eavesdropper SNRs are drawn in blocks of _EVE_BLOCK trials, each
-block's path sums and maximum folded straight into the (K, trials) maxima:
-the stream is trial-major, so consecutive draws of (b, K, N, M_E) give the
-values of one (trials, K, N, M_E) draw. One (lambda_D, lambda_E) group's
-arrays are alive at a time, and one score at a time within it: the ratio
-rows are dropped before SS forms its destination SNRs. Each selection's
-rate array is reduced to its statistics (outage count per threshold, sum,
-sum of squares) as soon as it is made, and dropped before the next one is
-built; rows that share a selection share its array and its statistics. A
-scheme's masked selections run before its unmasked one, whose pick is
-alive through no other selection.
+Monte Carlo memory: only three kinds of array span the whole chunk: its
+family's destination sums, and one shape's eavesdropper maxima and gate
+masks, each a (K, trials) row per link. Every draw is made in blocks of
+_DRAW_BLOCK trials, each block's path sums (and eavesdropper maximum)
+folded straight into the rows, and each gate block compared into the
+masks: the stream is trial-major, so consecutive draws of (b, ...) give
+the values of one (trials, ...) draw. Ratios, scores, link rates, picks and
+rates are built per leaf block of at most _LEAF trials (see "Monte Carlo
+reductions"), each block's gate masks copied out contiguous. Within a
+block, one (lambda_D, lambda_E) group's arrays are alive at a time, and
+one score at a time within it: the ratio rows are dropped before SS forms
+its destination SNRs. Each selection's rate array is reduced to its
+statistics (outage count per threshold, sum, sum of squares) as soon as
+it is made, and dropped before the next one is built; rows that share a
+selection share its array and its statistics. A scheme's masked
+selections run before its unmasked one, whose pick is alive through no
+other selection.
 
 Gate after selection (KU): the always-on selection runs first and one
 backhaul gate then blocks the selected link, so a KU row is its always-on KA
@@ -137,7 +153,8 @@ from typing import Sequence
 from .channel import SystemConfig, pdf_snr_eve_max
 
 _CHUNK = 65536
-_EVE_BLOCK = 4096  # trials per eavesdropper draw (see "Monte Carlo memory")
+_DRAW_BLOCK = 4096  # trials per block of a draw (see "Monte Carlo memory")
+_LEAF = 16384  # most trials per selection block (see "Monte Carlo reductions")
 _MIN_TRIALS = 10_000
 _LN2 = math.log(2.0)
 
@@ -543,69 +560,118 @@ def _path_sum(draws):
     return total
 
 
-def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator,
-                    count: int) -> list[tuple[float, float, float]]:
+def _link_rows(rng: np.random.Generator, count: int, K: int, paths: int,
+               branches: int = 1):
+    """The C-contiguous (K, count) rows of each link's largest of `branches`
+    sums of `paths` unit exponentials, drawn as one trial-major
+    (count, K, branches, paths) draw in blocks of _DRAW_BLOCK trials, each
+    block folded into the rows (see "Monte Carlo memory").
+
+    Scaling by lambda > 0 is monotone under rounding, so the scaled maximum
+    over branches equals the maximum of the scaled sums; a maximum is exact
+    in any order.
+    """
+    import numpy as np
+
+    rows = np.empty((K, count))
+    for start in range(0, count, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, count - start)
+        sums = _path_sum(rng.standard_exponential((size, K, branches, paths)))
+        top = sums[..., 0]  # overwritten by the fold, as nothing reads it again
+        for n in range(1, branches):
+            np.maximum(top, sums[..., n], out=top)
+        rows[:, start:start + size] = top.T
+        del sums, top
+    return rows
+
+
+def _rates_with_rng(cfgs: tuple[SystemConfig, ...], rng: np.random.Generator, count: int,
+                    dest_sum) -> list[tuple[float, float, float]]:
     """(outage count, rate sum, sum of squares) of every config over one chunk.
 
     The configs share (K, N, M_D, M_E) and one set of draws; the rest of each
     config is applied to the unit-scale draws afterwards, so every config's
     statistics are bit-identical to those of a draw made for it alone. Draw
     order is part of the reproducibility contract: destination SNRs, then
-    eavesdropper SNRs, then backhaul gates. Each selection's rate array is
-    reduced before the next one is built.
+    eavesdropper SNRs, then backhaul gates. `dest_sum` is the destination
+    draw's (K, count) rows (see `_link_rows`), with `rng` just past it. The
+    selections run per leaf block of the pairwise tree (see "Monte Carlo
+    reductions"), and each selection's rate array is reduced before the next
+    one is built.
     """
     import numpy as np
 
-    K, N, M_D, M_E = _shape(cfgs[0])
-    # one contiguous row per link, each draw copied before the next is made
-    dest_sum = np.ascontiguousarray(_path_sum(rng.standard_exponential((count, K, M_D))).T)
-    # the eavesdropper draw in trial blocks, each folded into the link rows
-    # (see "Monte Carlo memory"). Scaling by lambda_E > 0 is monotone under
-    # rounding, so the scaled maximum over eavesdroppers equals the maximum
-    # of the scaled sums; a maximum is exact in any order
-    eve_max = np.empty((K, count))
-    for start in range(0, count, _EVE_BLOCK):
-        sums = _path_sum(rng.standard_exponential((min(_EVE_BLOCK, count - start), K, N, M_E)))
-        top = sums[..., 0]  # overwritten by the fold, as nothing reads it again
-        for n in range(1, N):
-            np.maximum(top, sums[..., n], out=top)
-        eve_max[:, start:start + len(top)] = top.T
-        del sums, top
-    gates = _gate_masks(rng.random((count, K)), cfgs)
+    K, N, _M_D, M_E = _shape(cfgs[0])
+    eve_max = _link_rows(rng, count, K, M_E, N)
+    gates = _gate_masks(rng, count, cfgs)
     # every selection's flat indices, made after the draws are folded; one
     # link needs none (see _first_max)
-    trial = np.arange(count) if K > 1 else None
+    trial = np.arange(min(count, _LEAF)) if K > 1 else None
 
-    groups: dict = {}  # (lambda_D, lambda_E) -> indices of its configs
+    groups: dict = {}  # (lambda_D, lambda_E) -> {selection: indices of its configs}
     for i, cfg in enumerate(cfgs):
-        groups.setdefault((cfg.lambda_D, cfg.lambda_E), []).append(i)
-    stats = [None] * len(cfgs)
-    for members in groups.values():
-        group = [cfgs[i] for i in members]
-        for key, rate in _group_rates(group, dest_sum, eve_max, gates, trial):
-            rows = [i for i in members if _selection(cfgs[i]) == key]
-            at = _rate_stats(rate, {cfgs[i].R_th for i in rows})
-            del rate  # before the next selection is built
-            for i in rows:
-                stats[i] = at[cfgs[i].R_th]
-    return stats
+        groups.setdefault((cfg.lambda_D, cfg.lambda_E), {}).setdefault(
+            _selection(cfg), []).append(i)
+
+    def leaf(start: int, stop: int):
+        # the configs' statistics over trials start..stop, one row each
+        block = slice(start, stop)
+        on = {zeta: np.ascontiguousarray(mask[:, block]) for zeta, mask in gates.items()}
+        picks = None if trial is None else trial[:stop - start]
+        stats = np.empty((len(cfgs), 3))
+        for selections in groups.values():
+            group = [cfgs[i] for rows in selections.values() for i in rows]
+            for key, rate in _group_rates(group, dest_sum[:, block], eve_max[:, block], on,
+                                          picks):
+                rows = selections[key]
+                at = _rate_stats(rate, {cfgs[i].R_th for i in rows})
+                del rate  # before the next selection is built
+                for i in rows:
+                    stats[i] = at[cfgs[i].R_th]
+        return stats
+
+    return [tuple(map(float, row)) for row in _pairwise(leaf, 0, count)]
 
 
-def _gate_masks(gate_u, cfgs) -> dict:
-    """zeta -> the links on, gate_u < zeta, as C-contiguous (K, trials) bool
-    rows, for each zeta below 1 among cfgs; gate_u is the trial-major
-    (trials, K) gate draw. Every use of a gate draw is that comparison."""
+def _pairwise(leaf, start: int, count: int):
+    """leaf(start, stop) of the leaves of numpy's pairwise-sum tree over
+    `count` elements from `start`, added back up the tree.
+
+    numpy's pairwise sum splits a run of more than 128 elements at
+    n2 = n//2 - (n//2 mod 8) and adds the two halves' sums. A run of at most
+    _LEAF elements is one leaf here, so where leaf returns ndarray sums over
+    its run of one array, the result is that array's sum, bit for bit (see
+    "Monte Carlo reductions").
+    """
+    if count <= _LEAF:
+        return leaf(start, start + count)
+    half = count // 2 - count // 2 % 8
+    return _pairwise(leaf, start, half) + _pairwise(leaf, start + half, count - half)
+
+
+def _gate_masks(rng: np.random.Generator, count: int, cfgs) -> dict:
+    """zeta -> the links on, u < zeta, as C-contiguous (K, count) bool rows,
+    for each zeta below 1 among cfgs; u is the trial-major (count, K) gate
+    draw, made in blocks of _DRAW_BLOCK trials. Every use of a gate draw is
+    that comparison."""
     import numpy as np
 
-    return {zeta: np.ascontiguousarray((gate_u < zeta).T)
-            for zeta in dict.fromkeys(cfg.zeta for cfg in cfgs if cfg.zeta < 1.0)}
+    K = cfgs[0].K
+    masks = {zeta: np.empty((K, count), dtype=bool)
+             for zeta in dict.fromkeys(cfg.zeta for cfg in cfgs if cfg.zeta < 1.0)}
+    for start in range(0, count, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, count - start)
+        gate_u = rng.random((size, K)).T
+        for zeta, mask in masks.items():
+            np.less(gate_u, zeta, out=mask[:, start:start + size])
+    return masks
 
 
 def _first_max(score, trial, on=None):
     """Per trial, the flat index pick * trials + trial of the first link of
     maximal score, or None with one link, where row 0 is every pick; with
     `on`, that of np.where(on, score, -inf), bit for bit. `trial` is the
-    chunk's np.arange(trials), None with one link.
+    block's np.arange(trials), None with one link.
 
     Rows are links, each array C-contiguous (K, trials). A link is picked
     where its score beats the best so far by a strict >, which keeps
@@ -693,16 +759,16 @@ def _group_rates(cfgs: list, dest_sum, eve_max, gates: dict, trial):
     """Yield (selection, per-trial rates) once per distinct selection (see
     `_selection`) of configs that share lambda_D and lambda_E.
 
-    dest_sum and eve_max are a chunk's unit-scale link rows, each a
-    C-contiguous (K, trials) array, and `gates` its links on per zeta below 1
-    (see `_gate_masks`); `trial` is the chunk's np.arange(trials), shared by
-    every selection, or None with one link (see `_first_max`). Per scheme,
-    KA below zeta = 1 gets one masked selection per zeta, and then one
-    unmasked selection serves KA at zeta = 1 and KU at every zeta. Each
-    link's rate is taken once, and the selections gather rates. Each array
-    is yielded as soon as it is made and dropped before the next is built;
-    OS runs first, on the ratio rows, which are dropped before SS forms its
-    destination SNRs.
+    dest_sum and eve_max are a block's unit-scale link rows, each a
+    (K, trials) array, and `gates` its links on per zeta below 1 as C-contiguous
+    (K, trials) bool rows (see `_gate_masks`); `trial` is the block's
+    np.arange(trials), shared by every selection, or None with one link (see
+    `_first_max`). Per scheme, KA below zeta = 1 gets one masked selection per
+    zeta, and then one unmasked selection serves KA at zeta = 1 and KU at
+    every zeta. Each link's rate is taken once, and the selections gather
+    rates. Each array is yielded as soon as it is made and dropped before the
+    next is built; OS runs first, on the ratio rows, which are dropped before
+    SS forms its destination SNRs.
     """
     import numpy as np
 
@@ -768,14 +834,16 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
                threads: int = 1) -> list[tuple[MonteCarloEstimate, MonteCarloEstimate]]:
     """Simulated P(rate <= R_th) and mean rate of every config, in input order.
 
-    Configs of one (K, N, M_D, M_E) shape share draws; every chunk of a shape
-    comes from the stream a pass of its own would use, and each selection's
-    rate array is reduced before the next is built, so each pair is
-    bit-identical to a pass over its config alone, for any mix of shapes and
-    any thread count. `trials` must be an int of at least 10000, `seed` an
-    unsigned 64-bit int and `threads` a positive int; anything else raises
-    ValueError naming the argument. A config whose rate sum or sum of
-    squares is not finite raises ArithmeticError naming it.
+    Configs of one (K, N, M_D, M_E) shape share draws, and shapes of one
+    (K, M_D) family share each chunk's destination draw; every chunk of a shape
+    comes from the stream a pass of its own would use, its selections run per
+    leaf of numpy's pairwise-sum tree, whose sums add back up to the whole
+    chunk's, and each selection's rate array is reduced before the next is
+    built, so each pair is bit-identical to a pass over its config alone, for
+    any mix of shapes and any thread count. `trials` must be an int of at
+    least 10000, `seed` an unsigned 64-bit int and `threads` a positive int;
+    anything else raises ValueError naming the argument. A config whose rate
+    sum or sum of squares is not finite raises ArithmeticError naming it.
     """
     for name, value, low in (("trials", trials, _MIN_TRIALS), ("threads", threads, 1)):
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -783,9 +851,9 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed: expected an unsigned 64-bit integer (got {seed!r})")
 
-    groups: dict = {}  # shape -> indices of its configs
+    families: dict = {}  # (K, M_D) -> {shape: indices of its configs}
     for i, cfg in enumerate(cfgs):
-        groups.setdefault(_shape(cfg), []).append(i)
+        families.setdefault((cfg.K, cfg.M_D), {}).setdefault(_shape(cfg), []).append(i)
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
         sizes.append(trials % _CHUNK)
@@ -793,10 +861,17 @@ def mc_moments(cfgs: Sequence[SystemConfig], trials: int, seed: int,
     def chunk_stats(index_size: tuple[int, int]) -> list[tuple[float, float, float]]:
         index, size = index_size
         stats = [None] * len(cfgs)
-        for members in groups.values():
-            group = tuple(cfgs[i] for i in members)
-            for i, stat in zip(members, _rates_with_rng(group, _chunk_rng(seed, index), size)):
-                stats[i] = stat
+        for (K, M_D), shapes in families.items():
+            # every shape's stream opens with the family's destination draw
+            rng = _chunk_rng(seed, index)
+            dest_sum = _link_rows(rng, size, K, M_D)
+            after_dest = rng.bit_generator.state
+            for members in shapes.values():
+                rng.bit_generator.state = after_dest
+                group = tuple(cfgs[i] for i in members)
+                for i, stat in zip(members, _rates_with_rng(group, rng, size, dest_sum)):
+                    stats[i] = stat
+            del dest_sum  # before the next family's rows are drawn
         return stats
 
     jobs = list(enumerate(sizes))

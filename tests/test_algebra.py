@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -105,3 +106,25 @@ class TestPrecisionLadder:
         monkeypatch.setattr(algebra, "_MP_DPS_LADDER", (20,))
         with pytest.raises(ArithmeticError, match="20-digit rounding floor"):
             sop(self.DEEP_TAIL)
+
+    @pytest.mark.parametrize("zeta, x", [(1.0, 2.0), (0.9, 3.7)])
+    def test_hoisted_factors_give_each_rows_own_product(self, zeta, x):
+        # _mp_terms computes each power and exponential once per call; every
+        # value must keep the mpf bits of the row's own product at the
+        # ladder's first two rungs, on the deep tail (which escalates) and
+        # with zeta below 1
+        import mpmath
+
+        term_sum = build_cdf_term_sum(replace(self.DEEP_TAIL, zeta=zeta))
+        for dps in (60, 120):
+            with mpmath.workdps(dps):
+                lam_d, lam_e, zeta_mp, xx = map(mpmath.mpf, term_sum.key[4:] + (x,))
+                w = xx - 1
+                per_row = [1] + [
+                    -(mpmath.mpf(c) / den * zeta_mp ** k * lam_d ** -i * lam_e ** (mu - theta)
+                      * xx ** mu * w ** (i - mu) * mpmath.exp(-k * w / lam_d)
+                      / (k * xx / lam_d + (n + 1) / lam_e) ** theta)
+                    for c, den, k, n, i, mu, theta in term_sum.terms]
+                hoisted = term_sum._mp_terms(mpmath, x)
+                assert ([mpmath.mpf(v)._mpf_ for v in hoisted]
+                        == [mpmath.mpf(v)._mpf_ for v in per_row])

@@ -558,6 +558,28 @@ class TestClosedFormSs:
         assert esr_exact(cfg).value == pytest.approx(quad_esr(cfg), rel=1e-6, abs=0.0)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("form", ["exact", "high_snr"])
+    def test_hoisted_factors_give_each_terms_own_product(self, form):
+        # the escalating row above: _mp_terms computes each power and
+        # exponential once per call, and every value must keep the mpf bits
+        # of the term's own product at the ladder's first two rungs
+        import mpmath
+
+        cfg = _ss_row((4, 4, 4, 4), 0.5, 0.0, 15.0)
+        terms = esr_module._rate_terms(4, 4, 4, 4, form)
+        high_snr = form == "high_snr"
+        for dps in (60, 120):
+            with mpmath.workdps(dps):
+                lam_d, lam_e, zeta = map(mpmath.mpf, (cfg.lambda_D, cfg.lambda_E, cfg.zeta))
+                kernels = {(k, n, p): math.factorial(p) * mpmath.exp(k / lam_d + n / lam_e)
+                           * mpmath.gammainc(-p, k / lam_d + n / lam_e)
+                           for k, n, p in {(k, n, p) for *_head, k, n, _i, _j, p in terms}}
+                per_term = [mpmath.mpf(c) / den * zeta ** k * lam_d ** -i * lam_e ** -j
+                            * kernels[k, n, p] * (mpmath.exp(-k / lam_d) if high_snr else 1)
+                            for _log_c, _sign, c, den, k, n, i, j, p in terms]
+                hoisted = esr_module._mp_terms(mpmath, terms, cfg, high_snr)
+                assert [v._mpf_ for v in hoisted] == [v._mpf_ for v in per_term]
+
     def test_rows_that_stay_in_floats_call_no_mpmath(self, monkeypatch):
         def no_mpmath(*args):
             raise AssertionError("escalated")

@@ -127,9 +127,9 @@ def test_criterion_5_fails_when_the_simulated_gate_ignores_zeta(monkeypatch):
     # the Monte Carlo draws every KU row at zeta = 1; fresh MC cache only
     rates_with_rng = oracles._rates_with_rng
 
-    def ungated(cfgs, rng, count):
+    def ungated(cfgs, rng, count, dest_sum):
         cfgs = tuple(replace(c, zeta=1.0) if c.knowledge == "KU" else c for c in cfgs)
-        return rates_with_rng(cfgs, rng, count)
+        return rates_with_rng(cfgs, rng, count, dest_sum)
     monkeypatch.setattr(oracles, "_rates_with_rng", ungated)
     monkeypatch.setattr(acceptance, "_mc_table",
                         lru_cache(maxsize=None)(acceptance._mc_table.__wrapped__))

@@ -155,11 +155,51 @@ class TestSharedDraws:
         one = _chunk_rng(seed=7, chunk_index=1)
         whole, gates = one.standard_exponential((trials, *shape)), one.random((trials, 3))
         rng = _chunk_rng(seed=7, chunk_index=1)
-        blocks = [rng.standard_exponential((min(oracles._EVE_BLOCK, trials - start), *shape))
-                  for start in range(0, trials, oracles._EVE_BLOCK)]
-        assert len(blocks) > 2 and len(blocks[-1]) < oracles._EVE_BLOCK
+        blocks = [rng.standard_exponential((min(oracles._DRAW_BLOCK, trials - start), *shape))
+                  for start in range(0, trials, oracles._DRAW_BLOCK)]
+        assert len(blocks) > 2 and len(blocks[-1]) < oracles._DRAW_BLOCK
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
         assert rng.random((trials, 3)).tobytes() == gates.tobytes()
+
+    def test_one_family_draws_its_destinations_once(self, monkeypatch):
+        # two shapes of the (K, M_D) = (3, 2) family: each chunk draws their
+        # destination rows once, and each shape still reads the stream a pass
+        # of its own would, over a full chunk of four leaves and a ragged one
+        rows = tuple(_cfg(K=3, N=N, M_D=2, M_E=M_E, lambda_D=lam, zeta=zeta, scheme=scheme,
+                          knowledge=knowledge)
+                     for (N, M_E), lam, zeta, scheme, knowledge in product(
+                         ((1, 3), (3, 1)), (2.0, 50.0), (0.5, 1.0), ("SS", "OS"),
+                         ("KA", "KU")))
+        trials = 65536 + 4465
+        draws = []
+        link_rows = oracles._link_rows
+        monkeypatch.setattr(oracles, "_link_rows",
+                            lambda *args: draws.append(args[2:]) or link_rows(*args))
+        shared = mc_moments(rows, trials, seed=31)
+        # per chunk, (K, paths[, branches]) of the family's destination rows,
+        # then of each shape's eavesdroppers
+        assert draws == [(3, 2), (3, 3, 1), (3, 1, 3)] * 2
+        for cfg, pair in zip(rows, shared):
+            alone = _mc_alone(cfg, trials, seed=31)
+            for together, single in zip(pair, alone):
+                assert together.mean == single.mean
+                assert together.stderr == single.stderr
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 129, 4465, 16384, 16385, 34464, 40002, 65536])
+    def test_leaf_sums_added_up_the_tree_equal_one_sum(self, count):
+        # the selections run per leaf of numpy's pairwise-sum tree; their
+        # sums, added back up the tree, must be ndarray.sum's bits over the
+        # whole chunk. This fails if numpy changes how it sums
+        rate = np.random.default_rng(count).lognormal(0.0, 3.0, count)
+        squares = rate * rate
+
+        def leaf(start, stop):
+            part = rate[start:stop]
+            return np.array([part.sum(), (part * part).sum()])
+
+        total, total_squares = oracles._pairwise(leaf, 0, count)
+        assert total.hex() == rate.sum().hex()
+        assert total_squares.hex() == squares.sum().hex()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity masks")
@@ -227,25 +267,32 @@ class TestSimulatorBits:
 class _CraftedDraws:
     """Stands in for a chunk's generator: hands out crafted arrays in the
     simulator's draw order (destination, eavesdropper, gates), each draw
-    of exponentials in one piece or in consecutive blocks of trials."""
+    in one piece or in consecutive blocks of trials, reshaped to the shape
+    asked for."""
 
     def __init__(self, dest, eve, gates):
-        self._exponentials = [dest, eve]
-        self._gates = gates
+        self._draws = {"exponential": [dest, eve], "gates": [gates]}
+
+    def _next(self, kind, shape):
+        draws = self._draws[kind]
+        block, rest = draws[0][:shape[0]], draws[0][shape[0]:]
+        if len(rest):
+            draws[0] = rest
+        else:
+            draws.pop(0)
+        assert len(block) == shape[0]
+        return block.reshape(shape)
 
     def standard_exponential(self, shape):
-        draw = self._exponentials[0]
-        block, rest = draw[:shape[0]], draw[shape[0]:]
-        if len(rest):
-            self._exponentials[0] = rest
-        else:
-            self._exponentials.pop(0)
-        assert block.shape == shape
-        return block
+        return self._next("exponential", shape)
 
     def random(self, shape):
-        assert self._gates.shape == shape
-        return self._gates
+        return self._next("gates", shape)
+
+
+def _masks(gates, rows):
+    # the chunk's gate masks of rows from a crafted trial-major gate draw
+    return _gate_masks(_CraftedDraws(None, None, gates), len(gates), rows)
 
 
 def _argmax_rates(cfg, dest_sum, eve_max, gate_u):
@@ -323,7 +370,7 @@ class TestSelection:
         # and the reference the selected one's
         rows, dest, eve, gates = self._draws(K, count)
         dest_sum, eve_max = dest.sum(axis=2), eve.sum(axis=3).max(axis=2)
-        masks = _gate_masks(gates, rows)  # shared across groups, as within a chunk
+        masks = _masks(gates, rows)  # shared across groups, as within a chunk
         for lam in (2.0, 50.0):
             group = [cfg for cfg in rows if cfg.lambda_D == lam]
             rates = dict(_group_rates(group, _link_rows(dest_sum), _link_rows(eve_max), masks,
@@ -335,15 +382,17 @@ class TestSelection:
                 assert rate.dtype == expected.dtype and rate.shape == (count,)
                 assert rate.tobytes() == expected.tobytes(), cfg
 
-    @pytest.mark.parametrize("count", [643, 2 * oracles._EVE_BLOCK + 643])
+    @pytest.mark.parametrize("count", [643, 2 * oracles._DRAW_BLOCK + 643,
+                                       2 * oracles._LEAF + 643])
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_chunk_statistics_match_argmax(self, K, count):
         # the whole chunk, from the draws in the simulator's order to each
         # config's (outage count, rate sum, sum of squares); past one block
-        # the eavesdropper draw comes in three
+        # each draw comes in several, and past one leaf the selections run
+        # per leaf of the pairwise tree
         rows, dest, eve, gates = self._draws(K, count)
-        stats = _rates_with_rng(rows, _CraftedDraws(dest.copy(), eve.copy(), gates.copy()),
-                                count)
+        draws = _CraftedDraws(dest.copy(), eve.copy(), gates.copy())
+        stats = _rates_with_rng(rows, draws, count, oracles._link_rows(draws, count, K, 2))
         dest_sum, eve_max = dest.sum(axis=2), eve.sum(axis=3).max(axis=2)
         assert len(stats) == len(rows)
         for cfg, stat in zip(rows, stats):
@@ -370,7 +419,7 @@ class TestSelection:
                         (0.5, 1.0), ("SS", "OS"), ("KA", "KU"))]
             with np.errstate(all="ignore"):
                 rates = dict(_group_rates(rows, _link_rows(dest_sum), _link_rows(eve_max),
-                                          _gate_masks(gates, rows), np.arange(count)))
+                                          _masks(gates, rows), np.arange(count)))
                 expected = [_scan_rates(cfg, dest_sum, eve_max, gates) for cfg in rows]
             assert np.isinf(expected[0]).any()
             if lambda_E > 1.0:
@@ -380,7 +429,9 @@ class TestSelection:
 
     def test_full_reliability_rows_share_one_selection(self, monkeypatch):
         # at zeta = 1 every gate draw is on, so a KU row reads the KA row's
-        # selection: the quick grid's 256 rows reduce 128 rate arrays a chunk
+        # selection: the quick grid's 256 rows make 128 selections a chunk,
+        # each reduced once per leaf block; a full chunk splits into
+        # 65536 / _LEAF equal leaves
         for K, scheme in product((1, 3), ("SS", "OS")):
             ka = _cfg(K=K, scheme=scheme)
             assert _selection(replace(ka, knowledge="KU")) == _selection(ka)
@@ -389,7 +440,9 @@ class TestSelection:
         monkeypatch.setattr(oracles, "_rate_stats",
                             lambda *args: reduced.append(args) or rate_stats(*args))
         mc_moments(tuple(acceptance._sop_grid(True)), 65536, acceptance.ACCEPT_SEED)
-        assert len(reduced) == 128
+        leaves = 65536 // oracles._LEAF
+        assert {len(rate) for rate, _thresholds in reduced} == {oracles._LEAF}
+        assert len(reduced) == 128 * leaves
 
     def test_chunk_memory_peak(self):
         # tracemalloc peak of one 65,536-trial chunk over the 16 quick-grid
@@ -397,7 +450,10 @@ class TestSelection:
         # shape was held until its statistics were taken, 10.07 MiB with
         # each selection's rates reduced before the next are built, 6.13 MiB
         # with bool gate masks in place of the gate draw, one score alive at
-        # a time and the eavesdropper draw in trial blocks
+        # a time and the eavesdropper draw in trial blocks, 6.63 MiB once a
+        # chunk kept one np.arange(trials) for all its selections, 3.29 MiB
+        # with every draw in trial blocks and the selections run per leaf of
+        # at most 16,384 trials
         rows = tuple(cfg for cfg in acceptance._sop_grid(True)
                      if (cfg.K, cfg.N, cfg.M_D, cfg.M_E) == (2, 2, 2, 2))
         assert len(rows) == 16
@@ -408,7 +464,7 @@ class TestSelection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.75 * 2 ** 20, peak / 2 ** 20
+        assert peak < 3.6 * 2 ** 20, peak / 2 ** 20
 
 
 class TestSimulatorDistributions:
@@ -429,8 +485,9 @@ class TestSimulatorDistributions:
         assert abs(samples.mean() - lam) <= 3.0 * stderr
 
     def test_single_trial_surface(self):
-        ((outages, total, squares),) = _rates_with_rng(
-            (_cfg(),), _chunk_rng(seed=0, chunk_index=0), 1)
+        rng = _chunk_rng(seed=0, chunk_index=0)
+        ((outages, total, squares),) = _rates_with_rng((_cfg(),), rng, 1,
+                                                       oracles._link_rows(rng, 1, 2, 2))
         assert outages in (0.0, 1.0) and total >= 0.0 and squares == total * total
 
     def test_no_backhaul_trivials(self):
